@@ -66,7 +66,6 @@ class CenteringRun:
     rng: Random
     mu0_bits: int
     monitor: BoundMonitor | None = None
-    refresh_every: int | None = None
 
     forest: TreeForest = field(init=False)
     r: dict[int, int] = field(init=False)
@@ -103,8 +102,6 @@ class CenteringRun:
         self.phi = {aid: self.x[aid] - self.base[aid] for aid, _, _ in self.arcs}
         self.s_cur = dict(self.s)
         self.x_cur = dict(self.x)
-        if self.refresh_every is None:
-            self.refresh_every = max(1, len(self.arcs))
         self.stall_limit = max(
             1, 64 * len(self.arcs) * self.forest.condition_ceiling() * self.mu0_bits)
         # cumulative sampling weights over off-tree arcs, exact integers
@@ -188,8 +185,9 @@ class CenteringRun:
     # -- the loop ------------------------------------------------------
 
     def run(self) -> CenteringResult:
-        """Alternate refreshes and random cycle updates until the exit
-        test passes; raise after the stall ceiling."""
+        """Alternate refreshes and batches of one random cycle update
+        per minor arc until the exit test passes; raise after the stall
+        ceiling."""
         while True:
             if self.refresh():
                 return CenteringResult(
@@ -199,7 +197,7 @@ class CenteringRun:
             if not self.forest.off_tree:
                 raise InvariantError(
                     "forest minor failed the centrality exit at first refresh")
-            for _ in range(self.refresh_every):
+            for _ in range(max(1, len(self.arcs))):
                 if self.updates >= self.stall_limit:
                     raise CenteringStallError(
                         f"no centered point after {self.updates} cycle updates "

@@ -120,12 +120,17 @@ def _cmd_solve(args, trace: bool) -> int:
         strict_gamma=args.strict_gamma,
         monitor_mode=args.monitor,
         check_invariants=not args.no_invariant_checks,
-        collect_trace=trace,
     )
-    result: SolveResult = solve(inst, config)
-    if trace:
-        for row in result.trace:
-            print(json.dumps(row))
+    rows: list[dict] = []
+
+    def keep_row(event: str, payload: dict) -> None:
+        if event == "iterate":
+            rows.append(payload)
+
+    result: SolveResult = solve(inst, config,
+                                probe=keep_row if trace else None)
+    for row in rows:
+        print(json.dumps(row))
     if result.status == "infeasible":
         print("latticeflow: instance is infeasible", file=sys.stderr)
         return EXIT_INFEASIBLE

@@ -24,7 +24,7 @@ per-class routing forests well defined.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
 from typing import Callable
 
@@ -48,7 +48,6 @@ class IPMResult:
     iterations: int
     updates: int
     refreshes: int
-    trace: list[dict] = field(default_factory=list)
 
 
 def decrement_mu(mu: int, m: int) -> int:
@@ -89,8 +88,6 @@ def run_interior_point(
     monitor: BoundMonitor | None = None,
     probe: Callable[[str, dict], None] | None = None,
     check_invariants: bool = True,
-    refresh_every: int | None = None,
-    collect_trace: bool = False,
 ) -> IPMResult:
     """Follow the central path down until the gap proxy clears, then
     hand the final point (plus the accumulated minor) to the crossover."""
@@ -102,7 +99,6 @@ def run_interior_point(
     mu = point.mu0
     cmap = ContractionMap(g)
     merge_edges: list[tuple[int, int, int]] = []
-    trace: list[dict] = []
     ceiling = outer_ceiling(m, point.mu0)
     mu0_bits = point.mu0.bit_length()
     iterations = updates = refreshes = 0
@@ -125,21 +121,17 @@ def run_interior_point(
             _check_iterate(aux, cert, x, s, y, mu, cmap, minor)
 
         gap_sum = sum(x[aid] * s[aid] for aid, _, _ in minor.arcs)
-        if collect_trace:
-            trace.append({
-                "iter": iterations,
-                "mu": mu,
-                "minor_arcs": minor.m_h,
+        if probe is not None:
+            probe("iterate", {
+                "iter": iterations, "mu": mu, "minor_arcs": minor.m_h,
                 "contracted": len(cmap.contracted),
-                "deleted": len(cmap.deleted),
-                "gap_sum": gap_sum,
-                "max_abs": monitor.max_seen if monitor else None,
-            })
+                "deleted": len(cmap.deleted), "gap_sum": gap_sum,
+                "max_abs": monitor.max_seen if monitor else None})
 
         # 2. duality-gap proxy over the minor
         if 81 * gap_sum < 4 * cert.beta * cert.gamma:
             return IPMResult(x, s, y, mu, cmap, merge_edges, iterations,
-                             updates, refreshes, trace)
+                             updates, refreshes)
 
         if iterations >= ceiling:
             raise IterationCeilingError(
@@ -159,8 +151,7 @@ def run_interior_point(
                 "mu": mu,
             })
         run = CenteringRun(arcs=minor.arcs, x=minor_x, s=minor_s, mu=mu,
-                           rng=rng, mu0_bits=mu0_bits, monitor=monitor,
-                           refresh_every=refresh_every)
+                           rng=rng, mu0_bits=mu0_bits, monitor=monitor)
         result = run.run()
         updates += result.updates
         refreshes += result.refreshes

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from random import Random
+from typing import Callable
 
 from .crossover import crossover
 from .errors import InvariantError
@@ -42,9 +43,6 @@ class SolveConfig:
     strict_gamma: bool = False
     monitor_mode: str = "strict"  # "strict" | "log"
     check_invariants: bool = True
-    collect_trace: bool = False
-    verify_output: bool = True
-    refresh_every: int | None = None
 
 
 @dataclass
@@ -55,7 +53,6 @@ class SolveResult:
     objective: int | None
     max_abs: int
     components: list[dict] = field(default_factory=list)
-    trace: list[dict] = field(default_factory=list)
 
 
 def _split_components(inst: RawInstance) -> list[tuple[list[int], list[int]]]:
@@ -81,8 +78,10 @@ def _split_components(inst: RawInstance) -> list[tuple[list[int], list[int]]]:
     return [groups[k] for k in sorted(groups)]
 
 
-def _solve_component(inst: RawInstance, rng: Random, config: SolveConfig
-                     ) -> tuple[str, list[int], dict[int, int], dict, list[dict]]:
+def _solve_component(inst: RawInstance, arc_ids: list[int], rng: Random,
+                     config: SolveConfig,
+                     probe: Callable[[str, dict], None] | None
+                     ) -> tuple[str, list[int], dict[int, int], dict]:
     """Run the full pipeline on one weakly-connected instance."""
     norm, reversed_ids = normalize_costs(inst)
     down, info = downscale(norm)
@@ -93,15 +92,17 @@ def _solve_component(inst: RawInstance, rng: Random, config: SolveConfig
     scaled = scale_up(down, cert)
     aux, point = build_auxiliary(scaled, cert, monitor=monitor)
     res = run_interior_point(
-        aux, cert, point, rng=rng, monitor=monitor,
-        check_invariants=config.check_invariants,
-        refresh_every=config.refresh_every,
-        collect_trace=config.collect_trace)
+        aux, cert, point, rng=rng, monitor=monitor, probe=probe,
+        check_invariants=config.check_invariants)
+    if probe is not None:
+        probe("component", {
+            "instance": inst, "arc_ids": arc_ids, "normalized": norm,
+            "reversed_ids": reversed_ids, "cert": cert, "aux": aux,
+            "point": point, "result": res})
     x_star, y_t, s_t = crossover(aux, cert, res)
-    if monitor is not None:
-        monitor.record_many(x_star)
-        monitor.record_many(s_t)
-        monitor.record_many(y_t.values())
+    monitor.record_many(x_star)
+    monitor.record_many(s_t)
+    monitor.record_many(y_t.values())
 
     stats = {
         "nodes": inst.graph.n,
@@ -119,7 +120,7 @@ def _solve_component(inst: RawInstance, rng: Random, config: SolveConfig
     }
 
     if any(x_star[h] for h in aux.hat_arc.values()):
-        return "infeasible", [], {}, stats, res.trace
+        return "infeasible", [], {}, stats
 
     flow: list[int] = []
     for i in range(down.graph.m):
@@ -135,10 +136,11 @@ def _solve_component(inst: RawInstance, rng: Random, config: SolveConfig
         if y_t[v] % cert.gamma:
             raise InvariantError(f"node {v}: potential is not gamma-integral")
         potentials[v] = y_t[v] // cert.gamma * cert.gamma0
-    return "optimal", flow, potentials, stats, res.trace
+    return "optimal", flow, potentials, stats
 
 
-def solve(inst: RawInstance, config: SolveConfig | None = None) -> SolveResult:
+def solve(inst: RawInstance, config: SolveConfig | None = None, *,
+          probe: Callable[[str, dict], None] | None = None) -> SolveResult:
     """Solve a capacitated min-cost flow instance exactly.
 
     The returned flow is indexed like the instance's arcs; potentials
@@ -146,6 +148,10 @@ def solve(inst: RawInstance, config: SolveConfig | None = None) -> SolveResult:
     reduced costs. Infeasibility is certified by the interior point
     method itself: its balancing arcs keep positive flow only when no
     real flow can meet the demands.
+
+    ``probe(event, payload)`` observes each solved component: the
+    interior point loop's events, then ``component`` (see the README).
+    Payloads are live solver state and must not be mutated.
     """
     config = config or SolveConfig()
     inst.validate()
@@ -154,7 +160,6 @@ def solve(inst: RawInstance, config: SolveConfig | None = None) -> SolveResult:
     flow = [0] * inst.graph.m
     potentials: dict[int, int] = {}
     components: list[dict] = []
-    trace: list[dict] = []
     max_abs = 0
     feasible = True
 
@@ -177,10 +182,9 @@ def solve(inst: RawInstance, config: SolveConfig | None = None) -> SolveResult:
             sub_b,
             [inst.u[a] for a in arc_ids],
             [inst.c[a] for a in arc_ids])
-        status, sub_flow, sub_pot, stats, sub_trace = _solve_component(
-            sub, rng, config)
+        status, sub_flow, sub_pot, stats = _solve_component(
+            sub, arc_ids, rng, config, probe)
         components.append(stats)
-        trace.extend(sub_trace)
         max_abs = max(max_abs, stats["max_abs"])
         if status == "infeasible":
             feasible = False
@@ -191,13 +195,12 @@ def solve(inst: RawInstance, config: SolveConfig | None = None) -> SolveResult:
 
     if not feasible:
         return SolveResult("infeasible", None, None, None, max_abs,
-                           components, trace)
+                           components)
     objective = sum(f * c for f, c in zip(flow, inst.c))
-    if config.verify_output:
-        report = verify_certificate(inst, flow, potentials)
-        if not report.ok:
-            raise InvariantError(
-                "solution failed certificate verification: "
-                + "; ".join(report.failures))
+    report = verify_certificate(inst, flow, potentials)
+    if not report.ok:
+        raise InvariantError(
+            "solution failed certificate verification: "
+            + "; ".join(report.failures))
     return SolveResult("optimal", flow, potentials, objective, max_abs,
-                       components, trace)
+                       components)

@@ -140,18 +140,24 @@ E1 = RawInstance(MultiGraph([1, 2, 3], [(1, 2), (2, 3), (1, 3)]),
 
 def test_path_following_reaches_proxy_exit():
     monitor = BoundMonitor(10**100, strict=True)
-    aux, cert, res = _solve_aux(E1, monitor=monitor, collect_trace=True)
+    trace = []
+
+    def probe(event, payload):
+        if event == "iterate":
+            trace.append(payload)
+
+    aux, cert, res = _solve_aux(E1, monitor=monitor, probe=probe)
     live = [(aid, t, h) for aid, t, h in
             MinorView(aux.graph, res.cmap).arcs]
     gap = sum(res.x[aid] * res.s[aid] for aid, _, _ in live)
     assert 81 * gap < 4 * cert.beta * cert.gamma
     assert res.iterations <= outer_ceiling(cert.m, res.mu)
-    assert res.trace[0]["iter"] == 0
-    assert res.trace[-1]["gap_sum"] == gap
+    assert trace[0]["iter"] == 0
+    assert trace[-1]["gap_sum"] == gap
     assert {"iter", "mu", "minor_arcs", "contracted", "deleted", "gap_sum",
-            "max_abs"} == set(res.trace[0])
+            "max_abs"} == set(trace[0])
     # mu is strictly decreasing along the trace
-    mus = [row["mu"] for row in res.trace]
+    mus = [row["mu"] for row in trace]
     assert all(a > b for a, b in zip(mus, mus[1:]))
     assert monitor.max_seen > 0
 
@@ -175,9 +181,12 @@ def test_probe_sees_centering_entries_and_exits():
     enters = [p for ev, p in seen if ev == "centering_enter"]
     exits = [p for ev, p in seen if ev == "centering_exit"]
     lifted = [p for ev, p in seen if ev == "lifted"]
+    iterates = [p for ev, p in seen if ev == "iterate"]
     assert len(enters) == len(exits) == len(lifted) and enters
-    assert {ev for ev, _ in seen} == {"centering_enter", "centering_exit",
-                                      "lifted"}
+    # one row per outer iteration, the last one where the loop stops
+    assert len(iterates) == len(enters) + 1
+    assert {ev for ev, _ in seen} == {"iterate", "centering_enter",
+                                      "centering_exit", "lifted"}
     payload = enters[0]
     assert set(payload) == {"iteration", "arcs", "x", "s", "mu"}
     assert payload["mu"] > 0
