@@ -77,7 +77,6 @@ class CenteringRun:
     updates: int = field(init=False, default=0)
     refreshes: int = field(init=False, default=0)
     stall_limit: int = field(init=False)
-    _endpoints: dict[int, tuple[object, object]] = field(init=False)
     _weight_prefix: list[int] = field(init=False)
 
     def __post_init__(self) -> None:
@@ -93,7 +92,6 @@ class CenteringRun:
                 if v not in seen:
                     seen.add(v)
                     nodes.append(v)
-        self._endpoints = {aid: (tail, head) for aid, tail, head in self.arcs}
         self.r = {aid: ceil_div(self.s[aid], self.x[aid])
                   for aid, _, _ in self.arcs}
         self.forest = TreeForest(nodes, self.arcs, self.r)

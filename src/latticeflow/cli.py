@@ -3,7 +3,9 @@
 Subcommands: solve (interior point + crossover), oracle (the slow
 reference solver, same output format), verify (check a solution file's
 certificate against its instance), gen (seeded random instances), and
-trace (solve while streaming per-iteration JSON records).
+trace (solve while streaming per-iteration JSON records). solve and
+trace take an instance file and ``--seed``; the magnitude monitor and
+the invariant checks always run.
 
 Exit codes: 0 success, 1 usage or input format problems, 2 proven
 infeasible, 3 internal guard tripped (iteration ceiling, centering
@@ -61,14 +63,6 @@ def _build_parser() -> _Parser:
         p.add_argument("instance", help="DIMACS min-cost-flow file")
         p.add_argument("--seed", type=int, default=0,
                        help="seed for the randomized centering (default 0)")
-        p.add_argument("--strict-gamma", action="store_true",
-                       help="use the larger cost scale factor")
-        p.add_argument("--monitor", choices=["strict", "log"],
-                       default="strict",
-                       help="magnitude monitor mode: strict raises on "
-                            "overruns, log only records (default strict)")
-        p.add_argument("--no-invariant-checks", action="store_true",
-                       help="skip per-iteration exact invariant checks")
 
     p_solve = sub.add_parser(
         "solve", help="solve an instance and print the certified optimum",
@@ -115,22 +109,13 @@ def _read(path: str) -> str:
 
 def _cmd_solve(args, trace: bool) -> int:
     inst = parse_instance(_read(args.instance))
-    config = SolveConfig(
-        seed=args.seed,
-        strict_gamma=args.strict_gamma,
-        monitor_mode=args.monitor,
-        check_invariants=not args.no_invariant_checks,
-    )
-    rows: list[dict] = []
 
-    def keep_row(event: str, payload: dict) -> None:
+    def print_row(event: str, payload: dict) -> None:
         if event == "iterate":
-            rows.append(payload)
+            print(json.dumps(payload), flush=True)
 
-    result: SolveResult = solve(inst, config,
-                                probe=keep_row if trace else None)
-    for row in rows:
-        print(json.dumps(row))
+    result: SolveResult = solve(inst, SolveConfig(seed=args.seed),
+                                probe=print_row if trace else None)
     if result.status == "infeasible":
         print("latticeflow: instance is infeasible", file=sys.stderr)
         return EXIT_INFEASIBLE

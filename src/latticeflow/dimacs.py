@@ -139,6 +139,8 @@ def parse_solution(text: str, inst: RawInstance
             if fields[0] == "s":
                 if objective is not None:
                     raise FormatError(f"line {lineno}: second objective line")
+                if len(fields) != 2:
+                    raise FormatError(f"line {lineno}: expected 's <objective>'")
                 objective = int(fields[1])
             elif fields[0] == "f":
                 if len(fields) != 4:

@@ -23,7 +23,7 @@ class UnsupportedFeatureError(FormatError):
 
 
 class BoundViolationError(LatticeFlowError):
-    """A recorded integer exceeded the instance's magnitude limit (strict mode)."""
+    """A recorded integer exceeded the instance's magnitude limit."""
 
 
 class CenteringStallError(LatticeFlowError):

@@ -71,25 +71,23 @@ def next_pow2(n: int) -> int:
 class BoundMonitor:
     """Running maximum of |value| over everything a solve stores.
 
-    ``limit`` is instance-derived. In strict mode any recorded value with
-    absolute value above the limit raises :class:`BoundViolationError`;
-    in log mode the maximum is tracked silently and can be inspected
-    afterwards. The maximum is updated before the strict check so a
-    violating value is still visible in ``max_seen``.
+    ``limit`` is instance-derived. Any recorded value with absolute
+    value above the limit raises :class:`BoundViolationError`. The
+    maximum is updated before the check so a violating value is still
+    visible in ``max_seen``.
     """
 
-    __slots__ = ("limit", "max_seen", "strict")
+    __slots__ = ("limit", "max_seen")
 
-    def __init__(self, limit: int, strict: bool = True) -> None:
+    def __init__(self, limit: int) -> None:
         self.limit = limit
         self.max_seen = 0
-        self.strict = strict
 
     def record(self, value: int) -> None:
         a = -value if value < 0 else value
         if a > self.max_seen:
             self.max_seen = a
-            if self.strict and a > self.limit:
+            if a > self.limit:
                 raise BoundViolationError(
                     f"integer magnitude {a} exceeds monitor limit {self.limit}"
                 )

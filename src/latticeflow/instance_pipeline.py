@@ -140,27 +140,22 @@ class ScalingCertificate:
     t: int
     mu0: int
     limit: int
-    strict_gamma: bool = False
 
 
-def compute_scaling(m0: int, U: int, C: int, strict_gamma: bool = False,
-                    beta0: int = 1, gamma0: int = 1) -> ScalingCertificate:
+def compute_scaling(m0: int, U: int, C: int, beta0: int = 1,
+                    gamma0: int = 1) -> ScalingCertificate:
     """Choose beta and gamma large enough for exact integer path following.
 
     beta is 2^8 * m^3 rounded up to a power of two (so capacities scaled
     by beta are even and the half-capacity split is integral). gamma is
-    2^15 * m^4 * beta * U * C by default; strict mode uses
-    2^20 * m^5 * beta * U * C instead.
+    2^15 * m^4 * beta * U * C.
     """
     if m0 < 1:
         raise ValueError("compute_scaling requires at least one arc")
     m = 3 * m0
     c_eff = max(C, 1)
     beta = next_pow2((1 << 8) * m**3)
-    if strict_gamma:
-        gamma = (1 << 20) * m**5 * beta * U * c_eff
-    else:
-        gamma = (1 << 15) * m**4 * beta * U * c_eff
+    gamma = (1 << 15) * m**4 * beta * U * c_eff
     mu0 = 24 * m * beta * gamma * U * c_eff
     t = mu0 - 2 * beta * gamma * U * c_eff
     limit = (1 << 31) * m**10 * U**2 * c_eff**2
@@ -175,7 +170,6 @@ def compute_scaling(m0: int, U: int, C: int, strict_gamma: bool = False,
         t=t,
         mu0=mu0,
         limit=limit,
-        strict_gamma=strict_gamma,
     )
 
 

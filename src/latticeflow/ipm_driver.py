@@ -87,7 +87,6 @@ def run_interior_point(
     rng: Random,
     monitor: BoundMonitor | None = None,
     probe: Callable[[str, dict], None] | None = None,
-    check_invariants: bool = True,
 ) -> IPMResult:
     """Follow the central path down until the gap proxy clears, then
     hand the final point (plus the accumulated minor) to the crossover."""
@@ -117,8 +116,7 @@ def run_interior_point(
                     merge_edges.append((aid, tail, head))
         minor = MinorView(g, cmap)
 
-        if check_invariants:
-            _check_iterate(aux, cert, x, s, y, mu, cmap, minor)
+        _check_iterate(aux, cert, x, s, y, mu, cmap, minor)
 
         gap_sum = sum(x[aid] * s[aid] for aid, _, _ in minor.arcs)
         if probe is not None:

@@ -9,8 +9,8 @@ has no feasible flow at all, which settles the original instance.
 
 Every magnitude a component stores is recorded in a BoundMonitor whose
 limit is 2^31 m^10 U^2 C^2 with m = 3 m0 and U, C measured after the
-downscale (C clamped to 1); strict mode raises the moment any value
-crosses the limit.
+downscale (C clamped to 1); it raises the moment any value crosses the
+limit.
 """
 
 from __future__ import annotations
@@ -40,9 +40,6 @@ __all__ = ["SolveConfig", "SolveResult", "solve"]
 @dataclass(frozen=True)
 class SolveConfig:
     seed: int = 0
-    strict_gamma: bool = False
-    monitor_mode: str = "strict"  # "strict" | "log"
-    check_invariants: bool = True
 
 
 @dataclass
@@ -79,21 +76,18 @@ def _split_components(inst: RawInstance) -> list[tuple[list[int], list[int]]]:
 
 
 def _solve_component(inst: RawInstance, arc_ids: list[int], rng: Random,
-                     config: SolveConfig,
                      probe: Callable[[str, dict], None] | None
                      ) -> tuple[str, list[int], dict[int, int], dict]:
     """Run the full pipeline on one weakly-connected instance."""
     norm, reversed_ids = normalize_costs(inst)
     down, info = downscale(norm)
     cert = compute_scaling(down.graph.m, info.U, info.C,
-                           strict_gamma=config.strict_gamma,
                            beta0=info.beta0, gamma0=info.gamma0)
-    monitor = BoundMonitor(cert.limit, strict=(config.monitor_mode == "strict"))
+    monitor = BoundMonitor(cert.limit)
     scaled = scale_up(down, cert)
     aux, point = build_auxiliary(scaled, cert, monitor=monitor)
-    res = run_interior_point(
-        aux, cert, point, rng=rng, monitor=monitor, probe=probe,
-        check_invariants=config.check_invariants)
+    res = run_interior_point(aux, cert, point, rng=rng, monitor=monitor,
+                             probe=probe)
     if probe is not None:
         probe("component", {
             "instance": inst, "arc_ids": arc_ids, "normalized": norm,
@@ -183,7 +177,7 @@ def solve(inst: RawInstance, config: SolveConfig | None = None, *,
             [inst.u[a] for a in arc_ids],
             [inst.c[a] for a in arc_ids])
         status, sub_flow, sub_pot, stats = _solve_component(
-            sub, arc_ids, rng, config, probe)
+            sub, arc_ids, rng, probe)
         components.append(stats)
         max_abs = max(max_abs, stats["max_abs"])
         if status == "infeasible":

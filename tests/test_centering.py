@@ -97,7 +97,7 @@ def test_determinism_under_seed():
 
 
 def test_monitor_sees_centering_state():
-    mon = BoundMonitor(10**9, strict=True)
+    mon = BoundMonitor(10**9)
     _two_cycle_run(monitor=mon).run()
     assert mon.max_seen >= 3  # at least the entry x values
 

@@ -57,10 +57,14 @@ def test_malformed_file(tmp_path):
     assert main(["solve", str(path)]) == 1
 
 
-def test_usage_error():
+def test_usage_error(triangle_file):
     assert main(["solve"]) == 1
     assert main(["frobnicate"]) == 1
     assert main([]) == 1
+    # the solver subcommands take only INSTANCE [--seed N]
+    assert main(["solve", triangle_file, "--strict-gamma"]) == 1
+    assert main(["solve", triangle_file, "--monitor", "log"]) == 1
+    assert main(["trace", triangle_file, "--no-invariant-checks"]) == 1
 
 
 def test_solve_then_verify(triangle_file, tmp_path, capsys):
@@ -70,6 +74,13 @@ def test_solve_then_verify(triangle_file, tmp_path, capsys):
     sol_path.write_text(solution)
     assert main(["verify", triangle_file, str(sol_path)]) == 0
     assert "certificate ok" in capsys.readouterr().out
+
+
+def test_verify_rejects_bare_objective_line(triangle_file, tmp_path, capsys):
+    sol_path = tmp_path / "tri.sol"
+    sol_path.write_text("s\n")
+    assert main(["verify", triangle_file, str(sol_path)]) == 1
+    assert "expected 's <objective>'" in capsys.readouterr().err
 
 
 def test_verify_rejects_corrupted(triangle_file, tmp_path, capsys):
@@ -99,6 +110,17 @@ def test_trace_emits_json(triangle_file, capsys):
         assert set(row) == keys
     mus = [row["mu"] for row in rows]
     assert mus == sorted(mus, reverse=True)
+
+
+def test_trace_streams_rows_before_a_guard(triangle_file, capsys,
+                                          monkeypatch):
+    monkeypatch.setattr("latticeflow.ipm_driver.outer_ceiling",
+                        lambda m, mu0: 3)
+    assert main(["trace", triangle_file]) == 3
+    captured = capsys.readouterr()
+    rows = [json.loads(line) for line in captured.out.splitlines()]
+    assert [row["iter"] for row in rows] == [0, 1, 2, 3]
+    assert "internal guard tripped" in captured.err
 
 
 def test_gen_roundtrip(tmp_path, capsys):

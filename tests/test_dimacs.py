@@ -1,6 +1,8 @@
 """DIMACS min-cost-flow text format: parsing, formatting, round trips."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latticeflow.dimacs import (format_instance, format_solution,
                                 parse_instance, parse_solution)
@@ -106,3 +108,26 @@ def test_parse_solution_missing_potential():
     text = "s 4\nf 1 2 2\nf 2 3 2\nf 1 3 0\ny 1 0\ny 2 1\n"
     with pytest.raises(FormatError):
         parse_solution(text, inst)
+
+
+# small integers only: a 'p' line allocates every node up front
+_TOKENS = st.one_of(
+    st.sampled_from(["p", "min", "n", "a", "s", "f", "y", "c"]),
+    st.integers(-3, 20).map(str),
+    st.sampled_from(["x", "min0", "1.5", "-", "+4", "07", "0x1", "\t"]),
+)
+_TEXT = st.lists(st.lists(_TOKENS, max_size=7), max_size=10).map(
+    lambda lines: "\n".join(" ".join(tokens) for tokens in lines))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TEXT)
+def test_parsers_raise_only_format_errors(text):
+    try:
+        parse_instance(text)
+    except FormatError:
+        pass
+    try:
+        parse_solution(text, parse_instance(TRIANGLE))
+    except FormatError:
+        pass

