@@ -16,8 +16,11 @@ are exact fractions.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
 from random import Random
 
 from .errors import CenteringStallError, InvariantError
@@ -27,7 +30,7 @@ from .spanning_tree import TreeForest
 __all__ = ["CenteringRun", "CenteringResult", "UpdateRecord"]
 
 
-@dataclass
+@dataclass(slots=True)
 class UpdateRecord:
     arc: int
     lam: int
@@ -43,7 +46,6 @@ class CenteringResult:
     pi: dict
     updates: int
     refreshes: int
-    stall_limit: int
 
 
 @dataclass
@@ -57,6 +59,12 @@ class CenteringRun:
     x, s: the current point restricted to those arcs; mu: the target.
     ``mu0_bits`` feeds the stall ceiling, which scales with the bit
     length of the initial path parameter.
+
+    The stall ceiling is max(1, 64 m_h ceil(tau) mu0_bits), where tau is
+    the forest's total stretch. Since ceil(tau) >= 1 it is never below
+    the floor max(1, 64 m_h mu0_bits), so the loop checks the floor and
+    computes the exact ceiling only when updates reach it, or when
+    ``stall_limit`` is read.
     """
 
     arcs: list[tuple[int, object, object]]
@@ -76,8 +84,11 @@ class CenteringRun:
     x_cur: dict[int, int] = field(init=False)
     updates: int = field(init=False, default=0)
     refreshes: int = field(init=False, default=0)
-    stall_limit: int = field(init=False)
     _weight_prefix: list[int] = field(init=False)
+    # per off-tree arc, in forest order: (arc_id, [(b, sign, sign * r_b)]
+    # around its fundamental cycle, the cycle's resistance)
+    _cycles: list[tuple[int, list[tuple[int, int, int]], int]] = field(
+        init=False)
 
     def __post_init__(self) -> None:
         if self.mu <= 0:
@@ -100,20 +111,25 @@ class CenteringRun:
         self.phi = {aid: self.x[aid] - self.base[aid] for aid, _, _ in self.arcs}
         self.s_cur = dict(self.s)
         self.x_cur = dict(self.x)
-        self.stall_limit = max(
-            1, 64 * len(self.arcs) * self.forest.condition_ceiling() * self.mu0_bits)
         # cumulative sampling weights over off-tree arcs, exact integers
-        total = 0
-        self._weight_prefix = []
-        for w in self.forest.weights:
-            total += w
-            self._weight_prefix.append(total)
+        self._weight_prefix = list(accumulate(self.forest.weights))
+        self._cycles = [
+            (aid, [(b, sign, sign * self.r[b])
+                   for b, sign in self.forest.fundamental_cycle(aid)],
+             self.forest.cycle_resistance[aid])
+            for aid in self.forest.off_tree]
         if self.monitor is not None:
             self.monitor.record_many(self.r.values())
             self.monitor.record_many(self.base.values())
             self.monitor.record_many(self.phi.values())
             self.monitor.record_many(self.forest.weights)
             self.monitor.record_many(self.forest.cycle_resistance.values())
+
+    @cached_property
+    def stall_limit(self) -> int:
+        """The exact stall ceiling, computed on first use."""
+        return max(1, 64 * len(self.arcs) * self.forest.condition_ceiling()
+                   * self.mu0_bits)
 
     # -- the two primitive moves ------------------------------------
 
@@ -139,34 +155,26 @@ class CenteringRun:
     def sample_update(self) -> UpdateRecord:
         """Pick a random off-tree arc and push the rounded optimal
         circulation around its fundamental cycle."""
-        off = self.forest.off_tree
-        if not off:
+        prefix = self._weight_prefix
+        if not prefix:
             raise InvariantError("no off-tree arcs to sample")
-        total = self._weight_prefix[-1]
-        ticket = self.rng.randrange(total)
-        lo, hi = 0, len(off) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if ticket < self._weight_prefix[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
-        aid = off[lo]
-        cycle = self.forest.fundamental_cycle(aid)
-        lam = sum(sign * self.r[b] * self.phi[b] for b, sign in cycle)
-        cycle_r = self.forest.cycle_resistance[aid]
-        alpha = round_nearest(lam, cycle_r)
+        aid, coefs, cycle_r = self._cycles[
+            bisect_right(prefix, self.rng.randrange(prefix[-1]))]
+        phi = self.phi
+        lam = 0
+        for b, _, c in coefs:
+            lam += c * phi[b]
+        alpha = (2 * lam + cycle_r) // (2 * cycle_r)  # round_nearest
+        stored = [lam, alpha]
         if alpha:
-            for b, sign in cycle:
-                self.phi[b] -= alpha * sign
+            for b, sign, _ in coefs:
+                phi[b] -= alpha * sign
+                stored.append(phi[b])
         self.updates += 1
-        decrease = 2 * alpha * lam - alpha * alpha * cycle_r
         if self.monitor is not None:
-            self.monitor.record(lam)
-            self.monitor.record(alpha)
-            if alpha:
-                self.monitor.record_many(self.phi[b] for b, _ in cycle)
-        return UpdateRecord(aid, lam, cycle_r, alpha, decrease)
+            self.monitor.record_many(stored)
+        return UpdateRecord(aid, lam, cycle_r, alpha,
+                            2 * alpha * lam - alpha * alpha * cycle_r)
 
     # -- diagnostics --------------------------------------------------
 
@@ -174,10 +182,9 @@ class CenteringRun:
         """Current electrical energy above the optimum, exactly:
         sum over off-tree arcs of Lambda_a^2 / r(C_a)."""
         total = Fraction(0)
-        for aid in self.forest.off_tree:
-            cycle = self.forest.fundamental_cycle(aid)
-            lam = sum(sign * self.r[b] * self.phi[b] for b, sign in cycle)
-            total += Fraction(lam * lam, self.forest.cycle_resistance[aid])
+        for _, coefs, cycle_r in self._cycles:
+            lam = sum(c * self.phi[b] for b, _, c in coefs)
+            total += Fraction(lam * lam, cycle_r)
         return total
 
     # -- the loop ------------------------------------------------------
@@ -186,18 +193,21 @@ class CenteringRun:
         """Alternate refreshes and batches of one random cycle update
         per minor arc until the exit test passes; raise after the stall
         ceiling."""
+        batch = range(max(1, len(self.arcs)))
+        ceiling = max(1, 64 * len(self.arcs) * self.mu0_bits)  # the floor
         while True:
             if self.refresh():
                 return CenteringResult(
                     x=dict(self.x_cur), s=dict(self.s_cur), pi=dict(self.pi),
-                    updates=self.updates, refreshes=self.refreshes,
-                    stall_limit=self.stall_limit)
+                    updates=self.updates, refreshes=self.refreshes)
             if not self.forest.off_tree:
                 raise InvariantError(
                     "forest minor failed the centrality exit at first refresh")
-            for _ in range(max(1, len(self.arcs))):
-                if self.updates >= self.stall_limit:
-                    raise CenteringStallError(
-                        f"no centered point after {self.updates} cycle updates "
-                        f"(ceiling {self.stall_limit})")
+            for _ in batch:
+                if self.updates >= ceiling:
+                    ceiling = self.stall_limit
+                    if self.updates >= ceiling:
+                        raise CenteringStallError(
+                            f"no centered point after {self.updates} cycle "
+                            f"updates (ceiling {ceiling})")
                 self.sample_update()

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from latticeflow.centering import CenteringRun
 from latticeflow.errors import CenteringStallError, InvariantError
 from latticeflow.exact_arith import BoundMonitor
+from latticeflow.reference_oracle import random_instance
+from latticeflow.solver import SolveConfig, solve
 
 TWO_CYCLE = [(0, "A", "B"), (1, "B", "A")]
 
@@ -79,9 +81,53 @@ def test_stall_ceiling_raises():
     # cycle shift rounds to zero, so no progress is possible
     run = CenteringRun(arcs=TWO_CYCLE, x={0: 5, 1: 1}, s={0: 2, 1: 2},
                        mu=4, rng=Random(3), mu0_bits=3)
-    with pytest.raises(CenteringStallError):
+    # r = (1, 2), so arc 0 is the tree and tau = r(C_1) / r_1 = 3/2:
+    # the ceiling is 64 * 2 * ceil(3/2) * 3 = 768, twice the floor, so
+    # the loop passes the floor before it stops
+    with pytest.raises(CenteringStallError, match=r"after 768 .*ceiling 768"):
         run.run()
-    assert run.updates == run.stall_limit
+    assert run.updates == run.stall_limit == 768
+
+
+def _solve_states(case, every):
+    """Every ``every``-th centering entry of a seeded solve, with the
+    solve's mu0 bit length."""
+    states = []
+    mu0_bits = []
+
+    def probe(event, payload):
+        if event == "iterate" and payload["iter"] == 0:
+            mu0_bits.append(payload["mu"].bit_length())
+        elif event == "centering_enter" and payload["iteration"] % every == 0:
+            states.append((payload, mu0_bits[-1]))
+
+    solve(random_instance(*case), SolveConfig(seed=case[0]), probe=probe)
+    return states
+
+
+@pytest.mark.parametrize("case", [(11, 6, 12, 5, 3, "feasible"),
+                                  (3, 4, 6, 10**12, 10**12, "feasible")])
+def test_stall_limit_is_the_proven_ceiling(case):
+    """On real centering states the ceiling read from a run is
+    max(1, 64 m_h ceil(tau) mu0_bits), the same whether it is read
+    before or after the run, and reading it early changes nothing."""
+    states = _solve_states(case, every=40)
+    assert len(states) >= 10
+    for state, mu0_bits in states:
+        def fresh():
+            return CenteringRun(arcs=state["arcs"], x=dict(state["x"]),
+                                s=dict(state["s"]), mu=state["mu"],
+                                rng=Random(0), mu0_bits=mu0_bits)
+
+        late = fresh()
+        ceiling = max(1, 64 * len(state["arcs"])
+                      * late.forest.condition_ceiling() * mu0_bits)
+        result = late.run()
+        assert late.stall_limit == ceiling
+        assert result.updates < ceiling
+        early = fresh()
+        assert early.stall_limit == ceiling
+        assert early.run() == result
 
 
 def test_entry_point_must_be_interior():

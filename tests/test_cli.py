@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latticeflow.cli import main
 
@@ -138,3 +140,56 @@ def test_solve_deterministic_bytes(triangle_file, capsys):
     assert main(["solve", triangle_file, "--seed", "3"]) == 0
     second = capsys.readouterr().out
     assert first == second
+
+
+# small integers only: a 'p' line allocates every node up front
+_SMALL = st.integers(-3, 9).map(str)
+_TOKENS = st.one_of(
+    st.sampled_from(["p", "min", "n", "a", "s", "f", "y", "c"]),
+    _SMALL,
+    st.sampled_from(["x", "1.5", "-", "+4", "07", "\t"]),
+)
+# soup lines, plus lines with a real keyword
+_LINE = st.one_of(
+    st.lists(_TOKENS, max_size=7).map(" ".join),
+    st.tuples(st.sampled_from(["p min", "n", "a", "s", "f", "y"]),
+              st.lists(_SMALL, min_size=1, max_size=5)).map(
+        lambda line: " ".join([line[0], *line[1]])),
+)
+_SOUP = st.lists(_LINE, max_size=10).map("\n".join)
+
+
+@st.composite
+def _near_instance(draw):
+    """A well-formed instance of up to 3 nodes, half the time with one
+    soup line spliced in, so that many texts reach the solver."""
+    n = draw(st.integers(1, 3))
+    arcs = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n),
+                                   st.integers(0, 4), st.integers(-3, 9)),
+                         max_size=4))
+    supply = draw(st.integers(-3, 3))
+    lines = [f"p min {n} {len(arcs)}", f"n 1 {supply}", f"n {n} {-supply}"]
+    lines += [f"a {t} {h} 0 {cap} {cost}" for t, h, cap, cost in arcs]
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_LINE))
+    return "\n".join(lines)
+
+
+# the triangle's solution shape with arbitrary numbers, so that some
+# texts reach the certificate check
+_NEAR_SOLUTION = st.lists(st.integers(-3, 9), min_size=7, max_size=7).map(
+    lambda v: "s {}\nf 1 2 {}\nf 2 3 {}\nf 1 3 {}\ny 1 {}\ny 2 {}\n"
+              "y 3 {}\n".format(*v))
+
+
+@settings(max_examples=150, deadline=None)
+@given(instance=st.one_of(_SOUP, _near_instance(), st.just(TRIANGLE)),
+       solution=st.one_of(_SOUP, _NEAR_SOLUTION))
+def test_any_text_gives_an_exit_code(tmp_path_factory, instance, solution):
+    folder = tmp_path_factory.mktemp("fuzz")
+    inst_path = folder / "instance.dimacs"
+    sol_path = folder / "solution.txt"
+    inst_path.write_text(instance)
+    sol_path.write_text(solution)
+    assert main(["solve", str(inst_path)]) in (0, 1, 2, 3)
+    assert main(["verify", str(inst_path), str(sol_path)]) in (0, 1, 2, 3)

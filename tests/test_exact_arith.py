@@ -144,3 +144,34 @@ class TestBoundMonitor:
         mon = BoundMonitor(limit=100)
         mon.record_many([3, -7, 2])
         assert mon.max_seen == 7
+
+    def test_record_many_empty_is_a_noop(self):
+        mon = BoundMonitor(limit=10)
+        mon.record_many([])
+        assert mon.max_seen == 0
+        mon.record(4)
+        mon.record_many(iter(()))
+        assert mon.max_seen == 4
+
+    def test_record_many_accepts_generators_and_dict_views(self):
+        mon = BoundMonitor(limit=100)
+        mon.record_many(v for v in (1, -9, 4))
+        assert mon.max_seen == 9
+        mon.record_many({0: 12, 1: -30}.values())
+        assert mon.max_seen == 30
+        mon.record_many({-41: 0}.keys())
+        assert mon.max_seen == 41
+
+    def test_record_many_below_max_seen_leaves_it(self):
+        mon = BoundMonitor(limit=100)
+        mon.record(-50)
+        mon.record_many([3, -49, 50])
+        assert mon.max_seen == 50
+
+    def test_record_many_violation_reports_the_batch_maximum(self):
+        mon = BoundMonitor(limit=10)
+        mon.record_many([2, -5])
+        # the first violator is 11, but the whole batch is checked at once
+        with pytest.raises(BoundViolationError, match="magnitude 40 exceeds"):
+            mon.record_many([1, 11, -40, 12])
+        assert mon.max_seen == 40

@@ -2,12 +2,13 @@
 infeasible, disconnected, negative-cost, and self-loop instances, and
 what a probe sees of a solve."""
 
+import hashlib
 import json
 
 import pytest
 
 from latticeflow.cli import main
-from latticeflow.dimacs import format_instance, parse_instance
+from latticeflow.dimacs import format_instance, format_solution, parse_instance
 from latticeflow.errors import InvariantError
 from latticeflow.graph_core import MultiGraph
 from latticeflow.instance_pipeline import RawInstance
@@ -202,6 +203,42 @@ def test_iterate_payloads_are_the_trace_rows(tmp_path, capsys):
     assert [list(row) for row in rows] == [
         ["iter", "mu", "minor_arcs", "contracted", "deleted", "gap_sum",
          "max_abs"]] * len(rows)
+
+
+# Golden bytes: sha256 of the solution text and of the trace rows (one
+# JSON line each, as `latticeflow trace` prints them) for fixed seeded
+# instances, solved with the instance seed. Three acceptance-mix shapes
+# and one U = C = 10^12 case. Any change to the random-number stream, the
+# rounding or the path moves them; a change that means to do so must
+# record new values and say why.
+GOLDEN = [
+    ((7, 8, 16, 10, 10, "feasible"),
+     "b82805d9ed2ffb6e0f3f91bddde6fe4ba723474d763e84cc1319584b4c2635dd",
+     "ffe168f26106a8fb444e884a222aa66a98cb544f83a723a9c960c92fbc3025e0"),
+    ((11, 6, 12, 5, 3, "feasible"),
+     "b869a84bba4973e8c985bc4f7c6b5c9924e996a42bd58d454e43dd185aa39523",
+     "d527c3a75b829990c5cb033e9d5be6ecfb368b8e378cc9620cdeaeec1bbb996c"),
+    ((20, 5, 9, 10, 10, "random"),
+     "e01cb2124f86d3c25b6ce4e23fa1e497cecf19ce8ef455d7da279bd4cb6e4fe6",
+     "3e2750940de980221712840ef0a1b8f81334f6d8a218c51c9299d8d0b4c66ece"),
+    ((3, 4, 6, 10**12, 10**12, "feasible"),
+     "e860f1786a5ae9054b639d0278cac4bd396a28edef223ecffdca372077e08694",
+     "6c115cc61d6953ff41319d78ba7805632cdd7d9686b668e2ba848546b5405d47"),
+]
+
+
+@pytest.mark.parametrize("case,solution_sha,trace_sha", GOLDEN)
+def test_golden_solution_and_trace_bytes(case, solution_sha, trace_sha):
+    inst = random_instance(*case)
+    rows = []
+    result = solve(inst, SolveConfig(seed=case[0]),
+                   probe=lambda event, payload: rows.append(payload)
+                   if event == "iterate" else None)
+    solution = format_solution(inst, result.objective, result.flow,
+                               result.potentials)
+    trace = "".join(json.dumps(row) + "\n" for row in rows)
+    assert hashlib.sha256(solution.encode()).hexdigest() == solution_sha
+    assert hashlib.sha256(trace.encode()).hexdigest() == trace_sha
 
 
 # Known defect, pinned until it is fixed. This is
