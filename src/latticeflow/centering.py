@@ -57,8 +57,9 @@ class CenteringRun:
 
     arcs: (arc_id, tail_class, head_class) for the surviving minor arcs;
     x, s: the current point restricted to those arcs; mu: the target.
-    ``mu0_bits`` feeds the stall ceiling, which scales with the bit
-    length of the initial path parameter.
+    Every stored value is recorded in ``monitor``. ``mu0_bits`` feeds
+    the stall ceiling, which scales with the bit length of the initial
+    path parameter.
 
     The stall ceiling is max(1, 64 m_h ceil(tau) mu0_bits), where tau is
     the forest's total stretch. Since ceil(tau) >= 1 it is never below
@@ -73,7 +74,7 @@ class CenteringRun:
     mu: int
     rng: Random
     mu0_bits: int
-    monitor: BoundMonitor | None = None
+    monitor: BoundMonitor
 
     forest: TreeForest = field(init=False)
     r: dict[int, int] = field(init=False)
@@ -118,12 +119,11 @@ class CenteringRun:
                    for b, sign in self.forest.fundamental_cycle(aid)],
              self.forest.cycle_resistance[aid])
             for aid in self.forest.off_tree]
-        if self.monitor is not None:
-            self.monitor.record_many(self.r.values())
-            self.monitor.record_many(self.base.values())
-            self.monitor.record_many(self.phi.values())
-            self.monitor.record_many(self.forest.weights)
-            self.monitor.record_many(self.forest.cycle_resistance.values())
+        self.monitor.record_many(self.r.values())
+        self.monitor.record_many(self.base.values())
+        self.monitor.record_many(self.phi.values())
+        self.monitor.record_many(self.forest.weights)
+        self.monitor.record_many(self.forest.cycle_resistance.values())
 
     @cached_property
     def stall_limit(self) -> int:
@@ -146,10 +146,9 @@ class CenteringRun:
             self.s_cur[aid] = self.s[aid] - (self.pi[head] - self.pi[tail])
             self.x_cur[aid] = self.base[aid] + self.phi[aid]
             dev += abs(self.x_cur[aid] * self.s_cur[aid] - self.mu)
-        if self.monitor is not None:
-            self.monitor.record_many(self.pi.values())
-            self.monitor.record_many(self.s_cur.values())
-            self.monitor.record_many(self.x_cur.values())
+        self.monitor.record_many(self.pi.values())
+        self.monitor.record_many(self.s_cur.values())
+        self.monitor.record_many(self.x_cur.values())
         return 8 * dev < self.mu
 
     def sample_update(self) -> UpdateRecord:
@@ -171,8 +170,7 @@ class CenteringRun:
                 phi[b] -= alpha * sign
                 stored.append(phi[b])
         self.updates += 1
-        if self.monitor is not None:
-            self.monitor.record_many(stored)
+        self.monitor.record_many(stored)
         return UpdateRecord(aid, lam, cycle_r, alpha,
                             2 * alpha * lam - alpha * alpha * cycle_r)
 

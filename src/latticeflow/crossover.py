@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvariantError
-from .graph_core import apply_incidence, apply_incidence_transpose
+from .graph_core import apply_incidence, apply_incidence_transpose, bfs_forest
 from .instance_pipeline import AuxiliaryInstance, ScalingCertificate
 from .ipm_driver import IPMResult
 
@@ -161,25 +161,14 @@ def lift_tree_duals(aux: AuxiliaryInstance, cert: ScalingCertificate,
     tree keeps every reduced cost nonnegative; this is checked exactly,
     along with gamma-integrality and tightness on the tree."""
     g = aux.graph
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in g.nodes}
-    for a in tree:
-        t, h = g.arcs[a]
-        adj[t].append((a, h))
-        adj[h].append((a, t))
-    root = min(g.nodes)
-    y_t: dict[int, int] = {root: 0}
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        for a, other in adj[v]:
-            if other in y_t:
-                continue
-            t, h = g.arcs[a]
-            # tree arcs are tight: c_a = y_head - y_tail
-            y_t[other] = y_t[v] + aux.c[a] if h == other else y_t[v] - aux.c[a]
-            stack.append(other)
-    if len(y_t) != g.n:
+    order, parent = bfs_forest(g, tree, [min(g.nodes)])
+    if len(order) != g.n:
         raise InvariantError("crossover tree does not span the instance")
+    y_t: dict[int, int] = {order[0]: 0}
+    for v in order[1:]:
+        a, p = parent[v]
+        # tree arcs are tight: c_a = y_head - y_tail
+        y_t[v] = y_t[p] + aux.c[a] if g.arcs[a][1] == v else y_t[p] - aux.c[a]
     s_t = [aux.c[a] - d
            for a, d in enumerate(apply_incidence_transpose(g, y_t))]
     for a in range(g.m):

@@ -155,7 +155,12 @@ def parse_solution(text: str, inst: RawInstance
             elif fields[0] == "y":
                 if len(fields) != 3:
                     raise FormatError(f"line {lineno}: expected 'y <node> <potential>'")
-                potentials[int(fields[1])] = int(fields[2])
+                v, potential = int(fields[1]), int(fields[2])
+                if v not in inst.b:  # b holds one entry per node
+                    raise FormatError(f"line {lineno}: node {v} out of range")
+                if v in potentials:
+                    raise FormatError(f"line {lineno}: duplicate potential for node {v}")
+                potentials[v] = potential
             else:
                 raise FormatError(f"line {lineno}: unknown record type {fields[0]!r}")
         except ValueError as exc:

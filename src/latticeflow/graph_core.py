@@ -1,10 +1,17 @@
-"""Directed multigraph with stable arc ids, incidence operators, and minors.
+"""Directed multigraph with stable arc ids, incidence operators, minors
+and the one tree walk the solver needs.
 
 Arcs are identified by their dense index into the arc list and keep that
 identity forever: deleting or contracting arcs never renumbers the
-survivors. Contraction state lives in a union-find over node ids; a
-:class:`MinorView` is a read-only snapshot that maps surviving arcs onto
-contraction-class representatives.
+survivors. Contraction state lives in a union-find over node ids;
+:func:`minor_arcs` maps the surviving arcs onto contraction-class
+representatives.
+
+:func:`bfs_forest` grows a breadth-first forest over a chosen set of
+arcs, ignoring their direction, and :func:`route_to_roots` routes a
+demand vector along it leaf to root. Together they build tree
+solutions, route class imbalances, lift tree potentials and split an
+instance into its weakly-connected components.
 
 Sign convention for the incidence operator: the column of arc a = (v, w)
 has -1 at the tail v and +1 at the head w, so a vector b with
@@ -20,9 +27,11 @@ from .errors import InvariantError
 __all__ = [
     "MultiGraph",
     "ContractionMap",
-    "MinorView",
+    "minor_arcs",
     "apply_incidence",
     "apply_incidence_transpose",
+    "bfs_forest",
+    "route_to_roots",
 ]
 
 
@@ -135,32 +144,71 @@ class ContractionMap:
         return True
 
 
-class MinorView:
-    """Read-only snapshot of the minor induced by a ContractionMap.
-
-    ``arcs`` lists surviving arcs as (arc_id, tail_class, head_class) in
-    arc-id order; a surviving arc whose endpoints share a class appears
-    as a self-loop. ``nodes`` lists class representatives in first-seen
-    order of the underlying node list, which keeps every downstream
-    iteration deterministic.
-    """
-
-    __slots__ = ("graph", "nodes", "arcs", "class_of")
-
-    def __init__(self, g: MultiGraph, cmap: ContractionMap) -> None:
-        self.graph = g
-        self.class_of: dict[int, int] = {v: cmap.find(v) for v in g.nodes}
-        seen: dict[int, None] = {}
-        for v in g.nodes:
-            seen.setdefault(self.class_of[v], None)
-        self.nodes: list[int] = list(seen)
-        dead_d, dead_c = cmap.deleted, cmap.contracted
-        self.arcs: list[tuple[int, int, int]] = [
-            (a, self.class_of[tail], self.class_of[head])
+def minor_arcs(g: MultiGraph, cmap: ContractionMap) -> list[tuple[int, int, int]]:
+    """The minor induced by a ContractionMap, as (arc_id, tail_class,
+    head_class) per surviving arc in arc-id order; a surviving arc whose
+    endpoints share a class appears as a self-loop."""
+    find, dead_d, dead_c = cmap.find, cmap.deleted, cmap.contracted
+    return [(a, find(tail), find(head))
             for a, (tail, head) in enumerate(g.arcs)
-            if a not in dead_d and a not in dead_c
-        ]
+            if a not in dead_d and a not in dead_c]
 
-    @property
-    def m_h(self) -> int:
-        return len(self.arcs)
+
+def bfs_forest(g: MultiGraph, arc_ids: Iterable[int], roots: Iterable[int]
+               ) -> tuple[list[int], dict[int, tuple[int, int]]]:
+    """Breadth-first forest over the arcs ``arc_ids``, direction ignored.
+
+    Each root not yet reached starts a new tree; neighbours are visited
+    in ``arc_ids`` order and self-loops are skipped. Returns ``order``,
+    the reached nodes in visiting order (every tree contiguous, its root
+    first), and ``parent``, mapping each non-root node v to (arc, p)
+    where arc joins v to its parent p.
+    """
+    adj: dict[int, list[tuple[int, int]]] = {}
+    for a in arc_ids:
+        tail, head = g.arcs[a]
+        if tail != head:
+            adj.setdefault(tail, []).append((a, head))
+            adj.setdefault(head, []).append((a, tail))
+    order: list[int] = []
+    parent: dict[int, tuple[int, int]] = {}
+    seen: set[int] = set()
+    qi = 0
+    for root in roots:
+        if root in seen:
+            continue
+        seen.add(root)
+        order.append(root)
+        while qi < len(order):
+            v = order[qi]
+            qi += 1
+            for a, w in adj.get(v, ()):
+                if w not in seen:
+                    seen.add(w)
+                    parent[w] = (a, v)
+                    order.append(w)
+    return order, parent
+
+
+def route_to_roots(g: MultiGraph, order: Sequence[int],
+                   parent: Mapping[int, tuple[int, int]],
+                   demand: dict[int, int], flow: list[int]) -> None:
+    """Meet every non-root node's demand through its parent arc.
+
+    Leaves first, the demand of v (net inflow still needed) is added to
+    the flow of its parent arc, signed by the arc's orientation, and
+    passed up to the parent. Afterwards only roots hold demand: each
+    root keeps its tree's total. ``demand`` and ``flow`` are updated in
+    place.
+    """
+    for v in reversed(order):
+        d = demand[v]
+        if d == 0 or v not in parent:
+            continue
+        a, p = parent[v]
+        if g.arcs[a][1] == v:
+            flow[a] += d
+        else:
+            flow[a] -= d
+        demand[p] += d
+        demand[v] = 0

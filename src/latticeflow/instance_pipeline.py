@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 
 from .errors import InvariantError
 from .exact_arith import BoundMonitor, ceil_div, gcd_all, next_pow2
-from .graph_core import MultiGraph, apply_incidence, apply_incidence_transpose
+from .graph_core import (MultiGraph, apply_incidence, apply_incidence_transpose,
+                         bfs_forest, route_to_roots)
 
 __all__ = [
     "RawInstance",
@@ -224,45 +225,18 @@ def _bfs_tree_solution(g: MultiGraph, b: dict[int, int]) -> list[int]:
     carries the total demand of v's subtree, signed by the arc's
     orientation relative to the root.
     """
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in g.nodes}
-    for a, (tail, head) in enumerate(g.arcs):
-        if tail == head:
-            continue
-        adj[tail].append((a, head))
-        adj[head].append((a, tail))
-    root = min(g.nodes)
-    parent: dict[int, tuple[int, int]] = {}
-    order = [root]
-    seen = {root}
-    qi = 0
-    while qi < len(order):
-        v = order[qi]
-        qi += 1
-        for a, w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                parent[w] = (a, v)
-                order.append(w)
-    if len(seen) != g.n:
+    order, parent = bfs_forest(g, range(g.m), [min(g.nodes)])
+    if len(order) != g.n:
         raise InvariantError("auxiliary construction requires a weakly connected graph")
     z = [0] * g.m
-    subtree = {v: b[v] for v in g.nodes}
-    for v in reversed(order[1:]):
-        a, p = parent[v]
-        tail, head = g.arcs[a]
-        # net flow into the subtree of v must equal its total demand
-        if head == v:
-            z[a] += subtree[v]
-        else:
-            z[a] -= subtree[v]
-        subtree[p] += subtree[v]
+    route_to_roots(g, order, parent, dict(b), z)
     return z
 
 
 def build_auxiliary(
     scaled: RawInstance,
     cert: ScalingCertificate,
-    monitor: BoundMonitor | None = None,
+    monitor: BoundMonitor,
 ) -> tuple[AuxiliaryInstance, InitialPoint]:
     """Build the uncapacitated auxiliary instance and an exactly central
     initial interior point for mu0.
@@ -342,11 +316,10 @@ def build_auxiliary(
     point = InitialPoint(x=x, s=s, y=y, mu0=mu0)
 
     _check_initial_point(aux, point, cert)
-    if monitor is not None:
-        monitor.record_many(x)
-        monitor.record_many(s)
-        monitor.record_many(y.values())
-        monitor.record_many(z)
+    monitor.record_many(x)
+    monitor.record_many(s)
+    monitor.record_many(y.values())
+    monitor.record_many(z)
     return aux, point
 
 

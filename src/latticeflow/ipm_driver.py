@@ -31,7 +31,8 @@ from typing import Callable
 from .centering import CenteringRun
 from .errors import InvariantError, IterationCeilingError
 from .exact_arith import BoundMonitor, isqrt
-from .graph_core import ContractionMap, MinorView, apply_incidence
+from .graph_core import (ContractionMap, apply_incidence, bfs_forest,
+                         minor_arcs, route_to_roots)
 from .instance_pipeline import AuxiliaryInstance, InitialPoint, ScalingCertificate
 
 __all__ = ["IPMResult", "run_interior_point", "decrement_mu", "outer_ceiling"]
@@ -85,7 +86,7 @@ def run_interior_point(
     point: InitialPoint,
     *,
     rng: Random,
-    monitor: BoundMonitor | None = None,
+    monitor: BoundMonitor,
     probe: Callable[[str, dict], None] | None = None,
 ) -> IPMResult:
     """Follow the central path down until the gap proxy clears, then
@@ -114,17 +115,17 @@ def run_interior_point(
                 tail, head = g.arcs[aid]
                 if cmap.contract(aid, tail, head):
                     merge_edges.append((aid, tail, head))
-        minor = MinorView(g, cmap)
+        minor = minor_arcs(g, cmap)
 
         _check_iterate(aux, cert, x, s, y, mu, cmap, minor)
 
-        gap_sum = sum(x[aid] * s[aid] for aid, _, _ in minor.arcs)
+        gap_sum = sum(x[aid] * s[aid] for aid, _, _ in minor)
         if probe is not None:
             probe("iterate", {
-                "iter": iterations, "mu": mu, "minor_arcs": minor.m_h,
+                "iter": iterations, "mu": mu, "minor_arcs": len(minor),
                 "contracted": len(cmap.contracted),
                 "deleted": len(cmap.deleted), "gap_sum": gap_sum,
-                "max_abs": monitor.max_seen if monitor else None})
+                "max_abs": monitor.max_seen})
 
         # 2. duality-gap proxy over the minor
         if 81 * gap_sum < 4 * cert.beta * cert.gamma:
@@ -138,17 +139,17 @@ def run_interior_point(
 
         # 3. decrement and recenter the minor
         mu = decrement_mu(mu, m)
-        minor_x = {aid: x[aid] for aid, _, _ in minor.arcs}
-        minor_s = {aid: s[aid] for aid, _, _ in minor.arcs}
+        minor_x = {aid: x[aid] for aid, _, _ in minor}
+        minor_s = {aid: s[aid] for aid, _, _ in minor}
         if probe is not None:
             probe("centering_enter", {
                 "iteration": iterations,
-                "arcs": list(minor.arcs),
+                "arcs": list(minor),
                 "x": dict(minor_x),
                 "s": dict(minor_s),
                 "mu": mu,
             })
-        run = CenteringRun(arcs=minor.arcs, x=minor_x, s=minor_s, mu=mu,
+        run = CenteringRun(arcs=minor, x=minor_x, s=minor_s, mu=mu,
                            rng=rng, mu0_bits=mu0_bits, monitor=monitor)
         result = run.run()
         updates += result.updates
@@ -156,7 +157,7 @@ def run_interior_point(
         if probe is not None:
             probe("centering_exit", {
                 "iteration": iterations,
-                "arcs": list(minor.arcs),
+                "arcs": list(minor),
                 "x": dict(result.x),
                 "s": dict(result.s),
                 "mu": mu,
@@ -172,19 +173,19 @@ def run_interior_point(
                 "s": list(s),
                 "y": dict(y),
             })
-        if monitor is not None:
-            monitor.record_many(x)
-            monitor.record_many(s)
-            monitor.record_many(y.values())
+        monitor.record_many(x)
+        monitor.record_many(s)
+        monitor.record_many(y.values())
         iterations += 1
 
 
-def _lift(aux: AuxiliaryInstance, cmap: ContractionMap, minor: MinorView,
+def _lift(aux: AuxiliaryInstance, cmap: ContractionMap,
+          minor: list[tuple[int, int, int]],
           merge_edges: list[tuple[int, int, int]],
           new_x: dict[int, int], new_s: dict[int, int], pi: dict,
           x: list[int], s: list[int], y: dict[int, int]) -> None:
     g = aux.graph
-    for aid, _, _ in minor.arcs:
+    for aid, _, _ in minor:
         x[aid] = new_x[aid]
         s[aid] = new_s[aid]
     # every node inherits its class voltage; contracted arcs join equal
@@ -196,62 +197,28 @@ def _lift(aux: AuxiliaryInstance, cmap: ContractionMap, minor: MinorView,
         tail, head = g.arcs[aid]
         s[aid] = aux.c[aid] - (y[head] - y[tail])
 
-    # route per-class flow imbalance along the merge forest
-    err = apply_incidence(g, x)
-    for v in g.nodes:
-        err[v] -= aux.b[v]
-    if any(err.values()):
-        _route_class_imbalance(g, cmap, merge_edges, err, x)
-    if any(err.values()):
-        raise InvariantError("class imbalance survived merge-forest routing")
-
-
-def _route_class_imbalance(g, cmap: ContractionMap,
-                           merge_edges: list[tuple[int, int, int]],
-                           err: dict[int, int], x: list[int]) -> None:
-    adj: dict[int, list[tuple[int, int]]] = {}
-    for aid, tail, head in merge_edges:
-        adj.setdefault(tail, []).append((aid, head))
-        adj.setdefault(head, []).append((aid, tail))
-    seen: set[int] = set()
-    for aid, tail, head in merge_edges:
-        rep = cmap.find(tail)
-        if rep in seen:
-            continue
-        seen.add(rep)
-        # BFS over the class's merge arcs, then clear errors leaf-first
-        order = [rep]
-        parent: dict[int, tuple[int, int]] = {}
-        visited = {rep}
-        qi = 0
-        while qi < len(order):
-            v = order[qi]
-            qi += 1
-            for arc, other in adj.get(v, ()):
-                if other not in visited:
-                    visited.add(other)
-                    parent[other] = (arc, v)
-                    order.append(other)
-        for v in reversed(order[1:]):
-            if err[v] == 0:
-                continue
-            arc, p = parent[v]
-            t, _ = g.arcs[arc]
-            if t == v:
-                x[arc] += err[v]
-            else:
-                x[arc] -= err[v]
-            if x[arc] <= 0:
+    # route per-class flow imbalance along the merge forest, leaf first;
+    # the roots go in reverse so that the leaf-first walk (and so the
+    # positivity check) meets the classes in the order they were merged
+    demand = {v: aux.b[v] - net for v, net in apply_incidence(g, x).items()}
+    if any(demand.values()):
+        reps = dict.fromkeys(cmap.find(tail) for _, tail, _ in merge_edges)
+        order, parent = bfs_forest(g, [aid for aid, _, _ in merge_edges],
+                                   reversed(reps))
+        route_to_roots(g, order, parent, demand, x)
+        for v in reversed(order):
+            if v in parent and x[parent[v][0]] <= 0:
                 raise InvariantError(
-                    f"contracted arc {arc} lost positivity while routing "
-                    "class imbalance")
-            err[p] += err[v]
-            err[v] = 0
+                    f"contracted arc {parent[v][0]} lost positivity while "
+                    "routing class imbalance")
+    if any(demand.values()):
+        raise InvariantError("class imbalance survived merge-forest routing")
 
 
 def _check_iterate(aux: AuxiliaryInstance, cert: ScalingCertificate,
                    x: list[int], s: list[int], y: dict[int, int], mu: int,
-                   cmap: ContractionMap, minor: MinorView) -> None:
+                   cmap: ContractionMap,
+                   minor: list[tuple[int, int, int]]) -> None:
     g = aux.graph
     if apply_incidence(g, x) != aux.b:
         raise InvariantError("iterate violates flow conservation")
@@ -259,7 +226,7 @@ def _check_iterate(aux: AuxiliaryInstance, cert: ScalingCertificate,
         if aux.c[aid] - (y[head] - y[tail]) != s[aid]:
             raise InvariantError(f"arc {aid}: duals and slack disagree")
     dev = 0
-    for aid, _, _ in minor.arcs:
+    for aid, _, _ in minor:
         if x[aid] <= 0 or s[aid] <= 0:
             raise InvariantError(f"arc {aid}: minor point is not interior")
         # survivors obey the two-sided magnitude fence around mu

@@ -22,7 +22,7 @@ from typing import Callable
 from .crossover import crossover
 from .errors import InvariantError
 from .exact_arith import BoundMonitor
-from .graph_core import MultiGraph
+from .graph_core import MultiGraph, bfs_forest
 from .instance_pipeline import (
     RawInstance,
     build_auxiliary,
@@ -53,26 +53,21 @@ class SolveResult:
 
 
 def _split_components(inst: RawInstance) -> list[tuple[list[int], list[int]]]:
-    """Weakly-connected components as (node list, arc id list), nodes
-    and arcs in their original order."""
-    parent = {v: v for v in inst.graph.nodes}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for tail, head in inst.graph.arcs:
-        a, b = find(tail), find(head)
-        if a != b:
-            parent[max(a, b)] = min(a, b)
-    groups: dict[int, tuple[list[int], list[int]]] = {}
-    for v in inst.graph.nodes:
-        groups.setdefault(find(v), ([], []))[0].append(v)
-    for aid, (tail, _) in enumerate(inst.graph.arcs):
-        groups[find(tail)][1].append(aid)
-    return [groups[k] for k in sorted(groups)]
+    """Weakly-connected components as (node list, arc id list), ordered
+    by their lowest node, nodes and arcs in their original order."""
+    g = inst.graph
+    order, parent = bfs_forest(g, range(g.m), sorted(g.nodes))
+    # every tree starts at its component's lowest node
+    root: dict[int, int] = {}
+    for v in order:
+        root[v] = root[parent[v][1]] if v in parent else v
+    groups: dict[int, tuple[list[int], list[int]]] = {
+        v: ([], []) for v in order if v not in parent}
+    for v in g.nodes:
+        groups[root[v]][0].append(v)
+    for aid, (tail, _) in enumerate(g.arcs):
+        groups[root[tail]][1].append(aid)
+    return list(groups.values())
 
 
 def _solve_component(inst: RawInstance, arc_ids: list[int], rng: Random,

@@ -25,11 +25,13 @@ class TreeForest:
 
     Built by Prim's algorithm per weakly-connected component, smallest
     resistance first with arc id as the tie-break, so construction is
-    deterministic. Self-loops never join the forest.
+    deterministic. Self-loops never join the forest. ``order`` lists the
+    nodes as Prim reached them, each root before its tree, so every
+    node comes after its parent ``parent[v] = (p, arc, direction)``.
     """
 
     __slots__ = (
-        "nodes", "arcs", "r", "roots", "parent", "depth", "children",
+        "nodes", "arcs", "r", "roots", "order", "parent", "depth",
         "tree_arcs", "off_tree", "cycle_resistance", "weights", "_cycles",
     )
 
@@ -54,15 +56,16 @@ class TreeForest:
             adj[head].append((aid, tail))
 
         self.roots: list = []
+        self.order: list = []
         self.parent: dict = {}
         self.depth: dict = {}
-        self.children: dict = {v: [] for v in self.nodes}
         tree: set[int] = set()
         seen: set = set()
         for start in self.nodes:
             if start in seen:
                 continue
             self.roots.append(start)
+            self.order.append(start)
             seen.add(start)
             self.depth[start] = 0
             heap = [(self.r[aid], aid, start, other) for aid, other in adj[start]]
@@ -75,7 +78,7 @@ class TreeForest:
                 direction = 1 if self.arcs[aid] == (frm, to) else -1
                 self.parent[to] = (frm, aid, direction)
                 self.depth[to] = self.depth[frm] + 1
-                self.children[frm].append(to)
+                self.order.append(to)
                 tree.add(aid)
                 for bid, other in adj[to]:
                     if other not in seen:
@@ -141,15 +144,13 @@ class TreeForest:
         """Node voltages induced by the tree flow: each root sits at 0
         and every tree arc a = (v, w) satisfies pi_w - pi_v = r_a phi_a."""
         pi: dict = {}
-        for root in self.roots:
-            pi[root] = 0
-            stack = [root]
-            while stack:
-                v = stack.pop()
-                for child in self.children[v]:
-                    _, arc, d = self.parent[child]
-                    pi[child] = pi[v] + d * self.r[arc] * phi.get(arc, 0)
-                    stack.append(child)
+        parent, r = self.parent, self.r
+        for v in self.order:
+            if v in parent:
+                p, arc, d = parent[v]
+                pi[v] = pi[p] + d * r[arc] * phi.get(arc, 0)
+            else:
+                pi[v] = 0
         return pi
 
     def condition_ceiling(self) -> int:

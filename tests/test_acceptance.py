@@ -21,6 +21,7 @@ from latticeflow.crossover import (admissible_max_flow, build_perturbed,
                                    lift_tree_duals, nested_cut_crossover,
                                    verify_aux_certificate)
 from latticeflow.dimacs import format_solution
+from latticeflow.exact_arith import BoundMonitor
 from latticeflow.graph_core import apply_incidence
 from latticeflow.reference_oracle import (has_unique_support, random_instance,
                                           ssp_solve, verify_certificate)
@@ -32,6 +33,10 @@ STATES_WANTED = 5
 STATES_PER_SEED = 2
 TRIALS_PER_STATE = 1000
 BOOTSTRAP_RESAMPLES = 1000
+# magnitude limit for the centering runs replayed from captured states;
+# the solves they come from already held every value under their own
+# component's limit, far below this one
+REPLAY_LIMIT = 1 << 512
 
 
 def _suite_params(seed: int) -> tuple[int, int, int, int, str]:
@@ -93,7 +98,8 @@ def _make_probe(seed, oracle, unique, data):
             m_h = len(payload["arcs"])
             trial = CenteringRun(arcs=payload["arcs"], x=dict(payload["x"]),
                                  s=dict(payload["s"]), mu=payload["mu"],
-                                 rng=Random(0), mu0_bits=mu0_bits)
+                                 rng=Random(0), mu0_bits=mu0_bits,
+                                 monitor=BoundMonitor(REPLAY_LIMIT))
             if trial.gap() * 16384 * m_h >= payload["mu"]:
                 states.append({"seed": seed, "iteration": it,
                                "arcs": payload["arcs"], "x": payload["x"],
@@ -405,7 +411,8 @@ def test_criterion_10_energy_decrease(suite):
             run = CenteringRun(arcs=state["arcs"], x=dict(state["x"]),
                                s=dict(state["s"]), mu=state["mu"],
                                rng=Random(trial * 2654435761 + 17),
-                               mu0_bits=state["mu0_bits"])
+                               mu0_bits=state["mu0_bits"],
+                               monitor=BoundMonitor(REPLAY_LIMIT))
             decreases.append(run.sample_update().energy_decrease)
         lcbs.append(_bootstrap_lcb(decreases, rng))
     ok = len(states) == STATES_WANTED and all(lcb > 0 for lcb in lcbs)

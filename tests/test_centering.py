@@ -15,11 +15,15 @@ from latticeflow.reference_oracle import random_instance
 from latticeflow.solver import SolveConfig, solve
 
 TWO_CYCLE = [(0, "A", "B"), (1, "B", "A")]
+# magnitude limit for the hand-sized states here, far above any value
+# they reach
+LIMIT = 10**9
 
 
-def _two_cycle_run(**kw):
+def _two_cycle_run():
     return CenteringRun(arcs=TWO_CYCLE, x={0: 3, 1: 3}, s={0: 2, 1: 2},
-                        mu=4, rng=Random(1), mu0_bits=8, **kw)
+                        mu=4, rng=Random(1), mu0_bits=8,
+                        monitor=BoundMonitor(LIMIT))
 
 
 def test_hand_simulated_two_cycle():
@@ -60,7 +64,7 @@ def test_run_reaches_exact_exit():
 
 def test_tree_only_minor_exits_immediately():
     run = CenteringRun(arcs=[(0, "A", "B")], x={0: 2}, s={0: 2}, mu=4,
-                       rng=Random(0), mu0_bits=4)
+                       rng=Random(0), mu0_bits=4, monitor=BoundMonitor(LIMIT))
     res = run.run()
     assert res.updates == 0
     assert res.refreshes == 1
@@ -71,7 +75,7 @@ def test_tree_only_minor_off_target_is_an_invariant_error():
     # on a tree x never moves, so x * s' = 3 * 499 lands far from 1000
     # and there are no cycles to fix it with
     run = CenteringRun(arcs=[(0, "A", "B")], x={0: 3}, s={0: 2}, mu=1000,
-                       rng=Random(0), mu0_bits=4)
+                       rng=Random(0), mu0_bits=4, monitor=BoundMonitor(LIMIT))
     with pytest.raises(InvariantError):
         run.run()
 
@@ -80,7 +84,8 @@ def test_stall_ceiling_raises():
     # products (10, 2) against mu = 4: far off center, and the optimal
     # cycle shift rounds to zero, so no progress is possible
     run = CenteringRun(arcs=TWO_CYCLE, x={0: 5, 1: 1}, s={0: 2, 1: 2},
-                       mu=4, rng=Random(3), mu0_bits=3)
+                       mu=4, rng=Random(3), mu0_bits=3,
+                       monitor=BoundMonitor(LIMIT))
     # r = (1, 2), so arc 0 is the tree and tau = r(C_1) / r_1 = 3/2:
     # the ceiling is 64 * 2 * ceil(3/2) * 3 = 768, twice the floor, so
     # the loop passes the floor before it stops
@@ -90,16 +95,21 @@ def test_stall_ceiling_raises():
 
 
 def _solve_states(case, every):
-    """Every ``every``-th centering entry of a seeded solve, with the
-    solve's mu0 bit length."""
+    """Every ``every``-th centering entry of a seeded solve, with its
+    component's mu0 bit length and magnitude limit."""
     states = []
+    pending = []
     mu0_bits = []
 
     def probe(event, payload):
         if event == "iterate" and payload["iter"] == 0:
             mu0_bits.append(payload["mu"].bit_length())
         elif event == "centering_enter" and payload["iteration"] % every == 0:
-            states.append((payload, mu0_bits[-1]))
+            pending.append((payload, mu0_bits[-1]))
+        elif event == "component":
+            states.extend((state, bits, payload["cert"].limit)
+                          for state, bits in pending)
+            pending.clear()
 
     solve(random_instance(*case), SolveConfig(seed=case[0]), probe=probe)
     return states
@@ -113,11 +123,12 @@ def test_stall_limit_is_the_proven_ceiling(case):
     before or after the run, and reading it early changes nothing."""
     states = _solve_states(case, every=40)
     assert len(states) >= 10
-    for state, mu0_bits in states:
+    for state, mu0_bits, limit in states:
         def fresh():
             return CenteringRun(arcs=state["arcs"], x=dict(state["x"]),
                                 s=dict(state["s"]), mu=state["mu"],
-                                rng=Random(0), mu0_bits=mu0_bits)
+                                rng=Random(0), mu0_bits=mu0_bits,
+                                monitor=BoundMonitor(limit))
 
         late = fresh()
         ceiling = max(1, 64 * len(state["arcs"])
@@ -133,7 +144,8 @@ def test_stall_limit_is_the_proven_ceiling(case):
 def test_entry_point_must_be_interior():
     with pytest.raises(InvariantError):
         CenteringRun(arcs=TWO_CYCLE, x={0: 0, 1: 1}, s={0: 1, 1: 1},
-                     mu=4, rng=Random(0), mu0_bits=4)
+                     mu=4, rng=Random(0), mu0_bits=4,
+                     monitor=BoundMonitor(LIMIT))
 
 
 def test_determinism_under_seed():
@@ -143,9 +155,9 @@ def test_determinism_under_seed():
 
 
 def test_monitor_sees_centering_state():
-    mon = BoundMonitor(10**9)
-    _two_cycle_run(monitor=mon).run()
-    assert mon.max_seen >= 3  # at least the entry x values
+    run = _two_cycle_run()
+    run.run()
+    assert run.monitor.max_seen >= 3  # at least the entry x values
 
 
 def _random_state(seed: int, n_nodes: int, n_arcs: int):
@@ -174,7 +186,7 @@ def test_updates_preserve_conservation_and_duals(seed, n_nodes, n_arcs, mu,
     decrease is nonnegative."""
     arcs, x, s = _random_state(seed, n_nodes, n_arcs)
     run = CenteringRun(arcs=arcs, x=x, s=s, mu=mu, rng=Random(seed + 1),
-                       mu0_bits=8)
+                       mu0_bits=8, monitor=BoundMonitor(LIMIT))
 
     def boundary(values):
         net = {}
@@ -201,7 +213,8 @@ def test_energy_accounting_is_exact(seed):
     """sum r phi^2 drops by exactly the reported decrease per update,
     and the gap diagnostic is zero exactly when every cycle is settled."""
     arcs, x, s = _random_state(seed, 4, 5)
-    run = CenteringRun(arcs=arcs, x=x, s=s, mu=6, rng=Random(seed), mu0_bits=8)
+    run = CenteringRun(arcs=arcs, x=x, s=s, mu=6, rng=Random(seed), mu0_bits=8,
+                       monitor=BoundMonitor(LIMIT))
     run.refresh()
 
     def energy():

@@ -85,6 +85,22 @@ def test_verify_rejects_bare_objective_line(triangle_file, tmp_path, capsys):
     assert "expected 's <objective>'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("potentials,error", [
+    ("y 1 0\ny 2 3\ny 99 7\n", "line 5: node 99 out of range"),
+    ("y 1 9\ny 1 0\ny 2 3\n", "line 4: duplicate potential for node 1"),
+])
+def test_verify_rejects_bad_potential_lines(tmp_path, capsys, potentials,
+                                            error):
+    inst_path = tmp_path / "two.dimacs"
+    inst_path.write_text("p min 2 1\nn 1 1\nn 2 -1\na 1 2 0 2 3\n")
+    sol_path = tmp_path / "two.sol"
+    sol_path.write_text("s 3\nf 1 2 1\n" + potentials)
+    assert main(["verify", str(inst_path), str(sol_path)]) == 1
+    captured = capsys.readouterr()
+    assert "certificate ok" not in captured.out
+    assert f"latticeflow: {error}" in captured.err
+
+
 def test_verify_rejects_corrupted(triangle_file, tmp_path, capsys):
     assert main(["solve", triangle_file]) == 0
     solution = capsys.readouterr().out

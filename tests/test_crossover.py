@@ -16,6 +16,7 @@ from latticeflow.crossover import (
     PerturbedPoint,
 )
 from latticeflow.errors import InvariantError
+from latticeflow.exact_arith import BoundMonitor
 from latticeflow.graph_core import ContractionMap, MultiGraph
 from latticeflow.instance_pipeline import (
     AuxiliaryInstance,
@@ -123,8 +124,10 @@ def _pipeline(inst, seed=0):
     cert = compute_scaling(down.graph.m, info.U, info.C,
                            beta0=info.beta0, gamma0=info.gamma0)
     scaled = scale_up(down, cert)
-    aux, point = build_auxiliary(scaled, cert)
-    res = run_interior_point(aux, cert, point, rng=Random(seed))
+    monitor = BoundMonitor(cert.limit)
+    aux, point = build_auxiliary(scaled, cert, monitor)
+    res = run_interior_point(aux, cert, point, rng=Random(seed),
+                             monitor=monitor)
     return aux, cert, res, down, rev
 
 

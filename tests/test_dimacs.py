@@ -110,6 +110,23 @@ def test_parse_solution_missing_potential():
         parse_solution(text, inst)
 
 
+TWO_NODES = "p min 2 1\nn 1 1\nn 2 -1\na 1 2 0 2 3\n"
+
+
+@pytest.mark.parametrize("potentials,message", [
+    ("y 1 0\ny 2 3\ny 99 7\n", "line 5: node 99 out of range"),
+    ("y 0 0\ny 1 0\ny 2 3\n", "line 3: node 0 out of range"),
+    ("y 1 9\ny 1 0\ny 2 3\n", "line 4: duplicate potential for node 1"),
+])
+def test_parse_solution_rejects_bad_potential_lines(potentials, message):
+    inst = parse_instance(TWO_NODES)
+    # without the bad line this is the optimum: 1 unit at cost 3
+    assert parse_solution("s 3\nf 1 2 1\ny 1 0\ny 2 3\n", inst)[2] == {
+        1: 0, 2: 3}
+    with pytest.raises(FormatError, match=message):
+        parse_solution("s 3\nf 1 2 1\n" + potentials, inst)
+
+
 # small integers only: a 'p' line allocates every node up front
 _TOKENS = st.one_of(
     st.sampled_from(["p", "min", "n", "a", "s", "f", "y", "c"]),

@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 from latticeflow.errors import InvariantError
 from latticeflow.graph_core import (
     ContractionMap,
-    MinorView,
     MultiGraph,
     apply_incidence,
     apply_incidence_transpose,
+    bfs_forest,
+    minor_arcs,
+    route_to_roots,
 )
 
 
@@ -61,9 +63,8 @@ class TestContractionMap:
         assert merged
         assert cmap.find(1) == cmap.find(2)
         assert cmap.find(3) != cmap.find(1)
-        view = MinorView(g, cmap)
         # surviving arcs become parallel arcs from class {1,2} to class {3}
-        assert [(t, h) for _, t, h in view.arcs] == [
+        assert [(t, h) for _, t, h in minor_arcs(g, cmap)] == [
             (cmap.find(1), cmap.find(3)),
             (cmap.find(1), cmap.find(3)),
         ]
@@ -72,18 +73,17 @@ class TestContractionMap:
         g = triangle()
         cmap = ContractionMap(g)
         cmap.delete(2)
-        view = MinorView(g, cmap)
-        assert [a for a, _, _ in view.arcs] == [0, 1]
+        assert [a for a, _, _ in minor_arcs(g, cmap)] == [0, 1]
 
     def test_chain_contraction_makes_self_loop(self):
         g = triangle()
         cmap = ContractionMap(g)
         assert cmap.contract(0, 1, 2)
         assert cmap.contract(1, 2, 3)
-        view = MinorView(g, cmap)
-        assert len(view.nodes) == 1
-        (arc,) = view.arcs
-        assert arc[1] == arc[2]
+        # one class is left
+        assert cmap.find(1) == cmap.find(2) == cmap.find(3)
+        (arc,) = minor_arcs(g, cmap)
+        assert arc == (2, cmap.find(1), cmap.find(1))  # a self-loop
 
     def test_chord_contraction_returns_false(self):
         g = MultiGraph([1, 2], [(1, 2), (1, 2)])
@@ -104,8 +104,7 @@ class TestContractionMap:
         g = triangle()
         cmap = ContractionMap(g)
         cmap.delete(0)
-        view = MinorView(g, cmap)
-        assert [a for a, _, _ in view.arcs] == [1, 2]
+        assert [a for a, _, _ in minor_arcs(g, cmap)] == [1, 2]
 
 
 class TestMinorCounts:
@@ -129,9 +128,104 @@ class TestMinorCounts:
                 cmap.delete(a)
             else:
                 cmap.contract(a, g.tail(a), g.head(a))
-        view = MinorView(g, cmap)
-        assert view.m_h + len(cmap.deleted) + len(cmap.contracted) == g.m
+        minor = minor_arcs(g, cmap)
+        assert len(minor) + len(cmap.deleted) + len(cmap.contracted) == g.m
+        # every surviving arc joins the classes of its endpoints
+        for a, t, h in minor:
+            assert (t, h) == (cmap.find(g.tail(a)), cmap.find(g.head(a)))
         # every contracted arc has both endpoints in one class
         for a in cmap.contracted:
             assert cmap.find(g.tail(a)) == cmap.find(g.head(a))
         assert not (cmap.deleted & cmap.contracted)
+
+
+class TestBfsForest:
+    def test_single_root_visits_in_arc_order(self):
+        g = MultiGraph([1, 2, 3, 4], [(1, 3), (2, 1), (3, 4), (2, 4)])
+        order, parent = bfs_forest(g, range(g.m), [1])
+        assert order == [1, 3, 2, 4]
+        assert parent == {3: (0, 1), 2: (1, 1), 4: (2, 3)}
+
+    def test_arc_ids_choose_and_order_the_neighbours(self):
+        g = MultiGraph([1, 2, 3, 4], [(1, 3), (2, 1), (3, 4), (2, 4)])
+        order, parent = bfs_forest(g, [3, 1, 0], [4])
+        assert order == [4, 2, 1, 3]
+        assert parent == {2: (3, 4), 1: (1, 2), 3: (0, 1)}
+
+    def test_several_roots(self):
+        g = MultiGraph([1, 2, 3, 4, 5], [(1, 2), (4, 3), (5, 4)])
+        order, parent = bfs_forest(g, range(g.m), [3, 1, 4, 5, 2])
+        # 4 and 5 are reached from 3, 2 from 1: only 3 and 1 start trees
+        assert order == [3, 4, 5, 1, 2]
+        assert parent == {4: (1, 3), 5: (2, 4), 2: (0, 1)}
+
+    def test_self_loops_and_parallel_arcs(self):
+        g = MultiGraph([1, 2], [(1, 1), (2, 1), (1, 2), (2, 2)])
+        order, parent = bfs_forest(g, range(g.m), [1])
+        # the self-loops never join; the first parallel arc wins
+        assert order == [1, 2]
+        assert parent == {2: (1, 1)}
+
+    def test_unreachable_nodes_are_left_out(self):
+        g = MultiGraph([1, 2, 3, 4], [(1, 2), (3, 3), (3, 4)])
+        order, parent = bfs_forest(g, [0, 1], [1])
+        assert order == [1, 2]
+        assert parent == {2: (0, 1)}
+        assert bfs_forest(g, [], [3]) == ([3], {})
+
+
+class TestRouteToRoots:
+    def test_tree_solution(self):
+        # a path 1 - 2 - 3 rooted at 1, the middle arc pointing rootward
+        g = MultiGraph([1, 2, 3], [(1, 2), (3, 2)])
+        order, parent = bfs_forest(g, range(g.m), [1])
+        demand = {1: -5, 2: 2, 3: 3}
+        flow = [0, 0]
+        route_to_roots(g, order, parent, demand, flow)
+        assert flow == [5, -3]
+        assert demand == {1: 0, 2: 0, 3: 0}
+
+    def test_corrects_an_existing_flow(self):
+        # 10 units ship 2 -> 1 where 4 should; the demand left over is
+        # b minus the current inflow
+        g = MultiGraph([1, 2], [(2, 1)])
+        b = {1: 4, 2: -4}
+        flow = [10]
+        inflow = apply_incidence(g, flow)
+        demand = {v: b[v] - inflow[v] for v in g.nodes}
+        assert demand == {1: -6, 2: 6}
+        order, parent = bfs_forest(g, [0], [1])
+        route_to_roots(g, order, parent, demand, flow)
+        assert flow == [4]
+        assert apply_incidence(g, flow) == b
+
+    @given(
+        n=st.integers(1, 7),
+        arcs=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                      max_size=12),
+        b=st.lists(st.integers(-50, 50), min_size=7, max_size=7),
+        roots=st.permutations(range(7)),
+    )
+    @settings(max_examples=100)
+    def test_only_roots_keep_demand(self, n, arcs, b, roots):
+        nodes = list(range(n))
+        g = MultiGraph(nodes, [(t % n, h % n) for t, h in arcs])
+        order, parent = bfs_forest(g, range(g.m), [v for v in roots if v < n])
+        assert sorted(order) == nodes
+        demand = {v: b[v] for v in nodes}
+        flow = [0] * g.m
+        route_to_roots(g, order, parent, demand, flow)
+        assert all(demand[v] == 0 for v in parent)
+        # each tree's root holds the total its tree could not absorb
+        tree_of = {}
+        for v in order:
+            tree_of[v] = tree_of[parent[v][1]] if v in parent else v
+        for root in set(tree_of.values()):
+            assert demand[root] == sum(b[v] for v in nodes
+                                       if tree_of[v] == root)
+        # the flow delivers every routed unit: inflow = b - what is left
+        inflow = apply_incidence(g, flow)
+        assert all(inflow[v] == b[v] - demand[v] for v in nodes)
+        # only tree arcs carry flow
+        tree_arcs = {a for a, _ in parent.values()}
+        assert all(flow[a] == 0 for a in range(g.m) if a not in tree_arcs)

@@ -101,7 +101,7 @@ def _aux_for(inst: RawInstance):
     cert = compute_scaling(down.graph.m, info.U, info.C, info.beta0,
                            info.gamma0)
     scaled = scale_up(down, cert)
-    return build_auxiliary(scaled, cert), cert
+    return build_auxiliary(scaled, cert, BoundMonitor(cert.limit)), cert
 
 
 def test_auxiliary_shape_single_arc():

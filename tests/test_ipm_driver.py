@@ -8,7 +8,7 @@ import pytest
 
 from latticeflow.errors import InvariantError
 from latticeflow.exact_arith import BoundMonitor
-from latticeflow.graph_core import ContractionMap, MinorView, MultiGraph, apply_incidence
+from latticeflow.graph_core import ContractionMap, MultiGraph, apply_incidence, minor_arcs
 from latticeflow.instance_pipeline import (
     AuxiliaryInstance,
     RawInstance,
@@ -69,7 +69,7 @@ def test_lift_routes_class_imbalance():
     aux = _tiny_aux(g, {1: -4, 2: 0, 3: 4}, [0, 0, 0])
     cmap = ContractionMap(g)
     assert cmap.contract(0, 1, 2)
-    minor = MinorView(g, cmap)
+    minor = minor_arcs(g, cmap)
     x = [2, 2, 2]
     s = [1, 5, 5]
     y = {1: 0, 2: 0, 3: 0}
@@ -85,7 +85,7 @@ def test_lift_shifts_duals_by_class_voltage():
     aux = _tiny_aux(g, {1: -4, 2: 0, 3: 4}, [0, 0, 0])
     cmap = ContractionMap(g)
     cmap.contract(0, 1, 2)
-    minor = MinorView(g, cmap)
+    minor = minor_arcs(g, cmap)
     x = [2, 2, 2]
     s = [1, 5, 5]
     y = {1: 10, 2: 20, 3: 30}
@@ -102,7 +102,7 @@ def test_lift_detects_positivity_loss():
     aux = _tiny_aux(g, {1: -4, 2: 0, 3: 4}, [0, 0, 0])
     cmap = ContractionMap(g)
     cmap.contract(0, 1, 2)
-    minor = MinorView(g, cmap)
+    minor = minor_arcs(g, cmap)
     # shifting 2 units of class outflow from arc 2 to arc 1 drives the
     # merge arc (currently carrying 1) to -1
     x = [1, 2, 2]
@@ -111,9 +111,30 @@ def test_lift_detects_positivity_loss():
     b = apply_incidence(g, x)
     aux = _tiny_aux(g, b, [0, 0, 0])
     rep = cmap.find(1)
-    with pytest.raises(InvariantError):
+    with pytest.raises(InvariantError, match="contracted arc 0 lost positivity"):
         _lift(aux, cmap, minor, [(0, 1, 2)], {1: 4, 2: 0 + 2 - 2},
               {1: 5, 2: 5}, {rep: 0, 3: 0}, x, s, y)
+
+
+@pytest.mark.parametrize("merge_edges,arc", [
+    ([(0, 1, 2), (1, 4, 3)], 0),
+    ([(1, 4, 3), (0, 1, 2)], 1),
+])
+def test_lift_names_the_first_merged_class_losing_positivity(merge_edges, arc):
+    # classes {1, 2} and {3, 4}; moving 2 units from minor arc 3 to minor
+    # arc 2 drives both merge arcs to -1, and the class merged first is
+    # the one reported
+    g = MultiGraph([1, 2, 3, 4], [(1, 2), (4, 3), (1, 3), (2, 4)])
+    x = [1, 1, 2, 2]
+    aux = _tiny_aux(g, apply_incidence(g, x), [0, 0, 0, 0])
+    cmap = ContractionMap(g)
+    for aid, tail, head in merge_edges:
+        assert cmap.contract(aid, tail, head)
+    y = {v: 0 for v in g.nodes}
+    with pytest.raises(InvariantError, match=f"contracted arc {arc} lost"):
+        _lift(aux, cmap, minor_arcs(g, cmap), merge_edges, {2: 4, 3: 0},
+              {2: 5, 3: 5}, {cmap.find(1): 0, cmap.find(3): 0},
+              x, [1, 1, 5, 5], y)
 
 
 def test_outer_ceiling_scales():
@@ -127,7 +148,7 @@ def _solve_aux(inst: RawInstance, seed=0, **kw):
     cert = compute_scaling(down.graph.m, info.U, info.C,
                            beta0=info.beta0, gamma0=info.gamma0)
     scaled = scale_up(down, cert)
-    monitor = kw.pop("monitor", None)
+    monitor = kw.pop("monitor", None) or BoundMonitor(cert.limit)
     aux, point = build_auxiliary(scaled, cert, monitor=monitor)
     res = run_interior_point(aux, cert, point, rng=Random(seed),
                              monitor=monitor, **kw)
@@ -147,8 +168,7 @@ def test_path_following_reaches_proxy_exit():
             trace.append(payload)
 
     aux, cert, res = _solve_aux(E1, monitor=monitor, probe=probe)
-    live = [(aid, t, h) for aid, t, h in
-            MinorView(aux.graph, res.cmap).arcs]
+    live = minor_arcs(aux.graph, res.cmap)
     gap = sum(res.x[aid] * res.s[aid] for aid, _, _ in live)
     assert 81 * gap < 4 * cert.beta * cert.gamma
     assert res.iterations <= outer_ceiling(cert.m, res.mu)
@@ -208,7 +228,7 @@ def test_invariants_hold_throughout():
     # the per-iteration checks raise on any lapse; a clean run is the assertion
     aux, cert, res = _solve_aux(E1)
     dev = 0
-    live = MinorView(aux.graph, res.cmap).arcs
+    live = minor_arcs(aux.graph, res.cmap)
     for aid, _, _ in live:
         dev += abs(res.x[aid] * res.s[aid] - res.mu)
     assert 8 * dev <= res.mu

@@ -13,7 +13,7 @@ from latticeflow.errors import InvariantError
 from latticeflow.graph_core import MultiGraph
 from latticeflow.instance_pipeline import RawInstance
 from latticeflow.reference_oracle import random_instance, ssp_solve, verify_certificate
-from latticeflow.solver import SolveConfig, solve
+from latticeflow.solver import SolveConfig, _split_components, solve
 
 
 def _check_optimal(inst, result):
@@ -76,6 +76,18 @@ def test_disconnected_unbalanced_component_is_infeasible():
     g = MultiGraph([1, 2, 3, 4], [(1, 2), (3, 4)])
     inst = RawInstance(g, {1: -1, 2: 2, 3: -1, 4: 0}, [2, 2], [1, 1])
     assert solve(inst).status == "infeasible"
+
+
+def test_split_components_order():
+    # node list deliberately unsorted; components {2, 5, 9}, {3, 7}, {4}
+    g = MultiGraph([9, 3, 7, 5, 2, 4],
+                   [(5, 9), (7, 3), (9, 9), (2, 5), (3, 7), (5, 2)])
+    inst = RawInstance(g, {v: 0 for v in g.nodes}, [1] * g.m, [0] * g.m)
+    assert _split_components(inst) == [
+        ([9, 5, 2], [0, 2, 3, 5]),  # lowest node 2
+        ([3, 7], [1, 4]),           # lowest node 3
+        ([4], []),                  # lowest node 4
+    ]
 
 
 def test_isolated_node():
