@@ -57,6 +57,10 @@ class CenteringRun:
 
     arcs: (arc_id, tail_class, head_class) for the surviving minor arcs;
     x, s: the current point restricted to those arcs; mu: the target.
+    ``forest`` is built over these arcs with resistances
+    r_a = ceil(s_a / x_a) and owns the cycle table that
+    ``sample_update`` and ``gap`` read; the run adds only the prefix
+    sums of the forest's weights, for the draw.
     Every stored value is recorded in ``monitor``. ``mu0_bits`` feeds
     the stall ceiling, which scales with the bit length of the initial
     path parameter.
@@ -86,10 +90,6 @@ class CenteringRun:
     updates: int = field(init=False, default=0)
     refreshes: int = field(init=False, default=0)
     _weight_prefix: list[int] = field(init=False)
-    # per off-tree arc, in forest order: (arc_id, [(b, sign, sign * r_b)]
-    # around its fundamental cycle, the cycle's resistance)
-    _cycles: list[tuple[int, list[tuple[int, int, int]], int]] = field(
-        init=False)
 
     def __post_init__(self) -> None:
         if self.mu <= 0:
@@ -97,16 +97,9 @@ class CenteringRun:
         for aid, _, _ in self.arcs:
             if self.x[aid] <= 0 or self.s[aid] <= 0:
                 raise InvariantError(f"arc {aid}: recentering needs an interior point")
-        nodes: list = []
-        seen: set = set()
-        for _, tail, head in self.arcs:
-            for v in (tail, head):
-                if v not in seen:
-                    seen.add(v)
-                    nodes.append(v)
         self.r = {aid: ceil_div(self.s[aid], self.x[aid])
                   for aid, _, _ in self.arcs}
-        self.forest = TreeForest(nodes, self.arcs, self.r)
+        self.forest = TreeForest(self.arcs, self.r)
         self.base = {aid: round_nearest(self.mu, self.s[aid])
                      for aid, _, _ in self.arcs}
         self.phi = {aid: self.x[aid] - self.base[aid] for aid, _, _ in self.arcs}
@@ -114,16 +107,12 @@ class CenteringRun:
         self.x_cur = dict(self.x)
         # cumulative sampling weights over off-tree arcs, exact integers
         self._weight_prefix = list(accumulate(self.forest.weights))
-        self._cycles = [
-            (aid, [(b, sign, sign * self.r[b])
-                   for b, sign in self.forest.fundamental_cycle(aid)],
-             self.forest.cycle_resistance[aid])
-            for aid in self.forest.off_tree]
         self.monitor.record_many(self.r.values())
         self.monitor.record_many(self.base.values())
         self.monitor.record_many(self.phi.values())
         self.monitor.record_many(self.forest.weights)
-        self.monitor.record_many(self.forest.cycle_resistance.values())
+        self.monitor.record_many(
+            [cycle_r for _, _, cycle_r in self.forest.cycles])
 
     @cached_property
     def stall_limit(self) -> int:
@@ -157,7 +146,7 @@ class CenteringRun:
         prefix = self._weight_prefix
         if not prefix:
             raise InvariantError("no off-tree arcs to sample")
-        aid, coefs, cycle_r = self._cycles[
+        aid, coefs, cycle_r = self.forest.cycles[
             bisect_right(prefix, self.rng.randrange(prefix[-1]))]
         phi = self.phi
         lam = 0
@@ -180,7 +169,7 @@ class CenteringRun:
         """Current electrical energy above the optimum, exactly:
         sum over off-tree arcs of Lambda_a^2 / r(C_a)."""
         total = Fraction(0)
-        for _, coefs, cycle_r in self._cycles:
+        for _, coefs, cycle_r in self.forest.cycles:
             lam = sum(c * self.phi[b] for b, _, c in coefs)
             total += Fraction(lam * lam, cycle_r)
         return total

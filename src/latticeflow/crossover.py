@@ -219,23 +219,36 @@ def _dinic(nodes: list, arcs: list[tuple[object, object, int]],
             break
         it = {v: 0 for v in nodes}
 
-        def dfs(v, limit):
-            if v == sink:
-                return limit
-            while it[v] < len(graph[v]):
-                ei = graph[v][it[v]]
-                to, cap = flat[ei]
-                if cap > 0 and level.get(to, -1) == level[v] + 1:
-                    pushed = dfs(to, min(limit, cap))
-                    if pushed:
-                        flat[ei][1] -= pushed
-                        flat[ei ^ 1][1] += pushed
-                        return pushed
-                it[v] += 1
-            return 0
+        def augment():
+            """Push flow along the next source-sink path of the level
+            graph, found depth-first with an explicit stack; ``it[v]``
+            skips each edge that led to a dead end. Returns the amount
+            pushed, 0 when no path is left."""
+            path: list[int] = []  # edge indices from the source
+            v = source
+            while v != sink:
+                edges = graph[v]
+                while it[v] < len(edges):
+                    ei = edges[it[v]]
+                    to, cap = flat[ei]
+                    if cap > 0 and level.get(to, -1) == level[v] + 1:
+                        path.append(ei)
+                        v = to
+                        break
+                    it[v] += 1
+                else:
+                    if not path:
+                        return 0
+                    v = flat[path.pop() ^ 1][0]  # back to the edge's tail
+                    it[v] += 1
+            pushed = min(1 << 512, *(flat[ei][1] for ei in path))
+            for ei in reversed(path):
+                flat[ei][1] -= pushed
+                flat[ei ^ 1][1] += pushed
+            return pushed
 
         while True:
-            pushed = dfs(source, 1 << 512)
+            pushed = augment()
             if not pushed:
                 break
             total += pushed

@@ -15,8 +15,8 @@ The pipeline takes a capacitated instance through four stages:
    where needed, and write down an exactly-central integer interior
    point for mu0.
 
-Everything downstream operates on the auxiliary instance; solutions are
-mapped back with ``unscale_flow``.
+Everything downstream operates on the auxiliary instance;
+``solver._solve_component`` maps its solutions back to the input arcs.
 """
 
 from __future__ import annotations
@@ -115,7 +115,7 @@ def downscale(inst: RawInstance) -> tuple[RawInstance, DownscaleInfo]:
     c = [cost // gamma0 for cost in inst.c]
     U = max(max(u, default=0), sum(abs(d) for d in b.values()) // 2)
     C = max(c) if c else 0
-    out = RawInstance(MultiGraph(inst.graph.nodes, inst.graph.arcs), b, u, c)
+    out = RawInstance(inst.graph, b, u, c)
     return out, DownscaleInfo(beta0, gamma0, U, C)
 
 
@@ -177,7 +177,7 @@ def compute_scaling(m0: int, U: int, C: int, beta0: int = 1,
 def scale_up(inst: RawInstance, cert: ScalingCertificate) -> RawInstance:
     """Multiply demands and capacities by beta and costs by gamma."""
     return RawInstance(
-        MultiGraph(inst.graph.nodes, inst.graph.arcs),
+        inst.graph,
         {v: d * cert.beta for v, d in inst.b.items()},
         [cap * cert.beta for cap in inst.u],
         [cost * cert.gamma for cost in inst.c],

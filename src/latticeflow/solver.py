@@ -160,9 +160,7 @@ def solve(inst: RawInstance, config: SolveConfig | None = None, *,
                                "unbalanced": True})
             continue
         if not arc_ids:
-            # an isolated node: solvable exactly when it needs nothing
-            if sub_b[nodes[0]] != 0:
-                feasible = False
+            # an isolated node, balanced, so its demand is zero
             potentials[nodes[0]] = 0
             components.append({"nodes": 1, "arcs": 0})
             continue

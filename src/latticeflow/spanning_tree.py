@@ -21,98 +21,89 @@ __all__ = ["TreeForest"]
 
 
 class TreeForest:
-    """A minimum-resistance spanning forest with cycle bookkeeping.
+    """A minimum-resistance spanning forest and its cycle table.
 
     Built by Prim's algorithm per weakly-connected component, smallest
     resistance first with arc id as the tie-break, so construction is
-    deterministic. Self-loops never join the forest. ``order`` lists the
-    nodes as Prim reached them, each root before its tree, so every
-    node comes after its parent ``parent[v] = (p, arc, direction)``.
+    deterministic. Nodes are taken from ``arcs`` in order of first
+    appearance, and each unreached node starts a new tree. Self-loops
+    never join the forest. ``order`` lists the nodes as Prim reached
+    them, each root before its tree, so every node comes after its
+    parent ``parent[v] = (p, arc, direction)``; the roots are the nodes
+    without a parent.
+
+    ``off_tree`` lists the off-tree arcs by id. ``cycles`` holds, in the
+    same order, ``(arc_id, [(b, sign, sign * r_b)], r(C_a))`` for each
+    off-tree arc's fundamental cycle, and ``weights`` its sampling
+    weight ceil(r(C_a) / r_a). The cycle is traversed in the arc's own
+    direction, so the arc itself comes first with sign +1; a tree arc
+    gets +1 when the traversal follows its orientation and -1 against.
+    A self-loop is its own cycle.
     """
 
-    __slots__ = (
-        "nodes", "arcs", "r", "roots", "order", "parent", "depth",
-        "tree_arcs", "off_tree", "cycle_resistance", "weights", "_cycles",
-    )
+    __slots__ = ("arcs", "r", "order", "parent", "depth", "off_tree",
+                 "cycles", "weights")
 
-    def __init__(self, nodes: list, arcs: list[tuple[int, object, object]],
+    def __init__(self, arcs: list[tuple[int, object, object]],
                  r: dict[int, int]):
-        """nodes: component node labels; arcs: (arc_id, tail, head);
-        r: arc_id -> positive integer resistance."""
-        self.nodes = list(nodes)
+        """arcs: (arc_id, tail, head); r: arc_id -> positive integer
+        resistance, read and never modified."""
         self.arcs = {aid: (tail, head) for aid, tail, head in arcs}
         if len(self.arcs) != len(arcs):
             raise ValueError("duplicate arc ids")
-        self.r = dict(r)
+        self.r = r
         for aid in self.arcs:
-            if self.r.get(aid, 0) <= 0:
+            if r.get(aid, 0) <= 0:
                 raise ValueError(f"arc {aid}: resistance must be positive")
 
-        adj: dict[object, list[tuple[int, object]]] = {v: [] for v in self.nodes}
+        adj: dict[object, list[tuple[int, object]]] = {}
         for aid, (tail, head) in self.arcs.items():
-            if tail == head:
-                continue
-            adj[tail].append((aid, head))
-            adj[head].append((aid, tail))
+            adj.setdefault(tail, [])
+            adj.setdefault(head, [])
+            if tail != head:
+                adj[tail].append((aid, head))
+                adj[head].append((aid, tail))
 
-        self.roots: list = []
         self.order: list = []
         self.parent: dict = {}
         self.depth: dict = {}
         tree: set[int] = set()
-        seen: set = set()
-        for start in self.nodes:
-            if start in seen:
+        for start in adj:
+            if start in self.depth:
                 continue
-            self.roots.append(start)
             self.order.append(start)
-            seen.add(start)
             self.depth[start] = 0
-            heap = [(self.r[aid], aid, start, other) for aid, other in adj[start]]
+            heap = [(r[aid], aid, start, other) for aid, other in adj[start]]
             heapq.heapify(heap)
             while heap:
                 _, aid, frm, to = heapq.heappop(heap)
-                if to in seen:
+                if to in self.depth:
                     continue
-                seen.add(to)
                 direction = 1 if self.arcs[aid] == (frm, to) else -1
                 self.parent[to] = (frm, aid, direction)
                 self.depth[to] = self.depth[frm] + 1
                 self.order.append(to)
                 tree.add(aid)
                 for bid, other in adj[to]:
-                    if other not in seen:
-                        heapq.heappush(heap, (self.r[bid], bid, to, other))
+                    if other not in self.depth:
+                        heapq.heappush(heap, (r[bid], bid, to, other))
 
-        self.tree_arcs = sorted(tree)
         self.off_tree = sorted(set(self.arcs) - tree)
-        self._cycles: dict[int, list[tuple[int, int]]] = {}
-        self.cycle_resistance = {
-            aid: sum(self.r[b] for b, _ in self.fundamental_cycle(aid))
-            for aid in self.off_tree
-        }
-        # sampling weight per off-tree arc: ceil(r(C_a) / r_a)
-        self.weights = [ceil_div(self.cycle_resistance[aid], self.r[aid])
-                        for aid in self.off_tree]
+        self.cycles: list[tuple[int, list[tuple[int, int, int]], int]] = []
+        self.weights: list[int] = []
+        for aid in self.off_tree:
+            walk = self._walk(aid)
+            cycle_r = sum(r[b] for b, _ in walk)
+            self.cycles.append(
+                (aid, [(b, sign, sign * r[b]) for b, sign in walk], cycle_r))
+            self.weights.append(ceil_div(cycle_r, r[aid]))
 
-    def fundamental_cycle(self, aid: int) -> list[tuple[int, int]]:
-        """The cycle closed by off-tree arc aid, as (arc_id, sign) pairs.
-
-        The cycle is traversed in the arc's own direction, so aid itself
-        appears with sign +1; a tree arc gets +1 when the traversal
-        follows its orientation and -1 against. A self-loop is its own
-        cycle. The forest never changes after construction, so walks are
-        cached.
-        """
-        cached = self._cycles.get(aid)
-        if cached is not None:
-            return cached
-        if aid not in self.arcs:
-            raise KeyError(f"arc {aid} not in forest")
+    def _walk(self, aid: int) -> list[tuple[int, int]]:
+        """The fundamental cycle of off-tree arc aid as (arc_id, sign)
+        pairs, in traversal order."""
         tail, head = self.arcs[aid]
         cycle = [(aid, 1)]
         if tail == head:
-            self._cycles[aid] = cycle
             return cycle
         # walk both endpoints up to their meeting point; the cycle runs
         # head -> lca -> tail, so climbing from head keeps traversal
@@ -137,7 +128,6 @@ class TreeForest:
             b = p
         cycle.extend(up_from_head)
         cycle.extend(reversed(up_from_tail))
-        self._cycles[aid] = cycle
         return cycle
 
     def voltages(self, phi: dict[int, int]) -> dict:
@@ -156,7 +146,7 @@ class TreeForest:
     def condition_ceiling(self) -> int:
         """ceil(tau(T)) where tau(T) = sum over off-tree arcs of
         r(C_a) / r_a, computed exactly; at least 1 even for a bare tree."""
-        tau = sum((Fraction(self.cycle_resistance[aid], self.r[aid])
-                   for aid in self.off_tree), Fraction(0))
+        tau = sum((Fraction(cycle_r, self.r[aid])
+                   for aid, _, cycle_r in self.cycles), Fraction(0))
         ceiling = -((-tau.numerator) // tau.denominator)
         return max(1, ceiling)

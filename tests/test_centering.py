@@ -31,7 +31,8 @@ def test_hand_simulated_two_cycle():
     assert run.r == {0: 1, 1: 1}
     assert run.base == {0: 2, 1: 2}
     assert run.phi == {0: 1, 1: 1}
-    assert run.forest.tree_arcs == [0]
+    assert run.forest.off_tree == [1]
+    assert set(run.forest.arcs) - set(run.forest.off_tree) == {0}
 
     # first refresh: voltages fold phi into s, but the point is still
     # off target (products 3 and 9 against mu = 4)
@@ -227,6 +228,5 @@ def test_energy_accounting_is_exact(seed):
         assert e - e2 == rec.energy_decrease
         e = e2
     if run.gap() == 0:
-        for aid in run.forest.off_tree:
-            cyc = run.forest.fundamental_cycle(aid)
-            assert sum(sg * run.r[b] * run.phi[b] for b, sg in cyc) == 0
+        for _, coefs, _ in run.forest.cycles:
+            assert sum(sg * run.r[b] * run.phi[b] for b, sg, _ in coefs) == 0

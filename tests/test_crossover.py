@@ -56,6 +56,17 @@ def test_dinic_diamond():
     assert all(f >= 0 for f in flows)
 
 
+def test_dinic_long_path_does_not_recurse():
+    # one augmenting path through 3000 nodes, far deeper than the
+    # interpreter's recursion limit; the thinnest arc sits in the middle
+    n = 3000
+    arcs = [(i, i + 1, 7) for i in range(n - 1)]
+    arcs[n // 2] = (n // 2, n // 2 + 1, 3)
+    value, flows = _dinic(list(range(n)), arcs, 0, n - 1)
+    assert value == 3
+    assert flows == [3] * (n - 1)
+
+
 def _path_pert():
     aux = _aux([1, 2, 3], [(1, 2), (2, 3), (1, 3)], {1: -2, 2: 0, 3: 2},
                [3 * GAMMA, 5 * GAMMA, 10 * GAMMA])

@@ -178,7 +178,11 @@ def test_probe_observes_without_changing_the_solve(unbalanced):
     assert observed.flow == plain.flow
     assert observed.potentials == plain.potentials
     assert observed.components == plain.components
-    if not unbalanced:
+    if unbalanced:
+        # node 6 alone, with demand 1, is reported as unbalanced
+        assert observed.components[2] == {"nodes": 1, "arcs": 0,
+                                          "unbalanced": True}
+    else:
         _check_optimal(inst, observed)
     # component fires once per solved component, never for node 6 or
     # the unbalanced component

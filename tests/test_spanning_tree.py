@@ -11,45 +11,61 @@ from latticeflow.spanning_tree import TreeForest
 TRI = [(0, 1, 2), (1, 2, 3), (2, 1, 3)]  # triangle on nodes 1, 2, 3
 
 
+def _tree_arcs(f):
+    return sorted(set(f.arcs) - set(f.off_tree))
+
+
+def _roots(f):
+    return [v for v in f.order if v not in f.parent]
+
+
 def test_prim_picks_cheap_arcs():
-    f = TreeForest([1, 2, 3], TRI, {0: 1, 1: 1, 2: 5})
-    assert f.tree_arcs == [0, 1]
+    f = TreeForest(TRI, {0: 1, 1: 1, 2: 5})
+    assert _tree_arcs(f) == [0, 1]
     assert f.off_tree == [2]
     # cycle: arc 2 forward, then back 3 -> 2 -> 1 against arcs 1 and 0
-    assert f.fundamental_cycle(2) == [(2, 1), (1, -1), (0, -1)]
-    assert f.cycle_resistance[2] == 5 + 1 + 1
+    assert f.cycles == [(2, [(2, 1, 5), (1, -1, -1), (0, -1, -1)], 5 + 1 + 1)]
     assert f.weights == [2]  # ceil(7 / 5)
     assert f.condition_ceiling() == 2  # ceil(7/5)
 
 
 def test_arc_id_tie_break():
     # equal resistances: the lower arc id wins
-    f = TreeForest([1, 2], [(0, 1, 2), (1, 1, 2)], {0: 3, 1: 3})
-    assert f.tree_arcs == [0]
+    f = TreeForest([(0, 1, 2), (1, 1, 2)], {0: 3, 1: 3})
+    assert _tree_arcs(f) == [0]
     assert f.off_tree == [1]
-    assert f.fundamental_cycle(1) == [(1, 1), (0, -1)]
+    assert f.cycles == [(1, [(1, 1, 3), (0, -1, -3)], 6)]
 
 
 def test_self_loop_is_its_own_cycle():
-    f = TreeForest([1, 2], [(0, 1, 2), (1, 2, 2)], {0: 1, 1: 4})
+    f = TreeForest([(0, 1, 2), (1, 2, 2)], {0: 1, 1: 4})
     assert f.off_tree == [1]
-    assert f.fundamental_cycle(1) == [(1, 1)]
-    assert f.cycle_resistance[1] == 4
+    assert f.cycles == [(1, [(1, 1, 4)], 4)]
     assert f.weights == [1]
 
 
 def test_forest_spans_components_separately():
     arcs = [(0, 1, 2), (1, 3, 4)]
-    f = TreeForest([1, 2, 3, 4], arcs, {0: 1, 1: 1})
-    assert f.roots == [1, 3]
-    assert f.tree_arcs == [0, 1]
+    f = TreeForest(arcs, {0: 1, 1: 1})
+    assert _roots(f) == [1, 3]
+    assert _tree_arcs(f) == [0, 1]
     assert f.off_tree == []
+    assert f.cycles == []
     assert f.condition_ceiling() == 1  # floor for a bare forest
+
+
+def test_roots_follow_first_appearance():
+    # each component's first endpoint in arc order is its root, not its
+    # smallest node
+    arcs = [(0, 9, 2), (1, 2, 5), (2, 7, 3), (3, 1, 9)]
+    f = TreeForest(arcs, {0: 1, 1: 1, 2: 1, 3: 1})
+    assert _roots(f) == [9, 7]
+    assert f.order == [9, 2, 5, 1, 7, 3]
 
 
 def test_voltages_follow_tree_flow():
     # path 1 -> 2 -> 3 with arc 1 reversed: (0, 1, 2), (1, 3, 2)
-    f = TreeForest([1, 2, 3], [(0, 1, 2), (1, 3, 2)], {0: 2, 1: 3})
+    f = TreeForest([(0, 1, 2), (1, 3, 2)], {0: 2, 1: 3})
     pi = f.voltages({0: 5, 1: 7})
     assert pi[1] == 0
     assert pi[2] - pi[1] == 2 * 5
@@ -57,11 +73,10 @@ def test_voltages_follow_tree_flow():
 
 
 def _random_network(draw_nodes, arcs, rs):
-    nodes = list(range(1, draw_nodes + 1))
     arc_list = [(i, 1 + t % draw_nodes, 1 + h % draw_nodes)
                 for i, (t, h) in enumerate(arcs)]
     r = {i: rs[i % len(rs)] for i in range(len(arc_list))}
-    return TreeForest(nodes, arc_list, r)
+    return TreeForest(arc_list, r)
 
 
 @settings(max_examples=80, deadline=None)
@@ -76,10 +91,9 @@ def test_cycle_voltage_identity(n, arcs, rs, data):
     f = _random_network(n, arcs, rs)
     phi = {aid: data.draw(st.integers(-50, 50)) for aid in f.arcs}
     pi = f.voltages(phi)
-    for aid in f.off_tree:
+    for aid, coefs, _ in f.cycles:
         tail, head = f.arcs[aid]
-        lam_cycle = sum(sign * f.r[b] * phi[b]
-                        for b, sign in f.fundamental_cycle(aid))
+        lam_cycle = sum(c * phi[b] for b, _, c in coefs)
         lam_direct = f.r[aid] * phi[aid] - (pi[head] - pi[tail])
         assert lam_cycle == lam_direct
 
@@ -91,18 +105,22 @@ def test_cycle_voltage_identity(n, arcs, rs, data):
        st.lists(st.integers(1, 9), min_size=1, max_size=5))
 def test_cycle_is_a_circulation(n, arcs, rs):
     """Pushing one unit around any fundamental cycle changes no node's
-    net flow, and the cycle's resistance sums match the stored values."""
+    net flow, the table lists the off-tree arcs in order, and each
+    cycle's resistance, coefficients and weight match its arcs."""
     f = _random_network(n, arcs, rs)
-    for aid in f.off_tree:
-        net = {v: 0 for v in f.nodes}
-        for b, sign in f.fundamental_cycle(aid):
+    assert [aid for aid, _, _ in f.cycles] == f.off_tree
+    assert len(f.weights) == len(f.off_tree)
+    for (aid, coefs, cycle_r), weight in zip(f.cycles, f.weights):
+        assert coefs[0] == (aid, 1, f.r[aid])
+        net = {v: 0 for v in f.order}
+        for b, sign, c in coefs:
+            assert c == sign * f.r[b]
             tail, head = f.arcs[b]
             net[tail] -= sign
             net[head] += sign
         assert all(v == 0 for v in net.values())
-        assert f.cycle_resistance[aid] == sum(
-            f.r[b] for b, _ in f.fundamental_cycle(aid))
-        assert f.weights[f.off_tree.index(aid)] * f.r[aid] >= f.cycle_resistance[aid]
+        assert cycle_r == sum(f.r[b] for b, _, _ in coefs)
+        assert weight * f.r[aid] >= cycle_r > (weight - 1) * f.r[aid]
 
 
 @settings(max_examples=50, deadline=None)
@@ -112,7 +130,7 @@ def test_cycle_is_a_circulation(n, arcs, rs):
        st.lists(st.integers(1, 9), min_size=1, max_size=4))
 def test_condition_ceiling_bounds_tau(n, arcs, rs):
     f = _random_network(n, arcs, rs)
-    tau = sum((Fraction(f.cycle_resistance[a], f.r[a]) for a in f.off_tree),
+    tau = sum((Fraction(cycle_r, f.r[aid]) for aid, _, cycle_r in f.cycles),
               Fraction(0))
     ceil = f.condition_ceiling()
     assert ceil >= tau
