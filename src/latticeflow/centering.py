@@ -27,7 +27,7 @@ from .errors import CenteringStallError, InvariantError
 from .exact_arith import BoundMonitor, ceil_div, round_nearest
 from .spanning_tree import TreeForest
 
-__all__ = ["CenteringRun", "CenteringResult", "UpdateRecord"]
+__all__ = ["CenteringRun", "UpdateRecord"]
 
 
 @dataclass(slots=True)
@@ -40,15 +40,6 @@ class UpdateRecord:
 
 
 @dataclass
-class CenteringResult:
-    x: dict[int, int]
-    s: dict[int, int]
-    pi: dict
-    updates: int
-    refreshes: int
-
-
-@dataclass
 class CenteringRun:
     """One invocation of the recentering loop, exposed stepwise.
 
@@ -56,7 +47,11 @@ class CenteringRun:
     are public so tests can replay single updates from a frozen state.
 
     arcs: (arc_id, tail_class, head_class) for the surviving minor arcs;
-    x, s: the current point restricted to those arcs; mu: the target.
+    x, s: the current point, indexed by arc id and read only, so the
+    driver passes its full vectors; mu: the target. Each ``refresh()``
+    rewrites ``pi`` and, over the minor's arcs, ``x_cur`` and ``s_cur``;
+    ``run()`` leaves the recentered point there, with its counts in
+    ``updates`` and ``refreshes``.
     ``forest`` is built over these arcs with resistances
     r_a = ceil(s_a / x_a) and owns the cycle table that
     ``sample_update`` and ``gap`` read; the run adds only the prefix
@@ -73,8 +68,8 @@ class CenteringRun:
     """
 
     arcs: list[tuple[int, object, object]]
-    x: dict[int, int]
-    s: dict[int, int]
+    x: list[int] | dict[int, int]
+    s: list[int] | dict[int, int]
     mu: int
     rng: Random
     mu0_bits: int
@@ -85,8 +80,8 @@ class CenteringRun:
     base: dict[int, int] = field(init=False)
     phi: dict[int, int] = field(init=False)
     pi: dict = field(init=False, default_factory=dict)
-    s_cur: dict[int, int] = field(init=False)
-    x_cur: dict[int, int] = field(init=False)
+    s_cur: dict[int, int] = field(init=False, default_factory=dict)
+    x_cur: dict[int, int] = field(init=False, default_factory=dict)
     updates: int = field(init=False, default=0)
     refreshes: int = field(init=False, default=0)
     _weight_prefix: list[int] = field(init=False)
@@ -103,8 +98,6 @@ class CenteringRun:
         self.base = {aid: round_nearest(self.mu, self.s[aid])
                      for aid, _, _ in self.arcs}
         self.phi = {aid: self.x[aid] - self.base[aid] for aid, _, _ in self.arcs}
-        self.s_cur = dict(self.s)
-        self.x_cur = dict(self.x)
         # cumulative sampling weights over off-tree arcs, exact integers
         self._weight_prefix = list(accumulate(self.forest.weights))
         self.monitor.record_many(self.r.values())
@@ -176,17 +169,16 @@ class CenteringRun:
 
     # -- the loop ------------------------------------------------------
 
-    def run(self) -> CenteringResult:
+    def run(self) -> None:
         """Alternate refreshes and batches of one random cycle update
-        per minor arc until the exit test passes; raise after the stall
-        ceiling."""
+        per minor arc until the exit test passes, which leaves the
+        recentered point in ``x_cur``, ``s_cur`` and ``pi``; raise after
+        the stall ceiling."""
         batch = range(max(1, len(self.arcs)))
         ceiling = max(1, 64 * len(self.arcs) * self.mu0_bits)  # the floor
         while True:
             if self.refresh():
-                return CenteringResult(
-                    x=dict(self.x_cur), s=dict(self.s_cur), pi=dict(self.pi),
-                    updates=self.updates, refreshes=self.refreshes)
+                return
             if not self.forest.off_tree:
                 raise InvariantError(
                     "forest minor failed the centrality exit at first refresh")

@@ -1,9 +1,9 @@
 """Exact integer arithmetic primitives and the magnitude monitor.
 
 Every number in this package is a plain Python ``int``; there is no
-floating-point fallback anywhere. The helpers here pin down the two
+floating-point fallback anywhere. The helpers here pin down the
 rounding conventions the solver depends on (round-to-nearest with ties
-toward +infinity, floor square root) and provide a monitor that tracks
+toward +infinity, ceiling division) and provide a monitor that tracks
 the largest absolute value stored by a solve so the advertised magnitude
 bound can be checked rather than assumed.
 """
@@ -17,7 +17,6 @@ from .errors import BoundViolationError
 
 __all__ = [
     "round_nearest",
-    "isqrt",
     "ceil_div",
     "gcd_all",
     "next_pow2",
@@ -35,13 +34,6 @@ def round_nearest(p: int, q: int) -> int:
     if q <= 0:
         raise ValueError(f"round_nearest requires q > 0, got {q}")
     return (2 * p + q) // (2 * q)
-
-
-def isqrt(n: int) -> int:
-    """Floor square root of a nonnegative integer."""
-    if n < 0:
-        raise ValueError(f"isqrt requires n >= 0, got {n}")
-    return math.isqrt(n)
 
 
 def ceil_div(p: int, q: int) -> int:

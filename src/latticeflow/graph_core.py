@@ -59,12 +59,6 @@ class MultiGraph:
     def m(self) -> int:
         return len(self.arcs)
 
-    def tail(self, a: int) -> int:
-        return self.arcs[a][0]
-
-    def head(self, a: int) -> int:
-        return self.arcs[a][1]
-
 
 def apply_incidence(g: MultiGraph, x: Sequence[int]) -> dict[int, int]:
     """Return b with b_v = sum of x over arcs into v minus arcs out of v.
@@ -86,21 +80,26 @@ def apply_incidence_transpose(g: MultiGraph, y: Mapping[int, int]) -> list[int]:
 
 
 class ContractionMap:
-    """Union-find over nodes plus the deleted / contracted arc sets.
+    """Union-find over nodes plus the deleted / contracted arc sets and
+    the merge forest.
 
     Deletion and contraction are never revoked. A contracted arc whose
-    endpoints were already in one class is recorded all the same (the
-    caller distinguishes the two cases via the return value of
-    :meth:`contract`).
+    endpoints were already in one class (a chord) is recorded in
+    ``contracted`` all the same; an arc that joined two classes is also
+    appended to ``merges``, so ``merges`` lists the merge forest's arcs
+    in the order they were contracted.
     """
 
-    __slots__ = ("_parent", "_size", "deleted", "contracted")
+    __slots__ = ("_arcs", "_parent", "_size", "deleted", "contracted",
+                 "merges")
 
     def __init__(self, g: MultiGraph) -> None:
+        self._arcs = g.arcs
         self._parent: dict[int, int] = {v: v for v in g.nodes}
         self._size: dict[int, int] = {v: 1 for v in g.nodes}
         self.deleted: set[int] = set()
         self.contracted: set[int] = set()
+        self.merges: list[int] = []
 
     def find(self, v: int) -> int:
         parent = self._parent
@@ -121,18 +120,15 @@ class ContractionMap:
         self._check_fresh(a)
         self.deleted.add(a)
 
-    def contract(self, a: int, tail: int, head: int) -> bool:
-        """Record arc a as contracted, unioning its endpoint classes.
-
-        Returns True when the arc merged two distinct classes (it then
-        becomes an internal routing edge for the merged class) and False
-        when its endpoints already shared a class (a chord).
-        """
+    def contract(self, a: int) -> None:
+        """Record arc a as contracted, unioning its endpoint classes;
+        when those were distinct, a joins ``merges``."""
         self._check_fresh(a)
         self.contracted.add(a)
+        tail, head = self._arcs[a]
         rx, ry = self.find(tail), self.find(head)
         if rx == ry:
-            return False
+            return
         # union by size; tie broken toward the smaller representative so
         # minor node identities are deterministic
         if self._size[rx] < self._size[ry] or (
@@ -141,7 +137,7 @@ class ContractionMap:
             rx, ry = ry, rx
         self._parent[ry] = rx
         self._size[rx] += self._size[ry]
-        return True
+        self.merges.append(a)
 
 
 def minor_arcs(g: MultiGraph, cmap: ContractionMap) -> list[tuple[int, int, int]]:

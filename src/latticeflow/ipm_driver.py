@@ -30,7 +30,7 @@ from typing import Callable
 
 from .centering import CenteringRun
 from .errors import InvariantError, IterationCeilingError
-from .exact_arith import BoundMonitor, isqrt
+from .exact_arith import BoundMonitor
 from .graph_core import (ContractionMap, apply_incidence, bfs_forest,
                          minor_arcs, route_to_roots)
 from .instance_pipeline import AuxiliaryInstance, InitialPoint, ScalingCertificate
@@ -45,7 +45,6 @@ class IPMResult:
     y: dict[int, int]
     mu: int
     cmap: ContractionMap
-    merge_edges: list[tuple[int, int, int]]  # (arc_id, tail, head)
     iterations: int
     updates: int
     refreshes: int
@@ -54,7 +53,7 @@ class IPMResult:
 def decrement_mu(mu: int, m: int) -> int:
     """One path parameter step: mu falls by mu / (8 sqrt m), rounded
     down, but by at least 1 so progress never stalls at small mu."""
-    return mu - max(1, isqrt(mu * mu // (64 * m)))
+    return mu - max(1, math.isqrt(mu * mu // (64 * m)))
 
 
 def outer_ceiling(m: int, mu0: int) -> int:
@@ -98,23 +97,20 @@ def run_interior_point(
     y = dict(point.y)
     mu = point.mu0
     cmap = ContractionMap(g)
-    merge_edges: list[tuple[int, int, int]] = []
+    minor = minor_arcs(g, cmap)
     ceiling = outer_ceiling(m, point.mu0)
     mu0_bits = point.mu0.bit_length()
     iterations = updates = refreshes = 0
 
     while True:
-        # 1. grow the deleted/contracted sets against the current point
-        for aid in range(g.m):
-            if aid in cmap.deleted or aid in cmap.contracted:
-                continue
+        # 1. grow the deleted/contracted sets against the current point;
+        # only the previous minor's arcs are still undecided
+        for aid, _, _ in minor:
             kind = _classify(x[aid], s[aid], m, cert)
             if kind == "delete":
                 cmap.delete(aid)
             elif kind == "contract":
-                tail, head = g.arcs[aid]
-                if cmap.contract(aid, tail, head):
-                    merge_edges.append((aid, tail, head))
+                cmap.contract(aid)
         minor = minor_arcs(g, cmap)
 
         _check_iterate(aux, cert, x, s, y, mu, cmap, minor)
@@ -129,8 +125,8 @@ def run_interior_point(
 
         # 2. duality-gap proxy over the minor
         if 81 * gap_sum < 4 * cert.beta * cert.gamma:
-            return IPMResult(x, s, y, mu, cmap, merge_edges, iterations,
-                             updates, refreshes)
+            return IPMResult(x, s, y, mu, cmap, iterations, updates,
+                             refreshes)
 
         if iterations >= ceiling:
             raise IterationCeilingError(
@@ -139,33 +135,30 @@ def run_interior_point(
 
         # 3. decrement and recenter the minor
         mu = decrement_mu(mu, m)
-        minor_x = {aid: x[aid] for aid, _, _ in minor}
-        minor_s = {aid: s[aid] for aid, _, _ in minor}
         if probe is not None:
             probe("centering_enter", {
                 "iteration": iterations,
                 "arcs": list(minor),
-                "x": dict(minor_x),
-                "s": dict(minor_s),
+                "x": {aid: x[aid] for aid, _, _ in minor},
+                "s": {aid: s[aid] for aid, _, _ in minor},
                 "mu": mu,
             })
-        run = CenteringRun(arcs=minor, x=minor_x, s=minor_s, mu=mu,
-                           rng=rng, mu0_bits=mu0_bits, monitor=monitor)
-        result = run.run()
-        updates += result.updates
-        refreshes += result.refreshes
+        run = CenteringRun(arcs=minor, x=x, s=s, mu=mu, rng=rng,
+                           mu0_bits=mu0_bits, monitor=monitor)
+        run.run()
+        updates += run.updates
+        refreshes += run.refreshes
         if probe is not None:
             probe("centering_exit", {
                 "iteration": iterations,
                 "arcs": list(minor),
-                "x": dict(result.x),
-                "s": dict(result.s),
+                "x": dict(run.x_cur),
+                "s": dict(run.s_cur),
                 "mu": mu,
             })
 
         # 4. lift the recentered minor point back to the full instance
-        _lift(aux, cmap, minor, merge_edges, result.x, result.s, result.pi,
-              x, s, y)
+        _lift(aux, cmap, minor, run.x_cur, run.s_cur, run.pi, x, s, y)
         if probe is not None:
             probe("lifted", {
                 "iteration": iterations,
@@ -181,11 +174,22 @@ def run_interior_point(
 
 def _lift(aux: AuxiliaryInstance, cmap: ContractionMap,
           minor: list[tuple[int, int, int]],
-          merge_edges: list[tuple[int, int, int]],
           new_x: dict[int, int], new_s: dict[int, int], pi: dict,
           x: list[int], s: list[int], y: dict[int, int]) -> None:
+    """Write the recentered minor point into ``x``, ``s`` and ``y`` and
+    route each class's flow imbalance along its merge forest.
+
+    ``x`` must meet the demands ``aux.b`` on entry, as ``_check_iterate``
+    proves each iteration, so the imbalance left behind is exactly the
+    one the minor arcs' change makes.
+    """
     g = aux.graph
+    demand = dict.fromkeys(g.nodes, 0)
     for aid, _, _ in minor:
+        tail, head = g.arcs[aid]
+        change = new_x[aid] - x[aid]
+        demand[tail] += change
+        demand[head] -= change
         x[aid] = new_x[aid]
         s[aid] = new_s[aid]
     # every node inherits its class voltage; contracted arcs join equal
@@ -200,11 +204,9 @@ def _lift(aux: AuxiliaryInstance, cmap: ContractionMap,
     # route per-class flow imbalance along the merge forest, leaf first;
     # the roots go in reverse so that the leaf-first walk (and so the
     # positivity check) meets the classes in the order they were merged
-    demand = {v: aux.b[v] - net for v, net in apply_incidence(g, x).items()}
     if any(demand.values()):
-        reps = dict.fromkeys(cmap.find(tail) for _, tail, _ in merge_edges)
-        order, parent = bfs_forest(g, [aid for aid, _, _ in merge_edges],
-                                   reversed(reps))
+        reps = dict.fromkeys(cmap.find(g.arcs[aid][0]) for aid in cmap.merges)
+        order, parent = bfs_forest(g, cmap.merges, reversed(reps))
         route_to_roots(g, order, parent, demand, x)
         for v in reversed(order):
             if v in parent and x[parent[v][0]] <= 0:

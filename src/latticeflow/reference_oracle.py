@@ -174,6 +174,10 @@ def verify_certificate(inst: RawInstance, flow: list[int],
     g = inst.graph
     if len(flow) != g.m:
         return CertificateReport(False, ["flow vector has wrong length"], None)
+    missing = [v for v in g.nodes if v not in potentials]
+    if missing:
+        return CertificateReport(
+            False, [f"missing potentials for nodes {missing}"], None)
     for a in range(g.m):
         if not 0 <= flow[a] <= inst.u[a]:
             failures.append(f"arc {a}: flow {flow[a]} outside [0, {inst.u[a]}]")
@@ -278,6 +282,10 @@ def random_instance(seed: int, n: int, m: int, U_max: int, C_max: int,
         raise ValueError("need at least two nodes")
     if m < n - 1:
         raise ValueError("need at least n - 1 arcs for weak connectivity")
+    if U_max < 1:
+        raise ValueError(f"U_max must be at least 1, got {U_max}")
+    if C_max < 0:
+        raise ValueError(f"C_max must be at least 0, got {C_max}")
     if mode not in ("feasible", "random"):
         raise ValueError(f"unknown mode {mode!r}")
     rng = random.Random(seed)

@@ -55,21 +55,22 @@ def test_hand_simulated_two_cycle():
 
 
 def test_run_reaches_exact_exit():
-    res = _two_cycle_run().run()
-    assert res.x == {0: 2, 1: 2}
-    assert res.s == {0: 2, 1: 2}
-    assert res.updates >= 1
-    dev = sum(abs(res.x[a] * res.s[a] - 4) for a in (0, 1))
+    run = _two_cycle_run()
+    assert run.run() is None
+    assert run.x_cur == {0: 2, 1: 2}
+    assert run.s_cur == {0: 2, 1: 2}
+    assert run.updates >= 1
+    dev = sum(abs(run.x_cur[a] * run.s_cur[a] - 4) for a in (0, 1))
     assert 8 * dev < 4
 
 
 def test_tree_only_minor_exits_immediately():
     run = CenteringRun(arcs=[(0, "A", "B")], x={0: 2}, s={0: 2}, mu=4,
                        rng=Random(0), mu0_bits=4, monitor=BoundMonitor(LIMIT))
-    res = run.run()
-    assert res.updates == 0
-    assert res.refreshes == 1
-    assert res.x == {0: 2}
+    run.run()
+    assert run.updates == 0
+    assert run.refreshes == 1
+    assert run.x_cur == {0: 2}
 
 
 def test_tree_only_minor_off_target_is_an_invariant_error():
@@ -122,6 +123,9 @@ def test_stall_limit_is_the_proven_ceiling(case):
     """On real centering states the ceiling read from a run is
     max(1, 64 m_h ceil(tau) mu0_bits), the same whether it is read
     before or after the run, and reading it early changes nothing."""
+    def outcome(run):
+        return run.x_cur, run.s_cur, run.pi, run.updates, run.refreshes
+
     states = _solve_states(case, every=40)
     assert len(states) >= 10
     for state, mu0_bits, limit in states:
@@ -134,12 +138,13 @@ def test_stall_limit_is_the_proven_ceiling(case):
         late = fresh()
         ceiling = max(1, 64 * len(state["arcs"])
                       * late.forest.condition_ceiling() * mu0_bits)
-        result = late.run()
+        late.run()
         assert late.stall_limit == ceiling
-        assert result.updates < ceiling
+        assert late.updates < ceiling
         early = fresh()
         assert early.stall_limit == ceiling
-        assert early.run() == result
+        early.run()
+        assert outcome(early) == outcome(late)
 
 
 def test_entry_point_must_be_interior():
@@ -150,9 +155,11 @@ def test_entry_point_must_be_interior():
 
 
 def test_determinism_under_seed():
-    a = _two_cycle_run().run()
-    b = _two_cycle_run().run()
-    assert (a.x, a.s, a.updates, a.refreshes) == (b.x, b.s, b.updates, b.refreshes)
+    a, b = _two_cycle_run(), _two_cycle_run()
+    a.run()
+    b.run()
+    assert (a.x_cur, a.s_cur, a.updates, a.refreshes) == (
+        b.x_cur, b.s_cur, b.updates, b.refreshes)
 
 
 def test_monitor_sees_centering_state():

@@ -150,6 +150,19 @@ def test_gen_roundtrip(tmp_path, capsys):
     assert code in (0, 2)
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--max-cap", "0"], "U_max must be at least 1, got 0"),
+    (["--max-cost", "-2"], "C_max must be at least 0, got -2"),
+    (["--nodes", "1"], "need at least two nodes"),
+    (["--nodes", "5", "--arcs", "3"], "need at least n - 1 arcs"),
+])
+def test_gen_rejects_bad_sizes(capsys, flags, message):
+    assert main(["gen", "--seed", "1", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_solve_deterministic_bytes(triangle_file, capsys):
     assert main(["solve", triangle_file, "--seed", "3"]) == 0
     first = capsys.readouterr().out

@@ -192,7 +192,6 @@ def test_build_perturbed_rejects_oversized_residue():
     cmap.delete(0)
     cert = compute_scaling(1, 1, 1)
     res = IPMResult(x=[cert.beta], s=[GAMMA], y={1: 0, 2: 0}, mu=1,
-                    cmap=cmap, merge_edges=[], iterations=0, updates=0,
-                    refreshes=0)
+                    cmap=cmap, iterations=0, updates=0, refreshes=0)
     with pytest.raises(InvariantError):
         build_perturbed(aux, cert, res)

@@ -11,7 +11,6 @@ from latticeflow.exact_arith import (
     BoundMonitor,
     ceil_div,
     gcd_all,
-    isqrt,
     next_pow2,
     round_nearest,
 )
@@ -58,23 +57,6 @@ class TestRoundNearest:
         if (2 * p) % (2 * q) == q:
             # result overshoots p/q by exactly half of q
             assert 2 * (round_nearest(p, q) * q - p) == q
-
-
-class TestIsqrt:
-    def test_known_values(self):
-        assert isqrt(16) == 4
-        assert isqrt(17) == 4
-        assert isqrt(0) == 0
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            isqrt(-1)
-
-    @given(n=st.integers(min_value=0, max_value=2**256))
-    @settings(max_examples=200)
-    def test_bracketing(self, n):
-        r = isqrt(n)
-        assert r * r <= n < (r + 1) * (r + 1)
 
 
 class TestGcdAll:

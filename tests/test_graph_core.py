@@ -59,8 +59,8 @@ class TestContractionMap:
     def test_contract_merges_classes(self):
         g = triangle()
         cmap = ContractionMap(g)
-        merged = cmap.contract(0, 1, 2)
-        assert merged
+        cmap.contract(0)
+        assert cmap.merges == [0]
         assert cmap.find(1) == cmap.find(2)
         assert cmap.find(3) != cmap.find(1)
         # surviving arcs become parallel arcs from class {1,2} to class {3}
@@ -78,18 +78,32 @@ class TestContractionMap:
     def test_chain_contraction_makes_self_loop(self):
         g = triangle()
         cmap = ContractionMap(g)
-        assert cmap.contract(0, 1, 2)
-        assert cmap.contract(1, 2, 3)
+        cmap.contract(0)
+        cmap.contract(1)
+        assert cmap.merges == [0, 1]
         # one class is left
         assert cmap.find(1) == cmap.find(2) == cmap.find(3)
         (arc,) = minor_arcs(g, cmap)
         assert arc == (2, cmap.find(1), cmap.find(1))  # a self-loop
 
-    def test_chord_contraction_returns_false(self):
+    def test_chord_contraction_is_not_a_merge(self):
         g = MultiGraph([1, 2], [(1, 2), (1, 2)])
         cmap = ContractionMap(g)
-        assert cmap.contract(0, 1, 2) is True
-        assert cmap.contract(1, 1, 2) is False
+        cmap.contract(0)
+        cmap.contract(1)
+        assert cmap.merges == [0]
+        assert cmap.contracted == {0, 1}
+
+    def test_merges_list_merging_arcs_in_contraction_order(self):
+        # arcs 3 and 1 make {1,2} and {3,4}, arc 2 joins the two, and
+        # arcs 0 and 4 are chords by the time they are contracted
+        g = MultiGraph([1, 2, 3, 4],
+                       [(1, 3), (4, 3), (2, 4), (2, 1), (3, 2)])
+        cmap = ContractionMap(g)
+        for a in (3, 1, 2, 0, 4):
+            cmap.contract(a)
+        assert cmap.merges == [3, 1, 2]
+        assert cmap.contracted == {0, 1, 2, 3, 4}
 
     def test_double_application_rejected(self):
         g = triangle()
@@ -98,7 +112,7 @@ class TestContractionMap:
         with pytest.raises(InvariantError):
             cmap.delete(0)
         with pytest.raises(InvariantError):
-            cmap.contract(0, 1, 2)
+            cmap.contract(0)
 
     def test_arc_ids_stable(self):
         g = triangle()
@@ -127,15 +141,17 @@ class TestMinorCounts:
             if kind == "delete":
                 cmap.delete(a)
             else:
-                cmap.contract(a, g.tail(a), g.head(a))
+                cmap.contract(a)
         minor = minor_arcs(g, cmap)
         assert len(minor) + len(cmap.deleted) + len(cmap.contracted) == g.m
         # every surviving arc joins the classes of its endpoints
         for a, t, h in minor:
-            assert (t, h) == (cmap.find(g.tail(a)), cmap.find(g.head(a)))
+            tail, head = g.arcs[a]
+            assert (t, h) == (cmap.find(tail), cmap.find(head))
         # every contracted arc has both endpoints in one class
         for a in cmap.contracted:
-            assert cmap.find(g.tail(a)) == cmap.find(g.head(a))
+            tail, head = g.arcs[a]
+            assert cmap.find(tail) == cmap.find(head)
         assert not (cmap.deleted & cmap.contracted)
 
 

@@ -5,6 +5,8 @@ small instance built through the real pipeline."""
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latticeflow.errors import InvariantError
 from latticeflow.exact_arith import BoundMonitor
@@ -68,14 +70,15 @@ def test_lift_routes_class_imbalance():
     g = MultiGraph([1, 2, 3], [(1, 2), (1, 3), (2, 3)])
     aux = _tiny_aux(g, {1: -4, 2: 0, 3: 4}, [0, 0, 0])
     cmap = ContractionMap(g)
-    assert cmap.contract(0, 1, 2)
+    cmap.contract(0)
+    assert cmap.merges == [0]
     minor = minor_arcs(g, cmap)
     x = [2, 2, 2]
     s = [1, 5, 5]
     y = {1: 0, 2: 0, 3: 0}
     rep = cmap.find(1)
-    _lift(aux, cmap, minor, [(0, 1, 2)], {1: 3, 2: 1}, {1: 5, 2: 5},
-          {rep: 0, 3: 0}, x, s, y)
+    _lift(aux, cmap, minor, {1: 3, 2: 1}, {1: 5, 2: 5}, {rep: 0, 3: 0},
+          x, s, y)
     assert x == [1, 3, 1]
     assert apply_incidence(g, x) == aux.b
 
@@ -84,14 +87,14 @@ def test_lift_shifts_duals_by_class_voltage():
     g = MultiGraph([1, 2, 3], [(1, 2), (1, 3), (2, 3)])
     aux = _tiny_aux(g, {1: -4, 2: 0, 3: 4}, [0, 0, 0])
     cmap = ContractionMap(g)
-    cmap.contract(0, 1, 2)
+    cmap.contract(0)
     minor = minor_arcs(g, cmap)
     x = [2, 2, 2]
     s = [1, 5, 5]
     y = {1: 10, 2: 20, 3: 30}
     rep = cmap.find(1)
-    _lift(aux, cmap, minor, [(0, 1, 2)], {1: 2, 2: 2}, {1: 5, 2: 5},
-          {rep: 7, 3: -1}, x, s, y)
+    _lift(aux, cmap, minor, {1: 2, 2: 2}, {1: 5, 2: 5}, {rep: 7, 3: -1},
+          x, s, y)
     # both members of the contracted class move together
     assert y == {1: 17, 2: 27, 3: 29}
     assert s[0] == 1  # contracted arc slack untouched
@@ -101,7 +104,7 @@ def test_lift_detects_positivity_loss():
     g = MultiGraph([1, 2, 3], [(1, 2), (1, 3), (2, 3)])
     aux = _tiny_aux(g, {1: -4, 2: 0, 3: 4}, [0, 0, 0])
     cmap = ContractionMap(g)
-    cmap.contract(0, 1, 2)
+    cmap.contract(0)
     minor = minor_arcs(g, cmap)
     # shifting 2 units of class outflow from arc 2 to arc 1 drives the
     # merge arc (currently carrying 1) to -1
@@ -112,14 +115,11 @@ def test_lift_detects_positivity_loss():
     aux = _tiny_aux(g, b, [0, 0, 0])
     rep = cmap.find(1)
     with pytest.raises(InvariantError, match="contracted arc 0 lost positivity"):
-        _lift(aux, cmap, minor, [(0, 1, 2)], {1: 4, 2: 0 + 2 - 2},
-              {1: 5, 2: 5}, {rep: 0, 3: 0}, x, s, y)
+        _lift(aux, cmap, minor, {1: 4, 2: 0 + 2 - 2}, {1: 5, 2: 5},
+              {rep: 0, 3: 0}, x, s, y)
 
 
-@pytest.mark.parametrize("merge_edges,arc", [
-    ([(0, 1, 2), (1, 4, 3)], 0),
-    ([(1, 4, 3), (0, 1, 2)], 1),
-])
+@pytest.mark.parametrize("merge_edges,arc", [([0, 1], 0), ([1, 0], 1)])
 def test_lift_names_the_first_merged_class_losing_positivity(merge_edges, arc):
     # classes {1, 2} and {3, 4}; moving 2 units from minor arc 3 to minor
     # arc 2 drives both merge arcs to -1, and the class merged first is
@@ -128,13 +128,50 @@ def test_lift_names_the_first_merged_class_losing_positivity(merge_edges, arc):
     x = [1, 1, 2, 2]
     aux = _tiny_aux(g, apply_incidence(g, x), [0, 0, 0, 0])
     cmap = ContractionMap(g)
-    for aid, tail, head in merge_edges:
-        assert cmap.contract(aid, tail, head)
+    for aid in merge_edges:
+        cmap.contract(aid)
+    assert cmap.merges == merge_edges
     y = {v: 0 for v in g.nodes}
     with pytest.raises(InvariantError, match=f"contracted arc {arc} lost"):
-        _lift(aux, cmap, minor_arcs(g, cmap), merge_edges, {2: 4, 3: 0},
-              {2: 5, 3: 5}, {cmap.find(1): 0, cmap.find(3): 0},
-              x, [1, 1, 5, 5], y)
+        _lift(aux, cmap, minor_arcs(g, cmap), {2: 4, 3: 0}, {2: 5, 3: 5},
+              {cmap.find(1): 0, cmap.find(3): 0}, x, [1, 1, 5, 5], y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_lift_leaves_the_demands_met_or_raises(data):
+    """From any contraction state whose x meets the demands, ``_lift``
+    either raises one of its two errors or leaves A x = b; the
+    imbalance error comes only when some class's net change is not
+    zero, since routing can move flow only inside a class."""
+    n = data.draw(st.integers(2, 5))
+    node = st.integers(1, n)
+    arcs = data.draw(st.lists(st.tuples(node, node), min_size=1, max_size=8))
+    g = MultiGraph(range(1, n + 1), arcs)
+    x = data.draw(st.lists(st.integers(1, 6), min_size=g.m, max_size=g.m))
+    aux = _tiny_aux(g, apply_incidence(g, x), [0] * g.m)
+    cmap = ContractionMap(g)
+    for a in data.draw(st.permutations(range(g.m))):
+        kind = data.draw(st.sampled_from(["keep", "delete", "contract"]))
+        if kind == "delete":
+            cmap.delete(a)
+        elif kind == "contract":
+            cmap.contract(a)
+    minor = minor_arcs(g, cmap)
+    new_x = {a: x[a] + data.draw(st.integers(-2, 2)) for a, _, _ in minor}
+    class_change = {}
+    for a, t, h in minor:
+        class_change[t] = class_change.get(t, 0) - (new_x[a] - x[a])
+        class_change[h] = class_change.get(h, 0) + (new_x[a] - x[a])
+    imbalanced = any(class_change.values())
+    try:
+        _lift(aux, cmap, minor, new_x, {a: 1 for a, _, _ in minor}, {},
+              x, [1] * g.m, {v: 0 for v in g.nodes})
+    except InvariantError as exc:
+        assert ("lost positivity" in str(exc)
+                or imbalanced and "imbalance survived" in str(exc))
+    else:
+        assert apply_incidence(g, x) == aux.b
 
 
 def test_outer_ceiling_scales():

@@ -45,6 +45,15 @@ def test_infeasible_capacity_cut():
     assert ssp_solve(inst).status == "infeasible"
 
 
+def test_missing_potential_fails_verification():
+    # a feasible flow whose certificate gives node 2 no potential
+    g = MultiGraph([1, 2], [(1, 2)])
+    inst = RawInstance(g, {1: -1, 2: 1}, [1], [1])
+    report = verify_certificate(inst, [1], {1: 0})
+    assert not report.ok
+    assert report.failures == ["missing potentials for nodes [2]"]
+
+
 def test_negative_costs_pull_flow():
     # the negative arc is saturated even though demands are zero
     g = MultiGraph([1, 2], [(1, 2), (2, 1)])
@@ -103,6 +112,13 @@ def test_random_instance_minimal():
     assert inst.graph.n == 2 and inst.graph.m == 1
     with pytest.raises(ValueError):
         random_instance(0, 2, 0, 3, 3)
+
+
+@pytest.mark.parametrize("U_max,C_max,name", [(0, 3, "U_max"),
+                                              (3, -2, "C_max")])
+def test_random_instance_rejects_empty_ranges(U_max, C_max, name):
+    with pytest.raises(ValueError, match=name):
+        random_instance(1, 4, 6, U_max, C_max)
 
 
 @settings(max_examples=60, deadline=None)
