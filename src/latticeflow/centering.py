@@ -52,10 +52,14 @@ class CenteringRun:
     rewrites ``pi`` and, over the minor's arcs, ``x_cur`` and ``s_cur``;
     ``run()`` leaves the recentered point there, with its counts in
     ``updates`` and ``refreshes``.
-    ``forest`` is built over these arcs with resistances
-    r_a = ceil(s_a / x_a) and owns the cycle table that
+    ``forest`` is the minimum spanning forest of these arcs under the
+    resistances r_a = ceil(s_a / x_a) and owns the cycle table that
     ``sample_update`` and ``gap`` read; the run adds only the prefix
-    sums of the forest's weights, for the draw.
+    sums of the forest's weights, for the draw. A caller may pass the
+    forest of an earlier run over the same arcs: it is reweighted to
+    the new resistances and kept when it is still their Prim forest,
+    and otherwise a fresh forest is built, so the run is the same
+    either way.
     Every stored value is recorded in ``monitor``. ``mu0_bits`` feeds
     the stall ceiling, which scales with the bit length of the initial
     path parameter.
@@ -74,8 +78,8 @@ class CenteringRun:
     rng: Random
     mu0_bits: int
     monitor: BoundMonitor
+    forest: TreeForest | None = None
 
-    forest: TreeForest = field(init=False)
     r: dict[int, int] = field(init=False)
     base: dict[int, int] = field(init=False)
     phi: dict[int, int] = field(init=False)
@@ -94,7 +98,8 @@ class CenteringRun:
                 raise InvariantError(f"arc {aid}: recentering needs an interior point")
         self.r = {aid: ceil_div(self.s[aid], self.x[aid])
                   for aid, _, _ in self.arcs}
-        self.forest = TreeForest(self.arcs, self.r)
+        if self.forest is None or not self.forest.reweight(self.r):
+            self.forest = TreeForest(self.arcs, self.r)
         self.base = {aid: round_nearest(self.mu, self.s[aid])
                      for aid, _, _ in self.arcs}
         self.phi = {aid: self.x[aid] - self.base[aid] for aid, _, _ in self.arcs}

@@ -9,7 +9,9 @@ Starting from the constructed interior point at mu0, each iteration:
 2. stops once the duality-gap proxy over the minor is tiny
    (81 * sum x_a s_a < 4 beta gamma);
 3. otherwise lowers mu by its fixed ratio step and recenters the minor
-   with random integer cycle updates;
+   with random integer cycle updates; when step 1 deleted and
+   contracted nothing, the minor is the previous one and the previous
+   centering's spanning forest is offered for reuse;
 4. lifts the recentered point back to the full auxiliary instance:
    minor arcs take their new values, every node's dual moves by its
    class voltage, deleted arcs get their slack recomputed, and flow
@@ -98,20 +100,27 @@ def run_interior_point(
     mu = point.mu0
     cmap = ContractionMap(g)
     minor = minor_arcs(g, cmap)
+    forest = None
     ceiling = outer_ceiling(m, point.mu0)
     mu0_bits = point.mu0.bit_length()
     iterations = updates = refreshes = 0
 
     while True:
         # 1. grow the deleted/contracted sets against the current point;
-        # only the previous minor's arcs are still undecided
+        # only the previous minor's arcs are still undecided; if none is
+        # decided now, the minor and its classes are unchanged
+        changed = False
         for aid, _, _ in minor:
             kind = _classify(x[aid], s[aid], m, cert)
             if kind == "delete":
                 cmap.delete(aid)
+                changed = True
             elif kind == "contract":
                 cmap.contract(aid)
-        minor = minor_arcs(g, cmap)
+                changed = True
+        if changed:
+            minor = minor_arcs(g, cmap)
+            forest = None
 
         _check_iterate(aux, cert, x, s, y, mu, cmap, minor)
 
@@ -144,8 +153,9 @@ def run_interior_point(
                 "mu": mu,
             })
         run = CenteringRun(arcs=minor, x=x, s=s, mu=mu, rng=rng,
-                           mu0_bits=mu0_bits, monitor=monitor)
+                           mu0_bits=mu0_bits, monitor=monitor, forest=forest)
         run.run()
+        forest = run.forest
         updates += run.updates
         refreshes += run.refreshes
         if probe is not None:

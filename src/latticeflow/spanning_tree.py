@@ -7,7 +7,11 @@ and each cycle's total resistance both weights the random arc choice and
 bounds the stall ceiling through the forest's condition number.
 
 Arcs are identified by their stable ids in the enclosing graph, so a
-forest can be built directly over a minor's surviving arcs.
+forest can be built directly over a minor's surviving arcs. A forest
+outlives one set of resistances: when the arcs are unchanged,
+``TreeForest.reweight`` keeps the tree for new resistances if it is
+still their minimum forest, and rebuilds only the resistance-dependent
+part of the cycle table.
 """
 
 from __future__ import annotations
@@ -39,6 +43,11 @@ class TreeForest:
     direction, so the arc itself comes first with sign +1; a tree arc
     gets +1 when the traversal follows its orientation and -1 against.
     A self-loop is its own cycle.
+
+    ``r`` is the current resistances. ``reweight`` replaces it, and with
+    it the coefficients, r(C_a) and ``weights``, when the tree stays the
+    one Prim would build; ``parent``, ``depth``, ``off_tree`` and the
+    cycles' arcs and signs never change after construction.
     """
 
     __slots__ = ("arcs", "r", "order", "parent", "depth", "off_tree",
@@ -51,10 +60,8 @@ class TreeForest:
         self.arcs = {aid: (tail, head) for aid, tail, head in arcs}
         if len(self.arcs) != len(arcs):
             raise ValueError("duplicate arc ids")
+        self._check_positive(r)
         self.r = r
-        for aid in self.arcs:
-            if r.get(aid, 0) <= 0:
-                raise ValueError(f"arc {aid}: resistance must be positive")
 
         adj: dict[object, list[tuple[int, object]]] = {}
         for aid, (tail, head) in self.arcs.items():
@@ -97,6 +104,46 @@ class TreeForest:
             self.cycles.append(
                 (aid, [(b, sign, sign * r[b]) for b, sign in walk], cycle_r))
             self.weights.append(ceil_div(cycle_r, r[aid]))
+
+    def _check_positive(self, r: dict[int, int]) -> None:
+        for aid in self.arcs:
+            if r.get(aid, 0) <= 0:
+                raise ValueError(f"arc {aid}: resistance must be positive")
+
+    def reweight(self, r: dict[int, int]) -> bool:
+        """Move to resistances ``r`` if this tree is still their Prim
+        forest, and report whether it is.
+
+        The key (r_a, arc id) orders arcs strictly, so each component has
+        one minimum spanning forest; this tree is it exactly when every
+        off-tree arc's key exceeds that of every tree arc on its
+        fundamental cycle. If so, the coefficients, r(C_a) and
+        ``weights`` are recomputed for ``r`` and the tree is kept, which
+        leaves everything a fresh ``TreeForest(arcs, r)`` would build
+        except the discovery order of ``order``. If not, nothing
+        changes and the caller builds a fresh forest. ``r`` is read and
+        never modified.
+        """
+        self._check_positive(r)
+        cycles = []
+        weights = []
+        for aid, coefs, _ in self.cycles:
+            ra = r[aid]
+            new = []
+            cycle_r = 0
+            for b, sign, _ in coefs:
+                rb = r[b]
+                # the arc itself is the one entry with an equal key
+                if rb > ra or (rb == ra and b > aid):
+                    return False
+                cycle_r += rb
+                new.append((b, sign, sign * rb))
+            cycles.append((aid, new, cycle_r))
+            weights.append(ceil_div(cycle_r, ra))
+        self.r = r
+        self.cycles = cycles
+        self.weights = weights
+        return True
 
     def _walk(self, aid: int) -> list[tuple[int, int]]:
         """The fundamental cycle of off-tree arc aid as (arc_id, sign)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latticeflow import SolveConfig, centering, solve
 from latticeflow.errors import InvariantError
 from latticeflow.exact_arith import BoundMonitor
 from latticeflow.graph_core import ContractionMap, MultiGraph, apply_incidence, minor_arcs
@@ -27,6 +28,7 @@ from latticeflow.ipm_driver import (
     outer_ceiling,
     run_interior_point,
 )
+from latticeflow.reference_oracle import random_instance
 
 
 def test_decrement_frozen_value():
@@ -269,3 +271,25 @@ def test_invariants_hold_throughout():
     for aid, _, _ in live:
         dev += abs(res.x[aid] * res.s[aid] - res.mu)
     assert 8 * dev <= res.mu
+
+
+def test_centerings_reuse_the_forest(monkeypatch):
+    # an outer iteration that deletes and contracts nothing keeps the
+    # minor, and the forest is rebuilt only when the new resistances
+    # change the minimum tree
+    builds = 0
+
+    class CountingForest(centering.TreeForest):
+        def __init__(self, *args, **kwargs):
+            nonlocal builds
+            builds += 1
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(centering, "TreeForest", CountingForest)
+    enters = []
+    inst = random_instance(3, 8, 16, 10, 10, "feasible")
+    result = solve(inst, SolveConfig(seed=3),
+                   probe=lambda event, payload: enters.append(payload)
+                   if event == "centering_enter" else None)
+    assert result.status == "optimal"
+    assert 1 <= builds <= len(enters) // 4

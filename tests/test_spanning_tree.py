@@ -3,6 +3,7 @@ centering step depends on."""
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -135,3 +136,67 @@ def test_condition_ceiling_bounds_tau(n, arcs, rs):
     ceil = f.condition_ceiling()
     assert ceil >= tau
     assert ceil - 1 < tau or ceil == 1
+
+
+def test_reweight_keeps_or_rejects_the_tree():
+    f = TreeForest(TRI, {0: 1, 1: 1, 2: 5})
+    # arc 2 still outranks both tree arcs: the tree stays, the table moves
+    assert f.reweight({0: 2, 1: 3, 2: 4})
+    assert _tree_arcs(f) == [0, 1]
+    assert f.cycles == [(2, [(2, 1, 4), (1, -1, -3), (0, -1, -2)], 9)]
+    assert f.weights == [3]  # ceil(9 / 4)
+    # a tie with arc 1 goes to the lower id, which is the tree arc
+    assert f.reweight({0: 2, 1: 4, 2: 4})
+    # arc 2 now beats arc 1 on its cycle: rejected, nothing changes
+    before = (f.r, f.cycles, f.weights)
+    assert not f.reweight({0: 2, 1: 5, 2: 4})
+    assert (f.r, f.cycles, f.weights) == before
+
+
+# two groups of node labels, so the arcs can fall into several
+# components; parallel arcs and self-loops come up often
+_GROUPED_ARCS = st.lists(st.tuples(st.integers(0, 1), st.integers(0, 4),
+                                   st.integers(0, 4)),
+                         min_size=1, max_size=12).map(
+    lambda arcs: [(i, 10 * g + t, 10 * g + h)
+                  for i, (g, t, h) in enumerate(arcs)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_GROUPED_ARCS, st.data())
+def test_reweight_matches_a_fresh_build(arc_list, data):
+    """A reweighted forest is the fresh forest for the new resistances
+    whenever ``reweight`` accepts, and the fresh forest has another tree
+    whenever it refuses. Small resistances make ties common."""
+    res = st.integers(1, 4)
+    r1 = {aid: data.draw(res) for aid, _, _ in arc_list}
+    r2 = {aid: data.draw(st.one_of(st.just(r1[aid]), res))
+          for aid, _, _ in arc_list}
+    f = TreeForest(arc_list, r1)
+    before = (f.r, f.cycles, f.weights)
+    fresh = TreeForest(arc_list, r2)
+    if f.reweight(r2):
+        assert f.parent == fresh.parent
+        assert f.depth == fresh.depth
+        assert f.off_tree == fresh.off_tree
+        assert f.cycles == fresh.cycles
+        assert f.weights == fresh.weights
+        assert f.condition_ceiling() == fresh.condition_ceiling()
+        phi = {aid: data.draw(st.integers(-20, 20)) for aid in f.arcs}
+        assert f.voltages(phi) == fresh.voltages(phi)
+    else:
+        assert (f.r, f.cycles, f.weights) == before
+        assert _tree_arcs(fresh) != _tree_arcs(f)
+
+
+@given(_GROUPED_ARCS, st.data())
+def test_reweight_rejects_nonpositive_resistance(arc_list, data):
+    r = {aid: 1 for aid, _, _ in arc_list}
+    f = TreeForest(arc_list, r)
+    bad = dict(r)
+    bad[data.draw(st.sampled_from(sorted(r)))] = data.draw(st.integers(-3, 0))
+    with pytest.raises(ValueError, match="resistance must be positive"):
+        TreeForest(arc_list, bad)
+    with pytest.raises(ValueError, match="resistance must be positive"):
+        f.reweight(bad)
+    assert f.r is r
