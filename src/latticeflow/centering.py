@@ -8,7 +8,9 @@ with probability proportional to its relative resistance, and the tree
 flow deviation phi is shifted by the rounded electrically-optimal amount
 around that cycle. Node voltages are folded into the duals at periodic
 refreshes, and the loop exits as soon as the refreshed point satisfies
-the exact centrality test 8 * sum |x_a s_a - mu| < mu.
+the exact centrality test 8 * sum |x_a s_a - mu| < mu. A run may first
+try a smaller target for a short budget of updates, and falls back to
+mu when that test does not pass there.
 
 Every quantity is an integer except the energy gap diagnostics, which
 are exact fractions.
@@ -48,10 +50,19 @@ class CenteringRun:
 
     arcs: (arc_id, tail_class, head_class) for the surviving minor arcs;
     x, s: the current point, indexed by arc id and read only, so the
-    driver passes its full vectors; mu: the target. Each ``refresh()``
-    rewrites ``pi`` and, over the minor's arcs, ``x_cur`` and ``s_cur``;
-    ``run()`` leaves the recentered point there, with its counts in
-    ``updates`` and ``refreshes``.
+    driver passes its full vectors; mu: the proven short-step target;
+    trial_mu: an optional smaller target tried first. ``target`` is the
+    one ``refresh()`` tests against: ``trial_mu`` until the trial ends,
+    else ``mu``. Each ``refresh()`` rewrites ``pi`` and, over the
+    minor's arcs, ``x_cur`` and ``s_cur``; ``run()`` leaves the
+    recentered point there, with its counts in ``updates`` and
+    ``refreshes``, and sets ``mu`` to the target it reached.
+    The trial gets 4 m_h cycle updates, with a refresh after each batch
+    of m_h. It is accepted at the first refresh that passes the exit
+    test at ``trial_mu`` with every ``x_cur`` and ``s_cur`` positive.
+    Otherwise the run resets ``base`` and ``phi`` to ``mu`` and centers
+    there as if no trial had been made; the forest is kept, since the
+    resistances do not depend on the target.
     ``forest`` is the minimum spanning forest of these arcs under the
     resistances r_a = ceil(s_a / x_a) and owns the cycle table that
     ``sample_update`` and ``gap`` read; the run adds only the prefix
@@ -60,15 +71,16 @@ class CenteringRun:
     the new resistances and kept when it is still their Prim forest,
     and otherwise a fresh forest is built, so the run is the same
     either way.
-    Every stored value is recorded in ``monitor``. ``mu0_bits`` feeds
-    the stall ceiling, which scales with the bit length of the initial
-    path parameter.
+    Every stored value, the trial's included, is recorded in
+    ``monitor``. ``mu0_bits`` feeds the stall ceiling, which scales
+    with the bit length of the initial path parameter.
 
     The stall ceiling is max(1, 64 m_h ceil(tau) mu0_bits), where tau is
     the forest's total stretch. Since ceil(tau) >= 1 it is never below
     the floor max(1, 64 m_h mu0_bits), so the loop checks the floor and
     computes the exact ceiling only when updates reach it, or when
-    ``stall_limit`` is read.
+    ``stall_limit`` is read. Both count only the updates made at
+    ``mu``, after a failed trial; the trial's budget is below the floor.
     """
 
     arcs: list[tuple[int, object, object]]
@@ -79,7 +91,9 @@ class CenteringRun:
     mu0_bits: int
     monitor: BoundMonitor
     forest: TreeForest | None = None
+    trial_mu: int | None = None
 
+    target: int = field(init=False)
     r: dict[int, int] = field(init=False)
     base: dict[int, int] = field(init=False)
     phi: dict[int, int] = field(init=False)
@@ -91,7 +105,7 @@ class CenteringRun:
     _weight_prefix: list[int] = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.mu <= 0:
+        if self.mu <= 0 or (self.trial_mu is not None and self.trial_mu <= 0):
             raise ValueError("target mu must be positive")
         for aid, _, _ in self.arcs:
             if self.x[aid] <= 0 or self.s[aid] <= 0:
@@ -100,17 +114,23 @@ class CenteringRun:
                   for aid, _, _ in self.arcs}
         if self.forest is None or not self.forest.reweight(self.r):
             self.forest = TreeForest(self.arcs, self.r)
-        self.base = {aid: round_nearest(self.mu, self.s[aid])
-                     for aid, _, _ in self.arcs}
-        self.phi = {aid: self.x[aid] - self.base[aid] for aid, _, _ in self.arcs}
         # cumulative sampling weights over off-tree arcs, exact integers
         self._weight_prefix = list(accumulate(self.forest.weights))
         self.monitor.record_many(self.r.values())
-        self.monitor.record_many(self.base.values())
-        self.monitor.record_many(self.phi.values())
+        self._aim(self.mu if self.trial_mu is None else self.trial_mu)
         self.monitor.record_many(self.forest.weights)
         self.monitor.record_many(
             [cycle_r for _, _, cycle_r in self.forest.cycles])
+
+    def _aim(self, target: int) -> None:
+        """Set the target and the tree flow deviation phi = x - base,
+        where base_a = round(target / s_a) is the centered flow."""
+        self.target = target
+        self.base = {aid: round_nearest(target, self.s[aid])
+                     for aid, _, _ in self.arcs}
+        self.phi = {aid: self.x[aid] - self.base[aid] for aid, _, _ in self.arcs}
+        self.monitor.record_many(self.base.values())
+        self.monitor.record_many(self.phi.values())
 
     @cached_property
     def stall_limit(self) -> int:
@@ -124,19 +144,21 @@ class CenteringRun:
         """Fold tree voltages into the duals and test the exit criterion.
 
         Recomputes pi from the current phi, rebuilds s' = s - A^T pi and
-        x' = base + phi, and returns True when 8 sum |x' s' - mu| < mu.
+        x' = base + phi, and returns True when
+        8 sum |x' s' - target| < target.
         """
         self.refreshes += 1
         self.pi = self.forest.voltages(self.phi)
+        target = self.target
         dev = 0
         for aid, tail, head in self.arcs:
             self.s_cur[aid] = self.s[aid] - (self.pi[head] - self.pi[tail])
             self.x_cur[aid] = self.base[aid] + self.phi[aid]
-            dev += abs(self.x_cur[aid] * self.s_cur[aid] - self.mu)
+            dev += abs(self.x_cur[aid] * self.s_cur[aid] - target)
         self.monitor.record_many(self.pi.values())
         self.monitor.record_many(self.s_cur.values())
         self.monitor.record_many(self.x_cur.values())
-        return 8 * dev < self.mu
+        return 8 * dev < target
 
     def sample_update(self) -> UpdateRecord:
         """Pick a random off-tree arc and push the rounded optimal
@@ -175,11 +197,25 @@ class CenteringRun:
     # -- the loop ------------------------------------------------------
 
     def run(self) -> None:
-        """Alternate refreshes and batches of one random cycle update
-        per minor arc until the exit test passes, which leaves the
-        recentered point in ``x_cur``, ``s_cur`` and ``pi``; raise after
-        the stall ceiling."""
+        """Try ``trial_mu``, if given, for 4 m_h updates; then alternate
+        refreshes and batches of one random cycle update per minor arc
+        until the exit test passes at ``mu``. Either way the recentered
+        point is left in ``x_cur``, ``s_cur`` and ``pi`` and its target
+        in ``mu``; raise after the stall ceiling."""
         batch = range(max(1, len(self.arcs)))
+        if self.trial_mu is not None:
+            budget = 4 * len(batch)
+            while True:
+                if (self.refresh() and all(v > 0 for v in self.x_cur.values())
+                        and all(v > 0 for v in self.s_cur.values())):
+                    self.mu = self.trial_mu
+                    return
+                if self.updates >= budget or not self.forest.off_tree:
+                    break
+                for _ in batch:
+                    self.sample_update()
+            self._aim(self.mu)
+        start = self.updates
         ceiling = max(1, 64 * len(self.arcs) * self.mu0_bits)  # the floor
         while True:
             if self.refresh():
@@ -188,10 +224,11 @@ class CenteringRun:
                 raise InvariantError(
                     "forest minor failed the centrality exit at first refresh")
             for _ in batch:
-                if self.updates >= ceiling:
+                made = self.updates - start
+                if made >= ceiling:
                     ceiling = self.stall_limit
-                    if self.updates >= ceiling:
+                    if made >= ceiling:
                         raise CenteringStallError(
-                            f"no centered point after {self.updates} cycle "
+                            f"no centered point after {made} cycle "
                             f"updates (ceiling {ceiling})")
                 self.sample_update()

@@ -8,10 +8,20 @@ Starting from the constructed interior point at mu0, each iteration:
    form the working minor;
 2. stops once the duality-gap proxy over the minor is tiny
    (81 * sum x_a s_a < 4 beta gamma);
-3. otherwise lowers mu by its fixed ratio step and recenters the minor
-   with random integer cycle updates; when step 1 deleted and
-   contracted nothing, the minor is the previous one and the previous
-   centering's spanning forest is offered for reuse;
+3. otherwise lowers mu and recenters the minor with random integer
+   cycle updates. The proven short step cuts mu by mu / (8 sqrt m).
+   One centering run first tries k times that cut, k in {2, 4, 8}, with
+   a budget of 4 m_h updates, and falls back to the short step when the
+   exact exit test at the trial target does not pass (the adaptive step
+   of Mizuno, Todd and Ye, Math. Oper. Res. 18(4), 1993). k doubles
+   after an accepted trial, up to 8, and halves after a rejected one.
+   At k = 1, as in the first iteration, and whenever the trial target
+   would fall below 1, the run takes the short step alone, and k is 2
+   again after it.
+   Every iteration lowers mu by at least the short step, so the
+   iteration ceiling still holds. When step 1 deleted and contracted
+   nothing, the minor is the previous one and the previous centering's
+   spanning forest is offered for reuse;
 4. lifts the recentered point back to the full auxiliary instance:
    minor arcs take their new values, every node's dual moves by its
    class voltage, deleted arcs get their slack recomputed, and flow
@@ -104,6 +114,7 @@ def run_interior_point(
     ceiling = outer_ceiling(m, point.mu0)
     mu0_bits = point.mu0.bit_length()
     iterations = updates = refreshes = 0
+    k = 1  # the trial step in short steps; 1 is the short step alone
 
     while True:
         # 1. grow the deleted/contracted sets against the current point;
@@ -142,19 +153,31 @@ def run_interior_point(
                 f"proxy still large after {iterations} decrements "
                 f"(ceiling {ceiling})")
 
-        # 3. decrement and recenter the minor
-        mu = decrement_mu(mu, m)
+        # 3. decrement and recenter the minor, trying k short steps first
+        short_mu = decrement_mu(mu, m)
+        trial_mu = mu - k * (mu - short_mu)
+        if k < 2 or trial_mu < 1:
+            trial_mu = None
         if probe is not None:
             probe("centering_enter", {
                 "iteration": iterations,
                 "arcs": list(minor),
                 "x": {aid: x[aid] for aid, _, _ in minor},
                 "s": {aid: s[aid] for aid, _, _ in minor},
-                "mu": mu,
+                "mu": short_mu,
+                "trial_mu": trial_mu,
             })
-        run = CenteringRun(arcs=minor, x=x, s=s, mu=mu, rng=rng,
-                           mu0_bits=mu0_bits, monitor=monitor, forest=forest)
+        run = CenteringRun(arcs=minor, x=x, s=s, mu=short_mu, rng=rng,
+                           mu0_bits=mu0_bits, monitor=monitor, forest=forest,
+                           trial_mu=trial_mu)
         run.run()
+        if trial_mu is None:
+            k = 2
+        elif run.mu == trial_mu:
+            k = min(8, 2 * k)
+        else:
+            k //= 2
+        mu = run.mu
         forest = run.forest
         updates += run.updates
         refreshes += run.refreshes

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from latticeflow.centering import CenteringRun
 from latticeflow.errors import CenteringStallError, InvariantError
-from latticeflow.exact_arith import BoundMonitor
+from latticeflow.exact_arith import BoundMonitor, round_nearest
 from latticeflow.reference_oracle import random_instance
 from latticeflow.solver import SolveConfig, solve
 
@@ -126,7 +126,7 @@ def test_stall_limit_is_the_proven_ceiling(case):
     def outcome(run):
         return run.x_cur, run.s_cur, run.pi, run.updates, run.refreshes
 
-    states = _solve_states(case, every=40)
+    states = _solve_states(case, every=5)
     assert len(states) >= 10
     for state, mu0_bits, limit in states:
         def fresh():
@@ -145,6 +145,86 @@ def test_stall_limit_is_the_proven_ceiling(case):
         assert early.stall_limit == ceiling
         early.run()
         assert outcome(early) == outcome(late)
+
+
+# a frozen state centered at 36000: every product x_a s_a is 36000
+FROZEN_ARCS = [(0, "A", "B"), (1, "B", "C"), (2, "C", "A"), (3, "A", "C"),
+               (4, "B", "D"), (5, "D", "A")]
+FROZEN_X = {0: 30, 1: 40, 2: 50, 3: 20, 4: 60, 5: 25}
+FROZEN_S = {0: 1200, 1: 900, 2: 720, 3: 1800, 4: 600, 5: 1440}
+
+
+def _frozen_run(mu, rng, trial_mu=None):
+    return CenteringRun(arcs=FROZEN_ARCS, x=dict(FROZEN_X), s=dict(FROZEN_S),
+                        mu=mu, rng=rng, mu0_bits=16,
+                        monitor=BoundMonitor(LIMIT), trial_mu=trial_mu)
+
+
+def _centered_at(run, mu):
+    dev = sum(abs(run.x_cur[a] * run.s_cur[a] - mu) for a, _, _ in run.arcs)
+    return 8 * dev < mu
+
+
+def test_without_a_trial_the_loop_is_unchanged():
+    # the values the loop gave before trial targets existed
+    run = _frozen_run(28800, Random(2))
+    run.run()
+    assert run.mu == run.target == 28800
+    assert run.x_cur == {0: 21, 1: 36, 2: 42, 3: 16, 4: 55, 5: 20}
+    assert run.s_cur == {0: 1322, 1: 808, 2: 690, 3: 1830, 4: 530, 5: 1388}
+    assert run.pi == {"A": 0, "C": -30, "B": -122, "D": -52}
+    assert (run.updates, run.refreshes) == (12, 3)
+    assert run.monitor.max_seen == 1950
+
+
+def test_accepted_trial_ends_at_the_trial_target():
+    run = _frozen_run(34560, Random(0), trial_mu=28800)
+    assert run.target == 28800
+    assert run.base == {a: round_nearest(28800, FROZEN_S[a]) for a in FROZEN_S}
+    assert run.phi == {a: FROZEN_X[a] - run.base[a] for a in FROZEN_X}
+    run.run()
+    assert run.mu == run.target == 28800
+    assert 0 < run.updates <= 4 * len(FROZEN_ARCS)
+    assert _centered_at(run, 28800)
+    assert all(v > 0 for v in run.x_cur.values())
+    assert all(v > 0 for v in run.s_cur.values())
+
+
+def test_rejected_trial_centers_at_mu_as_a_fresh_run():
+    budget = 4 * len(FROZEN_ARCS)
+    run = _frozen_run(34560, Random(0), trial_mu=3600)
+    run.run()
+    assert run.mu == run.target == 34560
+    assert _centered_at(run, 34560)
+    # after the trial's budget of draws the run is a plain run at mu
+    rng = Random(0)
+    spent = _frozen_run(3600, rng)
+    for _ in range(budget):
+        spent.sample_update()
+    plain = _frozen_run(34560, rng)
+    plain.run()
+    assert (run.x_cur, run.s_cur, run.pi) == (plain.x_cur, plain.s_cur,
+                                               plain.pi)
+    assert run.updates == budget + plain.updates
+    assert run.refreshes == 5 + plain.refreshes
+
+
+def test_stall_count_starts_after_a_rejected_trial():
+    # the stalling state of test_stall_ceiling_raises: its trial spends
+    # 4 m_h = 8 updates, and the ceiling of 768 counts only the updates
+    # made at mu after it
+    run = CenteringRun(arcs=TWO_CYCLE, x={0: 5, 1: 1}, s={0: 2, 1: 2},
+                       mu=4, rng=Random(3), mu0_bits=3,
+                       monitor=BoundMonitor(LIMIT), trial_mu=2)
+    with pytest.raises(CenteringStallError, match=r"after 768 .*ceiling 768"):
+        run.run()
+    assert run.mu == run.target == 4
+    assert run.updates == 8 + run.stall_limit
+
+
+def test_trial_target_must_be_positive():
+    with pytest.raises(ValueError):
+        _frozen_run(34560, Random(0), trial_mu=0)
 
 
 def test_entry_point_must_be_interior():

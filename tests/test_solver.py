@@ -8,7 +8,7 @@ import json
 import pytest
 
 from latticeflow.cli import main
-from latticeflow.dimacs import format_instance, format_solution, parse_instance
+from latticeflow.dimacs import format_instance, format_solution
 from latticeflow.errors import InvariantError
 from latticeflow.graph_core import MultiGraph
 from latticeflow.instance_pipeline import RawInstance
@@ -229,17 +229,17 @@ def test_iterate_payloads_are_the_trace_rows(tmp_path, capsys):
 # record new values and say why.
 GOLDEN = [
     ((7, 8, 16, 10, 10, "feasible"),
-     "b82805d9ed2ffb6e0f3f91bddde6fe4ba723474d763e84cc1319584b4c2635dd",
-     "ffe168f26106a8fb444e884a222aa66a98cb544f83a723a9c960c92fbc3025e0"),
+     "4f25d533f4b81dd8ad3d1be841c4bd07baac6d245726e6746364d95b4a00de30",
+     "ff8906c02692f3df3bac840f791fc8062920d1847ce98edf68396dbabcb9c45c"),
     ((11, 6, 12, 5, 3, "feasible"),
      "b869a84bba4973e8c985bc4f7c6b5c9924e996a42bd58d454e43dd185aa39523",
-     "d527c3a75b829990c5cb033e9d5be6ecfb368b8e378cc9620cdeaeec1bbb996c"),
+     "316fe5bc3d4da324f2a77968c58673cb4876268c3af38b561e07a194d14d54bb"),
     ((20, 5, 9, 10, 10, "random"),
      "e01cb2124f86d3c25b6ce4e23fa1e497cecf19ce8ef455d7da279bd4cb6e4fe6",
-     "3e2750940de980221712840ef0a1b8f81334f6d8a218c51c9299d8d0b4c66ece"),
+     "fa1e098cd809417e87ca2c275472c5ba95abf0f8bf3fb825ed47ece5e3fd4d7b"),
     ((3, 4, 6, 10**12, 10**12, "feasible"),
      "e860f1786a5ae9054b639d0278cac4bd396a28edef223ecffdca372077e08694",
-     "6c115cc61d6953ff41319d78ba7805632cdd7d9686b668e2ba848546b5405d47"),
+     "2e50348d4eeee4ed37882f9691ec48bdcc615e1850b63cc95dae7d5cba99b578"),
 ]
 
 
@@ -258,19 +258,39 @@ def test_golden_solution_and_trace_bytes(case, solution_sha, trace_sha):
 
 
 # Known defect, pinned until it is fixed. This is
-# random_instance(1174, 3, 3, 2, 10, "random"). Auxiliary arc 4 (the up
-# arc of arc 2) leaves the lift of outer iteration 73 with x = 21844 and
-# is deleted by the next classification, its flow frozen. Its slack is
-# then recomputed from the duals after every lift and falls by about
-# 4.08e-5 of each mu decrement, slightly more than the 4.07e-5 share of
-# mu it held when deleted, so it reaches zero with mu: it is negative
-# after the lift of iteration 205 and the invariant check stops the solve.
+# random_instance(9055, 4, 4, 2, 2, "feasible"). Auxiliary arc 4 leaves
+# the lift of outer iteration 25 with x = 33567 and x s = 1.006 mu, and
+# is deleted by the next classification, its flow frozen. Every later
+# iteration takes the accepted eightfold trial step, and the arc's
+# slack, recomputed from the duals after each lift, falls faster than
+# mu: x s / mu is 0.97 after iteration 26, 0.80 after 34 and 0.28 after
+# 38, and the slack is negative after the lift of iteration 39, where
+# the invariant check stops the solve.
 @pytest.mark.xfail(strict=True, raises=InvariantError,
                    reason="deleted arc 4 lost dual feasibility")
 def test_deleted_arc_keeps_dual_feasibility():
-    inst = parse_instance("p min 3 3\nn 2 -1\nn 3 1\na 1 2 0 2 9\n"
-                          "a 2 3 0 1 3\na 1 2 0 2 2\n")
-    result = solve(inst, SolveConfig(seed=1))
+    inst = random_instance(9055, 4, 4, 2, 2, "feasible")
+    result = solve(inst, SolveConfig(seed=9055))
+    oracle = ssp_solve(inst)
+    assert (result.status, result.objective) == (oracle.status,
+                                                 oracle.objective)
+
+
+# Known defect, pinned until it is fixed: a second failure mode, in the
+# contracted arcs' flow rather than the deleted arcs' slack. This is
+# random_instance(4003, 5, 10, 10, 0, "random"). Auxiliary arc 11 is
+# contracted by the classification of outer iteration 63 with
+# x = 31285124. From then on each lift routes its class's flow
+# imbalance through the arc, 4 to 8 million units a time in the same
+# direction: x is 1683100 after the lift of iteration 69, and the
+# routing of iteration 70 takes it below zero. The solve fails the same
+# way with the short step alone.
+@pytest.mark.xfail(strict=True, raises=InvariantError,
+                   reason="contracted arc 11 lost positivity while routing "
+                          "class imbalance")
+def test_contracted_arc_keeps_positive_flow():
+    inst = random_instance(4003, 5, 10, 10, 0, "random")
+    result = solve(inst, SolveConfig(seed=4003))
     oracle = ssp_solve(inst)
     assert (result.status, result.objective) == (oracle.status,
                                                  oracle.objective)
