@@ -22,7 +22,6 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
 from random import Random
 
 from .errors import CenteringStallError, InvariantError
@@ -64,13 +63,12 @@ class CenteringRun:
     there as if no trial had been made; the forest is kept, since the
     resistances do not depend on the target.
     ``forest`` is the minimum spanning forest of these arcs under the
-    resistances r_a = ceil(s_a / x_a) and owns the cycle table that
-    ``sample_update`` and ``gap`` read; the run adds only the prefix
-    sums of the forest's weights, for the draw. A caller may pass the
-    forest of an earlier run over the same arcs: it is reweighted to
-    the new resistances and kept when it is still their Prim forest,
-    and otherwise a fresh forest is built, so the run is the same
-    either way.
+    resistances r_a = ceil(s_a / x_a), which it holds as ``forest.r``,
+    and owns the cycle table and its prefix sums that ``sample_update``
+    and ``gap`` read. A caller may pass the forest of an earlier run
+    over the same arcs: it is reweighted to the new resistances and
+    kept when it is still their Prim forest, and otherwise a fresh
+    forest is built, so the run is the same either way.
     Every stored value, the trial's included, is recorded in
     ``monitor``. ``mu0_bits`` feeds the stall ceiling, which scales
     with the bit length of the initial path parameter.
@@ -94,7 +92,6 @@ class CenteringRun:
     trial_mu: int | None = None
 
     target: int = field(init=False)
-    r: dict[int, int] = field(init=False)
     base: dict[int, int] = field(init=False)
     phi: dict[int, int] = field(init=False)
     pi: dict = field(init=False, default_factory=dict)
@@ -102,7 +99,6 @@ class CenteringRun:
     x_cur: dict[int, int] = field(init=False, default_factory=dict)
     updates: int = field(init=False, default=0)
     refreshes: int = field(init=False, default=0)
-    _weight_prefix: list[int] = field(init=False)
 
     def __post_init__(self) -> None:
         if self.mu <= 0 or (self.trial_mu is not None and self.trial_mu <= 0):
@@ -110,13 +106,11 @@ class CenteringRun:
         for aid, _, _ in self.arcs:
             if self.x[aid] <= 0 or self.s[aid] <= 0:
                 raise InvariantError(f"arc {aid}: recentering needs an interior point")
-        self.r = {aid: ceil_div(self.s[aid], self.x[aid])
-                  for aid, _, _ in self.arcs}
-        if self.forest is None or not self.forest.reweight(self.r):
-            self.forest = TreeForest(self.arcs, self.r)
-        # cumulative sampling weights over off-tree arcs, exact integers
-        self._weight_prefix = list(accumulate(self.forest.weights))
-        self.monitor.record_many(self.r.values())
+        r = {aid: ceil_div(self.s[aid], self.x[aid])
+             for aid, _, _ in self.arcs}
+        if self.forest is None or not self.forest.reweight(r):
+            self.forest = TreeForest(self.arcs, r)
+        self.monitor.record_many(r.values())
         self._aim(self.mu if self.trial_mu is None else self.trial_mu)
         self.monitor.record_many(self.forest.weights)
         self.monitor.record_many(
@@ -163,10 +157,11 @@ class CenteringRun:
     def sample_update(self) -> UpdateRecord:
         """Pick a random off-tree arc and push the rounded optimal
         circulation around its fundamental cycle."""
-        prefix = self._weight_prefix
+        forest = self.forest
+        prefix = forest.prefix
         if not prefix:
             raise InvariantError("no off-tree arcs to sample")
-        aid, coefs, cycle_r = self.forest.cycles[
+        aid, coefs, cycle_r = forest.cycles[
             bisect_right(prefix, self.rng.randrange(prefix[-1]))]
         phi = self.phi
         lam = 0

@@ -10,7 +10,6 @@ bound can be checked rather than assumed.
 
 from __future__ import annotations
 
-import math
 from typing import Iterable
 
 from .errors import BoundViolationError
@@ -18,7 +17,6 @@ from .errors import BoundViolationError
 __all__ = [
     "round_nearest",
     "ceil_div",
-    "gcd_all",
     "next_pow2",
     "BoundMonitor",
 ]
@@ -41,16 +39,6 @@ def ceil_div(p: int, q: int) -> int:
     if q <= 0:
         raise ValueError(f"ceil_div requires q > 0, got {q}")
     return -(-p // q)
-
-
-def gcd_all(values: Iterable[int]) -> int:
-    """Nonnegative gcd of all entries; zeros are skipped, all-zero gives 0."""
-    g = 0
-    for v in values:
-        g = math.gcd(g, v)
-        if g == 1:
-            return 1
-    return g
 
 
 def next_pow2(n: int) -> int:

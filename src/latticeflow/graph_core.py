@@ -38,16 +38,16 @@ __all__ = [
 class MultiGraph:
     """Directed multigraph; parallel arcs and self-loops are permitted."""
 
-    __slots__ = ("nodes", "arcs", "_node_set")
+    __slots__ = ("nodes", "arcs")
 
     def __init__(self, nodes: Iterable[int], arcs: Iterable[tuple[int, int]]) -> None:
         self.nodes: list[int] = list(nodes)
-        self._node_set = frozenset(self.nodes)
-        if len(self._node_set) != len(self.nodes):
+        node_set = frozenset(self.nodes)
+        if len(node_set) != len(self.nodes):
             raise ValueError("duplicate node ids")
         self.arcs: list[tuple[int, int]] = []
         for tail, head in arcs:
-            if tail not in self._node_set or head not in self._node_set:
+            if tail not in node_set or head not in node_set:
                 raise ValueError(f"arc ({tail}, {head}) references unknown node")
             self.arcs.append((tail, head))
 

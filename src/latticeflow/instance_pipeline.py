@@ -21,10 +21,11 @@ Everything downstream operates on the auxiliary instance;
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import InvariantError
-from .exact_arith import BoundMonitor, ceil_div, gcd_all, next_pow2
+from .exact_arith import BoundMonitor, ceil_div, next_pow2
 from .graph_core import (MultiGraph, apply_incidence, apply_incidence_transpose,
                          bfs_forest, route_to_roots)
 
@@ -108,8 +109,8 @@ def downscale(inst: RawInstance) -> tuple[RawInstance, DownscaleInfo]:
     """
     if any(cost < 0 for cost in inst.c):
         raise ValueError("downscale requires nonnegative costs")
-    beta0 = gcd_all(list(inst.b.values()) + inst.u) or 1
-    gamma0 = gcd_all(inst.c) or 1
+    beta0 = math.gcd(*inst.b.values(), *inst.u) or 1
+    gamma0 = math.gcd(*inst.c) or 1
     b = {v: d // beta0 for v, d in inst.b.items()}
     u = [cap // beta0 for cap in inst.u]
     c = [cost // gamma0 for cost in inst.c]
@@ -200,8 +201,6 @@ class AuxiliaryInstance:
     graph: MultiGraph
     b: dict[int, int]
     c: list[int]
-    # per auxiliary arc: ("up" | "down" | "hat", original arc id)
-    provenance: list[tuple[str, int]]
     arc_node: dict[int, int]
     up_arc: dict[int, int]
     down_arc: dict[int, int]
@@ -249,43 +248,37 @@ def build_auxiliary(
     products inside the widened interval.
     """
     g = scaled.graph
-    beta, gamma, t, mu0 = cert.beta, cert.gamma, cert.t, cert.mu0
+    gamma, t, mu0 = cert.gamma, cert.t, cert.mu0
     base = max(g.nodes) + 1
+    z = _bfs_tree_solution(g, scaled.b)
 
     nodes = list(g.nodes) + [base + i for i in range(g.m)]
     arcs: list[tuple[int, int]] = []
     costs: list[int] = []
-    provenance: list[tuple[str, int]] = []
+    x: list[int] = []
     arc_node: dict[int, int] = {}
     up_arc: dict[int, int] = {}
     down_arc: dict[int, int] = {}
     hat_arc: dict[int, int] = {}
-
     b_aux: dict[int, int] = {v: scaled.b[v] for v in g.nodes}
+    y: dict[int, int] = {v: 0 for v in g.nodes}
+
     for i, (tail, head) in enumerate(g.arcs):
+        half = scaled.u[i] // 2
+        if scaled.u[i] % 2:
+            raise InvariantError("scaled capacity is odd; beta must be even")
         vw = base + i
         arc_node[i] = vw
         up_arc[i] = len(arcs)
         arcs.append((tail, vw))
         costs.append(scaled.c[i])
-        provenance.append(("up", i))
         down_arc[i] = len(arcs)
         arcs.append((head, vw))
         costs.append(0)
-        provenance.append(("down", i))
+        x.extend((half, half))
         b_aux[vw] = scaled.u[i]
         b_aux[head] -= scaled.u[i]
-
-    z = _bfs_tree_solution(g, scaled.b)
-
-    x: list[int] = []
-    y: dict[int, int] = {v: 0 for v in g.nodes}
-    for i in range(g.m):
-        half = scaled.u[i] // 2
-        if scaled.u[i] % 2:
-            raise InvariantError("scaled capacity is odd; beta must be even")
-        x.extend((half, half))
-        y[arc_node[i]] = -2 * ceil_div(t, scaled.u[i])
+        y[vw] = -2 * ceil_div(t, scaled.u[i])
 
     for i, (tail, head) in enumerate(g.arcs):
         half = scaled.u[i] // 2
@@ -299,14 +292,12 @@ def build_auxiliary(
             arcs.append((head, tail))
         x.append(abs(imbalance))
         costs.append(gamma * ceil_div(t, gamma * abs(imbalance)))
-        provenance.append(("hat", i))
 
     aux_graph = MultiGraph(nodes, arcs)
     aux = AuxiliaryInstance(
         graph=aux_graph,
         b=b_aux,
         c=costs,
-        provenance=provenance,
         arc_node=arc_node,
         up_arc=up_arc,
         down_arc=down_arc,
@@ -341,7 +332,7 @@ def _check_initial_point(aux: AuxiliaryInstance, point: InitialPoint,
         dev += abs(p - cert.mu0)
     if 8 * dev > cert.mu0:
         raise InvariantError("initial point is not centered for mu0")
-    hat_costs = [aux.c[a] for a, (kind, _) in enumerate(aux.provenance) if kind == "hat"]
-    plain = sum(aux.c[a] for a, (kind, _) in enumerate(aux.provenance) if kind != "hat")
+    hat_costs = [aux.c[a] for a in aux.hat_arc.values()]
+    plain = sum(aux.c) - sum(hat_costs)
     if any(ch < plain for ch in hat_costs):
         raise InvariantError("balancing arc cost below total path cost")

@@ -11,14 +11,16 @@ forest can be built directly over a minor's surviving arcs. A forest
 outlives one set of resistances: when the arcs are unchanged,
 ``TreeForest.reweight`` keeps the tree for new resistances if it is
 still their minimum forest, and rebuilds only the resistance-dependent
-part of the cycle table.
+part of the cycle table; a fresh forest builds that part the same way.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from itertools import accumulate
 
+from .errors import InvariantError
 from .exact_arith import ceil_div
 
 __all__ = ["TreeForest"]
@@ -38,20 +40,24 @@ class TreeForest:
 
     ``off_tree`` lists the off-tree arcs by id. ``cycles`` holds, in the
     same order, ``(arc_id, [(b, sign, sign * r_b)], r(C_a))`` for each
-    off-tree arc's fundamental cycle, and ``weights`` its sampling
-    weight ceil(r(C_a) / r_a). The cycle is traversed in the arc's own
-    direction, so the arc itself comes first with sign +1; a tree arc
-    gets +1 when the traversal follows its orientation and -1 against.
-    A self-loop is its own cycle.
+    off-tree arc's fundamental cycle, ``weights`` its sampling weight
+    ceil(r(C_a) / r_a), and ``prefix`` the running sums of ``weights``,
+    which the centering step draws a cycle from. The cycle is traversed
+    in the arc's own direction, so the arc itself comes first with sign
+    +1; a tree arc gets +1 when the traversal follows its orientation
+    and -1 against. A self-loop is its own cycle.
 
-    ``r`` is the current resistances. ``reweight`` replaces it, and with
-    it the coefficients, r(C_a) and ``weights``, when the tree stays the
-    one Prim would build; ``parent``, ``depth``, ``off_tree`` and the
-    cycles' arcs and signs never change after construction.
+    ``r`` is the current resistances. ``reweight`` is the one builder of
+    the resistance-dependent part of the table: the constructor walks
+    each cycle once and then reweights to ``r``, so a Prim tree that
+    fails the cycle property raises ``InvariantError``; a later
+    ``reweight`` replaces ``r`` and that part of the table when the tree
+    stays the one Prim would build. ``parent``, ``depth``, ``off_tree``
+    and the cycles' arcs and signs never change after construction.
     """
 
     __slots__ = ("arcs", "r", "order", "parent", "depth", "off_tree",
-                 "cycles", "weights")
+                 "cycles", "weights", "prefix")
 
     def __init__(self, arcs: list[tuple[int, object, object]],
                  r: dict[int, int]):
@@ -61,7 +67,6 @@ class TreeForest:
         if len(self.arcs) != len(arcs):
             raise ValueError("duplicate arc ids")
         self._check_positive(r)
-        self.r = r
 
         adj: dict[object, list[tuple[int, object]]] = {}
         for aid, (tail, head) in self.arcs.items():
@@ -96,14 +101,10 @@ class TreeForest:
                         heapq.heappush(heap, (r[bid], bid, to, other))
 
         self.off_tree = sorted(set(self.arcs) - tree)
-        self.cycles: list[tuple[int, list[tuple[int, int, int]], int]] = []
-        self.weights: list[int] = []
-        for aid in self.off_tree:
-            walk = self._walk(aid)
-            cycle_r = sum(r[b] for b, _ in walk)
-            self.cycles.append(
-                (aid, [(b, sign, sign * r[b]) for b, sign in walk], cycle_r))
-            self.weights.append(ceil_div(cycle_r, r[aid]))
+        self.cycles: list[tuple[int, list[tuple[int, int, int]], int]] = [
+            (aid, self._walk(aid), 0) for aid in self.off_tree]
+        if not self.reweight(r):
+            raise InvariantError("Prim forest fails the cycle property")
 
     def _check_positive(self, r: dict[int, int]) -> None:
         for aid in self.arcs:
@@ -117,8 +118,8 @@ class TreeForest:
         The key (r_a, arc id) orders arcs strictly, so each component has
         one minimum spanning forest; this tree is it exactly when every
         off-tree arc's key exceeds that of every tree arc on its
-        fundamental cycle. If so, the coefficients, r(C_a) and
-        ``weights`` are recomputed for ``r`` and the tree is kept, which
+        fundamental cycle. If so, the coefficients, r(C_a), ``weights``
+        and ``prefix`` are computed for ``r`` and the tree is kept, which
         leaves everything a fresh ``TreeForest(arcs, r)`` would build
         except the discovery order of ``order``. If not, nothing
         changes and the caller builds a fresh forest. ``r`` is read and
@@ -143,35 +144,37 @@ class TreeForest:
         self.r = r
         self.cycles = cycles
         self.weights = weights
+        self.prefix = list(accumulate(weights))
         return True
 
-    def _walk(self, aid: int) -> list[tuple[int, int]]:
-        """The fundamental cycle of off-tree arc aid as (arc_id, sign)
-        pairs, in traversal order."""
+    def _walk(self, aid: int) -> list[tuple[int, int, int]]:
+        """The fundamental cycle of off-tree arc aid as (arc_id, sign, 0)
+        entries, in traversal order; ``reweight`` fills in the
+        coefficients."""
         tail, head = self.arcs[aid]
-        cycle = [(aid, 1)]
+        cycle = [(aid, 1, 0)]
         if tail == head:
             return cycle
         # walk both endpoints up to their meeting point; the cycle runs
         # head -> lca -> tail, so climbing from head keeps traversal
         # order and climbing from tail is reversed
-        up_from_head: list[tuple[int, int]] = []
-        up_from_tail: list[tuple[int, int]] = []
+        up_from_head: list[tuple[int, int, int]] = []
+        up_from_tail: list[tuple[int, int, int]] = []
         a, b = head, tail
         while self.depth[a] > self.depth[b]:
             p, arc, d = self.parent[a]
-            up_from_head.append((arc, -d))
+            up_from_head.append((arc, -d, 0))
             a = p
         while self.depth[b] > self.depth[a]:
             p, arc, d = self.parent[b]
-            up_from_tail.append((arc, d))
+            up_from_tail.append((arc, d, 0))
             b = p
         while a != b:
             p, arc, d = self.parent[a]
-            up_from_head.append((arc, -d))
+            up_from_head.append((arc, -d, 0))
             a = p
             p, arc, d = self.parent[b]
-            up_from_tail.append((arc, d))
+            up_from_tail.append((arc, d, 0))
             b = p
         cycle.extend(up_from_head)
         cycle.extend(reversed(up_from_tail))

@@ -28,7 +28,7 @@ def _two_cycle_run():
 
 def test_hand_simulated_two_cycle():
     run = _two_cycle_run()
-    assert run.r == {0: 1, 1: 1}
+    assert run.forest.r == {0: 1, 1: 1}
     assert run.base == {0: 2, 1: 2}
     assert run.phi == {0: 1, 1: 1}
     assert run.forest.off_tree == [1]
@@ -154,10 +154,10 @@ FROZEN_X = {0: 30, 1: 40, 2: 50, 3: 20, 4: 60, 5: 25}
 FROZEN_S = {0: 1200, 1: 900, 2: 720, 3: 1800, 4: 600, 5: 1440}
 
 
-def _frozen_run(mu, rng, trial_mu=None):
-    return CenteringRun(arcs=FROZEN_ARCS, x=dict(FROZEN_X), s=dict(FROZEN_S),
-                        mu=mu, rng=rng, mu0_bits=16,
-                        monitor=BoundMonitor(LIMIT), trial_mu=trial_mu)
+def _frozen_run(mu, rng, trial_mu=None, run_class=CenteringRun):
+    return run_class(arcs=FROZEN_ARCS, x=dict(FROZEN_X), s=dict(FROZEN_S),
+                     mu=mu, rng=rng, mu0_bits=16,
+                     monitor=BoundMonitor(LIMIT), trial_mu=trial_mu)
 
 
 def _centered_at(run, mu):
@@ -207,6 +207,32 @@ def test_rejected_trial_centers_at_mu_as_a_fresh_run():
                                                plain.pi)
     assert run.updates == budget + plain.updates
     assert run.refreshes == 5 + plain.refreshes
+
+
+class _NegatedTrialRun(CenteringRun):
+    """At every refresh made at the trial target, flips the signs of
+    both x_cur[3] and s_cur[3]: their product, and so the exit test's
+    verdict, is unchanged, and only the positivity test can reject."""
+
+    def refresh(self) -> bool:
+        passed = super().refresh()
+        if self.target == self.trial_mu:
+            self.x_cur[3] = -self.x_cur[3]
+            self.s_cur[3] = -self.s_cur[3]
+        return passed
+
+
+def test_trial_with_a_nonpositive_value_is_rejected():
+    # the state of test_accepted_trial_ends_at_the_trial_target, whose
+    # trial passes the exit test
+    run = _frozen_run(34560, Random(0), trial_mu=28800,
+                      run_class=_NegatedTrialRun)
+    run.run()
+    assert run.mu == run.target == 34560
+    assert run.updates > 4 * len(FROZEN_ARCS)  # the whole trial budget
+    assert _centered_at(run, 34560)
+    assert all(v > 0 for v in run.x_cur.values())
+    assert all(v > 0 for v in run.s_cur.values())
 
 
 def test_stall_count_starts_after_a_rejected_trial():
@@ -288,7 +314,7 @@ def test_updates_preserve_conservation_and_duals(seed, n_nodes, n_arcs, mu,
     for _ in range(n_updates):
         rec = run.sample_update()
         assert rec.energy_decrease >= 0
-        assert rec.cycle_r >= run.r[rec.arc]
+        assert rec.cycle_r >= run.forest.r[rec.arc]
     run.refresh()
     assert boundary(run.x_cur) == entry
     for aid, t, h in arcs:
@@ -306,7 +332,7 @@ def test_energy_accounting_is_exact(seed):
     run.refresh()
 
     def energy():
-        return sum(run.r[aid] * run.phi[aid] ** 2 for aid, _, _ in arcs)
+        return sum(run.forest.r[aid] * run.phi[aid] ** 2 for aid, _, _ in arcs)
 
     e = energy()
     for _ in range(20):
@@ -316,4 +342,4 @@ def test_energy_accounting_is_exact(seed):
         e = e2
     if run.gap() == 0:
         for _, coefs, _ in run.forest.cycles:
-            assert sum(sg * run.r[b] * run.phi[b] for b, sg, _ in coefs) == 0
+            assert sum(sg * run.forest.r[b] * run.phi[b] for b, sg, _ in coefs) == 0

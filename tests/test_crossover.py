@@ -35,7 +35,6 @@ GAMMA = compute_scaling(1, 1, 1).gamma
 
 def _aux(nodes, arcs, b, c):
     return AuxiliaryInstance(graph=MultiGraph(nodes, arcs), b=b, c=c,
-                             provenance=[("up", i) for i in range(len(arcs))],
                              arc_node={}, up_arc={}, down_arc={})
 
 

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +8,6 @@ from latticeflow.errors import BoundViolationError
 from latticeflow.exact_arith import (
     BoundMonitor,
     ceil_div,
-    gcd_all,
     next_pow2,
     round_nearest,
 )
@@ -57,30 +54,6 @@ class TestRoundNearest:
         if (2 * p) % (2 * q) == q:
             # result overshoots p/q by exactly half of q
             assert 2 * (round_nearest(p, q) * q - p) == q
-
-
-class TestGcdAll:
-    def test_known_values(self):
-        assert gcd_all([6, 9, 12]) == 3
-        assert gcd_all([0, 0]) == 0
-        assert gcd_all([5]) == 5
-
-    def test_zeros_skipped(self):
-        assert gcd_all([0, 6]) == 6
-
-    def test_negative_entries(self):
-        assert gcd_all([-6, 9]) == 3
-
-    @given(v=st.lists(st.integers(min_value=-(2**64), max_value=2**64), min_size=1, max_size=8))
-    @settings(max_examples=200)
-    def test_matches_pairwise_euclid(self, v):
-        expected = 0
-        for entry in v:
-            expected = math.gcd(expected, entry)
-        g = gcd_all(v)
-        assert g == expected
-        if g:
-            assert all(entry % g == 0 for entry in v)
 
 
 class TestCeilDiv:

@@ -20,6 +20,16 @@ def triangle() -> MultiGraph:
     return MultiGraph([1, 2, 3], [(1, 2), (2, 3), (1, 3)])
 
 
+@pytest.mark.parametrize("nodes, arcs, message", [
+    ([1, 2, 1], [(1, 2)], "duplicate node ids"),
+    ([1, 2], [(1, 2), (2, 3)], r"arc \(2, 3\) references unknown node"),
+    ([1, 2], [(0, 1)], r"arc \(0, 1\) references unknown node"),
+])
+def test_multigraph_rejects_bad_node_ids(nodes, arcs, message):
+    with pytest.raises(ValueError, match=message):
+        MultiGraph(nodes, arcs)
+
+
 class TestApplyIncidence:
     def test_single_arc(self):
         g = MultiGraph([1, 2], [(1, 2)])

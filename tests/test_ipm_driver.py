@@ -61,9 +61,8 @@ def test_classification_rejects_double_qualifiers():
 
 
 def _tiny_aux(graph, b, c):
-    return AuxiliaryInstance(graph=graph, b=b, c=c,
-                             provenance=[("up", i) for i in range(graph.m)],
-                             arc_node={}, up_arc={}, down_arc={})
+    return AuxiliaryInstance(graph=graph, b=b, c=c, arc_node={}, up_arc={},
+                             down_arc={})
 
 
 def test_lift_routes_class_imbalance():

@@ -149,6 +149,39 @@ def test_random_small_instances_match_oracle(seed):
         _check_optimal(inst, result)
 
 
+# families the seeded generator rarely draws (ROADMAP item 5)
+DEGENERATE = {
+    # three tied parallel arcs 1 -> 2, two tied 2 -> 3, negative-cost
+    # self-loops, which the optimum saturates, and a zero-cost one,
+    # which may carry any flow
+    "tied-parallel-self-loops": RawInstance(
+        MultiGraph([1, 2, 3], [(1, 2), (1, 2), (1, 2), (2, 3), (2, 3),
+                               (1, 1), (3, 3), (2, 2), (1, 3)]),
+        {1: -5, 2: 0, 3: 5}, [2, 3, 1, 4, 4, 2, 3, 1, 2],
+        [2, 2, 2, 1, 1, 0, -4, -1, 3]),
+    # every flow meeting the demands is optimal
+    "zero-costs-4-cycle-chords": RawInstance(
+        MultiGraph([1, 2, 3, 4], [(1, 2), (2, 3), (3, 4), (4, 1), (1, 3),
+                                  (2, 4), (3, 1)]),
+        {1: -3, 2: 0, 3: 2, 4: 1}, [3, 2, 3, 2, 1, 2, 1],
+        [0, 0, 0, 0, 0, 0, 0]),
+    # 10^12 capacities and costs beside capacity-1 arcs
+    "huge-beside-unit": RawInstance(
+        MultiGraph([1, 2, 3, 4], [(1, 2), (1, 2), (2, 3), (2, 3), (3, 4),
+                                  (1, 4), (4, 2)]),
+        {1: -10**12, 2: 0, 3: 0, 4: 10**12},
+        [10**12, 1, 1, 10**12, 10**12, 1, 1],
+        [10**12, 1, 0, 3, -10**12, 10**12, 5]),
+}
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("family", sorted(DEGENERATE))
+def test_degenerate_families_match_oracle(family, seed):
+    inst = DEGENERATE[family]
+    _check_optimal(inst, solve(inst, SolveConfig(seed=seed)))
+
+
 def _components_instance(unbalanced):
     """Two solvable components (nodes 1-3 and 4-5) and node 6 with no
     arcs; with ``unbalanced``, node 6 needs a unit that only the arc

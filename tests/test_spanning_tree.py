@@ -2,6 +2,7 @@
 centering step depends on."""
 
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -106,11 +107,13 @@ def test_cycle_voltage_identity(n, arcs, rs, data):
        st.lists(st.integers(1, 9), min_size=1, max_size=5))
 def test_cycle_is_a_circulation(n, arcs, rs):
     """Pushing one unit around any fundamental cycle changes no node's
-    net flow, the table lists the off-tree arcs in order, and each
-    cycle's resistance, coefficients and weight match its arcs."""
+    net flow, the table lists the off-tree arcs in order, each cycle's
+    resistance, coefficients and weight match its arcs, and ``prefix``
+    holds the running sums of the weights."""
     f = _random_network(n, arcs, rs)
     assert [aid for aid, _, _ in f.cycles] == f.off_tree
     assert len(f.weights) == len(f.off_tree)
+    assert f.prefix == list(accumulate(f.weights))
     for (aid, coefs, cycle_r), weight in zip(f.cycles, f.weights):
         assert coefs[0] == (aid, 1, f.r[aid])
         net = {v: 0 for v in f.order}
@@ -145,12 +148,13 @@ def test_reweight_keeps_or_rejects_the_tree():
     assert _tree_arcs(f) == [0, 1]
     assert f.cycles == [(2, [(2, 1, 4), (1, -1, -3), (0, -1, -2)], 9)]
     assert f.weights == [3]  # ceil(9 / 4)
+    assert f.prefix == [3]
     # a tie with arc 1 goes to the lower id, which is the tree arc
     assert f.reweight({0: 2, 1: 4, 2: 4})
     # arc 2 now beats arc 1 on its cycle: rejected, nothing changes
-    before = (f.r, f.cycles, f.weights)
+    before = (f.r, f.cycles, f.weights, f.prefix)
     assert not f.reweight({0: 2, 1: 5, 2: 4})
-    assert (f.r, f.cycles, f.weights) == before
+    assert (f.r, f.cycles, f.weights, f.prefix) == before
 
 
 # two groups of node labels, so the arcs can fall into several
@@ -173,7 +177,7 @@ def test_reweight_matches_a_fresh_build(arc_list, data):
     r2 = {aid: data.draw(st.one_of(st.just(r1[aid]), res))
           for aid, _, _ in arc_list}
     f = TreeForest(arc_list, r1)
-    before = (f.r, f.cycles, f.weights)
+    before = (f.r, f.cycles, f.weights, f.prefix)
     fresh = TreeForest(arc_list, r2)
     if f.reweight(r2):
         assert f.parent == fresh.parent
@@ -181,11 +185,12 @@ def test_reweight_matches_a_fresh_build(arc_list, data):
         assert f.off_tree == fresh.off_tree
         assert f.cycles == fresh.cycles
         assert f.weights == fresh.weights
+        assert f.prefix == fresh.prefix
         assert f.condition_ceiling() == fresh.condition_ceiling()
         phi = {aid: data.draw(st.integers(-20, 20)) for aid in f.arcs}
         assert f.voltages(phi) == fresh.voltages(phi)
     else:
-        assert (f.r, f.cycles, f.weights) == before
+        assert (f.r, f.cycles, f.weights, f.prefix) == before
         assert _tree_arcs(fresh) != _tree_arcs(f)
 
 
