@@ -10,6 +10,7 @@ integral optimum.
 """
 
 from .dimacs import (
+    format_infeasible,
     format_instance,
     format_solution,
     parse_instance,
@@ -31,6 +32,7 @@ from .reference_oracle import (
     random_instance,
     ssp_solve,
     verify_certificate,
+    verify_cut,
 )
 from .solver import SolveConfig, SolveResult, solve
 
@@ -50,6 +52,7 @@ __all__ = [
     "UnsupportedFeatureError",
     "__version__",
     "brute_force_optimum",
+    "format_infeasible",
     "format_instance",
     "format_solution",
     "parse_instance",
@@ -58,4 +61,5 @@ __all__ = [
     "solve",
     "ssp_solve",
     "verify_certificate",
+    "verify_cut",
 ]

@@ -37,7 +37,12 @@ class UpdateRecord:
     lam: int
     cycle_r: int
     alpha: int
-    energy_decrease: int
+
+    @property
+    def energy_decrease(self) -> int:
+        """The exact drop in the energy sum r_a phi_a^2 that the update
+        made, 2 alpha lam - alpha^2 r(C_a); computed only when read."""
+        return 2 * self.alpha * self.lam - self.alpha * self.alpha * self.cycle_r
 
 
 @dataclass
@@ -175,8 +180,7 @@ class CenteringRun:
                 stored.append(phi[b])
         self.updates += 1
         self.monitor.record_many(stored)
-        return UpdateRecord(aid, lam, cycle_r, alpha,
-                            2 * alpha * lam - alpha * alpha * cycle_r)
+        return UpdateRecord(aid, lam, cycle_r, alpha)
 
     # -- diagnostics --------------------------------------------------
 

@@ -2,14 +2,16 @@
 
 Subcommands: solve (interior point + crossover), oracle (the slow
 reference solver, same output format), verify (check a solution file's
-certificate against its instance), gen (seeded random instances), and
+optimality or infeasibility certificate against its instance), gen
+(seeded random instances), and
 trace (solve while streaming per-iteration JSON records). solve and
 trace take an instance file and ``--seed``; the magnitude monitor and
 the invariant checks always run.
 
 Exit codes: 0 success, 1 usage or input format problems, 2 proven
-infeasible, 3 internal guard tripped (iteration ceiling, centering
-stall, magnitude bound, invariant failure).
+infeasible (``verify``: a valid infeasibility certificate), 3 internal
+guard tripped (iteration ceiling, centering stall, magnitude bound,
+invariant failure) or a certificate that fails verification.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import json
 import sys
 
 from .dimacs import (
+    format_infeasible,
     format_instance,
     format_solution,
     parse_instance,
@@ -31,7 +34,8 @@ from .errors import (
     InvariantError,
     IterationCeilingError,
 )
-from .reference_oracle import random_instance, ssp_solve, verify_certificate
+from .reference_oracle import (random_instance, ssp_solve,
+                               verify_certificate, verify_cut)
 from .solver import SolveConfig, SolveResult, solve
 
 __all__ = ["main"]
@@ -118,6 +122,8 @@ def _cmd_solve(args, trace: bool) -> int:
                                 probe=print_row if trace else None)
     if result.status == "infeasible":
         print("latticeflow: instance is infeasible", file=sys.stderr)
+        if not trace:
+            sys.stdout.write(format_infeasible(result.cut))
         return EXIT_INFEASIBLE
     if not trace:
         sys.stdout.write(format_solution(inst, result.objective, result.flow,
@@ -138,16 +144,23 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_verify(args) -> int:
     inst = parse_instance(_read(args.instance))
-    objective, flow, potentials = parse_solution(_read(args.solution), inst)
-    report = verify_certificate(inst, flow, potentials)
-    if report.ok and report.objective == objective:
-        print("certificate ok")
-        return EXIT_OK
+    objective, flow, potentials, cut = parse_solution(_read(args.solution),
+                                                      inst)
+    if cut is not None:
+        report = verify_cut(inst, cut)
+        if report.ok:
+            print("infeasibility certificate ok")
+            return EXIT_INFEASIBLE
+    else:
+        report = verify_certificate(inst, flow, potentials)
+        if report.ok and report.objective == objective:
+            print("certificate ok")
+            return EXIT_OK
+        if report.objective != objective:
+            report.failures.append(f"stated objective {objective} != "
+                                   f"actual {report.objective}")
     for failure in report.failures:
         print(f"certificate failure: {failure}", file=sys.stderr)
-    if report.objective != objective:
-        print(f"certificate failure: stated objective {objective} != "
-              f"actual {report.objective}", file=sys.stderr)
     return EXIT_GUARD
 
 

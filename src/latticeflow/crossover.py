@@ -24,7 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvariantError
-from .graph_core import apply_incidence, apply_incidence_transpose, bfs_forest
+from .graph_core import (apply_incidence, apply_incidence_transpose,
+                         bfs_forest, max_flow)
 from .instance_pipeline import AuxiliaryInstance, ScalingCertificate
 from .ipm_driver import IPMResult
 
@@ -184,78 +185,6 @@ def lift_tree_duals(aux: AuxiliaryInstance, cert: ScalingCertificate,
     return y_t, s_t
 
 
-def _dinic(nodes: list, arcs: list[tuple[object, object, int]],
-           source, sink) -> tuple[int, list[int]]:
-    """Max flow via level graphs and blocking flows; returns the value
-    and per-input-arc flows. Arbitrary-size integer capacities."""
-    # adjacency of (to, cap, index-of-reverse); arcs stored flat
-    graph: dict = {v: [] for v in nodes}
-
-    flat: list[list] = []  # [to, cap]
-
-    def add(frm, to, cap):
-        graph[frm].append(len(flat))
-        flat.append([to, cap])
-        graph[to].append(len(flat))
-        flat.append([frm, 0])
-
-    for t, h, cap in arcs:
-        add(t, h, cap)
-
-    total = 0
-    while True:
-        level = {source: 0}
-        queue = [source]
-        qi = 0
-        while qi < len(queue):
-            v = queue[qi]
-            qi += 1
-            for ei in graph[v]:
-                to, cap = flat[ei]
-                if cap > 0 and to not in level:
-                    level[to] = level[v] + 1
-                    queue.append(to)
-        if sink not in level:
-            break
-        it = {v: 0 for v in nodes}
-
-        def augment():
-            """Push flow along the next source-sink path of the level
-            graph, found depth-first with an explicit stack; ``it[v]``
-            skips each edge that led to a dead end. Returns the amount
-            pushed, 0 when no path is left."""
-            path: list[int] = []  # edge indices from the source
-            v = source
-            while v != sink:
-                edges = graph[v]
-                while it[v] < len(edges):
-                    ei = edges[it[v]]
-                    to, cap = flat[ei]
-                    if cap > 0 and level.get(to, -1) == level[v] + 1:
-                        path.append(ei)
-                        v = to
-                        break
-                    it[v] += 1
-                else:
-                    if not path:
-                        return 0
-                    v = flat[path.pop() ^ 1][0]  # back to the edge's tail
-                    it[v] += 1
-            pushed = min(1 << 512, *(flat[ei][1] for ei in path))
-            for ei in reversed(path):
-                flat[ei][1] -= pushed
-                flat[ei ^ 1][1] += pushed
-            return pushed
-
-        while True:
-            pushed = augment()
-            if not pushed:
-                break
-            total += pushed
-    flows = [flat[2 * i + 1][1] for i in range(len(arcs))]
-    return total, flows
-
-
 def admissible_max_flow(aux: AuxiliaryInstance, s_t: list[int]) -> list[int]:
     """Route the original demands through the arcs the lifted duals
     price at zero. The demands must saturate exactly; integral flows
@@ -273,8 +202,8 @@ def admissible_max_flow(aux: AuxiliaryInstance, s_t: list[int]) -> list[int]:
     for a in admissible:
         t, h = g.arcs[a]
         arcs.append((t, h, supply))
-    value, flows = _dinic(list(g.nodes) + ["source", "sink"], arcs,
-                          "source", "sink")
+    value, flows, _ = max_flow(list(g.nodes) + ["source", "sink"], arcs,
+                               "source", "sink")
     if value != supply:
         raise InvariantError(
             f"admissible arcs carry only {value} of {supply} demand units")

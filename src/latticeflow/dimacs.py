@@ -17,10 +17,18 @@ be at least 1. Solutions::
     y <node> <potential>
 
 ``f`` lines appear in the instance's arc order, which is what makes
-parallel arcs unambiguous.
+parallel arcs unambiguous. An infeasible instance's solution is::
+
+    s infeasible
+    x <node>
+
+with one ``x`` line per node of a cut whose demand exceeds the capacity
+of the arcs entering it.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 from .errors import FormatError, UnsupportedFeatureError
 from .graph_core import MultiGraph
@@ -29,9 +37,21 @@ from .instance_pipeline import RawInstance
 __all__ = [
     "parse_instance",
     "format_instance",
+    "Solution",
     "parse_solution",
     "format_solution",
+    "format_infeasible",
 ]
+
+
+class Solution(NamedTuple):
+    """A parsed solution file: an optimum, with ``cut`` None, or an
+    infeasibility cut, with the other three None."""
+
+    objective: int | None
+    flow: list[int] | None
+    potentials: dict[int, int] | None
+    cut: list[int] | None
 
 
 def parse_instance(text: str) -> RawInstance:
@@ -123,13 +143,19 @@ def format_solution(inst: RawInstance, objective: int, flow: list[int],
     return "\n".join(lines) + "\n"
 
 
-def parse_solution(text: str, inst: RawInstance
-                   ) -> tuple[int, list[int], dict[int, int]]:
+def format_infeasible(cut: list[int]) -> str:
+    lines = ["s infeasible"] + [f"x {v}" for v in cut]
+    return "\n".join(lines) + "\n"
+
+
+def parse_solution(text: str, inst: RawInstance) -> Solution:
     """Read a solution against its instance; flow lines are matched to
     arcs in order of appearance."""
     objective = None
+    infeasible = False
     flow: list[int] = []
     potentials: dict[int, int] = {}
+    cut: dict[int, None] = {}  # insertion-ordered set
     for lineno, raw_line in enumerate(text.splitlines(), 1):
         line = raw_line.strip()
         if not line or line.startswith("c"):
@@ -137,11 +163,16 @@ def parse_solution(text: str, inst: RawInstance
         fields = line.split()
         try:
             if fields[0] == "s":
-                if objective is not None:
+                if objective is not None or infeasible:
                     raise FormatError(f"line {lineno}: second objective line")
                 if len(fields) != 2:
-                    raise FormatError(f"line {lineno}: expected 's <objective>'")
-                objective = int(fields[1])
+                    raise FormatError(
+                        f"line {lineno}: expected 's <objective>' or "
+                        "'s infeasible'")
+                if fields[1] == "infeasible":
+                    infeasible = True
+                else:
+                    objective = int(fields[1])
             elif fields[0] == "f":
                 if len(fields) != 4:
                     raise FormatError(f"line {lineno}: expected 'f <tail> <head> <flow>'")
@@ -161,15 +192,30 @@ def parse_solution(text: str, inst: RawInstance
                 if v in potentials:
                     raise FormatError(f"line {lineno}: duplicate potential for node {v}")
                 potentials[v] = potential
+            elif fields[0] == "x":
+                if len(fields) != 2:
+                    raise FormatError(f"line {lineno}: expected 'x <node>'")
+                v = int(fields[1])
+                if v not in inst.b:
+                    raise FormatError(f"line {lineno}: node {v} out of range")
+                if v in cut:
+                    raise FormatError(f"line {lineno}: duplicate cut node {v}")
+                cut[v] = None
             else:
                 raise FormatError(f"line {lineno}: unknown record type {fields[0]!r}")
         except ValueError as exc:
             raise FormatError(f"line {lineno}: {exc}") from None
+    if infeasible:
+        if flow or potentials:
+            raise FormatError("an infeasible solution has no 'f' or 'y' lines")
+        return Solution(None, None, None, list(cut))
     if objective is None:
         raise FormatError("missing objective line")
+    if cut:
+        raise FormatError("'x' lines belong only to an infeasible solution")
     if len(flow) != inst.graph.m:
         raise FormatError(f"expected {inst.graph.m} flow lines, found {len(flow)}")
     missing = [v for v in inst.graph.nodes if v not in potentials]
     if missing:
         raise FormatError(f"missing potentials for nodes {missing}")
-    return objective, flow, potentials
+    return Solution(objective, flow, potentials, None)

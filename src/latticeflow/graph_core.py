@@ -1,5 +1,5 @@
-"""Directed multigraph with stable arc ids, incidence operators, minors
-and the one tree walk the solver needs.
+"""Directed multigraph with stable arc ids, incidence operators, minors,
+the one tree walk and the one max-flow the solver needs.
 
 Arcs are identified by their dense index into the arc list and keep that
 identity forever: deleting or contracting arcs never renumbers the
@@ -13,6 +13,10 @@ demand vector along it leaf to root. Together they build tree
 solutions, route class imbalances, lift tree potentials and split an
 instance into its weakly-connected components.
 
+:func:`max_flow` is Dinic's exact maximum flow over any hashable nodes.
+It routes the crossover's admissible flow and decides, before any
+interior point work, whether an instance is feasible at all.
+
 Sign convention for the incidence operator: the column of arc a = (v, w)
 has -1 at the tail v and +1 at the head w, so a vector b with
 ``b = apply_incidence(g, x)`` reads "inflow minus outflow".
@@ -20,7 +24,7 @@ has -1 at the tail v and +1 at the head w, so a vector b with
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from .errors import InvariantError
 
@@ -32,6 +36,7 @@ __all__ = [
     "apply_incidence_transpose",
     "bfs_forest",
     "route_to_roots",
+    "max_flow",
 ]
 
 
@@ -208,3 +213,81 @@ def route_to_roots(g: MultiGraph, order: Sequence[int],
             flow[a] -= d
         demand[p] += d
         demand[v] = 0
+
+
+def max_flow(nodes: Iterable[Hashable],
+             arcs: Sequence[tuple[Hashable, Hashable, int]],
+             source: Hashable, sink: Hashable
+             ) -> tuple[int, list[int], set]:
+    """Exact maximum flow by Dinic's level graphs and blocking flows.
+
+    ``arcs`` are (tail, head, capacity) with nonnegative integer
+    capacities of any size. Returns the flow value, the flow on each
+    input arc, and the set of nodes the source reaches in the final
+    residual graph: the source side of a minimum cut. The number of
+    phases and augmentations depends only on the node and arc counts,
+    not on the capacities.
+    """
+    # adjacency lists of edge indices; edge i is [to, residual cap] and
+    # its reverse is edge i ^ 1
+    graph: dict = {v: [] for v in nodes}
+    flat: list[list] = []
+
+    for tail, head, cap in arcs:
+        graph[tail].append(len(flat))
+        flat.append([head, cap])
+        graph[head].append(len(flat))
+        flat.append([tail, 0])
+
+    total = 0
+    while True:
+        level = {source: 0}
+        queue = [source]
+        qi = 0
+        while qi < len(queue):
+            v = queue[qi]
+            qi += 1
+            for ei in graph[v]:
+                to, cap = flat[ei]
+                if cap > 0 and to not in level:
+                    level[to] = level[v] + 1
+                    queue.append(to)
+        if sink not in level:
+            break
+        it = dict.fromkeys(graph, 0)
+
+        def augment():
+            """Push flow along the next source-sink path of the level
+            graph, found depth-first with an explicit stack; ``it[v]``
+            skips each edge that led to a dead end. Returns the amount
+            pushed, 0 when no path is left."""
+            path: list[int] = []  # edge indices from the source
+            v = source
+            while v != sink:
+                edges = graph[v]
+                while it[v] < len(edges):
+                    ei = edges[it[v]]
+                    to, cap = flat[ei]
+                    if cap > 0 and level.get(to, -1) == level[v] + 1:
+                        path.append(ei)
+                        v = to
+                        break
+                    it[v] += 1
+                else:
+                    if not path:
+                        return 0
+                    v = flat[path.pop() ^ 1][0]  # back to the edge's tail
+                    it[v] += 1
+            pushed = min(1 << 512, *(flat[ei][1] for ei in path))
+            for ei in reversed(path):
+                flat[ei][1] -= pushed
+                flat[ei ^ 1][1] += pushed
+            return pushed
+
+        while True:
+            pushed = augment()
+            if not pushed:
+                break
+            total += pushed
+    flows = [flat[2 * i + 1][1] for i in range(len(arcs))]
+    return total, flows, set(level)

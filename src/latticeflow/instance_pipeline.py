@@ -194,8 +194,10 @@ class AuxiliaryInstance:
     cost and the "down" arc (w, vw) with cost zero. The flow
     correspondence is f_a = x_up and x_down = u_a - f_a, with demand u_a
     at vw. A third "hat" arc between v and w balances the constructed
-    initial point; positive optimal flow on any hat arc certifies
-    infeasibility of the original instance.
+    initial point; positive optimal flow on any hat arc would certify
+    infeasibility of the original instance, but the solver only builds
+    instances a max-flow has found feasible, so for it such flow is a
+    contradiction.
     """
 
     graph: MultiGraph

@@ -3,8 +3,8 @@
 This module exists so the main solver can be checked against code that
 shares none of its machinery: a textbook successive-shortest-path solver
 driven by Bellman-Ford on the residual network, a brute-force lattice
-enumerator for tiny instances, exhaustive certificate verification, and
-a seeded random instance generator.
+enumerator for tiny instances, exhaustive checks of optimality and
+infeasibility certificates, and a seeded random instance generator.
 
 Nothing here is performance-sensitive; clarity wins every trade-off.
 """
@@ -23,6 +23,7 @@ __all__ = [
     "CertificateReport",
     "ssp_solve",
     "verify_certificate",
+    "verify_cut",
     "brute_force_optimum",
     "has_unique_support",
     "random_instance",
@@ -196,6 +197,38 @@ def verify_certificate(inst: RawInstance, flow: list[int],
             failures.append(f"arc {a}: negative reduced cost {rc} but slack capacity")
     objective = sum(f * cost for f, cost in zip(flow, inst.c))
     return CertificateReport(not failures, failures, objective)
+
+
+def verify_cut(inst: RawInstance, cut: list[int]) -> CertificateReport:
+    """Check an infeasibility certificate exactly.
+
+    By Gale's theorem ("A theorem on flows in networks", Pacific J.
+    Math. 7, 1957) an instance has no feasible flow exactly when some
+    node set S demands more than its entering arcs can carry,
+    b(S) > u(in(S)). Either that inequality or its mirror, a set that
+    must ship out more than its leaving arcs carry, -b(S) > u(out(S)),
+    certifies infeasibility.
+    """
+    members = set(cut)
+    if len(members) != len(cut):
+        return CertificateReport(False, ["cut lists a node twice"], None)
+    unknown = sorted(members - set(inst.b))
+    if unknown:
+        return CertificateReport(
+            False, [f"cut names unknown nodes {unknown}"], None)
+    demand = sum(inst.b[v] for v in members)
+    entering = leaving = 0
+    for a, (v, w) in enumerate(inst.graph.arcs):
+        if w in members and v not in members:
+            entering += inst.u[a]
+        elif v in members and w not in members:
+            leaving += inst.u[a]
+    if demand > entering or -demand > leaving:
+        return CertificateReport(True, [], None)
+    return CertificateReport(False, [
+        f"cut's net demand {demand} exceeds neither its entering "
+        f"capacity {entering} nor, negated, its leaving capacity "
+        f"{leaving}"], None)
 
 
 def brute_force_optimum(inst: RawInstance) -> tuple[int | None, list[list[int]]]:

@@ -1,11 +1,20 @@
 """End-to-end solves: raw capacitated instance in, certified integral
-optimum (or an infeasibility verdict) out.
+optimum or certified infeasibility out.
 
-Each weakly-connected component runs the whole pipeline independently:
-cost normalization, gcd downscaling, choosing the scale factors, the
-uncapacitated auxiliary build, path following, crossover, and exact
-unscaling. A component whose balancing arcs carry flow at the optimum
-has no feasible flow at all, which settles the original instance.
+A solve first decides feasibility with one exact max-flow over the whole
+instance: a source feeds every supply node, every demand node drains to
+a sink, and the arcs keep their capacities. If the flow falls short of
+the total demand, the nodes the source cannot reach in the residual
+graph form a Gale cut, a set whose demand exceeds the capacity of the
+arcs entering it, and the solve returns that cut at once.
+
+Otherwise each weakly-connected component runs the whole pipeline
+independently: cost normalization, gcd downscaling, choosing the scale
+factors, the uncapacitated auxiliary build, path following, crossover,
+and exact unscaling. The auxiliary instance's balancing arcs still
+carry the constructed initial point, but the instance is known to be
+feasible, so a balancing arc with flow at the optimum contradicts the
+max-flow and raises InvariantError.
 
 Every magnitude a component stores is recorded in a BoundMonitor whose
 limit is 2^31 m^10 U^2 C^2 with m = 3 m0 and U, C measured after the
@@ -22,7 +31,7 @@ from typing import Callable
 from .crossover import crossover
 from .errors import InvariantError
 from .exact_arith import BoundMonitor
-from .graph_core import MultiGraph, bfs_forest
+from .graph_core import MultiGraph, bfs_forest, max_flow
 from .instance_pipeline import (
     RawInstance,
     build_auxiliary,
@@ -32,7 +41,7 @@ from .instance_pipeline import (
     scale_up,
 )
 from .ipm_driver import run_interior_point
-from .reference_oracle import verify_certificate
+from .reference_oracle import verify_certificate, verify_cut
 
 __all__ = ["SolveConfig", "SolveResult", "solve"]
 
@@ -50,6 +59,29 @@ class SolveResult:
     objective: int | None
     max_abs: int
     components: list[dict] = field(default_factory=list)
+    cut: list[int] | None = None  # sorted Gale cut when infeasible
+
+
+def _gale_cut(inst: RawInstance) -> list[int] | None:
+    """Decide feasibility with one max-flow from the supply nodes to the
+    demand nodes. Returns None when the flow meets every demand, else
+    the sorted nodes the source cannot reach in the residual graph: the
+    sink side of a minimum cut, whose demand exceeds the capacity of the
+    arcs entering it."""
+    g = inst.graph
+    arcs = [(tail, head, cap) for (tail, head), cap in zip(g.arcs, inst.u)]
+    demand = 0
+    for v, d in inst.b.items():
+        if d < 0:
+            arcs.append(("source", v, -d))
+        elif d > 0:
+            arcs.append((v, "sink", d))
+            demand += d
+    value, _, reached = max_flow([*g.nodes, "source", "sink"], arcs,
+                                 "source", "sink")
+    if value == demand:
+        return None
+    return sorted(v for v in g.nodes if v not in reached)
 
 
 def _split_components(inst: RawInstance) -> list[tuple[list[int], list[int]]]:
@@ -72,8 +104,8 @@ def _split_components(inst: RawInstance) -> list[tuple[list[int], list[int]]]:
 
 def _solve_component(inst: RawInstance, arc_ids: list[int], rng: Random,
                      probe: Callable[[str, dict], None] | None
-                     ) -> tuple[str, list[int], dict[int, int], dict]:
-    """Run the full pipeline on one weakly-connected instance."""
+                     ) -> tuple[list[int], dict[int, int], dict]:
+    """Run the full pipeline on one weakly-connected feasible instance."""
     norm, reversed_ids = normalize_costs(inst)
     down, info = downscale(norm)
     cert = compute_scaling(down.graph.m, info.U, info.C,
@@ -109,7 +141,9 @@ def _solve_component(inst: RawInstance, arc_ids: list[int], rng: Random,
     }
 
     if any(x_star[h] for h in aux.hat_arc.values()):
-        return "infeasible", [], {}, stats
+        raise InvariantError(
+            "balancing arcs carry flow at the optimum of a component the "
+            "max-flow found feasible")
 
     flow: list[int] = []
     for i in range(down.graph.m):
@@ -125,7 +159,7 @@ def _solve_component(inst: RawInstance, arc_ids: list[int], rng: Random,
         if y_t[v] % cert.gamma:
             raise InvariantError(f"node {v}: potential is not gamma-integral")
         potentials[v] = y_t[v] // cert.gamma * cert.gamma0
-    return "optimal", flow, potentials, stats
+    return flow, potentials, stats
 
 
 def solve(inst: RawInstance, config: SolveConfig | None = None, *,
@@ -134,9 +168,10 @@ def solve(inst: RawInstance, config: SolveConfig | None = None, *,
 
     The returned flow is indexed like the instance's arcs; potentials
     certify optimality through three-way complementary slackness on the
-    reduced costs. Infeasibility is certified by the interior point
-    method itself: its balancing arcs keep positive flow only when no
-    real flow can meet the demands.
+    reduced costs. An infeasible instance is decided by one max-flow
+    before any interior point work and comes back with ``cut``, a node
+    set whose demand exceeds what can enter it (Gale's theorem). Both
+    certificates are checked exactly before ``solve`` returns.
 
     ``probe(event, payload)`` observes each solved component: the
     interior point loop's events, then ``component`` (see the README).
@@ -144,45 +179,39 @@ def solve(inst: RawInstance, config: SolveConfig | None = None, *,
     """
     config = config or SolveConfig()
     inst.validate()
+    cut = _gale_cut(inst)
+    if cut is not None:
+        report = verify_cut(inst, cut)
+        if not report.ok:
+            raise InvariantError(
+                "infeasibility cut failed verification: "
+                + "; ".join(report.failures))
+        return SolveResult("infeasible", None, None, None, 0, cut=cut)
     rng = Random(config.seed)
 
     flow = [0] * inst.graph.m
     potentials: dict[int, int] = {}
     components: list[dict] = []
     max_abs = 0
-    feasible = True
 
     for nodes, arc_ids in _split_components(inst):
-        sub_b = {v: inst.b[v] for v in nodes}
-        if sum(sub_b.values()) != 0:
-            feasible = False
-            components.append({"nodes": len(nodes), "arcs": len(arc_ids),
-                               "unbalanced": True})
-            continue
         if not arc_ids:
-            # an isolated node, balanced, so its demand is zero
+            # an isolated node; the max-flow met its demand, so it is zero
             potentials[nodes[0]] = 0
             components.append({"nodes": 1, "arcs": 0})
             continue
         sub = RawInstance(
             MultiGraph(nodes, [inst.graph.arcs[a] for a in arc_ids]),
-            sub_b,
+            {v: inst.b[v] for v in nodes},
             [inst.u[a] for a in arc_ids],
             [inst.c[a] for a in arc_ids])
-        status, sub_flow, sub_pot, stats = _solve_component(
-            sub, arc_ids, rng, probe)
+        sub_flow, sub_pot, stats = _solve_component(sub, arc_ids, rng, probe)
         components.append(stats)
         max_abs = max(max_abs, stats["max_abs"])
-        if status == "infeasible":
-            feasible = False
-            continue
         for local, aid in enumerate(arc_ids):
             flow[aid] = sub_flow[local]
         potentials.update(sub_pot)
 
-    if not feasible:
-        return SolveResult("infeasible", None, None, None, max_abs,
-                           components)
     objective = sum(f * c for f, c in zip(flow, inst.c))
     report = verify_certificate(inst, flow, potentials)
     if not report.ok:

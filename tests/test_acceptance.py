@@ -20,11 +20,12 @@ from latticeflow.centering import CenteringRun
 from latticeflow.crossover import (admissible_max_flow, build_perturbed,
                                    lift_tree_duals, nested_cut_crossover,
                                    verify_aux_certificate)
-from latticeflow.dimacs import format_solution
+from latticeflow.dimacs import format_infeasible, format_solution
 from latticeflow.exact_arith import BoundMonitor
 from latticeflow.graph_core import apply_incidence
 from latticeflow.reference_oracle import (has_unique_support, random_instance,
-                                          ssp_solve, verify_certificate)
+                                          ssp_solve, verify_certificate,
+                                          verify_cut)
 from latticeflow.solver import SolveConfig, solve
 
 SUITE_SIZE = 200
@@ -215,7 +216,7 @@ def _determinism_check(seed, inst, data):
             text = format_solution(inst, result.objective, result.flow,
                                    result.potentials)
         else:
-            text = "infeasible\n"
+            text = format_infeasible(result.cut)
         text += "".join(json.dumps(row) + "\n"
                         for event, row in events if event == "iterate")
         outs.append(text.encode())
@@ -231,6 +232,7 @@ def suite():
         "n_optimal": 0, "n_infeasible": 0,
         "mismatches": [], "solve_errors": [],
         "cert_checked": 0, "cert_failures": [],
+        "cuts_checked": 0, "cut_failures": [],
         "monitor_pairs": [], "monitor_violations": [],
         "initial_checked": 0, "initial_violations": [],
         "exit_checks": 0, "exit_violations": [],
@@ -276,6 +278,11 @@ def suite():
             report = verify_certificate(inst, result.flow, result.potentials)
             if not report.ok:
                 data["cert_failures"].append((seed, report.failures))
+        if result is not None and status == "infeasible":
+            data["cuts_checked"] += 1
+            report = verify_cut(inst, result.cut)
+            if not report.ok:
+                data["cut_failures"].append((seed, report.failures))
         if result is not None:
             for comp in result.components:
                 if "max_abs" in comp:
@@ -309,11 +316,14 @@ def test_criterion_01_oracle_equivalence(suite):
 
 
 def test_criterion_02_certificates(suite):
-    ok = suite["cert_checked"] > 0 and not suite["cert_failures"]
+    ok = (suite["cert_checked"] > 0 and not suite["cert_failures"]
+          and suite["cuts_checked"] > 0 and not suite["cut_failures"])
     _report(2, ok,
             f"{suite['cert_checked']} optimal outputs passed all five exact "
-            f"complementary-slackness checks; "
-            f"failures={suite['cert_failures'][:3]}")
+            f"complementary-slackness checks and {suite['cuts_checked']} "
+            f"infeasible outputs carried a cut whose demand exceeds its "
+            f"entering capacity; failures={suite['cert_failures'][:3]} "
+            f"cut_failures={suite['cut_failures'][:3]}")
 
 
 def test_criterion_03_number_size(suite):

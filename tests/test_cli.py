@@ -46,7 +46,48 @@ def test_solve_infeasible(tmp_path, capsys):
     path = tmp_path / "bad.dimacs"
     path.write_text(INFEASIBLE)
     assert main(["solve", str(path)]) == 2
-    assert "infeasible" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "infeasible" in captured.err
+    # node 2 demands 5 units and only 3 can enter it
+    assert captured.out == "s infeasible\nx 2\n"
+    # trace prints rows only, and no component ran
+    assert main(["trace", str(path)]) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("cut,code,message", [
+    ("x 2\n", 2, "infeasibility certificate ok"),
+    ("x 1\n", 2, "infeasibility certificate ok"),  # mirror form
+    ("x 1\nx 2\n", 3, "certificate failure: cut's net demand 0"),
+    ("", 3, "certificate failure: cut's net demand 0"),
+])
+def test_verify_checks_an_infeasibility_cut(tmp_path, capsys, cut, code,
+                                            message):
+    inst_path = tmp_path / "bad.dimacs"
+    inst_path.write_text(INFEASIBLE)
+    sol_path = tmp_path / "bad.sol"
+    sol_path.write_text("s infeasible\n" + cut)
+    assert main(["verify", str(inst_path), str(sol_path)]) == code
+    captured = capsys.readouterr()
+    assert message in captured.out + captured.err
+
+
+def test_solve_then_verify_infeasible(tmp_path, capsys):
+    inst_path = tmp_path / "bad.dimacs"
+    inst_path.write_text(INFEASIBLE)
+    assert main(["solve", str(inst_path)]) == 2
+    sol_path = tmp_path / "bad.sol"
+    sol_path.write_text(capsys.readouterr().out)
+    assert main(["verify", str(inst_path), str(sol_path)]) == 2
+    assert capsys.readouterr().out == "infeasibility certificate ok\n"
+
+
+def test_verify_rejects_a_cut_for_a_feasible_instance(triangle_file,
+                                                      tmp_path, capsys):
+    sol_path = tmp_path / "tri.sol"
+    sol_path.write_text("s infeasible\nx 3\n")
+    assert main(["verify", triangle_file, str(sol_path)]) == 3
+    assert "certificate failure" in capsys.readouterr().err
 
 
 def test_missing_file():

@@ -1,4 +1,4 @@
-"""Hand-simulated nested cuts, the max-flow core, and a full
+"""Hand-simulated nested cuts, the admissible flow, and a full
 pipeline-to-certificate run checked against the reference oracle."""
 
 from random import Random
@@ -6,7 +6,6 @@ from random import Random
 import pytest
 
 from latticeflow.crossover import (
-    _dinic,
     admissible_max_flow,
     build_perturbed,
     crossover,
@@ -36,34 +35,6 @@ GAMMA = compute_scaling(1, 1, 1).gamma
 def _aux(nodes, arcs, b, c):
     return AuxiliaryInstance(graph=MultiGraph(nodes, arcs), b=b, c=c,
                              arc_node={}, up_arc={}, down_arc={})
-
-
-def test_dinic_bottleneck():
-    # two parallel source arcs into one capacity-4 pipe
-    value, flows = _dinic(["s", "a", "t"],
-                          [("s", "a", 2), ("s", "a", 3), ("a", "t", 4)],
-                          "s", "t")
-    assert value == 4
-    assert flows[0] + flows[1] == 4
-    assert flows[2] == 4
-
-
-def test_dinic_diamond():
-    arcs = [("s", 1, 3), ("s", 2, 3), (1, "t", 2), (2, "t", 2), (1, 2, 5)]
-    value, flows = _dinic(["s", 1, 2, "t"], arcs, "s", "t")
-    assert value == 4
-    assert all(f >= 0 for f in flows)
-
-
-def test_dinic_long_path_does_not_recurse():
-    # one augmenting path through 3000 nodes, far deeper than the
-    # interpreter's recursion limit; the thinnest arc sits in the middle
-    n = 3000
-    arcs = [(i, i + 1, 7) for i in range(n - 1)]
-    arcs[n // 2] = (n // 2, n // 2 + 1, 3)
-    value, flows = _dinic(list(range(n)), arcs, 0, n - 1)
-    assert value == 3
-    assert flows == [3] * (n - 1)
 
 
 def _path_pert():

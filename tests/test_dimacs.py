@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latticeflow.dimacs import (format_instance, format_solution,
-                                parse_instance, parse_solution)
+from latticeflow.dimacs import (format_infeasible, format_instance,
+                                format_solution, parse_instance,
+                                parse_solution)
 from latticeflow.errors import FormatError, UnsupportedFeatureError
 from latticeflow.graph_core import MultiGraph
 from latticeflow.instance_pipeline import RawInstance
@@ -80,10 +81,34 @@ def test_malformed_inputs(text):
 def test_solution_roundtrip():
     inst = parse_instance(TRIANGLE)
     text = format_solution(inst, 4, [2, 2, 0], {1: 0, 2: 1, 3: 2})
-    obj, flow, pot = parse_solution(text, inst)
+    obj, flow, pot, cut = parse_solution(text, inst)
     assert obj == 4
     assert flow == [2, 2, 0]
     assert pot == {1: 0, 2: 1, 3: 2}
+    assert cut is None
+
+
+def test_infeasible_solution_roundtrip():
+    inst = parse_instance(TRIANGLE)
+    text = format_infeasible([3, 1])
+    assert text == "s infeasible\nx 3\nx 1\n"
+    assert parse_solution(text, inst) == (None, None, None, [3, 1])
+    # a cut may be empty in the file; the certificate check rejects it
+    assert parse_solution("s infeasible\n", inst).cut == []
+
+
+@pytest.mark.parametrize("text,message", [
+    ("s infeasible\nx 1\nx 4\n", "line 3: node 4 out of range"),
+    ("s infeasible\nx 2\nx 2\n", "line 3: duplicate cut node 2"),
+    ("s infeasible\nx 1 2\n", "line 2: expected 'x <node>'"),
+    ("s infeasible\ns 4\n", "line 2: second objective line"),
+    ("s infeasible\nx 1\ny 1 0\n", "no 'f' or 'y' lines"),
+    ("s 4\nf 1 2 2\nf 2 3 2\nf 1 3 0\ny 1 0\ny 2 1\ny 3 2\nx 1\n",
+     "'x' lines belong only to an infeasible solution"),
+])
+def test_parse_solution_rejects_bad_cut_lines(text, message):
+    with pytest.raises(FormatError, match=message):
+        parse_solution(text, parse_instance(TRIANGLE))
 
 
 def test_solution_lines_present():

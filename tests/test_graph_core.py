@@ -11,6 +11,7 @@ from latticeflow.graph_core import (
     apply_incidence,
     apply_incidence_transpose,
     bfs_forest,
+    max_flow,
     minor_arcs,
     route_to_roots,
 )
@@ -255,3 +256,64 @@ class TestRouteToRoots:
         # only tree arcs carry flow
         tree_arcs = {a for a, _ in parent.values()}
         assert all(flow[a] == 0 for a in range(g.m) if a not in tree_arcs)
+
+
+def test_max_flow_bottleneck():
+    # two parallel source arcs into one capacity-4 pipe
+    value, flows, reached = max_flow(
+        ["s", "a", "t"], [("s", "a", 2), ("s", "a", 3), ("a", "t", 4)],
+        "s", "t")
+    assert value == 4
+    assert flows[0] + flows[1] == 4
+    assert flows[2] == 4
+    # the source still reaches "a" through the unsaturated source arcs
+    assert reached == {"s", "a"}
+
+
+def test_max_flow_diamond():
+    arcs = [("s", 1, 3), ("s", 2, 3), (1, "t", 2), (2, "t", 2), (1, 2, 5)]
+    value, flows, reached = max_flow(["s", 1, 2, "t"], arcs, "s", "t")
+    assert value == 4
+    assert all(f >= 0 for f in flows)
+    assert reached == {"s", 1, 2}
+
+
+def test_max_flow_long_path_does_not_recurse():
+    # one augmenting path through 3000 nodes, far deeper than the
+    # interpreter's recursion limit; the thinnest arc sits in the middle
+    n = 3000
+    arcs = [(i, i + 1, 7) for i in range(n - 1)]
+    arcs[n // 2] = (n // 2, n // 2 + 1, 3)
+    value, flows, reached = max_flow(range(n), arcs, 0, n - 1)
+    assert value == 3
+    assert flows == [3] * (n - 1)
+    assert reached == set(range(n // 2 + 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 6).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                       st.integers(0, 9)), max_size=12))))
+def test_max_flow_value_equals_its_cut(case):
+    """Max-flow min-cut, exactly: the flows are feasible and conserved,
+    and the value equals the capacity leaving the reached set, every
+    arc of which is saturated while every arc entering it is empty."""
+    n, arcs = case
+    value, flows, reached = max_flow(range(n), arcs, 0, n - 1)
+    net = dict.fromkeys(range(n), 0)
+    for (t, h, cap), f in zip(arcs, flows):
+        assert 0 <= f <= cap
+        net[t] -= f
+        net[h] += f
+    assert net[n - 1] == value == -net[0]
+    assert all(net[v] == 0 for v in range(1, n - 1))
+    assert 0 in reached and n - 1 not in reached
+    crossing = 0
+    for (t, h, cap), f in zip(arcs, flows):
+        if t in reached and h not in reached:
+            assert f == cap
+            crossing += cap
+        elif h in reached and t not in reached:
+            assert f == 0
+    assert crossing == value

@@ -22,6 +22,7 @@ from latticeflow.instance_pipeline import (
     scale_up,
 )
 from latticeflow.ipm_driver import (
+    _check_iterate,
     _classify,
     _lift,
     decrement_mu,
@@ -325,3 +326,61 @@ def test_centerings_reuse_the_forest(monkeypatch):
                    if event == "centering_enter" else None)
     assert result.status == "optimal"
     assert 1 <= builds <= len(enters) // 3
+
+
+# The driver state of random_instance(9055, 4, 4, 2, 2, "feasible"),
+# solved with seed 9055, right before the lift of outer iteration 39:
+# the instance, the deleted arcs (nothing is contracted), the point, the
+# target mu the centering reached, and the centering's x_cur, s_cur and
+# pi over the five minor arcs. Replaying the lift from here needs no
+# random numbers, so this pin does not move when the centering stream
+# changes, unlike the end-to-end pin in test_solver.py.
+PIN_9055 = {
+    "instance": RawInstance(MultiGraph([1, 2, 3, 4],
+                                       [(1, 2), (3, 1), (2, 4), (1, 2)]),
+                            {1: -2, 2: 4, 3: -2, 4: 0}, [2, 2, 2, 2],
+                            [1, 0, 0, -1]),
+    "deleted": [1, 3, 4, 8, 9, 10, 11],
+    "x": [490837, 33451, 490721, 33567, 33567, 490721, 34119, 490169,
+          33792, 33567, 33567, 33778],
+    "s": [85563393948019, 518327723598103, 85583690547263,
+          98427453131563668, 347740599019523, 85583613100017,
+          1230927879314405, 85680014865473, 202981284855421020,
+          105428421511454123, 203508133966551022, 202981284855421020],
+    "y": {1: 0, 2: 789006097049508, 3: -98341869441016405,
+          4: 526849111130002, 5: 270678373451405, 6: -98427453131563668,
+          7: 441265498029985, 8: -85680014865473},
+    "mu": 29874029746470893356,
+    "x_cur": {0: 490837, 2: 490721, 5: 490721, 6: 34119, 7: 490169},
+    "s_cur": {0: 60863445855835, 2: 60877798561033, 5: 60877743354250,
+              6: 875600680875647, 7: 60946430151860},
+    "pi": {1: 0, 5: 24699948092184, 8: 24733584713613,
+           2: -330593613725145, 3: 0, 6: 24705891986230, 4: 0,
+           7: 24705869745767},
+}
+
+
+# Known defect, pinned until it is fixed (ROADMAP item 1): the lift
+# recomputes deleted arc 4's slack from the moved duals, and it falls
+# from 3.5e14 to below zero, so the next iteration's check fails.
+@pytest.mark.xfail(strict=True, raises=InvariantError,
+                   reason="deleted arc 4 lost dual feasibility")
+def test_frozen_lift_keeps_deleted_arc_slack_positive():
+    pin = PIN_9055
+    norm, _ = normalize_costs(pin["instance"])
+    down, info = downscale(norm)
+    cert = compute_scaling(down.graph.m, info.U, info.C,
+                           beta0=info.beta0, gamma0=info.gamma0)
+    aux, _ = build_auxiliary(scale_up(down, cert), cert,
+                             monitor=BoundMonitor(cert.limit))
+    cmap = ContractionMap(aux.graph)
+    for aid in pin["deleted"]:
+        cmap.delete(aid)
+    minor = minor_arcs(aux.graph, cmap)
+    assert [aid for aid, _, _ in minor] == sorted(pin["x_cur"])
+    x, s, y = list(pin["x"]), list(pin["s"]), dict(pin["y"])
+    _lift(aux, cmap, minor, pin["x_cur"], pin["s_cur"], pin["pi"], x, s, y)
+    # the next iteration's classification deletes and contracts nothing
+    assert all(_classify(x[aid], s[aid], cert.m, cert) == "keep"
+               for aid, _, _ in minor)
+    _check_iterate(aux, cert, x, s, y, pin["mu"], cmap, minor)

@@ -1,6 +1,8 @@
 """The oracle is the ground truth for everything else, so it gets its
 own ground truth: hand-checked instances and a brute-force enumerator."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from latticeflow.reference_oracle import (
     random_instance,
     ssp_solve,
     verify_certificate,
+    verify_cut,
 )
 
 
@@ -147,3 +150,64 @@ def test_ssp_certificates_always_verify(seed, n, extra, U_max, C_max):
     if sol.status == "optimal":
         report = verify_certificate(inst, sol.flow, sol.potentials)
         assert report.ok, report.failures
+
+
+def _subsets(nodes):
+    return itertools.chain.from_iterable(
+        itertools.combinations(nodes, k) for k in range(len(nodes) + 1))
+
+
+def test_cut_checker_hand_cases():
+    # node 1 must ship 5 units and 3 can leave; node 2 must take 5 and
+    # 3 can enter; together they are balanced and closed
+    inst = RawInstance(MultiGraph([1, 2], [(1, 2)]), {1: -5, 2: 5}, [3], [1])
+    assert verify_cut(inst, [2]).ok       # 5 > u(in) = 3
+    assert verify_cut(inst, [1]).ok       # mirror: 5 > u(out) = 3
+    assert not verify_cut(inst, [1, 2]).ok
+    assert not verify_cut(inst, []).ok
+    assert verify_cut(inst, [2, 2]).failures == ["cut lists a node twice"]
+    assert verify_cut(inst, [3]).failures == ["cut names unknown nodes [3]"]
+    wide = RawInstance(inst.graph, inst.b, [5], [1])
+    assert not verify_cut(wide, [2]).ok
+    assert not verify_cut(wide, [1]).ok
+
+
+@st.composite
+def _small_instances(draw, feasible):
+    """Up to six nodes, arcs with self-loops and parallels, capacities
+    1-3; with ``feasible`` the demands are the boundary of a flow in the
+    capacity box, otherwise any balanced vector."""
+    n = draw(st.integers(1, 6))
+    node = st.integers(1, n)
+    arcs = draw(st.lists(st.tuples(node, node), max_size=7))
+    u = [draw(st.integers(1, 3)) for _ in arcs]
+    b = dict.fromkeys(range(1, n + 1), 0)
+    if feasible:
+        for (v, w), cap in zip(arcs, u):
+            f = draw(st.integers(0, cap))
+            b[v] -= f
+            b[w] += f
+    else:
+        for v in b:
+            b[v] = draw(st.integers(-3, 3))
+        b[n] -= sum(b.values())
+    return RawInstance(MultiGraph(range(1, n + 1), arcs), b, u, [0] * len(u))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_small_instances(feasible=True))
+def test_feasible_instances_have_no_cut(inst):
+    """Gale's theorem, one direction: when a feasible flow exists, none
+    of the 2^n node sets certifies infeasibility."""
+    assert ssp_solve(inst).status == "optimal"
+    for cut in _subsets(inst.graph.nodes):
+        assert not verify_cut(inst, list(cut)).ok, cut
+
+
+@settings(max_examples=80, deadline=None)
+@given(_small_instances(feasible=False))
+def test_some_cut_certifies_exactly_the_infeasible_instances(inst):
+    """Gale's theorem, both directions, by enumeration."""
+    certified = any(verify_cut(inst, list(cut)).ok
+                    for cut in _subsets(inst.graph.nodes))
+    assert certified == (ssp_solve(inst).status == "infeasible")

@@ -6,13 +6,17 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from latticeflow import solver
 from latticeflow.cli import main
 from latticeflow.dimacs import format_instance, format_solution
 from latticeflow.errors import InvariantError
 from latticeflow.graph_core import MultiGraph
 from latticeflow.instance_pipeline import RawInstance
-from latticeflow.reference_oracle import random_instance, ssp_solve, verify_certificate
+from latticeflow.reference_oracle import (random_instance, ssp_solve,
+                                          verify_certificate, verify_cut)
 from latticeflow.solver import SolveConfig, _split_components, solve
 
 
@@ -56,11 +60,16 @@ def test_infeasible_cut():
     result = solve(inst)
     assert result.status == "infeasible"
     assert result.flow is None and result.objective is None
+    # node 2 demands 5 units and only 3 can enter it
+    assert result.cut == [2]
+    assert result.components == []
 
 
 def test_infeasible_wrong_direction():
     inst = RawInstance(MultiGraph([1, 2], [(2, 1)]), {1: -1, 2: 1}, [5], [0])
-    assert solve(inst).status == "infeasible"
+    result = solve(inst)
+    assert result.status == "infeasible"
+    assert result.cut == [2]
 
 
 def test_disconnected_components_solve_independently():
@@ -75,7 +84,85 @@ def test_disconnected_components_solve_independently():
 def test_disconnected_unbalanced_component_is_infeasible():
     g = MultiGraph([1, 2, 3, 4], [(1, 2), (3, 4)])
     inst = RawInstance(g, {1: -1, 2: 2, 3: -1, 4: 0}, [2, 2], [1, 1])
-    assert solve(inst).status == "infeasible"
+    result = solve(inst)
+    assert result.status == "infeasible"
+    # component {1, 2} demands 1 unit and no arc enters it
+    assert result.cut == [1, 2]
+    assert verify_cut(inst, result.cut).ok
+
+
+@st.composite
+def multi_component_instances(draw):
+    """Up to three groups of up to three nodes, arcs only inside a group
+    (so a group may itself split), parallel arcs and self-loops drawn
+    freely, demands in [-4, 4] balanced only overall, so groups are
+    often unbalanced. Capacities start at 1, since the solver rejects
+    zero capacities at validation."""
+    nodes, arcs = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        group = list(range(len(nodes) + 1,
+                           len(nodes) + 1 + draw(st.integers(1, 3))))
+        nodes += group
+        pair = st.tuples(st.sampled_from(group), st.sampled_from(group))
+        arcs += draw(st.lists(pair, max_size=4))
+    if arcs and draw(st.booleans()):
+        arcs.append(draw(st.sampled_from(arcs)))  # one more parallel arc
+    b = {v: draw(st.integers(-4, 4)) for v in nodes}
+    b[nodes[-1]] -= sum(b.values())
+    u = [draw(st.integers(1, 4)) for _ in arcs]
+    c = [draw(st.integers(-3, 3)) for _ in arcs]
+    return RawInstance(MultiGraph(nodes, arcs), b, u, c)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(multi_component_instances())
+def test_verdict_matches_the_oracle_with_a_checked_cut(inst):
+    oracle = ssp_solve(inst)
+    result = solve(inst)
+    assert result.status == oracle.status
+    if oracle.status == "optimal":
+        assert result.objective == oracle.objective
+        assert result.cut is None
+    else:
+        assert result.cut == sorted(set(result.cut))
+        assert verify_cut(inst, result.cut).ok
+
+
+@settings(max_examples=100, deadline=None)
+@given(multi_component_instances(), st.data())
+def test_tampered_cut_is_accepted_only_when_it_still_certifies(inst, data):
+    """Adding or removing one node keeps the cut valid only when the
+    Gale inequality, computed here independently, still holds in one of
+    its two forms."""
+    assume(ssp_solve(inst).status == "infeasible")
+    cut = set(solve(inst).cut)
+    cut ^= {data.draw(st.sampled_from(inst.graph.nodes))}
+    demand = sum(d for v, d in inst.b.items() if v in cut)
+    entering = sum(cap for (t, h), cap in zip(inst.graph.arcs, inst.u)
+                   if h in cut and t not in cut)
+    leaving = sum(cap for (t, h), cap in zip(inst.graph.arcs, inst.u)
+                  if t in cut and h not in cut)
+    holds = demand > entering or -demand > leaving
+    assert verify_cut(inst, sorted(cut)).ok == holds
+
+
+def test_hat_flow_at_the_optimum_contradicts_the_max_flow(monkeypatch):
+    """Once the max-flow has found an instance feasible, balancing arcs
+    carrying flow after the crossover is a broken invariant, not a
+    verdict."""
+    real = solver.crossover
+
+    def crossover_with_hat_flow(aux, cert, res):
+        x_star, y_t, s_t = real(aux, cert, res)
+        assert aux.hat_arc
+        x_star[min(aux.hat_arc.values())] += 1
+        return x_star, y_t, s_t
+
+    monkeypatch.setattr(solver, "crossover", crossover_with_hat_flow)
+    inst = RawInstance(MultiGraph([1, 2, 3], [(1, 2), (2, 3), (1, 3)]),
+                       {1: -2, 2: 0, 3: 2}, [2, 2, 1], [1, 1, 3])
+    with pytest.raises(InvariantError, match="balancing arcs carry flow"):
+        solve(inst)
 
 
 def test_split_components_order():
@@ -145,6 +232,7 @@ def test_random_small_instances_match_oracle(seed):
     oracle = ssp_solve(inst)
     if oracle.status == "infeasible":
         assert result.status == "infeasible"
+        assert verify_cut(inst, result.cut).ok
     else:
         _check_optimal(inst, result)
 
@@ -211,14 +299,17 @@ def test_probe_observes_without_changing_the_solve(unbalanced):
     assert observed.flow == plain.flow
     assert observed.potentials == plain.potentials
     assert observed.components == plain.components
+    assert observed.cut == plain.cut
     if unbalanced:
-        # node 6 alone, with demand 1, is reported as unbalanced
-        assert observed.components[2] == {"nodes": 1, "arcs": 0,
-                                          "unbalanced": True}
-    else:
-        _check_optimal(inst, observed)
-    # component fires once per solved component, never for node 6 or
-    # the unbalanced component
+        # node 6 needs a unit that cannot reach it; the max-flow decides
+        # that before any component runs, so the probe sees nothing, and
+        # the nodes the source cannot reach form the cut
+        assert observed.status == "infeasible"
+        assert observed.components == [] and events == []
+        assert observed.cut == [1, 2, 3, 4, 5, 6]
+        return
+    _check_optimal(inst, observed)
+    # component fires once per solved component, never for node 6
     comps = [payload for event, payload in events if event == "component"]
     assert [p["arc_ids"] for p in comps] == [[0, 1, 2], [3, 4]]
     assert [p["reversed_ids"] for p in comps] == [[], [1]]
