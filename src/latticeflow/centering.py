@@ -12,20 +12,18 @@ the exact centrality test 8 * sum |x_a s_a - mu| < mu. A run may first
 try a smaller target for a short budget of updates, and falls back to
 mu when that test does not pass there.
 
-Every quantity is an integer except the energy gap diagnostics, which
-are exact fractions.
+Every quantity is an integer.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from random import Random
 
 from .errors import CenteringStallError, InvariantError
-from .exact_arith import BoundMonitor, ceil_div, round_nearest
+from .exact_arith import BoundMonitor
 from .spanning_tree import TreeForest
 
 __all__ = ["CenteringRun", "UpdateRecord"]
@@ -70,7 +68,7 @@ class CenteringRun:
     ``forest`` is the minimum spanning forest of these arcs under the
     resistances r_a = ceil(s_a / x_a), which it holds as ``forest.r``,
     and owns the cycle table and its prefix sums that ``sample_update``
-    and ``gap`` read. A caller may pass the forest of an earlier run
+    reads. A caller may pass the forest of an earlier run
     over the same arcs: it is reweighted to the new resistances and
     kept when it is still their Prim forest, and otherwise a fresh
     forest is built, so the run is the same either way.
@@ -108,11 +106,13 @@ class CenteringRun:
     def __post_init__(self) -> None:
         if self.mu <= 0 or (self.trial_mu is not None and self.trial_mu <= 0):
             raise ValueError("target mu must be positive")
+        x, s = self.x, self.s
+        r = {}
         for aid, _, _ in self.arcs:
-            if self.x[aid] <= 0 or self.s[aid] <= 0:
+            xa, sa = x[aid], s[aid]
+            if xa <= 0 or sa <= 0:
                 raise InvariantError(f"arc {aid}: recentering needs an interior point")
-        r = {aid: ceil_div(self.s[aid], self.x[aid])
-             for aid, _, _ in self.arcs}
+            r[aid] = -(-sa // xa)  # ceil(s_a / x_a)
         if self.forest is None or not self.forest.reweight(r):
             self.forest = TreeForest(self.arcs, r)
         self.monitor.record_many(r.values())
@@ -123,13 +123,22 @@ class CenteringRun:
 
     def _aim(self, target: int) -> None:
         """Set the target and the tree flow deviation phi = x - base,
-        where base_a = round(target / s_a) is the centered flow."""
+        where base_a = round(target / s_a) is the centered flow, rounded
+        to nearest with ties up as ``round_nearest`` does."""
         self.target = target
-        self.base = {aid: round_nearest(target, self.s[aid])
-                     for aid, _, _ in self.arcs}
-        self.phi = {aid: self.x[aid] - self.base[aid] for aid, _, _ in self.arcs}
-        self.monitor.record_many(self.base.values())
-        self.monitor.record_many(self.phi.values())
+        x, s = self.x, self.s
+        base = {}
+        phi = {}
+        twice = 2 * target
+        for aid, _, _ in self.arcs:
+            sa = s[aid]
+            b = (twice + sa) // (2 * sa)
+            base[aid] = b
+            phi[aid] = x[aid] - b
+        self.base = base
+        self.phi = phi
+        self.monitor.record_many(base.values())
+        self.monitor.record_many(phi.values())
 
     @cached_property
     def stall_limit(self) -> int:
@@ -143,55 +152,66 @@ class CenteringRun:
         """Fold tree voltages into the duals and test the exit criterion.
 
         Recomputes pi from the current phi, rebuilds s' = s - A^T pi and
-        x' = base + phi, and returns True when
-        8 sum |x' s' - target| < target.
+        x' = base + phi, records pi, s' and x' in the monitor in that
+        order, and returns True when 8 sum |x' s' - target| < target.
         """
         self.refreshes += 1
-        self.pi = self.forest.voltages(self.phi)
+        pi = self.pi = self.forest.voltages(self.phi)
+        s, base, phi = self.s, self.base, self.phi
+        s_cur, x_cur = self.s_cur, self.x_cur
         target = self.target
         dev = 0
         for aid, tail, head in self.arcs:
-            self.s_cur[aid] = self.s[aid] - (self.pi[head] - self.pi[tail])
-            self.x_cur[aid] = self.base[aid] + self.phi[aid]
-            dev += abs(self.x_cur[aid] * self.s_cur[aid] - target)
-        self.monitor.record_many(self.pi.values())
-        self.monitor.record_many(self.s_cur.values())
-        self.monitor.record_many(self.x_cur.values())
+            sv = s_cur[aid] = s[aid] - (pi[head] - pi[tail])
+            xv = x_cur[aid] = base[aid] + phi[aid]
+            dev += abs(xv * sv - target)
+        record_many = self.monitor.record_many
+        record_many(pi.values())
+        record_many(s_cur.values())
+        record_many(x_cur.values())
         return 8 * dev < target
 
     def sample_update(self) -> UpdateRecord:
         """Pick a random off-tree arc and push the rounded optimal
-        circulation around its fundamental cycle."""
+        circulation around its fundamental cycle.
+
+        The arc is drawn with probability proportional to its weight.
+        A uniform draw below the weights' total W comes straight from
+        ``rng.getrandbits`` through the rejection loop that
+        ``Random.randrange(W)`` runs itself (take W.bit_length() bits,
+        take them again while the draw is >= W), so the draws, and the
+        generator state after them, are those of ``randrange``. The
+        update stores lam, alpha and the phi values it changes. Since
+        alpha rounds lam / r(C_a) with r(C_a) >= 1, |alpha| <= |lam|,
+        so the largest of |lam| and the changed |phi|, found while the
+        two loops compute them, bounds all of it and is checked with
+        one ``monitor.record`` call.
+        """
         forest = self.forest
         prefix = forest.prefix
         if not prefix:
             raise InvariantError("no off-tree arcs to sample")
-        aid, coefs, cycle_r = forest.cycles[
-            bisect_right(prefix, self.rng.randrange(prefix[-1]))]
+        total = prefix[-1]
+        getrandbits = self.rng.getrandbits
+        k = total.bit_length()
+        draw = getrandbits(k)
+        while draw >= total:
+            draw = getrandbits(k)
+        aid, coefs, cycle_r = forest.cycles[bisect_right(prefix, draw)]
         phi = self.phi
         lam = 0
         for b, _, c in coefs:
             lam += c * phi[b]
         alpha = (2 * lam + cycle_r) // (2 * cycle_r)  # round_nearest
-        stored = [lam, alpha]
+        hi = abs(lam)
         if alpha:
             for b, sign, _ in coefs:
-                phi[b] -= alpha * sign
-                stored.append(phi[b])
+                v = phi[b] = phi[b] - alpha * sign
+                if abs(v) > hi:
+                    hi = abs(v)
         self.updates += 1
-        self.monitor.record_many(stored)
+        self.monitor.record(hi)
         return UpdateRecord(aid, lam, cycle_r, alpha)
-
-    # -- diagnostics --------------------------------------------------
-
-    def gap(self) -> Fraction:
-        """Current electrical energy above the optimum, exactly:
-        sum over off-tree arcs of Lambda_a^2 / r(C_a)."""
-        total = Fraction(0)
-        for _, coefs, cycle_r in self.forest.cycles:
-            lam = sum(c * self.phi[b] for b, _, c in coefs)
-            total += Fraction(lam * lam, cycle_r)
-        return total
 
     # -- the loop ------------------------------------------------------
 
@@ -200,10 +220,18 @@ class CenteringRun:
         refreshes and batches of one random cycle update per minor arc
         until the exit test passes at ``mu``. Either way the recentered
         point is left in ``x_cur``, ``s_cur`` and ``pi`` and its target
-        in ``mu``; raise after the stall ceiling."""
+        in ``mu``; raise after the stall ceiling.
+
+        The stall count is tested once per batch, before it. No refresh
+        comes inside a batch, so a batch that would reach the floor
+        reaches it: the exact ceiling is computed then, and a batch that
+        would pass the ceiling makes the updates up to it and raises, as
+        a test before every update would."""
         batch = range(max(1, len(self.arcs)))
+        size = len(batch)
+        sample = self.sample_update
         if self.trial_mu is not None:
-            budget = 4 * len(batch)
+            budget = 4 * size
             while True:
                 if (self.refresh() and all(v > 0 for v in self.x_cur.values())
                         and all(v > 0 for v in self.s_cur.values())):
@@ -212,7 +240,7 @@ class CenteringRun:
                 if self.updates >= budget or not self.forest.off_tree:
                     break
                 for _ in batch:
-                    self.sample_update()
+                    sample()
             self._aim(self.mu)
         start = self.updates
         ceiling = max(1, 64 * len(self.arcs) * self.mu0_bits)  # the floor
@@ -222,12 +250,14 @@ class CenteringRun:
             if not self.forest.off_tree:
                 raise InvariantError(
                     "forest minor failed the centrality exit at first refresh")
+            made = self.updates - start
+            if made + size > ceiling:
+                ceiling = self.stall_limit
+                if made + size > ceiling:
+                    for _ in range(ceiling - made):
+                        sample()
+                    raise CenteringStallError(
+                        f"no centered point after {ceiling} cycle "
+                        f"updates (ceiling {ceiling})")
             for _ in batch:
-                made = self.updates - start
-                if made >= ceiling:
-                    ceiling = self.stall_limit
-                    if made >= ceiling:
-                        raise CenteringStallError(
-                            f"no centered point after {made} cycle "
-                            f"updates (ceiling {ceiling})")
-                self.sample_update()
+                sample()

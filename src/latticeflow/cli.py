@@ -136,6 +136,7 @@ def _cmd_oracle(args) -> int:
     sol = ssp_solve(inst)
     if sol.status == "infeasible":
         print("latticeflow: instance is infeasible", file=sys.stderr)
+        sys.stdout.write(format_infeasible(sol.cut))
         return EXIT_INFEASIBLE
     sys.stdout.write(format_solution(inst, sol.objective, sol.flow,
                                      sol.potentials))

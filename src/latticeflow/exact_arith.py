@@ -76,6 +76,7 @@ class BoundMonitor:
         """Check a stored batch at once: fold it to its largest
         magnitude and compare that once. A batch holding a violator
         raises with the batch's largest magnitude, which is also left
-        in ``max_seen``; an empty batch is a no-op. The centering loop
-        records everything one cycle update stores in one call."""
+        in ``max_seen``; an empty batch is a no-op. A cycle update
+        folds its stored values as it computes them and passes the
+        largest magnitude to ``record`` instead."""
         self.record(max(map(abs, values), default=0))

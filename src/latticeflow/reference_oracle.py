@@ -25,7 +25,6 @@ __all__ = [
     "verify_certificate",
     "verify_cut",
     "brute_force_optimum",
-    "has_unique_support",
     "random_instance",
 ]
 
@@ -38,6 +37,7 @@ class OracleSolution:
     flow: list[int] | None
     objective: int | None
     potentials: dict[int, int] | None
+    cut: list[int] | None = None  # sorted Gale cut when infeasible
 
 
 @dataclass
@@ -95,6 +95,12 @@ def ssp_solve(inst: RawInstance) -> OracleSolution:
     negative cycles; Bellman-Ford then finds exact shortest paths.
     Returned potentials satisfy the three-way complementary slackness
     conditions together with the returned flow.
+
+    When no path from the super source reaches the super sink, the
+    nodes that path search cannot reach are returned as ``cut``: every
+    unmet demand lies among them, no supply is owed by them, and every
+    arc entering them is saturated, so their demand exceeds the
+    capacity entering them (Gale's condition, see ``verify_cut``).
     """
     inst.validate()
     flow = [inst.u[a] if inst.c[a] < 0 else 0 for a in range(inst.graph.m)]
@@ -112,7 +118,8 @@ def ssp_solve(inst: RawInstance) -> OracleSolution:
         res = _residual_arcs(inst, flow, source_cap, sink_need)
         dist, pred = _bellman_ford(nodes, res, "s")
         if dist["t"] is _INF:
-            return OracleSolution("infeasible", None, None, None)
+            cut = sorted(v for v in inst.graph.nodes if dist[v] is _INF)
+            return OracleSolution("infeasible", None, None, None, cut)
         # walk the path backwards, find the bottleneck, then push
         path = []
         v = "t"
@@ -254,47 +261,6 @@ def brute_force_optimum(inst: RawInstance) -> tuple[int | None, list[list[int]]]
         elif obj == best:
             argbest.append(list(candidate))
     return best, argbest
-
-
-def _drop_arc(inst: RawInstance, a: int) -> RawInstance:
-    arcs = [arc for i, arc in enumerate(inst.graph.arcs) if i != a]
-    u = [cap for i, cap in enumerate(inst.u) if i != a]
-    c = [cost for i, cost in enumerate(inst.c) if i != a]
-    return RawInstance(MultiGraph(inst.graph.nodes, arcs), dict(inst.b), u, c)
-
-
-def has_unique_support(inst: RawInstance, sol: OracleSolution) -> bool:
-    """True when every optimal flow has the same support as sol.flow.
-
-    For each arc in the support, re-solve with the arc removed; for each
-    arc outside it, re-solve with one unit forced through the arc. Any
-    re-solve that matches the optimal objective exhibits an optimum with
-    a different support.
-    """
-    assert sol.status == "optimal" and sol.flow is not None
-    for a, (v, w) in enumerate(inst.graph.arcs):
-        if sol.flow[a] > 0:
-            sub = _drop_arc(inst, a)
-            alt = ssp_solve(sub)
-            if alt.status == "optimal" and alt.objective == sol.objective:
-                return False
-        else:
-            # pre-route one unit: demands shift and the arc shrinks
-            b = dict(inst.b)
-            b[v] += 1
-            b[w] -= 1
-            if inst.u[a] == 1:
-                sub = _drop_arc(inst, a)
-                sub = RawInstance(sub.graph, b, sub.u, sub.c)
-            else:
-                u = list(inst.u)
-                u[a] -= 1
-                sub = RawInstance(MultiGraph(inst.graph.nodes, inst.graph.arcs),
-                                  b, u, list(inst.c))
-            alt = ssp_solve(sub)
-            if alt.status == "optimal" and alt.objective + inst.c[a] == sol.objective:
-                return False
-    return True
 
 
 def random_instance(seed: int, n: int, m: int, U_max: int, C_max: int,

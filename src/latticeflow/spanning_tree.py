@@ -21,7 +21,6 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .errors import InvariantError
-from .exact_arith import ceil_div
 
 __all__ = ["TreeForest"]
 
@@ -140,7 +139,7 @@ class TreeForest:
                 cycle_r += rb
                 new.append((b, sign, sign * rb))
             cycles.append((aid, new, cycle_r))
-            weights.append(ceil_div(cycle_r, ra))
+            weights.append(-(-cycle_r // ra))  # ceil(r(C_a) / r_a)
         self.r = r
         self.cycles = cycles
         self.weights = weights
@@ -184,11 +183,11 @@ class TreeForest:
         """Node voltages induced by the tree flow: each root sits at 0
         and every tree arc a = (v, w) satisfies pi_w - pi_v = r_a phi_a."""
         pi: dict = {}
-        parent, r = self.parent, self.r
+        parent, r, flow = self.parent, self.r, phi.get
         for v in self.order:
             if v in parent:
                 p, arc, d = parent[v]
-                pi[v] = pi[p] + d * r[arc] * phi.get(arc, 0)
+                pi[v] = pi[p] + d * r[arc] * flow(arc, 0)
             else:
                 pi[v] = 0
         return pi

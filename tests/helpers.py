@@ -1,0 +1,62 @@
+"""Checks that only the tests use, kept out of the shipped package:
+whether an oracle optimum's support is unique, and the exact energy
+gap of a centering run."""
+
+from fractions import Fraction
+
+from latticeflow.centering import CenteringRun
+from latticeflow.graph_core import MultiGraph
+from latticeflow.instance_pipeline import RawInstance
+from latticeflow.reference_oracle import OracleSolution, ssp_solve
+
+
+def _drop_arc(inst: RawInstance, a: int) -> RawInstance:
+    arcs = [arc for i, arc in enumerate(inst.graph.arcs) if i != a]
+    u = [cap for i, cap in enumerate(inst.u) if i != a]
+    c = [cost for i, cost in enumerate(inst.c) if i != a]
+    return RawInstance(MultiGraph(inst.graph.nodes, arcs), dict(inst.b), u, c)
+
+
+def has_unique_support(inst: RawInstance, sol: OracleSolution) -> bool:
+    """True when every optimal flow has the same support as sol.flow.
+
+    For each arc in the support, re-solve with the arc removed; for each
+    arc outside it, re-solve with one unit forced through the arc. Any
+    re-solve that matches the optimal objective exhibits an optimum with
+    a different support.
+    """
+    assert sol.status == "optimal" and sol.flow is not None
+    for a, (v, w) in enumerate(inst.graph.arcs):
+        if sol.flow[a] > 0:
+            sub = _drop_arc(inst, a)
+            alt = ssp_solve(sub)
+            if alt.status == "optimal" and alt.objective == sol.objective:
+                return False
+        else:
+            # pre-route one unit: demands shift and the arc shrinks
+            b = dict(inst.b)
+            b[v] += 1
+            b[w] -= 1
+            if inst.u[a] == 1:
+                sub = _drop_arc(inst, a)
+                sub = RawInstance(sub.graph, b, sub.u, sub.c)
+            else:
+                u = list(inst.u)
+                u[a] -= 1
+                sub = RawInstance(MultiGraph(inst.graph.nodes, inst.graph.arcs),
+                                  b, u, list(inst.c))
+            alt = ssp_solve(sub)
+            if alt.status == "optimal" and alt.objective + inst.c[a] == sol.objective:
+                return False
+    return True
+
+
+def energy_gap(run: CenteringRun) -> Fraction:
+    """The run's electrical energy above the optimum, exactly: the sum
+    over off-tree arcs of Lambda_a^2 / r(C_a), read from
+    ``run.forest.cycles`` and ``run.phi``."""
+    total = Fraction(0)
+    for _, coefs, cycle_r in run.forest.cycles:
+        lam = sum(c * run.phi[b] for b, _, c in coefs)
+        total += Fraction(lam * lam, cycle_r)
+    return total

@@ -23,10 +23,11 @@ from latticeflow.crossover import (admissible_max_flow, build_perturbed,
 from latticeflow.dimacs import format_infeasible, format_solution
 from latticeflow.exact_arith import BoundMonitor
 from latticeflow.graph_core import apply_incidence
-from latticeflow.reference_oracle import (has_unique_support, random_instance,
-                                          ssp_solve, verify_certificate,
-                                          verify_cut)
+from latticeflow.reference_oracle import (random_instance, ssp_solve,
+                                          verify_certificate, verify_cut)
 from latticeflow.solver import SolveConfig, solve
+
+from helpers import energy_gap, has_unique_support
 
 SUITE_SIZE = 200
 SUITE_BUDGET_SECONDS = 600.0
@@ -101,7 +102,7 @@ def _make_probe(seed, oracle, unique, data):
                                  s=dict(payload["s"]), mu=payload["mu"],
                                  rng=Random(0), mu0_bits=mu0_bits,
                                  monitor=BoundMonitor(REPLAY_LIMIT))
-            if trial.gap() * 16384 * m_h >= payload["mu"]:
+            if energy_gap(trial) * 16384 * m_h >= payload["mu"]:
                 states.append({"seed": seed, "iteration": it,
                                "arcs": payload["arcs"], "x": payload["x"],
                                "s": payload["s"], "mu": payload["mu"],

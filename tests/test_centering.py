@@ -8,11 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latticeflow import centering
 from latticeflow.centering import CenteringRun
-from latticeflow.errors import CenteringStallError, InvariantError
+from latticeflow.errors import (BoundViolationError, CenteringStallError,
+                                InvariantError)
 from latticeflow.exact_arith import BoundMonitor, round_nearest
 from latticeflow.reference_oracle import random_instance
 from latticeflow.solver import SolveConfig, solve
+
+from helpers import energy_gap
 
 TWO_CYCLE = [(0, "A", "B"), (1, "B", "A")]
 # magnitude limit for the hand-sized states here, far above any value
@@ -80,6 +84,35 @@ def test_tree_only_minor_off_target_is_an_invariant_error():
                        rng=Random(0), mu0_bits=4, monitor=BoundMonitor(LIMIT))
     with pytest.raises(InvariantError):
         run.run()
+
+
+DRAW_TOTALS = sorted({1, 2, 3} | {t for k in range(2, 71)
+                                   for t in (2**k - 1, 2**k, 2**k + 1)})
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2024, 2**64 + 3])
+def test_draws_are_randrange_draws(monkeypatch, seed):
+    """The cycle draw reads ``rng.getrandbits`` directly; for any
+    total weight it must give what ``Random.randrange(total)`` gives,
+    draw for draw, and leave the generator in the same state, so the
+    random stream does not depend on which of the two is called."""
+    drawn = []
+
+    def bisect_spy(prefix, value):
+        drawn.append(value)
+        return 0
+
+    monkeypatch.setattr(centering, "bisect_right", bisect_spy)
+    for total in DRAW_TOTALS:
+        run = _two_cycle_run()
+        run.rng = Random(seed)
+        run.forest.prefix = [total]  # one cycle carrying the whole weight
+        drawn.clear()
+        for _ in range(8):
+            run.sample_update()
+        reference = Random(seed)
+        assert drawn == [reference.randrange(total) for _ in range(8)], total
+        assert run.rng.getstate() == reference.getstate(), total
 
 
 def test_stall_ceiling_raises():
@@ -268,6 +301,53 @@ def test_determinism_under_seed():
         b.x_cur, b.s_cur, b.updates, b.refreshes)
 
 
+# a state found by search whose largest stored magnitude, 1928, is the
+# lam of an update made at mu after the rejected trial's 16 updates,
+# not a value that a refresh stores
+STRICT_ARCS = [(0, "A", "B"), (1, "A", "B"), (2, "B", "A"), (3, "A", "B")]
+
+
+def _strict_run(limit):
+    return CenteringRun(arcs=STRICT_ARCS, x={0: 1, 1: 12, 2: 21, 3: 102},
+                        s={0: 138, 1: 24, 2: 99, 3: 163}, mu=2078,
+                        rng=Random(20), mu0_bits=1,
+                        monitor=BoundMonitor(limit), trial_mu=1558)
+
+
+def test_monitor_raises_at_the_update_that_stores_the_maximum():
+    """With its limit one below the largest magnitude a run stores, the
+    monitor raises inside the update that stores it, the 22nd, after
+    that update has pushed its flow, and keeps the violator in
+    ``max_seen``. The figures were taken from the earlier kernel, which
+    recorded each update's values as one list."""
+    full = _strict_run(LIMIT)
+    full.run()
+    assert (full.updates, full.refreshes, full.mu) == (36, 11, 2078)
+    assert full.monitor.max_seen == 1928
+    run = _strict_run(1927)
+    with pytest.raises(BoundViolationError,
+                       match="magnitude 1928 exceeds monitor limit 1927"):
+        run.run()
+    assert (run.updates, run.refreshes) == (22, 7)
+    assert run.monitor.max_seen == 1928
+    assert run.phi == {0: 0, 1: -16, 2: 1, 3: 17}
+
+
+def test_monitor_checks_the_flow_an_update_pushes():
+    # r = (1, 3) puts arc 0 in the tree; from phi = (-100, 34) the cycle
+    # of arc 1 has lam = 3 * 34 - 100 = 2 and alpha = 1, so the largest
+    # value the update stores is the pushed phi_0 = -101, not lam
+    run = CenteringRun(arcs=TWO_CYCLE, x={0: 3, 1: 3}, s={0: 2, 1: 8},
+                       mu=4, rng=Random(0), mu0_bits=8,
+                       monitor=BoundMonitor(LIMIT))
+    run.phi = {0: -100, 1: 34}
+    run.monitor = BoundMonitor(100)
+    with pytest.raises(BoundViolationError, match="magnitude 101 exceeds"):
+        run.sample_update()
+    assert run.monitor.max_seen == 101
+    assert run.phi == {0: -101, 1: 33}
+
+
 def test_monitor_sees_centering_state():
     run = _two_cycle_run()
     run.run()
@@ -340,6 +420,6 @@ def test_energy_accounting_is_exact(seed):
         e2 = energy()
         assert e - e2 == rec.energy_decrease
         e = e2
-    if run.gap() == 0:
+    if energy_gap(run) == 0:
         for _, coefs, _ in run.forest.cycles:
             assert sum(sg * run.forest.r[b] * run.phi[b] for b, sg, _ in coefs) == 0

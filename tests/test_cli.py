@@ -82,6 +82,21 @@ def test_solve_then_verify_infeasible(tmp_path, capsys):
     assert capsys.readouterr().out == "infeasibility certificate ok\n"
 
 
+def test_oracle_then_verify_infeasible(tmp_path, capsys):
+    # the oracle prints the nodes its last path search cannot reach, a
+    # Gale cut that verify accepts; both exit with code 2
+    inst_path = tmp_path / "bad.dimacs"
+    inst_path.write_text(INFEASIBLE)
+    assert main(["oracle", str(inst_path)]) == 2
+    captured = capsys.readouterr()
+    assert "infeasible" in captured.err
+    assert captured.out == "s infeasible\nx 2\n"
+    sol_path = tmp_path / "bad.sol"
+    sol_path.write_text(captured.out)
+    assert main(["verify", str(inst_path), str(sol_path)]) == 2
+    assert capsys.readouterr().out == "infeasibility certificate ok\n"
+
+
 def test_verify_rejects_a_cut_for_a_feasible_instance(triangle_file,
                                                       tmp_path, capsys):
     sol_path = tmp_path / "tri.sol"

@@ -384,3 +384,81 @@ def test_frozen_lift_keeps_deleted_arc_slack_positive():
     assert all(_classify(x[aid], s[aid], cert.m, cert) == "keep"
                for aid, _, _ in minor)
     _check_iterate(aux, cert, x, s, y, pin["mu"], cmap, minor)
+
+
+# The driver state of random_instance(4003, 5, 10, 10, 0, "random"),
+# solved with seed 4003, right before the lift of outer iteration 70:
+# the deleted arcs, the contracted arcs in the order they were
+# contracted (which fixes the merge forest and the class names), the
+# point, the target mu the centering reached, and the centering's x_cur,
+# s_cur and pi over the six minor arcs. Like PIN_9055, replaying from
+# here needs no random numbers.
+PIN_4003 = {
+    "instance": random_instance(4003, 5, 10, 10, 0, "random"),
+    "deleted": [20, 23, 26, 21, 25, 27, 24, 28, 22],
+    "contracted": [1, 7, 13, 0, 10, 11, 18, 19, 3, 6, 12, 17, 14, 9],
+    "x": [42743619, 41142461, 5801359, 36141681, 4625101, 3763507, 25871986,
+          49625486, 6020140, 10757076, 57037156, 1683100, 24457526, 34262730,
+          12143904, 4633312, 5509363, 36433677, 31334941, 27385315, 181608,
+          202522, 178316, 198983, 207075, 180452, 194311, 181506, 206981],
+    "s": [55802134421421069, 49701443245039582, 62773922579761850,
+          55666052884614274, 79293236878478010, 95402260642678028,
+          47183395132648770, 57098168080496777, 60492630091022405,
+          47284069219493342, 54657410057220578, 47549540362073002,
+          50478198119388989, 53285101372089420, 56942275834778707,
+          79151990775360212, 66100937590520682, 52892376718991619,
+          47553105670901350, 54660975366048926, 31972691516228608852424,
+          10658292269357752599982, 3553521544582202248007,
+          15986336103488280470937, 4568793559027917652424,
+          6394536917916408099569, 15986371521764092581505,
+          6394526516258789270937, 4568807774767307947576],
+    "y": {1: -6100691176381487, 2: 0, 3: -13208560871529063,
+          4: -22209714940581505, 5: -3293787923681056, 6: -55802134421421069,
+          7: -68874613756143337, 8: -101502951819059515,
+          9: -60391956004177833, 10: -60492630091022405,
+          11: -60758101233602065, 12: -56578889295770476,
+          13: -79151990775360212, 14: -66100937590520682,
+          15: -60761666542430413},
+    "mu": 297685298934418023874960,
+    "x_cur": {2: 4742181, 4: 4398017, 5: 3990591, 8: 4921018, 15: 4406228,
+              16: 4503496},
+    "s_cur": {2: 62773922579761850, 4: 68256133642638170,
+              5: 73341426673978658, 8: 60492630091022405,
+              15: 68128260042500682, 16: 66100937590520682},
+    "pi": {1: 0, 4: 11023730732859530, 8: 22060833968699370},
+}
+
+
+# Known defect, pinned until it is fixed (ROADMAP item 1): the lift
+# routes class imbalance through contracted arc 11 in the direction
+# earlier lifts did, and its flow falls below zero.
+@pytest.mark.xfail(strict=True, raises=InvariantError,
+                   reason="contracted arc 11 lost positivity while routing "
+                          "class imbalance")
+def test_frozen_lift_keeps_contracted_arc_positive():
+    pin = PIN_4003
+    norm, _ = normalize_costs(pin["instance"])
+    down, info = downscale(norm)
+    cert = compute_scaling(down.graph.m, info.U, info.C,
+                           beta0=info.beta0, gamma0=info.gamma0)
+    aux, _ = build_auxiliary(scale_up(down, cert), cert,
+                             monitor=BoundMonitor(cert.limit))
+    cmap = ContractionMap(aux.graph)
+    for aid in pin["deleted"]:
+        cmap.delete(aid)
+    for aid in pin["contracted"]:
+        cmap.contract(aid)
+    minor = minor_arcs(aux.graph, cmap)
+    assert [aid for aid, _, _ in minor] == sorted(pin["x_cur"])
+    x, s, y = list(pin["x"]), list(pin["s"]), dict(pin["y"])
+    _lift(aux, cmap, minor, pin["x_cur"], pin["s_cur"], pin["pi"], x, s, y)
+    # the next iteration classifies the minor's arcs against the lifted
+    # point and checks it, as the driver does
+    for aid, _, _ in minor:
+        kind = _classify(x[aid], s[aid], cert.m, cert)
+        if kind == "delete":
+            cmap.delete(aid)
+        elif kind == "contract":
+            cmap.contract(aid)
+    _check_iterate(aux, cert, x, s, y, pin["mu"], cmap,
+                   minor_arcs(aux.graph, cmap))

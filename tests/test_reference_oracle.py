@@ -11,12 +11,13 @@ from latticeflow.graph_core import MultiGraph
 from latticeflow.instance_pipeline import RawInstance
 from latticeflow.reference_oracle import (
     brute_force_optimum,
-    has_unique_support,
     random_instance,
     ssp_solve,
     verify_certificate,
     verify_cut,
 )
+
+from helpers import has_unique_support
 
 
 def _tri():
@@ -45,7 +46,9 @@ def test_triangle_wrong_flow_fails_verification():
 def test_infeasible_capacity_cut():
     g = MultiGraph([1, 2], [(1, 2)])
     inst = RawInstance(g, {1: -5, 2: 5}, [3], [1])
-    assert ssp_solve(inst).status == "infeasible"
+    sol = ssp_solve(inst)
+    assert sol.status == "infeasible"
+    assert sol.cut == [2]
 
 
 def test_missing_potential_fails_verification():
@@ -134,6 +137,7 @@ def test_ssp_matches_brute_force(seed, n, extra, U_max, C_max, mode):
     best, flows = brute_force_optimum(inst)
     if best is None:
         assert sol.status == "infeasible"
+        assert verify_cut(inst, sol.cut).ok
     else:
         assert sol.status == "optimal"
         assert sol.objective == best
@@ -207,7 +211,13 @@ def test_feasible_instances_have_no_cut(inst):
 @settings(max_examples=80, deadline=None)
 @given(_small_instances(feasible=False))
 def test_some_cut_certifies_exactly_the_infeasible_instances(inst):
-    """Gale's theorem, both directions, by enumeration."""
+    """Gale's theorem, both directions, by enumeration; the oracle's
+    own cut is one of the certifying sets."""
     certified = any(verify_cut(inst, list(cut)).ok
                     for cut in _subsets(inst.graph.nodes))
-    assert certified == (ssp_solve(inst).status == "infeasible")
+    sol = ssp_solve(inst)
+    assert certified == (sol.status == "infeasible")
+    if certified:
+        assert verify_cut(inst, sol.cut).ok
+    else:
+        assert sol.cut is None
