@@ -65,6 +65,13 @@ class CenteringRun:
     Otherwise the run resets ``base`` and ``phi`` to ``mu`` and centers
     there as if no trial had been made; the forest is kept, since the
     resistances do not depend on the target.
+    ``secant``, optional and read only with a trial, is (d, num, den):
+    d maps each arc to a circulation of the minor, the change of the
+    path's flow over the previous step, and num / den scales it to the
+    trial's step. The trial then starts from the predicted point: each
+    off-tree arc's value round(d_a num / den), its coordinate in the
+    cycle basis, is pushed around its fundamental cycle, so the start
+    still meets the demands. The fallback to ``mu`` starts from ``x``.
     ``forest`` is the minimum spanning forest of these arcs under the
     resistances r_a = ceil(s_a / x_a), which it holds as ``forest.r``,
     and owns the cycle table and its prefix sums that ``sample_update``
@@ -93,6 +100,7 @@ class CenteringRun:
     monitor: BoundMonitor
     forest: TreeForest | None = None
     trial_mu: int | None = None
+    secant: tuple[dict[int, int], int, int] | None = None
 
     target: int = field(init=False)
     base: dict[int, int] = field(init=False)
@@ -116,7 +124,12 @@ class CenteringRun:
         if self.forest is None or not self.forest.reweight(r):
             self.forest = TreeForest(self.arcs, r)
         self.monitor.record_many(r.values())
-        self._aim(self.mu if self.trial_mu is None else self.trial_mu)
+        if self.trial_mu is None:
+            self._aim(self.mu)
+        else:
+            self._aim(self.trial_mu)
+            if self.secant is not None:
+                self._predict(*self.secant)
         self.monitor.record_many(self.forest.weights)
         self.monitor.record_many(
             [cycle_r for _, _, cycle_r in self.forest.cycles])
@@ -138,6 +151,19 @@ class CenteringRun:
         self.base = base
         self.phi = phi
         self.monitor.record_many(base.values())
+        self.monitor.record_many(phi.values())
+
+    def _predict(self, d: dict[int, int], num: int, den: int) -> None:
+        """Move the trial's start along the secant: push
+        round(d_a num / den), rounded to nearest with ties up, around the
+        fundamental cycle of each off-tree arc a, then record phi."""
+        phi = self.phi
+        twice = 2 * den
+        for aid, coefs, _ in self.forest.cycles:
+            step = (2 * d[aid] * num + den) // twice
+            if step:
+                for b, sign, _ in coefs:
+                    phi[b] += step * sign
         self.monitor.record_many(phi.values())
 
     @cached_property

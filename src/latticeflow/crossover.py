@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .errors import InvariantError
 from .graph_core import (apply_incidence, apply_incidence_transpose,
-                         bfs_forest, max_flow)
+                         bfs_forest, max_flow, tree_potentials)
 from .instance_pipeline import AuxiliaryInstance, ScalingCertificate
 from .ipm_driver import IPMResult
 
@@ -165,11 +165,7 @@ def lift_tree_duals(aux: AuxiliaryInstance, cert: ScalingCertificate,
     order, parent = bfs_forest(g, tree, [min(g.nodes)])
     if len(order) != g.n:
         raise InvariantError("crossover tree does not span the instance")
-    y_t: dict[int, int] = {order[0]: 0}
-    for v in order[1:]:
-        a, p = parent[v]
-        # tree arcs are tight: c_a = y_head - y_tail
-        y_t[v] = y_t[p] + aux.c[a] if g.arcs[a][1] == v else y_t[p] - aux.c[a]
+    y_t = tree_potentials(g, order, parent, aux.c)
     s_t = [aux.c[a] - d
            for a, d in enumerate(apply_incidence_transpose(g, y_t))]
     for a in range(g.m):

@@ -8,10 +8,13 @@ survivors. Contraction state lives in a union-find over node ids;
 representatives.
 
 :func:`bfs_forest` grows a breadth-first forest over a chosen set of
-arcs, ignoring their direction, and :func:`route_to_roots` routes a
-demand vector along it leaf to root. Together they build tree
-solutions, route class imbalances, lift tree potentials and split an
-instance into its weakly-connected components.
+arcs, ignoring their direction, :func:`route_to_roots` routes a demand
+vector along it leaf to root, and :func:`tree_potentials` prices its
+arcs tight. Together they build tree solutions, route class imbalances,
+lift tree potentials and split an instance into its weakly-connected
+components. :func:`bridges` finds, in linear time, the arcs of a minor
+whose removal splits its component, with the weight of the side each
+one cuts off.
 
 :func:`max_flow` is Dinic's exact maximum flow over any hashable nodes.
 It routes the crossover's admissible flow and decides, before any
@@ -35,7 +38,9 @@ __all__ = [
     "apply_incidence",
     "apply_incidence_transpose",
     "bfs_forest",
+    "bridges",
     "route_to_roots",
+    "tree_potentials",
     "max_flow",
 ]
 
@@ -191,6 +196,60 @@ def bfs_forest(g: MultiGraph, arc_ids: Iterable[int], roots: Iterable[int]
     return order, parent
 
 
+def bridges(arcs: Sequence[tuple[int, Hashable, Hashable]],
+            weight: Mapping[Hashable, int]) -> list[tuple[int, int]]:
+    """The bridges of the multigraph ``arcs``, direction ignored.
+
+    ``arcs`` are (arc_id, tail, head) triples, as :func:`minor_arcs`
+    gives them; a bridge is an arc on no cycle, so parallel arcs and
+    self-loops never are. One depth-first search per component, in the
+    order nodes first appear in ``arcs``, finds them in linear time
+    (Tarjan's low points, with an explicit stack). Returns (arc_id,
+    side) for each bridge in the order the search closes it, where side
+    sums ``weight`` (0 for a node it does not list) over the nodes the
+    bridge cuts off from the search's root.
+    """
+    adj: dict[Hashable, list[tuple[int, Hashable]]] = {}
+    for aid, tail, head in arcs:
+        adj.setdefault(tail, [])
+        adj.setdefault(head, [])
+        if tail != head:
+            adj[tail].append((aid, head))
+            adj[head].append((aid, tail))
+    disc: dict[Hashable, int] = {}
+    low: dict[Hashable, int] = {}
+    side: dict[Hashable, int] = {}
+    found: list[tuple[int, int]] = []
+    for root in adj:
+        if root in disc:
+            continue
+        disc[root] = low[root] = len(disc)
+        side[root] = weight.get(root, 0)
+        # (node, arc it was reached by, its remaining neighbours)
+        stack = [(root, None, iter(adj[root]))]
+        while stack:
+            v, via, rest = stack[-1]
+            for aid, w in rest:
+                if aid == via:
+                    continue
+                if w in disc:
+                    low[v] = min(low[v], disc[w])
+                else:
+                    disc[w] = low[w] = len(disc)
+                    side[w] = weight.get(w, 0)
+                    stack.append((w, aid, iter(adj[w])))
+                    break
+            else:
+                stack.pop()
+                if stack:
+                    p = stack[-1][0]
+                    low[p] = min(low[p], low[v])
+                    side[p] += side[v]
+                    if low[v] > disc[p]:
+                        found.append((via, side[v]))
+    return found
+
+
 def route_to_roots(g: MultiGraph, order: Sequence[int],
                    parent: Mapping[int, tuple[int, int]],
                    demand: dict[int, int], flow: list[int]) -> None:
@@ -215,6 +274,22 @@ def route_to_roots(g: MultiGraph, order: Sequence[int],
         demand[v] = 0
 
 
+def tree_potentials(g: MultiGraph, order: Sequence[int],
+                    parent: Mapping[int, tuple[int, int]],
+                    cost: Sequence[int]) -> dict[int, int]:
+    """Potentials on a :func:`bfs_forest` that make every forest arc
+    tight: each root gets 0, and every arc a = (v, w) joining a node to
+    its parent gets pi_w - pi_v = cost[a]."""
+    pi: dict[int, int] = {}
+    for v in order:
+        if v in parent:
+            a, p = parent[v]
+            pi[v] = pi[p] + cost[a] if g.arcs[a][1] == v else pi[p] - cost[a]
+        else:
+            pi[v] = 0
+    return pi
+
+
 def max_flow(nodes: Iterable[Hashable],
              arcs: Sequence[tuple[Hashable, Hashable, int]],
              source: Hashable, sink: Hashable
@@ -223,8 +298,9 @@ def max_flow(nodes: Iterable[Hashable],
 
     ``arcs`` are (tail, head, capacity) with nonnegative integer
     capacities of any size. Returns the flow value, the flow on each
-    input arc, and the set of nodes the source reaches in the final
-    residual graph: the source side of a minimum cut. The number of
+    input arc, and the set of nodes that can still reach the sink in the
+    final residual graph: the smallest sink side of a minimum cut. The
+    number of
     phases and augmentations depends only on the node and arc counts,
     not on the capacities.
     """
@@ -290,4 +366,13 @@ def max_flow(nodes: Iterable[Hashable],
                 break
             total += pushed
     flows = [flat[2 * i + 1][1] for i in range(len(arcs))]
-    return total, flows, set(level)
+    # edge j leads from v to u, so its reverse j ^ 1 leads from u to v
+    sink_side = {sink}
+    stack = [sink]
+    while stack:
+        for j in graph[stack.pop()]:
+            u = flat[j][0]
+            if flat[j ^ 1][1] > 0 and u not in sink_side:
+                sink_side.add(u)
+                stack.append(u)
+    return total, flows, sink_side

@@ -5,7 +5,19 @@ Starting from the constructed interior point at mu0, each iteration:
 1. reclassifies arcs against the current point: an arc whose primal
    value has collapsed (9 m x_a < 7 beta) is deleted, one whose slack
    has collapsed (9 m s_a < 7 gamma) is contracted, and the survivors
-   form the working minor;
+   form the working minor. After any such change two rules decide the
+   arcs whose value the new minor forces at every optimum, and repeat
+   until neither fires:
+   - a minor bridge carries the total demand of the side it cuts off,
+     since every other arc leaving that side is deleted or lies inside
+     a class. It is deleted when that demand is 0 and 9 x_a <= 2 beta,
+     which keeps its frozen flow inside the crossover's demand fold;
+   - a minor self-loop has the reduced cost c_a minus the cost of the
+     merge-forest path between its endpoints, since contracted arcs
+     are tight. It is contracted when that is 0; a negative one is an
+     InvariantError.
+   A bridge's flow and a loop's slack cannot move while the minor stays
+   the same, so the rules run only after a change;
 2. stops once the duality-gap proxy over the minor is tiny
    (81 * sum x_a s_a < 4 beta gamma);
 3. otherwise lowers mu and recenters the minor with random integer
@@ -20,13 +32,22 @@ Starting from the constructed interior point at mu0, each iteration:
    again after it.
    Every iteration lowers mu by at least the short step, so the
    iteration ceiling still holds. When step 1 deleted and contracted
-   nothing, the minor is the previous one and the previous centering's
-   spanning forest is offered for reuse;
+   nothing, the minor is the previous one: the previous centering's
+   spanning forest is offered for reuse, and the trial starts from the
+   path's secant. The change of the minor arcs' flow over the previous
+   centering is a circulation of the minor; scaled by the ratio of the
+   trial's decrement to the previous one, it predicts the trial's
+   point (the predictor half of Mizuno, Todd and Ye). The short-step
+   fallback starts from the driver's point as before;
 4. lifts the recentered point back to the full auxiliary instance:
    minor arcs take their new values, every node's dual moves by its
    class voltage, deleted arcs get their slack recomputed, and flow
    imbalances inside each contracted class are routed leaf-to-root
-   along the arcs whose contraction built the class.
+   along the arcs whose contraction built the class. When a deleted
+   arc's slack would not be positive, each component of the minor
+   shifts its duals by its own constant, which moves no minor or
+   contracted slack; shortest paths over the constraints "slack >= 1"
+   on the deleted arcs between components choose the constants.
 
 All checks are exact integer comparisons. The deletions and
 contractions are permanent: the sets only grow, which is what makes the
@@ -44,7 +65,8 @@ from .centering import CenteringRun
 from .errors import InvariantError, IterationCeilingError
 from .exact_arith import BoundMonitor
 from .graph_core import (ContractionMap, apply_incidence, bfs_forest,
-                         minor_arcs, route_to_roots)
+                         bridges, minor_arcs, route_to_roots,
+                         tree_potentials)
 from .instance_pipeline import AuxiliaryInstance, InitialPoint, ScalingCertificate
 
 __all__ = ["IPMResult", "run_interior_point", "decrement_mu", "outer_ceiling"]
@@ -111,6 +133,7 @@ def run_interior_point(
     cmap = ContractionMap(g)
     minor = minor_arcs(g, cmap)
     forest = None
+    previous = None  # mu and the minor's x at the last centering's start
     ceiling = outer_ceiling(m, point.mu0)
     mu0_bits = point.mu0.bit_length()
     iterations = updates = refreshes = 0
@@ -129,9 +152,16 @@ def run_interior_point(
             elif kind == "contract":
                 cmap.contract(aid)
                 changed = True
-        if changed:
+        while changed:
             minor = minor_arcs(g, cmap)
-            forest = None
+            forest = previous = None
+            forced = _forced_bridges(aux, cert, cmap, minor, x)
+            for aid in forced:
+                cmap.delete(aid)
+            loops = _forced_loops(aux, cmap, minor)
+            for aid in loops:
+                cmap.contract(aid)
+            changed = bool(forced or loops)
 
         _check_iterate(aux, cert, x, s, y, mu, cmap, minor)
 
@@ -158,6 +188,12 @@ def run_interior_point(
         trial_mu = mu - k * (mu - short_mu)
         if k < 2 or trial_mu < 1:
             trial_mu = None
+        secant = None
+        if trial_mu is not None and previous is not None:
+            prev_mu, prev_x = previous
+            secant = ({aid: x[aid] - prev_x[aid] for aid, _, _ in minor},
+                      mu - trial_mu, prev_mu - mu)
+        previous = (mu, {aid: x[aid] for aid, _, _ in minor})
         if probe is not None:
             probe("centering_enter", {
                 "iteration": iterations,
@@ -169,7 +205,7 @@ def run_interior_point(
             })
         run = CenteringRun(arcs=minor, x=x, s=s, mu=short_mu, rng=rng,
                            mu0_bits=mu0_bits, monitor=monitor, forest=forest,
-                           trial_mu=trial_mu)
+                           trial_mu=trial_mu, secant=secant)
         run.run()
         if trial_mu is None:
             k = 2
@@ -205,12 +241,100 @@ def run_interior_point(
         iterations += 1
 
 
+def _forced_bridges(aux: AuxiliaryInstance, cert: ScalingCertificate,
+                    cmap: ContractionMap, minor: list[tuple[int, int, int]],
+                    x: list[int]) -> list[int]:
+    """The minor's bridges that carry no flow at any optimum and are
+    small enough to delete: the side each cuts off demands nothing in
+    total, and 9 x_a <= 2 beta."""
+    demand: dict[int, int] = {}
+    for v in aux.graph.nodes:
+        rep = cmap.find(v)
+        demand[rep] = demand.get(rep, 0) + aux.b[v]
+    return [aid for aid, side in bridges(minor, demand)
+            if side == 0 and 9 * x[aid] <= 2 * cert.beta]
+
+
+def _forced_loops(aux: AuxiliaryInstance, cmap: ContractionMap,
+                  minor: list[tuple[int, int, int]]) -> list[int]:
+    """The minor's self-loops that are tight at every optimal dual: the
+    merge forest's arcs are, so a loop's reduced cost there is c_a minus
+    the cost of the forest path between its endpoints. Raises
+    InvariantError when that is negative, since no optimal dual exists
+    then."""
+    loops = [aid for aid, tail, head in minor if tail == head]
+    if not loops:
+        return []
+    g, c = aux.graph, aux.c
+    cost = tree_potentials(g, *bfs_forest(g, cmap.merges, g.nodes), c)
+    forced = []
+    for aid in loops:
+        tail, head = g.arcs[aid]
+        reduced = c[aid] - (cost[head] - cost[tail])
+        if reduced < 0:
+            raise InvariantError(
+                f"self-loop {aid} has negative reduced cost {reduced} "
+                "around its class")
+        if reduced == 0:
+            forced.append(aid)
+    return forced
+
+
+def _shift_components(aux: AuxiliaryInstance, cmap: ContractionMap,
+                      minor: list[tuple[int, int, int]],
+                      y: dict[int, int], s: list[int]) -> None:
+    """Shift each minor component's duals by a constant so that every
+    deleted arc's slack is at least 1, when some is not positive and
+    such constants exist; otherwise leave ``y`` alone. ``s`` must hold
+    the deleted arcs' slacks under ``y``, and is kept so.
+
+    Minor and contracted arcs join nodes of one component, so their
+    slacks do not move. A deleted arc from component K to component L
+    asks shift_L - shift_K <= slack - 1, and Bellman-Ford from a virtual
+    source finds the largest shifts, all <= 0, that meet every such
+    constraint, or a negative cycle when none do.
+    """
+    if all(s[aid] > 0 for aid in cmap.deleted):
+        return
+    g = aux.graph
+    order, parent = bfs_forest(
+        g, [aid for aid, _, _ in minor] + cmap.merges, g.nodes)
+    comp: dict[int, int] = {}
+    for v in order:
+        comp[v] = comp[parent[v][1]] if v in parent else v
+    limits = []
+    for aid in cmap.deleted:
+        tail, head = comp[g.arcs[aid][0]], comp[g.arcs[aid][1]]
+        if tail != head:
+            limits.append((tail, head, s[aid] - 1))
+        elif s[aid] <= 0:
+            return
+    shift = dict.fromkeys(comp.values(), 0)
+    for _ in shift:
+        relaxed = False
+        for tail, head, room in limits:
+            if shift[tail] + room < shift[head]:
+                shift[head] = shift[tail] + room
+                relaxed = True
+        if not relaxed:
+            break
+    else:
+        return  # a negative cycle: the constraints cannot all hold
+    for v in g.nodes:
+        y[v] += shift[comp[v]]
+    for aid in cmap.deleted:
+        tail, head = g.arcs[aid]
+        s[aid] -= shift[comp[head]] - shift[comp[tail]]
+
+
 def _lift(aux: AuxiliaryInstance, cmap: ContractionMap,
           minor: list[tuple[int, int, int]],
           new_x: dict[int, int], new_s: dict[int, int], pi: dict,
           x: list[int], s: list[int], y: dict[int, int]) -> None:
-    """Write the recentered minor point into ``x``, ``s`` and ``y`` and
-    route each class's flow imbalance along its merge forest.
+    """Write the recentered minor point into ``x``, ``s`` and ``y``,
+    shift the minor components' duals when a deleted slack needs it (see
+    ``_shift_components``), and route each class's flow imbalance along
+    its merge forest.
 
     ``x`` must meet the demands ``aux.b`` on entry, as ``_check_iterate``
     proves each iteration, so the imbalance left behind is exactly the
@@ -227,12 +351,13 @@ def _lift(aux: AuxiliaryInstance, cmap: ContractionMap,
         s[aid] = new_s[aid]
     # every node inherits its class voltage; contracted arcs join equal
     # classes so their slack is untouched, deleted arcs pick up whatever
-    # the new duals dictate
+    # the new duals dictate, after a per-component shift if they need one
     for v in g.nodes:
         y[v] += pi.get(cmap.find(v), 0)
     for aid in cmap.deleted:
         tail, head = g.arcs[aid]
         s[aid] = aux.c[aid] - (y[head] - y[tail])
+    _shift_components(aux, cmap, minor, y, s)
 
     # route per-class flow imbalance along the merge forest, leaf first;
     # the roots go in reverse so that the leaf-first walk (and so the

@@ -4,9 +4,9 @@ optimum or certified infeasibility out.
 A solve first decides feasibility with one exact max-flow over the whole
 instance: a source feeds every supply node, every demand node drains to
 a sink, and the arcs keep their capacities. If the flow falls short of
-the total demand, the nodes the source cannot reach in the residual
-graph form a Gale cut, a set whose demand exceeds the capacity of the
-arcs entering it, and the solve returns that cut at once.
+the total demand, the nodes that can still reach the sink in the
+residual graph form a Gale cut, a set whose demand exceeds the capacity
+of the arcs entering it, and the solve returns that cut at once.
 
 Otherwise each weakly-connected component runs the whole pipeline
 independently: cost normalization, gcd downscaling, choosing the scale
@@ -65,9 +65,9 @@ class SolveResult:
 def _gale_cut(inst: RawInstance) -> list[int] | None:
     """Decide feasibility with one max-flow from the supply nodes to the
     demand nodes. Returns None when the flow meets every demand, else
-    the sorted nodes the source cannot reach in the residual graph: the
-    sink side of a minimum cut, whose demand exceeds the capacity of the
-    arcs entering it."""
+    the sorted nodes that can still reach the sink in the residual
+    graph: the smallest sink side of a minimum cut, whose demand exceeds
+    the capacity of the arcs entering it."""
     g = inst.graph
     arcs = [(tail, head, cap) for (tail, head), cap in zip(g.arcs, inst.u)]
     demand = 0
@@ -77,11 +77,11 @@ def _gale_cut(inst: RawInstance) -> list[int] | None:
         elif d > 0:
             arcs.append((v, "sink", d))
             demand += d
-    value, _, reached = max_flow([*g.nodes, "source", "sink"], arcs,
-                                 "source", "sink")
+    value, _, sink_side = max_flow([*g.nodes, "source", "sink"], arcs,
+                                   "source", "sink")
     if value == demand:
         return None
-    return sorted(v for v in g.nodes if v not in reached)
+    return sorted(v for v in g.nodes if v in sink_side)
 
 
 def _split_components(inst: RawInstance) -> list[tuple[list[int], list[int]]]:

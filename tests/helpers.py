@@ -1,13 +1,25 @@
 """Checks that only the tests use, kept out of the shipped package:
-whether an oracle optimum's support is unique, and the exact energy
-gap of a centering run."""
+the acceptance suite's instance sizes, whether an oracle optimum's
+support is unique, and the exact energy gap of a centering run."""
 
 from fractions import Fraction
+from random import Random
 
 from latticeflow.centering import CenteringRun
 from latticeflow.graph_core import MultiGraph
 from latticeflow.instance_pipeline import RawInstance
 from latticeflow.reference_oracle import OracleSolution, ssp_solve
+
+
+def suite_params(seed: int) -> tuple[int, int, int, int, str]:
+    """Sizes skewed small within the caps n <= 8, m <= 16, U, C <= 10."""
+    rng = Random(seed * 7919 + 13)
+    n = rng.choice([2, 2, 3, 3, 3, 4, 4, 5, 6, 8])
+    m = min(16, n - 1 + rng.choice([0, 1, 1, 2, 2, 3, 4, 6, 9]))
+    u_max = rng.choice([1, 2, 3, 5, 10])
+    c_max = rng.choice([0, 1, 2, 3, 5, 10])
+    mode = "feasible" if seed % 3 else "random"
+    return n, m, u_max, c_max, mode
 
 
 def _drop_arc(inst: RawInstance, a: int) -> RawInstance:

@@ -27,7 +27,7 @@ from latticeflow.reference_oracle import (random_instance, ssp_solve,
                                           verify_certificate, verify_cut)
 from latticeflow.solver import SolveConfig, solve
 
-from helpers import energy_gap, has_unique_support
+from helpers import energy_gap, has_unique_support, suite_params
 
 SUITE_SIZE = 200
 SUITE_BUDGET_SECONDS = 600.0
@@ -39,17 +39,6 @@ BOOTSTRAP_RESAMPLES = 1000
 # the solves they come from already held every value under their own
 # component's limit, far below this one
 REPLAY_LIMIT = 1 << 512
-
-
-def _suite_params(seed: int) -> tuple[int, int, int, int, str]:
-    """Sizes skewed small within the caps n <= 8, m <= 16, U, C <= 10."""
-    rng = Random(seed * 7919 + 13)
-    n = rng.choice([2, 2, 3, 3, 3, 4, 4, 5, 6, 8])
-    m = min(16, n - 1 + rng.choice([0, 1, 1, 2, 2, 3, 4, 6, 9]))
-    u_max = rng.choice([1, 2, 3, 5, 10])
-    c_max = rng.choice([0, 1, 2, 3, 5, 10])
-    mode = "feasible" if seed % 3 else "random"
-    return n, m, u_max, c_max, mode
 
 
 def _check_initial_point(seed, cert, aux, point, data):
@@ -247,7 +236,7 @@ def suite():
     }
     t_start = time.perf_counter()
     for seed in range(SUITE_SIZE):
-        n, m, u_max, c_max, mode = _suite_params(seed)
+        n, m, u_max, c_max, mode = suite_params(seed)
         inst = random_instance(seed, n, m, u_max, c_max, mode)
         oracle = ssp_solve(inst)
         unique = oracle.status == "optimal" and has_unique_support(inst,

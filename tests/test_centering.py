@@ -13,6 +13,8 @@ from latticeflow.centering import CenteringRun
 from latticeflow.errors import (BoundViolationError, CenteringStallError,
                                 InvariantError)
 from latticeflow.exact_arith import BoundMonitor, round_nearest
+from latticeflow.graph_core import (MultiGraph, apply_incidence, bfs_forest,
+                                    route_to_roots)
 from latticeflow.reference_oracle import random_instance
 from latticeflow.solver import SolveConfig, solve
 
@@ -399,6 +401,39 @@ def test_updates_preserve_conservation_and_duals(seed, n_nodes, n_arcs, mu,
     assert boundary(run.x_cur) == entry
     for aid, t, h in arcs:
         assert run.s_cur[aid] == s[aid] - (run.pi[h] - run.pi[t])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(2, 5), st.integers(1, 6),
+       st.lists(st.integers(-30, 30), min_size=10, max_size=10),
+       st.integers(1, 7), st.integers(1, 7))
+def test_predicted_trial_start_meets_the_demands(seed, n_nodes, n_arcs, w,
+                                                 num, den):
+    """The secant moves the trial's start by a circulation whose value
+    on each off-tree arc is round(d_a num / den); without a trial, the
+    run starts from x."""
+    arcs, x, s = _random_state(seed, n_nodes, n_arcs)
+    g = MultiGraph(range(n_nodes), [(t, h) for _, t, h in arcs])
+    # a random circulation: any flow, with its imbalance routed away
+    d = w[:g.m]
+    order, parent = bfs_forest(g, range(g.m), [0])
+    inflow = apply_incidence(g, d)
+    route_to_roots(g, order, parent, {v: -inflow[v] for v in g.nodes}, d)
+    assert not any(apply_incidence(g, d).values())
+    secant = (dict(enumerate(d)), num, den)
+
+    def start(trial_mu):
+        run = CenteringRun(arcs=arcs, x=x, s=s, mu=20, rng=Random(seed),
+                           mu0_bits=8, monitor=BoundMonitor(LIMIT),
+                           trial_mu=trial_mu, secant=secant)
+        run.refresh()
+        return run, [run.x_cur[a] - x[a] for a in range(g.m)]
+
+    run, change = start(10)
+    assert not any(apply_incidence(g, change).values())
+    for aid in run.forest.off_tree:
+        assert change[aid] == round_nearest(d[aid] * num, den)
+    assert not any(start(None)[1])
 
 
 @settings(max_examples=30, deadline=None)

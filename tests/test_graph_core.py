@@ -11,6 +11,7 @@ from latticeflow.graph_core import (
     apply_incidence,
     apply_incidence_transpose,
     bfs_forest,
+    bridges,
     max_flow,
     minor_arcs,
     route_to_roots,
@@ -201,6 +202,51 @@ class TestBfsForest:
         assert bfs_forest(g, [], [3]) == ([3], {})
 
 
+class TestBridges:
+    def test_path_with_a_cycle(self):
+        # 1 - 2 is a bridge, 2 - 3 - 4 a cycle, 4 - 5 a bridge; the
+        # search starts at 1, so each bridge cuts off its far side
+        arcs = [(0, 1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 2), (4, 4, 5)]
+        weight = {1: 1, 2: 10, 3: 100, 4: 1000, 5: 10000}
+        assert bridges(arcs, weight) == [(4, 10000), (0, 11110)]
+
+    def test_parallel_arcs_and_self_loops_are_never_bridges(self):
+        arcs = [(0, "a", "b"), (1, "b", "a"), (2, "b", "b"), (3, "b", "c")]
+        assert bridges(arcs, {"c": 7}) == [(3, 7)]
+
+    @given(
+        n=st.integers(1, 6),
+        arcs=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)),
+                      max_size=10),
+        weight=st.lists(st.integers(-5, 5), min_size=6, max_size=6),
+    )
+    @settings(max_examples=200)
+    def test_agrees_with_removing_each_arc(self, n, arcs, weight):
+        """An arc is a bridge exactly when removing it leaves its tail
+        unable to reach its head; its side is what the component of the
+        search's root, the component's first node in ``arcs``, loses."""
+        triples = [(a, t % n, h % n) for a, (t, h) in enumerate(arcs)]
+        g = MultiGraph(range(n), [(t, h) for _, t, h in triples])
+
+        def reached(arc_ids, root):
+            return set(bfs_forest(g, arc_ids, [root])[0])
+
+        first = []
+        for _, t, h in triples:
+            first += [v for v in (t, h) if v not in first]
+        found = dict(bridges(triples, dict(enumerate(weight))))
+        for a, t, h in triples:
+            rest = [b for b in range(g.m) if b != a]
+            if t in reached(rest, h):
+                assert a not in found
+                continue
+            whole = reached(range(g.m), t)
+            root = next(v for v in first if v in whole)
+            side = whole - reached(rest, root)
+            assert found.pop(a) == sum(weight[v] for v in side)
+        assert not found
+
+
 class TestRouteToRoots:
     def test_tree_solution(self):
         # a path 1 - 2 - 3 rooted at 1, the middle arc pointing rootward
@@ -260,22 +306,22 @@ class TestRouteToRoots:
 
 def test_max_flow_bottleneck():
     # two parallel source arcs into one capacity-4 pipe
-    value, flows, reached = max_flow(
+    value, flows, sink_side = max_flow(
         ["s", "a", "t"], [("s", "a", 2), ("s", "a", 3), ("a", "t", 4)],
         "s", "t")
     assert value == 4
     assert flows[0] + flows[1] == 4
     assert flows[2] == 4
-    # the source still reaches "a" through the unsaturated source arcs
-    assert reached == {"s", "a"}
+    # the pipe is saturated, so only the sink is on the sink side
+    assert sink_side == {"t"}
 
 
 def test_max_flow_diamond():
     arcs = [("s", 1, 3), ("s", 2, 3), (1, "t", 2), (2, "t", 2), (1, 2, 5)]
-    value, flows, reached = max_flow(["s", 1, 2, "t"], arcs, "s", "t")
+    value, flows, sink_side = max_flow(["s", 1, 2, "t"], arcs, "s", "t")
     assert value == 4
     assert all(f >= 0 for f in flows)
-    assert reached == {"s", 1, 2}
+    assert sink_side == {"t"}
 
 
 def test_max_flow_long_path_does_not_recurse():
@@ -284,10 +330,10 @@ def test_max_flow_long_path_does_not_recurse():
     n = 3000
     arcs = [(i, i + 1, 7) for i in range(n - 1)]
     arcs[n // 2] = (n // 2, n // 2 + 1, 3)
-    value, flows, reached = max_flow(range(n), arcs, 0, n - 1)
+    value, flows, sink_side = max_flow(range(n), arcs, 0, n - 1)
     assert value == 3
     assert flows == [3] * (n - 1)
-    assert reached == set(range(n // 2 + 1))
+    assert sink_side == set(range(n // 2 + 1, n))
 
 
 @settings(max_examples=100, deadline=None)
@@ -297,10 +343,10 @@ def test_max_flow_long_path_does_not_recurse():
                        st.integers(0, 9)), max_size=12))))
 def test_max_flow_value_equals_its_cut(case):
     """Max-flow min-cut, exactly: the flows are feasible and conserved,
-    and the value equals the capacity leaving the reached set, every
-    arc of which is saturated while every arc entering it is empty."""
+    and the value equals the capacity entering the sink side, every arc
+    of which is saturated while every arc leaving it is empty."""
     n, arcs = case
-    value, flows, reached = max_flow(range(n), arcs, 0, n - 1)
+    value, flows, sink_side = max_flow(range(n), arcs, 0, n - 1)
     net = dict.fromkeys(range(n), 0)
     for (t, h, cap), f in zip(arcs, flows):
         assert 0 <= f <= cap
@@ -308,12 +354,12 @@ def test_max_flow_value_equals_its_cut(case):
         net[h] += f
     assert net[n - 1] == value == -net[0]
     assert all(net[v] == 0 for v in range(1, n - 1))
-    assert 0 in reached and n - 1 not in reached
+    assert n - 1 in sink_side and 0 not in sink_side
     crossing = 0
     for (t, h, cap), f in zip(arcs, flows):
-        if t in reached and h not in reached:
+        if h in sink_side and t not in sink_side:
             assert f == cap
             crossing += cap
-        elif h in reached and t not in reached:
+        elif t in sink_side and h not in sink_side:
             assert f == 0
     assert crossing == value

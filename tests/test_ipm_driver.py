@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from latticeflow import SolveConfig, centering, solve
 from latticeflow.errors import InvariantError
 from latticeflow.exact_arith import BoundMonitor
-from latticeflow.graph_core import ContractionMap, MultiGraph, apply_incidence, minor_arcs
+from latticeflow.graph_core import (ContractionMap, MultiGraph, apply_incidence,
+                                    bfs_forest, minor_arcs)
 from latticeflow.instance_pipeline import (
     AuxiliaryInstance,
     RawInstance,
@@ -24,7 +25,10 @@ from latticeflow.instance_pipeline import (
 from latticeflow.ipm_driver import (
     _check_iterate,
     _classify,
+    _forced_bridges,
+    _forced_loops,
     _lift,
+    _shift_components,
     decrement_mu,
     outer_ceiling,
     run_interior_point,
@@ -139,19 +143,14 @@ def test_lift_names_the_first_merged_class_losing_positivity(merge_edges, arc):
               {cmap.find(1): 0, cmap.find(3): 0}, x, [1, 1, 5, 5], y)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_lift_leaves_the_demands_met_or_raises(data):
-    """From any contraction state whose x meets the demands, ``_lift``
-    either raises one of its two errors or leaves A x = b; the
-    imbalance error comes only when some class's net change is not
-    zero, since routing can move flow only inside a class."""
+def _draw_state(data):
+    """A graph of up to 5 nodes and 8 arcs, self-loops and parallel arcs
+    allowed, with each arc kept, deleted or contracted in a drawn
+    order."""
     n = data.draw(st.integers(2, 5))
     node = st.integers(1, n)
     arcs = data.draw(st.lists(st.tuples(node, node), min_size=1, max_size=8))
     g = MultiGraph(range(1, n + 1), arcs)
-    x = data.draw(st.lists(st.integers(1, 6), min_size=g.m, max_size=g.m))
-    aux = _tiny_aux(g, apply_incidence(g, x), [0] * g.m)
     cmap = ContractionMap(g)
     for a in data.draw(st.permutations(range(g.m))):
         kind = data.draw(st.sampled_from(["keep", "delete", "contract"]))
@@ -159,6 +158,25 @@ def test_lift_leaves_the_demands_met_or_raises(data):
             cmap.delete(a)
         elif kind == "contract":
             cmap.contract(a)
+    return g, cmap
+
+
+def _ints(data, size, lo, hi):
+    return data.draw(st.lists(st.integers(lo, hi), min_size=size,
+                              max_size=size))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_lift_leaves_the_demands_met_or_raises(data):
+    """From any contraction state whose x meets the demands, ``_lift``
+    either raises one of its two errors or leaves A x = b; the
+    imbalance error comes only when some class's net change is not
+    zero, since routing can move flow only inside a class. Every
+    deleted slack starts at 0, so the dual shift runs each time."""
+    g, cmap = _draw_state(data)
+    x = _ints(data, g.m, 1, 6)
+    aux = _tiny_aux(g, apply_incidence(g, x), [0] * g.m)
     minor = minor_arcs(g, cmap)
     new_x = {a: x[a] + data.draw(st.integers(-2, 2)) for a, _, _ in minor}
     class_change = {}
@@ -174,6 +192,121 @@ def test_lift_leaves_the_demands_met_or_raises(data):
                 or imbalanced and "imbalance survived" in str(exc))
     else:
         assert apply_incidence(g, x) == aux.b
+
+
+def _reached(g, arc_ids, root):
+    return set(bfs_forest(g, arc_ids, [root])[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_bridge_rule_deletes_only_bridges_that_cut_off_no_demand(data):
+    """A minor arc is deleted exactly when it is a bridge between
+    classes, the sides it separates demand nothing, and 9 x <= 2 beta;
+    the classes are the merge forest's trees."""
+    g, cmap = _draw_state(data)
+    cert = compute_scaling(1, 1, 1)  # beta = 8192: the line is x = 1820
+    b = dict(zip(g.nodes, _ints(data, g.n, -2, 2)))
+    x = _ints(data, g.m, 1, 3000)
+    minor = minor_arcs(g, cmap)
+    forced = _forced_bridges(_tiny_aux(g, b, [0] * g.m), cert, cmap, minor, x)
+    assert len(forced) == len(set(forced))
+    for aid, _, _ in minor:
+        tail, head = g.arcs[aid]
+        rest = [a for a, _, _ in minor if a != aid] + cmap.merges
+        near, far = _reached(g, rest, tail), _reached(g, rest, head)
+        bridge = head not in near
+        quiet = bridge and sum(b[v] for v in near) == 0 == sum(
+            b[v] for v in far)
+        if aid in forced:
+            assert bridge and 9 * x[aid] <= 2 * cert.beta
+            assert sum(b[v] for v in near) == 0 or sum(b[v] for v in far) == 0
+        else:
+            assert not (quiet and 9 * x[aid] <= 2 * cert.beta)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_loop_rule_contracts_only_loops_of_zero_class_reduced_cost(data):
+    """A minor self-loop is contracted exactly when c_a equals the cost
+    of the merge-forest path between its endpoints, found here by a
+    search; a loop that costs less than that path raises."""
+    g, cmap = _draw_state(data)
+    c = _ints(data, g.m, 0, 3)
+    minor = minor_arcs(g, cmap)
+
+    def path_cost(tail, head):
+        stack, seen = [(tail, 0)], {tail}
+        while stack:
+            v, cost = stack.pop()
+            if v == head:
+                return cost
+            for a in cmap.merges:
+                at, ah = g.arcs[a]
+                for u, w, sign in ((at, ah, 1), (ah, at, -1)):
+                    if u == v and w not in seen:
+                        seen.add(w)
+                        stack.append((w, cost + sign * c[a]))
+        raise AssertionError("a loop's endpoints share a class")
+
+    reduced = {aid: c[aid] - path_cost(*g.arcs[aid])
+               for aid, tail, head in minor if tail == head}
+    aux = _tiny_aux(g, dict.fromkeys(g.nodes, 0), c)
+    if any(r < 0 for r in reduced.values()):
+        with pytest.raises(InvariantError, match="negative reduced cost"):
+            _forced_loops(aux, cmap, minor)
+    else:
+        assert _forced_loops(aux, cmap, minor) == [
+            aid for aid, r in reduced.items() if r == 0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_dual_shift_moves_no_minor_or_contracted_slack(data):
+    """The shift leaves every minor and contracted slack as it was, and
+    keeps the deleted arcs' slacks in step with the duals. It moves the
+    duals only when a deleted slack is not positive, and then leaves
+    every deleted slack at least 1."""
+    g, cmap = _draw_state(data)
+    c = _ints(data, g.m, -3, 3)
+    y = dict(zip(g.nodes, _ints(data, g.n, -3, 3)))
+    before = dict(y)
+
+    def slack(aid, duals):
+        tail, head = g.arcs[aid]
+        return c[aid] - (duals[head] - duals[tail])
+
+    s = [slack(aid, y) for aid in range(g.m)]
+    _shift_components(_tiny_aux(g, {}, c), cmap, minor_arcs(g, cmap), y, s)
+    assert s == [slack(aid, y) if aid in cmap.deleted else
+                 slack(aid, before) for aid in range(g.m)]
+    for aid in range(g.m):
+        if aid not in cmap.deleted:
+            assert slack(aid, y) == slack(aid, before)
+    if y != before:
+        assert any(slack(aid, before) <= 0 for aid in cmap.deleted)
+        assert all(slack(aid, y) >= 1 for aid in cmap.deleted)
+
+
+def test_dual_shift_separates_components_when_it_can():
+    # components {1, 2} and {3} (arc 0 is the minor); deleted arc 1
+    # enters 3 at slack -4, and deleted arc 2 leaves it at slack 13
+    g = MultiGraph([1, 2, 3], [(1, 2), (2, 3), (3, 1)])
+    cmap = ContractionMap(g)
+    cmap.delete(1)
+    cmap.delete(2)
+    aux = _tiny_aux(g, {}, [0, 0, 9])
+    y = {1: 0, 2: 0, 3: 4}
+    s = [0, -4, 13]
+    _shift_components(aux, cmap, minor_arcs(g, cmap), y, s)
+    # the least shift: arc 1 reaches slack 1, arc 2 keeps 8
+    assert y == {1: 0, 2: 0, 3: -1}
+    assert s == [0, 1, 8]
+    # with arc 2 at slack 2, slacks -4 and 2 cannot both reach 1
+    y = {1: 0, 2: 0, 3: 4}
+    s = [0, -4, 2]
+    _shift_components(aux, cmap, minor_arcs(g, cmap), y, s)
+    assert y == {1: 0, 2: 0, 3: 4} and s == [0, -4, 2]
 
 
 def test_outer_ceiling_scales():
@@ -308,7 +441,7 @@ def test_invariants_hold_throughout():
 def test_centerings_reuse_the_forest(monkeypatch):
     # an outer iteration that deletes and contracts nothing keeps the
     # minor, and the forest is rebuilt only when the new resistances
-    # change the minimum tree; this solve builds 43 forests in 149
+    # change the minimum tree; this solve builds 39 forests in 134
     # centerings, and would build one per centering without reuse
     builds = 0
 
@@ -334,7 +467,8 @@ def test_centerings_reuse_the_forest(monkeypatch):
 # target mu the centering reached, and the centering's x_cur, s_cur and
 # pi over the five minor arcs. Replaying the lift from here needs no
 # random numbers, so this pin does not move when the centering stream
-# changes, unlike the end-to-end pin in test_solver.py.
+# changes. The bridge rule now deletes arc 6 before this state is
+# reached; from the state itself, the lift passes.
 PIN_9055 = {
     "instance": RawInstance(MultiGraph([1, 2, 3, 4],
                                        [(1, 2), (3, 1), (2, 4), (1, 2)]),
@@ -360,19 +494,24 @@ PIN_9055 = {
 }
 
 
-# Known defect, pinned until it is fixed (ROADMAP item 1): the lift
-# recomputes deleted arc 4's slack from the moved duals, and it falls
-# from 3.5e14 to below zero, so the next iteration's check fails.
-@pytest.mark.xfail(strict=True, raises=InvariantError,
-                   reason="deleted arc 4 lost dual feasibility")
-def test_frozen_lift_keeps_deleted_arc_slack_positive():
-    pin = PIN_9055
-    norm, _ = normalize_costs(pin["instance"])
+def _pinned_aux(inst):
+    norm, _ = normalize_costs(inst)
     down, info = downscale(norm)
     cert = compute_scaling(down.graph.m, info.U, info.C,
                            beta0=info.beta0, gamma0=info.gamma0)
     aux, _ = build_auxiliary(scale_up(down, cert), cert,
                              monitor=BoundMonitor(cert.limit))
+    return aux, cert
+
+
+# The lift moved the duals so far that deleted arc 4's slack, recomputed
+# from them, fell from 3.5e14 to below zero. Minor bridge 6 cuts off
+# the nodes of no demand and carries the deleted arcs' frozen flow, so
+# the bridge rule deletes it; the lift's per-component dual shift then
+# keeps every deleted slack positive.
+def test_frozen_lift_keeps_deleted_arc_slack_positive():
+    pin = PIN_9055
+    aux, cert = _pinned_aux(pin["instance"])
     cmap = ContractionMap(aux.graph)
     for aid in pin["deleted"]:
         cmap.delete(aid)
@@ -384,6 +523,7 @@ def test_frozen_lift_keeps_deleted_arc_slack_positive():
     assert all(_classify(x[aid], s[aid], cert.m, cert) == "keep"
                for aid, _, _ in minor)
     _check_iterate(aux, cert, x, s, y, pin["mu"], cmap, minor)
+    assert _forced_bridges(aux, cert, cmap, minor, x) == [6]
 
 
 # The driver state of random_instance(4003, 5, 10, 10, 0, "random"),
@@ -429,20 +569,14 @@ PIN_4003 = {
 }
 
 
-# Known defect, pinned until it is fixed (ROADMAP item 1): the lift
-# routes class imbalance through contracted arc 11 in the direction
-# earlier lifts did, and its flow falls below zero.
-@pytest.mark.xfail(strict=True, raises=InvariantError,
-                   reason="contracted arc 11 lost positivity while routing "
-                          "class imbalance")
-def test_frozen_lift_keeps_contracted_arc_positive():
+# The lift routed class imbalance through contracted arc 11 in the
+# direction earlier lifts did, until its flow fell below zero. The
+# imbalance came from minor self-loops 2, 8 and 16, which the centering
+# moves freely; their class reduced cost is 0, so the loop rule
+# contracts them, and this state is no longer reached.
+def test_frozen_state_contracts_the_forced_loops():
     pin = PIN_4003
-    norm, _ = normalize_costs(pin["instance"])
-    down, info = downscale(norm)
-    cert = compute_scaling(down.graph.m, info.U, info.C,
-                           beta0=info.beta0, gamma0=info.gamma0)
-    aux, _ = build_auxiliary(scale_up(down, cert), cert,
-                             monitor=BoundMonitor(cert.limit))
+    aux, _ = _pinned_aux(pin["instance"])
     cmap = ContractionMap(aux.graph)
     for aid in pin["deleted"]:
         cmap.delete(aid)
@@ -450,15 +584,4 @@ def test_frozen_lift_keeps_contracted_arc_positive():
         cmap.contract(aid)
     minor = minor_arcs(aux.graph, cmap)
     assert [aid for aid, _, _ in minor] == sorted(pin["x_cur"])
-    x, s, y = list(pin["x"]), list(pin["s"]), dict(pin["y"])
-    _lift(aux, cmap, minor, pin["x_cur"], pin["s_cur"], pin["pi"], x, s, y)
-    # the next iteration classifies the minor's arcs against the lifted
-    # point and checks it, as the driver does
-    for aid, _, _ in minor:
-        kind = _classify(x[aid], s[aid], cert.m, cert)
-        if kind == "delete":
-            cmap.delete(aid)
-        elif kind == "contract":
-            cmap.contract(aid)
-    _check_iterate(aux, cert, x, s, y, pin["mu"], cmap,
-                   minor_arcs(aux.graph, cmap))
+    assert _forced_loops(aux, cmap, minor) == [2, 8, 16]

@@ -19,6 +19,8 @@ from latticeflow.reference_oracle import (random_instance, ssp_solve,
                                           verify_certificate, verify_cut)
 from latticeflow.solver import SolveConfig, _split_components, solve
 
+from helpers import suite_params
+
 
 def _check_optimal(inst, result):
     oracle = ssp_solve(inst)
@@ -303,10 +305,10 @@ def test_probe_observes_without_changing_the_solve(unbalanced):
     if unbalanced:
         # node 6 needs a unit that cannot reach it; the max-flow decides
         # that before any component runs, so the probe sees nothing, and
-        # the nodes the source cannot reach form the cut
+        # the nodes that can still reach the sink form the cut
         assert observed.status == "infeasible"
         assert observed.components == [] and events == []
-        assert observed.cut == [1, 2, 3, 4, 5, 6]
+        assert observed.cut == [6]
         return
     _check_optimal(inst, observed)
     # component fires once per solved component, never for node 6
@@ -353,21 +355,23 @@ def test_iterate_payloads_are_the_trace_rows(tmp_path, capsys):
 # record new values and say why.
 GOLDEN = [
     ((7, 8, 16, 10, 10, "feasible"),
-     "4f25d533f4b81dd8ad3d1be841c4bd07baac6d245726e6746364d95b4a00de30",
-     "ff8906c02692f3df3bac840f791fc8062920d1847ce98edf68396dbabcb9c45c"),
+     "b82805d9ed2ffb6e0f3f91bddde6fe4ba723474d763e84cc1319584b4c2635dd",
+     "9df5830d36583f7728ed9e9179e3ff6ef5bbed45c0ea5a5ac7c81d82c09a3e99"),
     ((11, 6, 12, 5, 3, "feasible"),
-     "b869a84bba4973e8c985bc4f7c6b5c9924e996a42bd58d454e43dd185aa39523",
-     "316fe5bc3d4da324f2a77968c58673cb4876268c3af38b561e07a194d14d54bb"),
+     "5582c2384849cf63dbe55042422bd8b3cc0f30fae9a353081cd1e5b74cdc9a0c",
+     "bac3f030ee488708d60994b2de863cff4bef418d4f285940beed2a48dd1ebb6e"),
     ((20, 5, 9, 10, 10, "random"),
-     "e01cb2124f86d3c25b6ce4e23fa1e497cecf19ce8ef455d7da279bd4cb6e4fe6",
-     "fa1e098cd809417e87ca2c275472c5ba95abf0f8bf3fb825ed47ece5e3fd4d7b"),
+     "2500441da7821dfe54e5e4964d4d0d75e705667cddd3df65f4d14ce9c457dd70",
+     "ff6e652931c6ac8fc7b6988060c169d1138a4668d8859d4242b4acafec5ba93c"),
     ((3, 4, 6, 10**12, 10**12, "feasible"),
      "e860f1786a5ae9054b639d0278cac4bd396a28edef223ecffdca372077e08694",
-     "2e50348d4eeee4ed37882f9691ec48bdcc615e1850b63cc95dae7d5cba99b578"),
+     "69a3cf0453e006f08f212ee5a98e503d715a1076c301790fe22471dff14a07a3"),
 ]
 
 
-@pytest.mark.parametrize("case,solution_sha,trace_sha", GOLDEN)
+@pytest.mark.parametrize(
+    "case,solution_sha,trace_sha", GOLDEN,
+    ids=["-".join(map(str, case)) for case, _, _ in GOLDEN])
 def test_golden_solution_and_trace_bytes(case, solution_sha, trace_sha):
     inst = random_instance(*case)
     rows = []
@@ -381,17 +385,14 @@ def test_golden_solution_and_trace_bytes(case, solution_sha, trace_sha):
     assert hashlib.sha256(trace.encode()).hexdigest() == trace_sha
 
 
-# Known defect, pinned until it is fixed. This is
-# random_instance(9055, 4, 4, 2, 2, "feasible"). Auxiliary arc 4 leaves
-# the lift of outer iteration 25 with x = 33567 and x s = 1.006 mu, and
-# is deleted by the next classification, its flow frozen. Every later
-# iteration takes the accepted eightfold trial step, and the arc's
-# slack, recomputed from the duals after each lift, falls faster than
-# mu: x s / mu is 0.97 after iteration 26, 0.80 after 34 and 0.28 after
-# 38, and the slack is negative after the lift of iteration 39, where
-# the invariant check stops the solve.
-@pytest.mark.xfail(strict=True, raises=InvariantError,
-                   reason="deleted arc 4 lost dual feasibility")
+# Two former defect pins (ROADMAP item 1). In random_instance(9055, 4, 4,
+# 2, 2, "feasible"), auxiliary arc 4 was deleted with its flow frozen,
+# and the slack that the lifts recomputed from the moving duals fell
+# below zero at outer iteration 39. Minor bridge 6 had to carry arc 4's
+# frozen flow, so it stayed above the deletion line, and the centering
+# drove its slack, and with it the duals, past arc 4. The bridge rule
+# now deletes bridge 6, and the per-component dual shift keeps deleted
+# slacks positive.
 def test_deleted_arc_keeps_dual_feasibility():
     inst = random_instance(9055, 4, 4, 2, 2, "feasible")
     result = solve(inst, SolveConfig(seed=9055))
@@ -400,21 +401,35 @@ def test_deleted_arc_keeps_dual_feasibility():
                                                  oracle.objective)
 
 
-# Known defect, pinned until it is fixed: a second failure mode, in the
-# contracted arcs' flow rather than the deleted arcs' slack. This is
-# random_instance(4003, 5, 10, 10, 0, "random"). Auxiliary arc 11 is
-# contracted by the classification of outer iteration 63 with
-# x = 31285124. From then on each lift routes its class's flow
-# imbalance through the arc, 4 to 8 million units a time in the same
-# direction: x is 1683100 after the lift of iteration 69, and the
-# routing of iteration 70 takes it below zero. The solve fails the same
-# way with the short step alone.
-@pytest.mark.xfail(strict=True, raises=InvariantError,
-                   reason="contracted arc 11 lost positivity while routing "
-                          "class imbalance")
+# In random_instance(4003, 5, 10, 10, 0, "random"), auxiliary arc 11 was
+# contracted and each later lift routed its class's flow imbalance
+# through it in the same direction, until its flow fell below zero at
+# iteration 70. The imbalance came from minor self-loops 2, 8 and 16,
+# whose flow the centering moves freely; the loop rule now contracts
+# them as soon as they become loops.
 def test_contracted_arc_keeps_positive_flow():
     inst = random_instance(4003, 5, 10, 10, 0, "random")
     result = solve(inst, SolveConfig(seed=4003))
+    oracle = ssp_solve(inst)
+    assert (result.status, result.objective) == (oracle.status,
+                                                 oracle.objective)
+
+
+# Every instance that failed one of the two defect modes under some
+# random stream: acceptance-size draws, and the two pins above.
+FORMER_FAILURES = [
+    *((seed, suite_params(seed)) for seed in (
+        1027, 1053, 1118, 1129, 1174, 1176, 1178, 1289, 1338, 1344, 1379)),
+    (4003, (5, 10, 10, 0, "random")),
+    (9055, (4, 4, 2, 2, "feasible")),
+]
+
+
+@pytest.mark.parametrize("seed,params", FORMER_FAILURES,
+                         ids=[str(seed) for seed, _ in FORMER_FAILURES])
+def test_former_failures_match_the_oracle(seed, params):
+    inst = random_instance(seed, *params)
+    result = solve(inst, SolveConfig(seed=seed))
     oracle = ssp_solve(inst)
     assert (result.status, result.objective) == (oracle.status,
                                                  oracle.objective)
