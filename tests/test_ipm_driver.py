@@ -201,9 +201,10 @@ def _reached(g, arc_ids, root):
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_bridge_rule_deletes_only_bridges_that_cut_off_no_demand(data):
-    """A minor arc is deleted exactly when it is a bridge between
-    classes, the sides it separates demand nothing, and 9 x <= 2 beta;
-    the classes are the merge forest's trees."""
+    """Every deleted arc is a bridge between classes, with 9 x <= 2 beta
+    and a side that demands nothing, and every such bridge whose two
+    sides both demand nothing is deleted; the classes are the merge
+    forest's trees."""
     g, cmap = _draw_state(data)
     cert = compute_scaling(1, 1, 1)  # beta = 8192: the line is x = 1820
     b = dict(zip(g.nodes, _ints(data, g.n, -2, 2)))
