@@ -34,7 +34,7 @@ from .errors import (
     InvariantError,
     IterationCeilingError,
 )
-from .reference_oracle import (random_instance, ssp_solve,
+from .reference_oracle import (OracleSolution, random_instance, ssp_solve,
                                verify_certificate, verify_cut)
 from .solver import SolveConfig, SolveResult, solve
 
@@ -118,29 +118,27 @@ def _cmd_solve(args, trace: bool) -> int:
         if event == "iterate":
             print(json.dumps(payload), flush=True)
 
-    result: SolveResult = solve(inst, SolveConfig(seed=args.seed),
-                                probe=print_row if trace else None)
-    if result.status == "infeasible":
-        print("latticeflow: instance is infeasible", file=sys.stderr)
-        if not trace:
-            sys.stdout.write(format_infeasible(result.cut))
-        return EXIT_INFEASIBLE
-    if not trace:
-        sys.stdout.write(format_solution(inst, result.objective, result.flow,
-                                         result.potentials))
-    return EXIT_OK
+    result = solve(inst, SolveConfig(seed=args.seed),
+                   probe=print_row if trace else None)
+    return _report(inst, result, write=not trace)
 
 
 def _cmd_oracle(args) -> int:
     inst = parse_instance(_read(args.instance))
-    sol = ssp_solve(inst)
-    if sol.status == "infeasible":
+    return _report(inst, ssp_solve(inst), write=True)
+
+
+def _report(inst, result: SolveResult | OracleSolution, write: bool) -> int:
+    """Note an infeasible verdict on stderr, print the cut or solution
+    text when ``write``, and return the verdict's exit code."""
+    infeasible = result.status == "infeasible"
+    if infeasible:
         print("latticeflow: instance is infeasible", file=sys.stderr)
-        sys.stdout.write(format_infeasible(sol.cut))
-        return EXIT_INFEASIBLE
-    sys.stdout.write(format_solution(inst, sol.objective, sol.flow,
-                                     sol.potentials))
-    return EXIT_OK
+    if write:
+        sys.stdout.write(format_infeasible(result.cut) if infeasible else
+                         format_solution(inst, result.objective, result.flow,
+                                         result.potentials))
+    return EXIT_INFEASIBLE if infeasible else EXIT_OK
 
 
 def _cmd_verify(args) -> int:

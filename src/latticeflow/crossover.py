@@ -24,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvariantError
-from .graph_core import (apply_incidence, apply_incidence_transpose,
-                         bfs_forest, max_flow, tree_potentials)
+from .graph_core import (apply_incidence, bfs_forest, max_flow,
+                         reduced_costs, tree_potentials)
 from .instance_pipeline import AuxiliaryInstance, ScalingCertificate
 from .ipm_driver import IPMResult
 
@@ -166,8 +166,7 @@ def lift_tree_duals(aux: AuxiliaryInstance, cert: ScalingCertificate,
     if len(order) != g.n:
         raise InvariantError("crossover tree does not span the instance")
     y_t = tree_potentials(g, order, parent, aux.c)
-    s_t = [aux.c[a] - d
-           for a, d in enumerate(apply_incidence_transpose(g, y_t))]
+    s_t = reduced_costs(g, aux.c, y_t)
     for a in range(g.m):
         if s_t[a] < 0:
             raise InvariantError(
@@ -188,24 +187,14 @@ def admissible_max_flow(aux: AuxiliaryInstance, s_t: list[int]) -> list[int]:
     g = aux.graph
     admissible = [a for a in range(g.m) if s_t[a] == 0]
     supply = sum(-d for d in aux.b.values() if d < 0)
-    arcs: list[tuple[object, object, int]] = []
-    for v, d in aux.b.items():
-        if d < 0:
-            arcs.append(("source", v, -d))
-        elif d > 0:
-            arcs.append((v, "sink", d))
-    offset = len(arcs)
-    for a in admissible:
-        t, h = g.arcs[a]
-        arcs.append((t, h, supply))
-    value, flows, _ = max_flow(list(g.nodes) + ["source", "sink"], arcs,
-                               "source", "sink")
-    if value != supply:
-        raise InvariantError(
-            f"admissible arcs carry only {value} of {supply} demand units")
+    unmet, flows, _ = max_flow(
+        g.nodes, [(*g.arcs[a], supply) for a in admissible], aux.b)
+    if unmet:
+        raise InvariantError(f"admissible arcs carry only {supply - unmet} "
+                             f"of {supply} demand units")
     x_star = [0] * g.m
-    for i, a in enumerate(admissible):
-        x_star[a] = flows[offset + i]
+    for a, f in zip(admissible, flows):
+        x_star[a] = f
     return x_star
 
 
@@ -215,8 +204,7 @@ def verify_aux_certificate(aux: AuxiliaryInstance, x_star: list[int],
     g = aux.graph
     if apply_incidence(g, x_star) != aux.b:
         raise InvariantError("rounded flow violates conservation")
-    dual = apply_incidence_transpose(g, y_t)
-    if any(aux.c[a] - dual[a] != s_t[a] for a in range(g.m)):
+    if reduced_costs(g, aux.c, y_t) != s_t:
         raise InvariantError("rounded duals are inconsistent")
     if any(v < 0 for v in s_t):
         raise InvariantError("rounded reduced cost negative")

@@ -9,20 +9,24 @@ representatives.
 
 :func:`bfs_forest` grows a breadth-first forest over a chosen set of
 arcs, ignoring their direction, :func:`route_to_roots` routes a demand
-vector along it leaf to root, and :func:`tree_potentials` prices its
-arcs tight. Together they build tree solutions, route class imbalances,
-lift tree potentials and split an instance into its weakly-connected
+vector along it leaf to root, :func:`tree_potentials` prices its arcs
+tight, and :func:`component_roots` labels each node with its tree's
+root. Together they build tree solutions, route class imbalances, lift
+tree potentials and split an instance into its weakly-connected
 components. :func:`bridges` finds, in linear time, the arcs of a minor
 whose removal splits its component, with the weight of the side each
-one cuts off.
+one cuts off. The forest builders all read one undirected
+:func:`adjacency`.
 
-:func:`max_flow` is Dinic's exact maximum flow over any hashable nodes.
-It routes the crossover's admissible flow and decides, before any
-interior point work, whether an instance is feasible at all.
+:func:`max_flow` is Dinic's exact transshipment over any hashable nodes:
+it meets a demand vector from a super source and into a super sink. It
+routes the crossover's admissible flow and decides, before any interior
+point work, whether an instance is feasible at all.
 
 Sign convention for the incidence operator: the column of arc a = (v, w)
 has -1 at the tail v and +1 at the head w, so a vector b with
-``b = apply_incidence(g, x)`` reads "inflow minus outflow".
+``b = apply_incidence(g, x)`` reads "inflow minus outflow", and
+:func:`reduced_costs` gives c - A^T y.
 """
 
 from __future__ import annotations
@@ -36,8 +40,10 @@ __all__ = [
     "ContractionMap",
     "minor_arcs",
     "apply_incidence",
-    "apply_incidence_transpose",
+    "reduced_costs",
+    "adjacency",
     "bfs_forest",
+    "component_roots",
     "bridges",
     "route_to_roots",
     "tree_potentials",
@@ -84,9 +90,10 @@ def apply_incidence(g: MultiGraph, x: Sequence[int]) -> dict[int, int]:
     return b
 
 
-def apply_incidence_transpose(g: MultiGraph, y: Mapping[int, int]) -> list[int]:
-    """Return the arc vector with entry y_head - y_tail per arc."""
-    return [y[head] - y[tail] for tail, head in g.arcs]
+def reduced_costs(g: MultiGraph, c: Sequence[int],
+                  y: Mapping[int, int]) -> list[int]:
+    """Return c - A^T y: the entry c_a - (y_head - y_tail) per arc."""
+    return [ca - (y[head] - y[tail]) for ca, (tail, head) in zip(c, g.arcs)]
 
 
 class ContractionMap:
@@ -160,6 +167,22 @@ def minor_arcs(g: MultiGraph, cmap: ContractionMap) -> list[tuple[int, int, int]
             if a not in dead_d and a not in dead_c]
 
 
+def adjacency(arcs: Iterable[tuple[int, Hashable, Hashable]]
+              ) -> dict[Hashable, list[tuple[int, Hashable]]]:
+    """The undirected adjacency of (arc_id, tail, head) triples: every
+    endpoint, in order of first appearance, maps to (arc_id, other end)
+    for each of its arcs in input order. A self-loop adds its node and
+    no neighbour."""
+    adj: dict[Hashable, list[tuple[int, Hashable]]] = {}
+    for aid, tail, head in arcs:
+        at_tail = adj.setdefault(tail, [])
+        at_head = adj.setdefault(head, [])
+        if tail != head:
+            at_tail.append((aid, head))
+            at_head.append((aid, tail))
+    return adj
+
+
 def bfs_forest(g: MultiGraph, arc_ids: Iterable[int], roots: Iterable[int]
                ) -> tuple[list[int], dict[int, tuple[int, int]]]:
     """Breadth-first forest over the arcs ``arc_ids``, direction ignored.
@@ -170,12 +193,7 @@ def bfs_forest(g: MultiGraph, arc_ids: Iterable[int], roots: Iterable[int]
     first), and ``parent``, mapping each non-root node v to (arc, p)
     where arc joins v to its parent p.
     """
-    adj: dict[int, list[tuple[int, int]]] = {}
-    for a in arc_ids:
-        tail, head = g.arcs[a]
-        if tail != head:
-            adj.setdefault(tail, []).append((a, head))
-            adj.setdefault(head, []).append((a, tail))
+    adj = adjacency((a, *g.arcs[a]) for a in arc_ids)
     order: list[int] = []
     parent: dict[int, tuple[int, int]] = {}
     seen: set[int] = set()
@@ -196,6 +214,18 @@ def bfs_forest(g: MultiGraph, arc_ids: Iterable[int], roots: Iterable[int]
     return order, parent
 
 
+def component_roots(g: MultiGraph, arc_ids: Iterable[int],
+                    roots: Iterable[int]) -> dict[int, int]:
+    """Map every node that :func:`bfs_forest` reaches over ``arc_ids``
+    from ``roots`` to the root of its tree, in visiting order; the nodes
+    one root labels form a weakly-connected component of those arcs."""
+    order, parent = bfs_forest(g, arc_ids, roots)
+    root: dict[int, int] = {}
+    for v in order:
+        root[v] = root[parent[v][1]] if v in parent else v
+    return root
+
+
 def bridges(arcs: Sequence[tuple[int, Hashable, Hashable]],
             weight: Mapping[Hashable, int]) -> list[tuple[int, int]]:
     """The bridges of the multigraph ``arcs``, direction ignored.
@@ -209,13 +239,7 @@ def bridges(arcs: Sequence[tuple[int, Hashable, Hashable]],
     sums ``weight`` (0 for a node it does not list) over the nodes the
     bridge cuts off from the search's root.
     """
-    adj: dict[Hashable, list[tuple[int, Hashable]]] = {}
-    for aid, tail, head in arcs:
-        adj.setdefault(tail, [])
-        adj.setdefault(head, [])
-        if tail != head:
-            adj[tail].append((aid, head))
-            adj[head].append((aid, tail))
+    adj = adjacency(arcs)
     disc: dict[Hashable, int] = {}
     low: dict[Hashable, int] = {}
     side: dict[Hashable, int] = {}
@@ -292,24 +316,31 @@ def tree_potentials(g: MultiGraph, order: Sequence[int],
 
 def max_flow(nodes: Iterable[Hashable],
              arcs: Sequence[tuple[Hashable, Hashable, int]],
-             source: Hashable, sink: Hashable
-             ) -> tuple[int, list[int], set]:
-    """Exact maximum flow by Dinic's level graphs and blocking flows.
+             demand: Mapping[Hashable, int]) -> tuple[int, list[int], set]:
+    """Exact transshipment by Dinic's level graphs and blocking flows.
 
     ``arcs`` are (tail, head, capacity) with nonnegative integer
-    capacities of any size. Returns the flow value, the flow on each
-    input arc, and the set of nodes that can still reach the sink in the
-    final residual graph: the smallest sink side of a minimum cut. The
-    number of
-    phases and augmentations depends only on the node and arc counts,
-    not on the capacities.
+    capacities of any size; ``demand`` maps a node to the net inflow it
+    needs, as :func:`apply_incidence` reads it. A super source feeds
+    each node of negative demand and each node of positive demand
+    drains into a super sink; these arcs are wired ahead of ``arcs``, in
+    ``demand`` order, which fixes the flow that comes back. Returns the
+    positive demand that a maximum flow leaves unmet, the flow on
+    each input arc, and the nodes that can still reach the super sink in
+    the final residual graph: the smallest sink side of a minimum cut.
+    The number of phases and augmentations depends only on the node and
+    arc counts, not on the capacities.
     """
+    source, sink = object(), object()
     # adjacency lists of edge indices; edge i is [to, residual cap] and
     # its reverse is edge i ^ 1
     graph: dict = {v: [] for v in nodes}
+    graph[source], graph[sink] = [], []
     flat: list[list] = []
-
-    for tail, head, cap in arcs:
+    wired = [(source, v, -d) if d < 0 else (v, sink, d)
+             for v, d in demand.items() if d]
+    needed = sum(d for d in demand.values() if d > 0)
+    for tail, head, cap in (*wired, *arcs):
         graph[tail].append(len(flat))
         flat.append([head, cap])
         graph[head].append(len(flat))
@@ -365,7 +396,8 @@ def max_flow(nodes: Iterable[Hashable],
             if not pushed:
                 break
             total += pushed
-    flows = [flat[2 * i + 1][1] for i in range(len(arcs))]
+    # an input arc's flow is the residual of its reverse edge
+    flows = [edge[1] for edge in flat[2 * len(wired) + 1::2]]
     # edge j leads from v to u, so its reverse j ^ 1 leads from u to v
     sink_side = {sink}
     stack = [sink]
@@ -375,4 +407,5 @@ def max_flow(nodes: Iterable[Hashable],
             if flat[j ^ 1][1] > 0 and u not in sink_side:
                 sink_side.add(u)
                 stack.append(u)
-    return total, flows, sink_side
+    sink_side.discard(sink)
+    return needed - total, flows, sink_side

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 
 from .errors import InvariantError
 from .exact_arith import BoundMonitor, ceil_div, next_pow2
-from .graph_core import (MultiGraph, apply_incidence, apply_incidence_transpose,
-                         bfs_forest, route_to_roots)
+from .graph_core import (MultiGraph, apply_incidence, bfs_forest,
+                         reduced_costs, route_to_roots)
 
 __all__ = [
     "RawInstance",
@@ -305,7 +305,7 @@ def build_auxiliary(
         down_arc=down_arc,
         hat_arc=hat_arc,
     )
-    s = [costs[a] - d for a, d in enumerate(apply_incidence_transpose(aux_graph, y))]
+    s = reduced_costs(aux_graph, costs, y)
     point = InitialPoint(x=x, s=s, y=y, mu0=mu0)
 
     _check_initial_point(aux, point, cert)
@@ -320,8 +320,7 @@ def _check_initial_point(aux: AuxiliaryInstance, point: InitialPoint,
                          cert: ScalingCertificate) -> None:
     if apply_incidence(aux.graph, point.x) != aux.b:
         raise InvariantError("initial point violates flow conservation")
-    dual = apply_incidence_transpose(aux.graph, point.y)
-    if any(aux.c[a] - dual[a] != point.s[a] for a in range(aux.graph.m)):
+    if reduced_costs(aux.graph, aux.c, point.y) != point.s:
         raise InvariantError("initial duals are infeasible")
     if any(v <= 0 for v in point.x) or any(v <= 0 for v in point.s):
         raise InvariantError("initial point is not interior")

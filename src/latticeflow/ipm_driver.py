@@ -65,8 +65,8 @@ from .centering import CenteringRun
 from .errors import InvariantError, IterationCeilingError
 from .exact_arith import BoundMonitor
 from .graph_core import (ContractionMap, apply_incidence, bfs_forest,
-                         bridges, minor_arcs, route_to_roots,
-                         tree_potentials)
+                         bridges, component_roots, minor_arcs,
+                         reduced_costs, route_to_roots, tree_potentials)
 from .instance_pipeline import AuxiliaryInstance, InitialPoint, ScalingCertificate
 
 __all__ = ["IPMResult", "run_interior_point", "decrement_mu", "outer_ceiling"]
@@ -297,11 +297,8 @@ def _shift_components(aux: AuxiliaryInstance, cmap: ContractionMap,
     if all(s[aid] > 0 for aid in cmap.deleted):
         return
     g = aux.graph
-    order, parent = bfs_forest(
+    comp = component_roots(
         g, [aid for aid, _, _ in minor] + cmap.merges, g.nodes)
-    comp: dict[int, int] = {}
-    for v in order:
-        comp[v] = comp[parent[v][1]] if v in parent else v
     limits = []
     for aid in cmap.deleted:
         tail, head = comp[g.arcs[aid][0]], comp[g.arcs[aid][1]]
@@ -382,8 +379,8 @@ def _check_iterate(aux: AuxiliaryInstance, cert: ScalingCertificate,
     g = aux.graph
     if apply_incidence(g, x) != aux.b:
         raise InvariantError("iterate violates flow conservation")
-    for aid, (tail, head) in enumerate(g.arcs):
-        if aux.c[aid] - (y[head] - y[tail]) != s[aid]:
+    for aid, sa in enumerate(reduced_costs(g, aux.c, y)):
+        if sa != s[aid]:
             raise InvariantError(f"arc {aid}: duals and slack disagree")
     dev = 0
     for aid, _, _ in minor:

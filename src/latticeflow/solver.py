@@ -31,7 +31,7 @@ from typing import Callable
 from .crossover import crossover
 from .errors import InvariantError
 from .exact_arith import BoundMonitor
-from .graph_core import MultiGraph, bfs_forest, max_flow
+from .graph_core import MultiGraph, component_roots, max_flow
 from .instance_pipeline import (
     RawInstance,
     build_auxiliary,
@@ -57,7 +57,6 @@ class SolveResult:
     flow: list[int] | None
     potentials: dict[int, int] | None
     objective: int | None
-    max_abs: int
     components: list[dict] = field(default_factory=list)
     cut: list[int] | None = None  # sorted Gale cut when infeasible
 
@@ -70,31 +69,18 @@ def _gale_cut(inst: RawInstance) -> list[int] | None:
     the capacity of the arcs entering it."""
     g = inst.graph
     arcs = [(tail, head, cap) for (tail, head), cap in zip(g.arcs, inst.u)]
-    demand = 0
-    for v, d in inst.b.items():
-        if d < 0:
-            arcs.append(("source", v, -d))
-        elif d > 0:
-            arcs.append((v, "sink", d))
-            demand += d
-    value, _, sink_side = max_flow([*g.nodes, "source", "sink"], arcs,
-                                   "source", "sink")
-    if value == demand:
-        return None
-    return sorted(v for v in g.nodes if v in sink_side)
+    unmet, _, sink_side = max_flow(g.nodes, arcs, inst.b)
+    return sorted(sink_side) if unmet else None
 
 
 def _split_components(inst: RawInstance) -> list[tuple[list[int], list[int]]]:
     """Weakly-connected components as (node list, arc id list), ordered
     by their lowest node, nodes and arcs in their original order."""
     g = inst.graph
-    order, parent = bfs_forest(g, range(g.m), sorted(g.nodes))
     # every tree starts at its component's lowest node
-    root: dict[int, int] = {}
-    for v in order:
-        root[v] = root[parent[v][1]] if v in parent else v
+    root = component_roots(g, range(g.m), sorted(g.nodes))
     groups: dict[int, tuple[list[int], list[int]]] = {
-        v: ([], []) for v in order if v not in parent}
+        r: ([], []) for r in root.values()}
     for v in g.nodes:
         groups[root[v]][0].append(v)
     for aid, (tail, _) in enumerate(g.arcs):
@@ -186,13 +172,12 @@ def solve(inst: RawInstance, config: SolveConfig | None = None, *,
             raise InvariantError(
                 "infeasibility cut failed verification: "
                 + "; ".join(report.failures))
-        return SolveResult("infeasible", None, None, None, 0, cut=cut)
+        return SolveResult("infeasible", None, None, None, cut=cut)
     rng = Random(config.seed)
 
     flow = [0] * inst.graph.m
     potentials: dict[int, int] = {}
     components: list[dict] = []
-    max_abs = 0
 
     for nodes, arc_ids in _split_components(inst):
         if not arc_ids:
@@ -207,7 +192,6 @@ def solve(inst: RawInstance, config: SolveConfig | None = None, *,
             [inst.c[a] for a in arc_ids])
         sub_flow, sub_pot, stats = _solve_component(sub, arc_ids, rng, probe)
         components.append(stats)
-        max_abs = max(max_abs, stats["max_abs"])
         for local, aid in enumerate(arc_ids):
             flow[aid] = sub_flow[local]
         potentials.update(sub_pot)
@@ -218,5 +202,4 @@ def solve(inst: RawInstance, config: SolveConfig | None = None, *,
         raise InvariantError(
             "solution failed certificate verification: "
             + "; ".join(report.failures))
-    return SolveResult("optimal", flow, potentials, objective, max_abs,
-                       components)
+    return SolveResult("optimal", flow, potentials, objective, components)

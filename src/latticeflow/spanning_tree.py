@@ -21,6 +21,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .errors import InvariantError
+from .graph_core import adjacency
 
 __all__ = ["TreeForest"]
 
@@ -67,13 +68,7 @@ class TreeForest:
             raise ValueError("duplicate arc ids")
         self._check_positive(r)
 
-        adj: dict[object, list[tuple[int, object]]] = {}
-        for aid, (tail, head) in self.arcs.items():
-            adj.setdefault(tail, [])
-            adj.setdefault(head, [])
-            if tail != head:
-                adj[tail].append((aid, head))
-                adj[head].append((aid, tail))
+        adj = adjacency(arcs)
 
         self.order: list = []
         self.parent: dict = {}

@@ -8,12 +8,14 @@ from latticeflow.errors import InvariantError
 from latticeflow.graph_core import (
     ContractionMap,
     MultiGraph,
+    adjacency,
     apply_incidence,
-    apply_incidence_transpose,
     bfs_forest,
     bridges,
+    component_roots,
     max_flow,
     minor_arcs,
+    reduced_costs,
     route_to_roots,
 )
 
@@ -53,18 +55,18 @@ class TestApplyIncidence:
         assert sum(b.values()) == 0
 
 
-class TestApplyIncidenceTranspose:
+class TestReducedCosts:
     def test_forward_arc(self):
         g = MultiGraph([1, 2], [(1, 2)])
-        assert apply_incidence_transpose(g, {1: 0, 2: 5}) == [5]
+        assert reduced_costs(g, [7], {1: 0, 2: 5}) == [2]
 
     def test_self_loop(self):
         g = MultiGraph([1], [(1, 1)])
-        assert apply_incidence_transpose(g, {1: 99}) == [0]
+        assert reduced_costs(g, [7], {1: 99}) == [7]
 
     def test_reversed_arc(self):
         g = MultiGraph([1, 2], [(2, 1)])
-        assert apply_incidence_transpose(g, {1: 0, 2: 5}) == [-5]
+        assert reduced_costs(g, [7], {1: 0, 2: 5}) == [12]
 
 
 class TestContractionMap:
@@ -165,6 +167,26 @@ class TestMinorCounts:
             tail, head = g.arcs[a]
             assert cmap.find(tail) == cmap.find(head)
         assert not (cmap.deleted & cmap.contracted)
+
+
+def test_adjacency_lists_nodes_by_first_appearance():
+    arcs = [(4, "b", "a"), (7, "c", "c"), (2, "a", "c"), (0, "a", "b")]
+    # the self-loop adds its node but no neighbour
+    assert adjacency(arcs) == {
+        "b": [(4, "a"), (0, "a")],
+        "a": [(4, "b"), (2, "c"), (0, "b")],
+        "c": [(2, "a")],
+    }
+    assert list(adjacency(arcs)) == ["b", "a", "c"]
+
+
+def test_component_roots_label_each_tree_by_its_root():
+    g = MultiGraph([1, 2, 3, 4, 5, 6], [(2, 1), (4, 3), (5, 4), (6, 6)])
+    roots = component_roots(g, range(g.m), [3, 1, 5, 2, 6])
+    assert roots == {3: 3, 4: 3, 5: 3, 1: 1, 2: 1, 6: 6}
+    assert list(roots) == [3, 4, 5, 1, 2, 6]
+    # a node no root reaches gets no label
+    assert component_roots(g, [0], [2]) == {2: 2, 1: 2}
 
 
 class TestBfsForest:
@@ -306,10 +328,10 @@ class TestRouteToRoots:
 
 def test_max_flow_bottleneck():
     # two parallel source arcs into one capacity-4 pipe
-    value, flows, sink_side = max_flow(
+    unmet, flows, sink_side = max_flow(
         ["s", "a", "t"], [("s", "a", 2), ("s", "a", 3), ("a", "t", 4)],
-        "s", "t")
-    assert value == 4
+        {"s": -5, "a": 0, "t": 5})
+    assert unmet == 1
     assert flows[0] + flows[1] == 4
     assert flows[2] == 4
     # the pipe is saturated, so only the sink is on the sink side
@@ -318,8 +340,9 @@ def test_max_flow_bottleneck():
 
 def test_max_flow_diamond():
     arcs = [("s", 1, 3), ("s", 2, 3), (1, "t", 2), (2, "t", 2), (1, 2, 5)]
-    value, flows, sink_side = max_flow(["s", 1, 2, "t"], arcs, "s", "t")
-    assert value == 4
+    unmet, flows, sink_side = max_flow(["s", 1, 2, "t"], arcs,
+                                       {"s": -6, "t": 6})
+    assert unmet == 2
     assert all(f >= 0 for f in flows)
     assert sink_side == {"t"}
 
@@ -330,36 +353,60 @@ def test_max_flow_long_path_does_not_recurse():
     n = 3000
     arcs = [(i, i + 1, 7) for i in range(n - 1)]
     arcs[n // 2] = (n // 2, n // 2 + 1, 3)
-    value, flows, sink_side = max_flow(range(n), arcs, 0, n - 1)
-    assert value == 3
+    unmet, flows, sink_side = max_flow(range(n), arcs, {0: -7, n - 1: 7})
+    assert unmet == 4
     assert flows == [3] * (n - 1)
     assert sink_side == set(range(n // 2 + 1, n))
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.integers(2, 6).flatmap(lambda n: st.tuples(
+# up to six nodes, a demand vector in [-9, 9] per node that need not
+# balance, and up to twelve arcs of capacity 0-9, self-loops included
+transshipments = st.integers(1, 6).flatmap(lambda n: st.tuples(
     st.just(n),
     st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
-                       st.integers(0, 9)), max_size=12))))
+                       st.integers(0, 9)), max_size=12),
+    st.lists(st.integers(-9, 9), min_size=n, max_size=n)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(transshipments)
 def test_max_flow_value_equals_its_cut(case):
-    """Max-flow min-cut, exactly: the flows are feasible and conserved,
-    and the value equals the capacity entering the sink side, every arc
-    of which is saturated while every arc leaving it is empty."""
-    n, arcs = case
-    value, flows, sink_side = max_flow(range(n), arcs, 0, n - 1)
-    net = dict.fromkeys(range(n), 0)
+    """Max-flow min-cut, exactly, in Gale's form: the flows are
+    feasible, every node receives at most its demand or ships at most
+    its supply, and the unmet demand is the sink side's demand less the
+    capacity entering it. Arcs entering the sink side are saturated,
+    arcs leaving it empty, and every supply inside it and demand
+    outside it is met in full."""
+    n, arcs, b = case
+    unmet, flows, sink_side = max_flow(range(n), arcs, dict(enumerate(b)))
+    net = [0] * n
     for (t, h, cap), f in zip(arcs, flows):
         assert 0 <= f <= cap
         net[t] -= f
         net[h] += f
-    assert net[n - 1] == value == -net[0]
-    assert all(net[v] == 0 for v in range(1, n - 1))
-    assert n - 1 in sink_side and 0 not in sink_side
-    crossing = 0
+    for v in range(n):
+        assert min(b[v], 0) <= net[v] <= max(b[v], 0)
+        if (b[v] < 0) == (v in sink_side) and b[v]:
+            assert net[v] == b[v]
+    assert unmet == sum(d for d in b if d > 0) - sum(
+        net[v] for v in range(n) if b[v] > 0)
+    entering = 0
     for (t, h, cap), f in zip(arcs, flows):
         if h in sink_side and t not in sink_side:
             assert f == cap
-            crossing += cap
+            entering += cap
         elif t in sink_side and h not in sink_side:
             assert f == 0
-    assert crossing == value
+    assert unmet == sum(b[v] for v in sink_side) - entering
+
+
+@settings(max_examples=100, deadline=None)
+@given(transshipments, st.data())
+def test_max_flow_cut_ignores_the_arc_order(case, data):
+    """The unmet demand and the smallest sink side are properties of the
+    network, not of the order its arcs are wired in."""
+    n, arcs, b = case
+    unmet, _, sink_side = max_flow(range(n), arcs, dict(enumerate(b)))
+    shuffled = data.draw(st.permutations(arcs))
+    again, _, side = max_flow(range(n), shuffled, dict(enumerate(b)))
+    assert (again, side) == (unmet, sink_side)

@@ -13,9 +13,10 @@ from latticeflow import solver
 from latticeflow.cli import main
 from latticeflow.dimacs import format_instance, format_solution
 from latticeflow.errors import InvariantError
-from latticeflow.graph_core import MultiGraph
+from latticeflow.graph_core import MultiGraph, apply_incidence
 from latticeflow.instance_pipeline import RawInstance
-from latticeflow.reference_oracle import (random_instance, ssp_solve,
+from latticeflow.reference_oracle import (brute_force_optimum,
+                                          random_instance, ssp_solve,
                                           verify_certificate, verify_cut)
 from latticeflow.solver import SolveConfig, _split_components, solve
 
@@ -128,6 +129,56 @@ def test_verdict_matches_the_oracle_with_a_checked_cut(inst):
     else:
         assert result.cut == sorted(set(result.cut))
         assert verify_cut(inst, result.cut).ok
+
+
+HUGE = st.integers(10**9, 10**12)
+SMALL_OR_HUGE = st.one_of(st.integers(-3, 3), HUGE, HUGE.map(lambda d: -d))
+
+
+@st.composite
+def extreme_instances(draw):
+    """Two to four nodes and one to six arcs, parallel arcs and
+    self-loops drawn freely, in one of three families: every cost zero;
+    capacities of 10^9 to 10^12 beside capacity 1; or costs of +-10^9 to
+    10^12 beside small ones, every capacity 1. Half the draws take the
+    demands of a hidden flow in the capacity box, so they are feasible;
+    the rest draw balanced demands, as large as the capacities."""
+    nodes = list(range(1, draw(st.integers(2, 4)) + 1))
+    pair = st.tuples(st.sampled_from(nodes), st.sampled_from(nodes))
+    g = MultiGraph(nodes, draw(st.lists(pair, min_size=1, max_size=6)))
+    family = draw(st.sampled_from(["zero-cost", "huge-cap", "huge-cost"]))
+    demand = st.integers(-3, 3)
+    if family == "zero-cost":
+        u = [draw(st.integers(1, 3)) for _ in g.arcs]
+        c = [0] * g.m
+    elif family == "huge-cap":
+        u = [draw(st.one_of(st.just(1), HUGE)) for _ in g.arcs]
+        c = [draw(st.integers(-3, 3)) for _ in g.arcs]
+        demand = SMALL_OR_HUGE
+    else:
+        u = [1] * g.m
+        c = [draw(SMALL_OR_HUGE) for _ in g.arcs]
+    if draw(st.booleans()):
+        b = apply_incidence(g, [draw(st.integers(0, cap)) for cap in u])
+    else:
+        b = {v: draw(demand) for v in nodes}
+        b[nodes[-1]] -= sum(b.values())
+    return RawInstance(g, b, u, c)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(extreme_instances())
+def test_extreme_magnitudes_and_zero_costs_match_the_oracles(inst):
+    """Verdict and objective equal ``ssp_solve``'s, and, with at most
+    five arcs of capacity at most 3, the exhaustive optimum."""
+    oracle = ssp_solve(inst)
+    result = solve(inst)
+    assert result.status == oracle.status
+    assert result.objective == oracle.objective
+    if result.status == "infeasible":
+        assert verify_cut(inst, result.cut).ok
+    if inst.graph.m <= 5 and max(inst.u) <= 3:
+        assert result.objective == brute_force_optimum(inst)[0]
 
 
 @settings(max_examples=100, deadline=None)
