@@ -80,8 +80,8 @@ class CenteringRun:
     kept when it is still their Prim forest, and otherwise a fresh
     forest is built, so the run is the same either way.
     Every stored value, the trial's included, is recorded in
-    ``monitor``. ``mu0_bits`` feeds the stall ceiling, which scales
-    with the bit length of the initial path parameter.
+    ``monitor``. ``mu0_bits``, at least 1, feeds the stall ceiling,
+    which scales with the bit length of the initial path parameter.
 
     The stall ceiling is max(1, 64 m_h ceil(tau) mu0_bits), where tau is
     the forest's total stretch. Since ceil(tau) >= 1 it is never below
@@ -114,6 +114,8 @@ class CenteringRun:
     def __post_init__(self) -> None:
         if self.mu <= 0 or (self.trial_mu is not None and self.trial_mu <= 0):
             raise ValueError("target mu must be positive")
+        if self.mu0_bits < 1:
+            raise ValueError("mu0_bits must be positive")
         x, s = self.x, self.s
         r = {}
         for aid, _, _ in self.arcs:
@@ -251,8 +253,8 @@ class CenteringRun:
         The stall count is tested once per batch, before it. No refresh
         comes inside a batch, so a batch that would reach the floor
         reaches it: the exact ceiling is computed then, and a batch that
-        would pass the ceiling makes the updates up to it and raises, as
-        a test before every update would."""
+        would pass the ceiling raises, as a test before every update
+        would."""
         batch = range(max(1, len(self.arcs)))
         size = len(batch)
         sample = self.sample_update
@@ -280,8 +282,9 @@ class CenteringRun:
             if made + size > ceiling:
                 ceiling = self.stall_limit
                 if made + size > ceiling:
-                    for _ in range(ceiling - made):
-                        sample()
+                    # made counts whole batches, and with mu0_bits >= 1
+                    # the floor and the ceiling are multiples of the
+                    # batch size too, so made is the ceiling here
                     raise CenteringStallError(
                         f"no centered point after {ceiling} cycle "
                         f"updates (ceiling {ceiling})")

@@ -74,21 +74,25 @@ def _build_parser() -> _Parser:
                     "'n <node> <supply>' gives the amount the node ships "
                     "out; printed 'y' lines are dual potentials.")
     add_solver_args(p_solve)
+    p_solve.set_defaults(run=_cmd_solve, trace=False)
 
     p_trace = sub.add_parser(
         "trace", help="solve while streaming per-iteration JSON records",
         description="Each line is one outer iteration: iter, mu, "
                     "minor_arcs, contracted, deleted, gap_sum, max_abs.")
     add_solver_args(p_trace)
+    p_trace.set_defaults(run=_cmd_solve, trace=True)
 
     p_oracle = sub.add_parser(
         "oracle", help="solve with the slow reference implementation")
     p_oracle.add_argument("instance")
+    p_oracle.set_defaults(run=_cmd_oracle)
 
     p_verify = sub.add_parser(
         "verify", help="check a solution file against its instance")
     p_verify.add_argument("instance")
     p_verify.add_argument("solution")
+    p_verify.set_defaults(run=_cmd_verify)
 
     p_gen = sub.add_parser("gen", help="generate a seeded random instance")
     p_gen.add_argument("--seed", type=int, required=True)
@@ -100,6 +104,7 @@ def _build_parser() -> _Parser:
                        default="feasible",
                        help="feasible instances carry a hidden flow; "
                             "random ones may be infeasible")
+    p_gen.set_defaults(run=_cmd_gen)
     return parser
 
 
@@ -111,7 +116,7 @@ def _read(path: str) -> str:
         raise FormatError(f"cannot read {path}: {exc}") from None
 
 
-def _cmd_solve(args, trace: bool) -> int:
+def _cmd_solve(args) -> int:
     inst = parse_instance(_read(args.instance))
 
     def print_row(event: str, payload: dict) -> None:
@@ -119,8 +124,8 @@ def _cmd_solve(args, trace: bool) -> int:
             print(json.dumps(payload), flush=True)
 
     result = solve(inst, SolveConfig(seed=args.seed),
-                   probe=print_row if trace else None)
-    return _report(inst, result, write=not trace)
+                   probe=print_row if args.trace else None)
+    return _report(inst, result, write=not args.trace)
 
 
 def _cmd_oracle(args) -> int:
@@ -178,17 +183,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        if args.command == "solve":
-            return _cmd_solve(args, trace=False)
-        if args.command == "trace":
-            return _cmd_solve(args, trace=True)
-        if args.command == "oracle":
-            return _cmd_oracle(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "gen":
-            return _cmd_gen(args)
-        raise AssertionError(f"unhandled command {args.command}")
+        return args.run(args)
     except FormatError as exc:
         print(f"latticeflow: {exc}", file=sys.stderr)
         return EXIT_USAGE

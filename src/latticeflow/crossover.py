@@ -8,8 +8,8 @@ into the costs. This module finishes the job in three exact moves:
 1. nested cuts: starting from the lowest node, grow a set S one node at
    a time, shifting the duals uniformly on S until some crossing arc's
    perturbed reduced cost hits zero; that arc joins a spanning tree T.
-   The perturbed dual objective never decreases, so the final duals are
-   optimal for the perturbed instance.
+   The perturbed dual objective never decreases, so T is tight at an
+   optimal perturbed dual. Only T is kept, not the duals.
 2. tree lift: re-derive duals from T against the *original* costs,
    which are multiples of gamma; the perturbation is smaller than gamma,
    so the lifted reduced costs are still nonnegative, now exactly
@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvariantError
-from .graph_core import (apply_incidence, bfs_forest, max_flow,
+from .graph_core import (adjacency, apply_incidence, bfs_forest, max_flow,
                          reduced_costs, tree_potentials)
 from .instance_pipeline import AuxiliaryInstance, ScalingCertificate
 from .ipm_driver import IPMResult
@@ -43,8 +43,6 @@ __all__ = [
 @dataclass
 class PerturbedPoint:
     b_hat: dict[int, int]
-    c_hat: list[int]
-    x_hat: list[int]
     s_hat: list[int]
 
 
@@ -55,18 +53,13 @@ def build_perturbed(aux: AuxiliaryInstance, cert: ScalingCertificate,
     the demand shift under 2 * (7/9) beta, the cost shift under
     (7/9) gamma, both as exact cross-multiplied comparisons."""
     g = aux.graph
-    deleted_flow = [res.x[a] if a in res.cmap.deleted else 0
-                    for a in range(g.m)]
-    shift = apply_incidence(g, deleted_flow)
+    deleted = res.cmap.deleted
+    shift = apply_incidence(g, [res.x[a] if a in deleted else 0
+                                for a in range(g.m)])
     b_hat = {v: aux.b[v] - shift[v] for v in g.nodes}
-    c_hat = list(aux.c)
-    x_hat = list(res.x)
     s_hat = list(res.s)
     for a in res.cmap.contracted:
-        c_hat[a] -= res.s[a]
         s_hat[a] = 0
-    for a in res.cmap.deleted:
-        x_hat[a] = 0
 
     demand_shift = sum(abs(shift[v]) for v in g.nodes)
     if 9 * demand_shift > 14 * cert.beta:
@@ -81,39 +74,44 @@ def build_perturbed(aux: AuxiliaryInstance, cert: ScalingCertificate,
     for a in range(g.m):
         if s_hat[a] < 0:
             raise InvariantError(f"arc {a}: perturbed reduced cost negative")
-        if x_hat[a] < 0:
+        if res.x[a] < 0 and a not in deleted:
             raise InvariantError(f"arc {a}: perturbed flow negative")
-    return PerturbedPoint(b_hat, c_hat, x_hat, s_hat)
+    return PerturbedPoint(b_hat, s_hat)
 
 
 def nested_cut_crossover(aux: AuxiliaryInstance, pert: PerturbedPoint,
                          y: dict[int, int],
                          objective_log: list[int] | None = None,
-                         ) -> tuple[dict[int, int], list[int]]:
-    """Grow S from the lowest node to an optimal perturbed dual.
+                         ) -> list[int]:
+    """Grow S from the lowest node to an optimal perturbed dual, and
+    return the tree of the arcs that tightened.
 
-    Each step shifts y uniformly on S: up when S wants net inflow
-    (b_hat(S) >= 0, tightening an entering arc), down when it wants net
-    outflow (tightening a leaving arc). The tightened arc joins the tree
-    and its far endpoint joins S. Ties break to the smallest arc id, and
-    the perturbed dual objective b_hat . y is checked to never decrease.
-    When given, objective_log receives that objective after every step.
+    Each step shifts the duals y uniformly on S: up when S wants net
+    inflow (b_hat(S) >= 0, tightening an entering arc), down when it
+    wants net outflow (tightening a leaving arc). Only the arcs that
+    cross the cut change their reduced cost. The tightened arc joins the
+    tree and its far endpoint joins S. Ties break to the smallest arc
+    id. The shifted duals are not kept: the perturbed dual objective
+    starts at b_hat . y, moves by sign * theta * b_hat(S) per step, and
+    is checked to never decrease. When given, objective_log receives
+    that objective after every step.
     """
     g = aux.graph
-    y = dict(y)
+    arcs = g.arcs
     s_hat = list(pert.s_hat)
+    at = adjacency((a, *arc) for a, arc in enumerate(arcs))
     start = min(g.nodes)
     in_s = {start}
+    # the arcs with exactly one end in S; self-loops never are
+    crossing = {a for a, _ in at.get(start, ())}
     tree: list[int] = []
     objective = sum(pert.b_hat[v] * y[v] for v in g.nodes)
     if objective_log is not None:
         objective_log.append(objective)
     b_s = pert.b_hat[start]
     while len(in_s) < g.n:
-        entering = [a for a, (t, h) in enumerate(g.arcs)
-                    if (h in in_s) != (t in in_s) and h in in_s]
-        leaving = [a for a, (t, h) in enumerate(g.arcs)
-                   if (h in in_s) != (t in in_s) and t in in_s]
+        entering = [a for a in crossing if arcs[a][1] in in_s]
+        leaving = [a for a in crossing if arcs[a][0] in in_s]
         if b_s >= 0 and entering:
             sign, cands = 1, entering
         elif b_s > 0:
@@ -130,8 +128,6 @@ def nested_cut_crossover(aux: AuxiliaryInstance, pert: PerturbedPoint,
         if theta < 0:
             raise InvariantError("negative reduced cost reached the crossover")
         chosen = min(a for a in cands if s_hat[a] == theta)
-        for v in in_s:
-            y[v] += sign * theta
         for a in entering:
             s_hat[a] -= sign * theta
         for a in leaving:
@@ -143,14 +139,15 @@ def nested_cut_crossover(aux: AuxiliaryInstance, pert: PerturbedPoint,
         if objective_log is not None:
             objective_log.append(objective)
         tree.append(chosen)
-        t, h = g.arcs[chosen]
+        t, h = arcs[chosen]
         joined = t if h in in_s else h
         in_s.add(joined)
+        crossing ^= {a for a, _ in at.get(joined, ())}
         b_s += pert.b_hat[joined]
     for a in tree:
         if s_hat[a] != 0:
             raise InvariantError(f"tree arc {a} drifted off its tight cut")
-    return y, tree
+    return tree
 
 
 def lift_tree_duals(aux: AuxiliaryInstance, cert: ScalingCertificate,
@@ -219,7 +216,7 @@ def crossover(aux: AuxiliaryInstance, cert: ScalingCertificate,
     """Full rounding: perturb, nested cuts, tree lift, admissible flow,
     certificate. Returns (x_star, y_t, s_t) on the auxiliary instance."""
     pert = build_perturbed(aux, cert, res)
-    _, tree = nested_cut_crossover(aux, pert, res.y)
+    tree = nested_cut_crossover(aux, pert, res.y)
     y_t, s_t = lift_tree_duals(aux, cert, tree)
     x_star = admissible_max_flow(aux, s_t)
     verify_aux_certificate(aux, x_star, y_t, s_t)

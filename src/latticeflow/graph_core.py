@@ -385,7 +385,7 @@ def max_flow(nodes: Iterable[Hashable],
                         return 0
                     v = flat[path.pop() ^ 1][0]  # back to the edge's tail
                     it[v] += 1
-            pushed = min(1 << 512, *(flat[ei][1] for ei in path))
+            pushed = min(flat[ei][1] for ei in path)
             for ei in reversed(path):
                 flat[ei][1] -= pushed
                 flat[ei ^ 1][1] += pushed

@@ -94,7 +94,8 @@ def outer_ceiling(m: int, mu0: int) -> int:
     """Iteration budget: the decrement shrinks mu by a (1 - 1/(8 sqrt m))
     factor, so ceil(16 sqrt(m) ln mu0) + m steps suffice to drive the
     proxy below its exit line; exceeding this is a bug, not bad luck.
-    ln mu0 is bounded above through the bit length to stay exact."""
+    ln mu0 is bounded above through the bit length, in floating point:
+    the rounding can only move the ceiling, never a solve value."""
     ln_mu0 = mu0.bit_length() * math.log(2)
     return math.ceil(16 * math.sqrt(m) * ln_mu0) + m
 

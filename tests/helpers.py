@@ -1,6 +1,7 @@
 """Checks that only the tests use, kept out of the shipped package:
 the acceptance suite's instance sizes, whether an oracle optimum's
-support is unique, and the exact energy gap of a centering run."""
+support is unique, the exact energy gap of a centering run, and point
+edits for the guard tests."""
 
 from fractions import Fraction
 from random import Random
@@ -72,3 +73,14 @@ def energy_gap(run: CenteringRun) -> Fraction:
         lam = sum(c * run.phi[b] for b, _, c in coefs)
         total += Fraction(lam * lam, cycle_r)
     return total
+
+
+def changed_point(x: list[int], s: list[int],
+                  changes: dict[tuple[str, int], int]
+                  ) -> tuple[list[int], list[int]]:
+    """Copies of x and s with ``changes`` applied, each keyed by
+    ("x" or "s", arc id)."""
+    vecs = {"x": list(x), "s": list(s)}
+    for (name, a), v in changes.items():
+        vecs[name][a] = v
+    return vecs["x"], vecs["s"]

@@ -288,6 +288,12 @@ def test_trial_target_must_be_positive():
         _frozen_run(34560, Random(0), trial_mu=0)
 
 
+def test_mu0_bits_must_be_positive():
+    with pytest.raises(ValueError, match="mu0_bits must be positive"):
+        CenteringRun(arcs=TWO_CYCLE, x={0: 3, 1: 3}, s={0: 2, 1: 2}, mu=4,
+                     rng=Random(0), mu0_bits=0, monitor=BoundMonitor(LIMIT))
+
+
 def test_entry_point_must_be_interior():
     with pytest.raises(InvariantError):
         CenteringRun(arcs=TWO_CYCLE, x={0: 0, 1: 1}, s={0: 1, 1: 1},

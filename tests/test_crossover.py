@@ -1,6 +1,7 @@
 """Hand-simulated nested cuts, the admissible flow, and a full
 pipeline-to-certificate run checked against the reference oracle."""
 
+import re
 from random import Random
 
 import pytest
@@ -16,7 +17,7 @@ from latticeflow.crossover import (
 )
 from latticeflow.errors import InvariantError
 from latticeflow.exact_arith import BoundMonitor
-from latticeflow.graph_core import ContractionMap, MultiGraph
+from latticeflow.graph_core import ContractionMap, MultiGraph, reduced_costs
 from latticeflow.instance_pipeline import (
     AuxiliaryInstance,
     RawInstance,
@@ -40,8 +41,7 @@ def _aux(nodes, arcs, b, c):
 def _path_pert():
     aux = _aux([1, 2, 3], [(1, 2), (2, 3), (1, 3)], {1: -2, 2: 0, 3: 2},
                [3 * GAMMA, 5 * GAMMA, 10 * GAMMA])
-    pert = PerturbedPoint(b_hat=dict(aux.b), c_hat=list(aux.c),
-                          x_hat=[2, 2, 0], s_hat=list(aux.c))
+    pert = PerturbedPoint(b_hat=dict(aux.b), s_hat=list(aux.c))
     return aux, pert
 
 
@@ -49,18 +49,16 @@ def test_nested_cuts_hand_simulation():
     # S = {1} wants outflow, so y drops on S until arc 0 is tight; then
     # S = {1, 2} drops again until arc 1 is tight
     aux, pert = _path_pert()
-    y, tree = nested_cut_crossover(aux, pert, {1: 0, 2: 0, 3: 0})
+    tree = nested_cut_crossover(aux, pert, {1: 0, 2: 0, 3: 0})
     assert tree == [0, 1]
-    assert y == {1: -8 * GAMMA, 2: -5 * GAMMA, 3: 0}
-    # perturbed dual objective: -2 * -8g + 2 * 0 = 16g
-    assert sum(pert.b_hat[v] * y[v] for v in aux.graph.nodes) == 16 * GAMMA
 
 
 def test_nested_cuts_objective_log_is_monotone():
     aux, pert = _path_pert()
     log = []
     nested_cut_crossover(aux, pert, {1: 0, 2: 0, 3: 0}, objective_log=log)
-    # one entry before the walk plus one per grown node
+    # one entry before the walk plus one per grown node; the duals end
+    # at y = (-8g, -5g, 0), so the objective is -2 * -8g + 2 * 0 = 16g
     assert len(log) == aux.graph.n
     assert log == sorted(log)
     assert log[0] == 0 and log[-1] == 16 * GAMMA
@@ -68,14 +66,14 @@ def test_nested_cuts_objective_log_is_monotone():
 
 def test_nested_cuts_tie_breaks_to_lowest_arc_id():
     aux = _aux([1, 2], [(1, 2), (1, 2)], {1: -1, 2: 1}, [GAMMA, GAMMA])
-    pert = PerturbedPoint(dict(aux.b), list(aux.c), [1, 0], list(aux.c))
-    _, tree = nested_cut_crossover(aux, pert, {1: 0, 2: 0})
+    pert = PerturbedPoint(dict(aux.b), list(aux.c))
+    tree = nested_cut_crossover(aux, pert, {1: 0, 2: 0})
     assert tree == [0]
 
 
 def test_tree_lift_and_admissible_flow():
     aux, pert = _path_pert()
-    y, tree = nested_cut_crossover(aux, pert, {1: 0, 2: 0, 3: 0})
+    tree = nested_cut_crossover(aux, pert, {1: 0, 2: 0, 3: 0})
     y_t, s_t = lift_tree_duals(aux, compute_scaling(1, 1, 1), tree)
     assert y_t == {1: 0, 2: 3 * GAMMA, 3: 8 * GAMMA}
     assert s_t == [0, 0, 2 * GAMMA]
@@ -93,10 +91,33 @@ def test_admissible_flow_requires_saturation():
 
 def test_verify_rejects_noncomplementary_pairs():
     aux, pert = _path_pert()
-    y, tree = nested_cut_crossover(aux, pert, {1: 0, 2: 0, 3: 0})
+    tree = nested_cut_crossover(aux, pert, {1: 0, 2: 0, 3: 0})
     y_t, s_t = lift_tree_duals(aux, compute_scaling(1, 1, 1), tree)
-    with pytest.raises(InvariantError):
+    with pytest.raises(InvariantError,
+                       match="^rounded pair is not complementary$"):
         verify_aux_certificate(aux, [1, 1, 1], y_t, s_t)
+
+
+@pytest.mark.parametrize("x_star, y3, s_t, message", [
+    ([3, 2, 0], 8, None, "rounded flow violates conservation"),
+    ([2, 2, 0], 8, [0, 0, 2 * GAMMA + 1], "rounded duals are inconsistent"),
+    ([2, 2, 0], 11, None, "rounded reduced cost negative"),
+    # one unit less around the cycle 1 -> 2 -> 3 against arc 2
+    ([-1, -1, 3], 8, None, "rounded flow negative"),
+])
+def test_verify_names_each_broken_certificate_check(x_star, y3, s_t, message):
+    """Each case breaks one more of the five checks (the test above
+    breaks complementarity) on the path's optimal pair x* = (2, 2, 0),
+    y = (0, 3g, 8g): the flow, the dual of node 3 (in units of gamma,
+    the slacks following it) or the slacks alone."""
+    aux, _ = _path_pert()
+    verify_aux_certificate(aux, [2, 2, 0], {1: 0, 2: 3 * GAMMA, 3: 8 * GAMMA},
+                           [0, 0, 2 * GAMMA])
+    y_t = {1: 0, 2: 3 * GAMMA, 3: y3 * GAMMA}
+    if s_t is None:
+        s_t = reduced_costs(aux.graph, aux.c, y_t)
+    with pytest.raises(InvariantError, match=f"^{re.escape(message)}$"):
+        verify_aux_certificate(aux, x_star, y_t, s_t)
 
 
 def _pipeline(inst, seed=0):
@@ -139,18 +160,17 @@ def test_build_perturbed_folds_and_checks():
     aux, cert, res, down, rev = _pipeline(E1)
     pert = build_perturbed(aux, cert, res)
     g = aux.graph
+    # a contracted arc's slack moves into its cost, so its perturbed
+    # reduced cost is 0
     for a in range(g.m):
         if a in res.cmap.contracted:
-            assert pert.c_hat[a] == aux.c[a] - res.s[a]
             assert pert.s_hat[a] == 0
         else:
-            assert pert.c_hat[a] == aux.c[a]
-        if a in res.cmap.deleted:
-            assert pert.x_hat[a] == 0
+            assert pert.s_hat[a] == res.s[a]
     # folds stay inside the stated tolerances
     bshift = sum(abs(aux.b[v] - pert.b_hat[v]) for v in g.nodes)
     assert 9 * bshift <= 14 * cert.beta
-    cshift = sum(aux.c[a] - pert.c_hat[a] for a in range(g.m))
+    cshift = sum(res.s[a] for a in res.cmap.contracted)
     assert 9 * cshift <= 7 * cert.gamma
     assert bshift > 0 or not res.cmap.deleted
 

@@ -359,6 +359,18 @@ def test_max_flow_long_path_does_not_recurse():
     assert sink_side == set(range(n // 2 + 1, n))
 
 
+def test_max_flow_pushes_a_huge_capacity_in_one_augmentation():
+    # each augmentation pushes the path's bottleneck in full; an
+    # augmentation capped at 2^512 would need 2^88 of them here
+    cap = 1 << 600
+    unmet, flows, sink_side = max_flow(
+        ["s", "a", "t"], [("s", "a", cap), ("a", "t", cap + 1)],
+        {"s": -cap, "t": cap})
+    assert unmet == 0
+    assert flows == [cap, cap]
+    assert sink_side == set()
+
+
 # up to six nodes, a demand vector in [-9, 9] per node that need not
 # balance, and up to twelve arcs of capacity 0-9, self-loops included
 transshipments = st.integers(1, 6).flatmap(lambda n: st.tuples(

@@ -1,14 +1,21 @@
 """Frozen-value and property tests for the scaling pipeline and the
 constructed initial point."""
 
+import dataclasses
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latticeflow.errors import InvariantError
 from latticeflow.exact_arith import BoundMonitor
 from latticeflow.graph_core import MultiGraph, apply_incidence
 from latticeflow.instance_pipeline import (
+    AuxiliaryInstance,
+    InitialPoint,
     RawInstance,
+    _check_initial_point,
     build_auxiliary,
     compute_scaling,
     downscale,
@@ -16,6 +23,8 @@ from latticeflow.instance_pipeline import (
     scale_up,
 )
 from latticeflow.reference_oracle import random_instance
+
+from helpers import changed_point
 
 
 def test_normalize_reverses_negative_arc():
@@ -154,6 +163,39 @@ def test_initial_point_interval_and_centrality():
         dev += abs(p - cert.mu0)
     assert 8 * dev <= cert.mu0
     assert point.mu0 == cert.mu0
+
+
+@pytest.mark.parametrize("before, after, message", [
+    ({}, {("x", 0): 11}, "initial point violates flow conservation"),
+    ({}, {("s", 0): 11}, "initial duals are infeasible"),
+    ({("x", 0): 0}, {}, "initial point is not interior"),
+    ({("s", 1): 0}, {}, "initial point is not interior"),
+    ({("x", 0): 11}, {}, "initial product 110 outside [90, 100]"),
+    ({("x", 1): 8}, {}, "initial product 80 outside [90, 100]"),
+    ({("x", 0): 9, ("x", 1): 9}, {}, "initial point is not centered for mu0"),
+    ({("x", 0): 5, ("s", 0): 20}, {},
+     "balancing arc cost below total path cost"),
+])
+def test_initial_point_guard_names_each_broken_invariant(before, after,
+                                                         message):
+    """Each case breaks one invariant of a valid initial point: arc 1
+    balances arc 0, both at x = s = 10 with mu0 = 100 and t = 90.
+    ``before`` changes x or s and the demands and costs follow, so the
+    rest still holds; ``after`` changes them once those are set."""
+    g = MultiGraph([1, 2], [(1, 2), (2, 1)])
+    y = {1: 0, 2: 0}
+    cert = dataclasses.replace(compute_scaling(1, 1, 1), t=90, mu0=100)
+    base = [10, 10], [10, 10]
+
+    def aux_for(x, s):
+        return AuxiliaryInstance(g, apply_incidence(g, x), s, {}, {}, {},
+                                 hat_arc={0: 1})
+
+    _check_initial_point(aux_for(*base), InitialPoint(*base, y, 100), cert)
+    aux = aux_for(*changed_point(*base, before))
+    x, s = changed_point(*base, {**before, **after})
+    with pytest.raises(InvariantError, match=f"^{re.escape(message)}$"):
+        _check_initial_point(aux, InitialPoint(x, s, y, 100), cert)
 
 
 def test_initial_point_records_into_monitor():

@@ -2,6 +2,7 @@
 imbalance routing) and an end-to-end run of the path following on a
 small instance built through the real pipeline."""
 
+import re
 from random import Random
 
 import pytest
@@ -34,6 +35,8 @@ from latticeflow.ipm_driver import (
     run_interior_point,
 )
 from latticeflow.reference_oracle import random_instance
+
+from helpers import changed_point
 
 
 def test_decrement_frozen_value():
@@ -68,6 +71,47 @@ def test_classification_rejects_double_qualifiers():
 def _tiny_aux(graph, b, c):
     return AuxiliaryInstance(graph=graph, b=b, c=c, arc_node={}, up_arc={},
                              down_arc={})
+
+
+# a valid iterate: arcs 0 and 1 form the minor, arc 2 is deleted and arc
+# 3 contracted. Minor flows and slacks are K = 56 (gamma + beta) at
+# mu = K^2, so x_a s_a = mu and both magnitude fences hold; y = 0
+ITER_CERT = compute_scaling(1, 1, 1)
+K = 56 * (ITER_CERT.gamma + ITER_CERT.beta)
+
+
+@pytest.mark.parametrize("before, after, message", [
+    ({}, {("x", 0): K + 1}, "iterate violates flow conservation"),
+    ({}, {("s", 0): K + 1}, "arc 0: duals and slack disagree"),
+    ({("x", 0): 0}, {}, "arc 0: minor point is not interior"),
+    ({("s", 1): 0}, {}, "arc 1: minor point is not interior"),
+    ({("x", 0): 81 * K * K * ITER_CERT.m // (56 * ITER_CERT.gamma) + 1}, {},
+     "arc 0: primal value too large for minor"),
+    ({("s", 1): 81 * K * K * ITER_CERT.m // (56 * ITER_CERT.beta) + 1}, {},
+     "arc 1: slack too large for minor"),
+    ({("x", 0): 2 * K}, {}, "iterate lost centrality"),
+    ({("s", 2): 0}, {}, "deleted arc 2 lost dual feasibility"),
+    ({("x", 3): 0}, {}, "contracted arc 3 lost primal positivity"),
+])
+def test_check_iterate_names_each_broken_invariant(before, after, message):
+    """Each case breaks one invariant of a valid iterate: ``before``
+    changes x or s and the demands and costs follow, so the rest still
+    holds; ``after`` changes them once the demands and costs are set."""
+    g = MultiGraph([1, 2, 3], [(1, 2), (2, 1), (1, 3), (3, 1)])
+    cmap = ContractionMap(g)
+    cmap.delete(2)
+    cmap.contract(3)
+    minor = minor_arcs(g, cmap)
+    y = {1: 0, 2: 0, 3: 0}
+    base = [K, K, 0, 1], [K, K, 1, 0]
+    x, s = base
+    _check_iterate(_tiny_aux(g, apply_incidence(g, x), s), ITER_CERT, x, s,
+                   y, K * K, cmap, minor)
+    x, s = changed_point(*base, before)
+    aux = _tiny_aux(g, apply_incidence(g, x), s)
+    x, s = changed_point(*base, {**before, **after})
+    with pytest.raises(InvariantError, match=f"^{re.escape(message)}$"):
+        _check_iterate(aux, ITER_CERT, x, s, y, K * K, cmap, minor)
 
 
 def test_lift_routes_class_imbalance():

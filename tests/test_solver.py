@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from latticeflow import solver
 from latticeflow.cli import main
-from latticeflow.dimacs import format_instance, format_solution
+from latticeflow.dimacs import format_instance, format_solution, parse_instance
 from latticeflow.errors import InvariantError
 from latticeflow.graph_core import MultiGraph, apply_incidence
 from latticeflow.instance_pipeline import RawInstance
@@ -252,6 +252,16 @@ def test_parallel_arcs_pick_cheap_first():
     result = solve(inst)
     _check_optimal(inst, result)
     assert result.objective == 2 * 1 + 1 * 5
+
+
+def test_capacity_of_10_to_the_200_matches_the_oracle():
+    # the feasibility max-flow pushes the whole 10^200 units at once
+    big = 10**200
+    inst = parse_instance(f"p min 2 1\nn 1 {big}\nn 2 -{big}\n"
+                          f"a 1 2 0 {big} 1\n")
+    result = solve(inst)
+    _check_optimal(inst, result)
+    assert result.flow == [big]
 
 
 def test_monitor_stays_under_limit():
