@@ -80,8 +80,10 @@ class CenteringRun:
     kept when it is still their Prim forest, and otherwise a fresh
     forest is built, so the run is the same either way.
     Every stored value, the trial's included, is recorded in
-    ``monitor``. ``mu0_bits``, at least 1, feeds the stall ceiling,
-    which scales with the bit length of the initial path parameter.
+    ``monitor``; of the cycle table's running sums, the total bounds the
+    rest and is the one recorded. ``mu0_bits``, at least 1, feeds the
+    stall ceiling, which scales with the bit length of the initial path
+    parameter.
 
     The stall ceiling is max(1, 64 m_h ceil(tau) mu0_bits), where tau is
     the forest's total stretch. Since ceil(tau) >= 1 it is never below
@@ -132,7 +134,7 @@ class CenteringRun:
             self._aim(self.trial_mu)
             if self.secant is not None:
                 self._predict(*self.secant)
-        self.monitor.record_many(self.forest.weights)
+        self.monitor.record_many(self.forest.prefix[-1:])
         self.monitor.record_many(
             [cycle_r for _, _, cycle_r in self.forest.cycles])
 

@@ -184,10 +184,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.run(args)
-    except FormatError as exc:
-        print(f"latticeflow: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (FormatError, ValueError) as exc:
         print(f"latticeflow: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (BoundViolationError, CenteringStallError, InvariantError,

@@ -162,7 +162,7 @@ def lift_tree_duals(aux: AuxiliaryInstance, cert: ScalingCertificate,
     order, parent = bfs_forest(g, tree, [min(g.nodes)])
     if len(order) != g.n:
         raise InvariantError("crossover tree does not span the instance")
-    y_t = tree_potentials(g, order, parent, aux.c)
+    y_t = tree_potentials(order, parent, aux.c)
     s_t = reduced_costs(g, aux.c, y_t)
     for a in range(g.m):
         if s_t[a] < 0:

@@ -28,7 +28,7 @@ of the arcs entering it.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import FormatError, UnsupportedFeatureError
 from .graph_core import MultiGraph
@@ -54,17 +54,22 @@ class Solution(NamedTuple):
     cut: list[int] | None
 
 
+def _records(text: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) for each line of ``text`` that is neither
+    blank nor a ``c`` comment."""
+    for lineno, raw_line in enumerate(text.splitlines(), 1):
+        line = raw_line.strip()
+        if line and not line.startswith("c"):
+            yield lineno, line.split()
+
+
 def parse_instance(text: str) -> RawInstance:
     n_nodes = n_arcs = None
     supplies: dict[int, int] = {}
     arcs: list[tuple[int, int]] = []
     caps: list[int] = []
     costs: list[int] = []
-    for lineno, raw_line in enumerate(text.splitlines(), 1):
-        line = raw_line.strip()
-        if not line or line.startswith("c"):
-            continue
-        fields = line.split()
+    for lineno, fields in _records(text):
         kind = fields[0]
         try:
             if kind == "p":
@@ -156,11 +161,7 @@ def parse_solution(text: str, inst: RawInstance) -> Solution:
     flow: list[int] = []
     potentials: dict[int, int] = {}
     cut: dict[int, None] = {}  # insertion-ordered set
-    for lineno, raw_line in enumerate(text.splitlines(), 1):
-        line = raw_line.strip()
-        if not line or line.startswith("c"):
-            continue
-        fields = line.split()
+    for lineno, fields in _records(text):
         try:
             if fields[0] == "s":
                 if objective is not None or infeasible:

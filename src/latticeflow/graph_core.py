@@ -7,10 +7,14 @@ survivors. Contraction state lives in a union-find over node ids;
 :func:`minor_arcs` maps the surviving arcs onto contraction-class
 representatives.
 
-:func:`bfs_forest` grows a breadth-first forest over a chosen set of
-arcs, ignoring their direction, :func:`route_to_roots` routes a demand
-vector along it leaf to root, :func:`tree_potentials` prices its arcs
-tight, and :func:`component_roots` labels each node with its tree's
+Every rooted forest has one form: ``order`` lists its nodes, each after
+its parent, and ``parent[v] = (p, arc, direction)`` for each non-root v,
+with direction +1 when the arc points from p to v and -1 otherwise.
+:func:`bfs_forest` grows one over a chosen set of arcs, ignoring their
+direction, as ``spanning_tree.TreeForest`` grows its Prim forest;
+:func:`route_to_roots` routes a demand vector along it leaf to root,
+:func:`tree_potentials` prices its arcs tight, neither reading the
+graph, and :func:`component_roots` labels each node with its tree's
 root. Together they build tree solutions, route class imbalances, lift
 tree potentials and split an instance into its weakly-connected
 components. :func:`bridges` finds, in linear time, the arcs of a minor
@@ -184,18 +188,19 @@ def adjacency(arcs: Iterable[tuple[int, Hashable, Hashable]]
 
 
 def bfs_forest(g: MultiGraph, arc_ids: Iterable[int], roots: Iterable[int]
-               ) -> tuple[list[int], dict[int, tuple[int, int]]]:
+               ) -> tuple[list[int], dict[int, tuple[int, int, int]]]:
     """Breadth-first forest over the arcs ``arc_ids``, direction ignored.
 
     Each root not yet reached starts a new tree; neighbours are visited
     in ``arc_ids`` order and self-loops are skipped. Returns ``order``,
     the reached nodes in visiting order (every tree contiguous, its root
-    first), and ``parent``, mapping each non-root node v to (arc, p)
-    where arc joins v to its parent p.
+    first), and ``parent``, mapping each non-root node v to
+    (p, arc, direction) as the module docstring describes.
     """
-    adj = adjacency((a, *g.arcs[a]) for a in arc_ids)
+    arcs = g.arcs
+    adj = adjacency((a, *arcs[a]) for a in arc_ids)
     order: list[int] = []
-    parent: dict[int, tuple[int, int]] = {}
+    parent: dict[int, tuple[int, int, int]] = {}
     seen: set[int] = set()
     qi = 0
     for root in roots:
@@ -209,7 +214,7 @@ def bfs_forest(g: MultiGraph, arc_ids: Iterable[int], roots: Iterable[int]
             for a, w in adj.get(v, ()):
                 if w not in seen:
                     seen.add(w)
-                    parent[w] = (a, v)
+                    parent[w] = (v, a, 1 if arcs[a][1] == w else -1)
                     order.append(w)
     return order, parent
 
@@ -222,7 +227,7 @@ def component_roots(g: MultiGraph, arc_ids: Iterable[int],
     order, parent = bfs_forest(g, arc_ids, roots)
     root: dict[int, int] = {}
     for v in order:
-        root[v] = root[parent[v][1]] if v in parent else v
+        root[v] = root[parent[v][0]] if v in parent else v
     return root
 
 
@@ -274,41 +279,37 @@ def bridges(arcs: Sequence[tuple[int, Hashable, Hashable]],
     return found
 
 
-def route_to_roots(g: MultiGraph, order: Sequence[int],
-                   parent: Mapping[int, tuple[int, int]],
-                   demand: dict[int, int], flow: list[int]) -> None:
+def route_to_roots(order: Sequence[Hashable],
+                   parent: Mapping[Hashable, tuple[Hashable, int, int]],
+                   demand: dict[Hashable, int], flow: list[int]) -> None:
     """Meet every non-root node's demand through its parent arc.
 
     Leaves first, the demand of v (net inflow still needed) is added to
-    the flow of its parent arc, signed by the arc's orientation, and
-    passed up to the parent. Afterwards only roots hold demand: each
-    root keeps its tree's total. ``demand`` and ``flow`` are updated in
-    place.
+    the flow of its parent arc, times the arc's direction, and passed
+    up to the parent. Afterwards only roots hold demand: each root keeps
+    its tree's total. ``demand`` and ``flow`` are updated in place.
     """
     for v in reversed(order):
         d = demand[v]
         if d == 0 or v not in parent:
             continue
-        a, p = parent[v]
-        if g.arcs[a][1] == v:
-            flow[a] += d
-        else:
-            flow[a] -= d
+        p, a, direction = parent[v]
+        flow[a] += direction * d
         demand[p] += d
         demand[v] = 0
 
 
-def tree_potentials(g: MultiGraph, order: Sequence[int],
-                    parent: Mapping[int, tuple[int, int]],
-                    cost: Sequence[int]) -> dict[int, int]:
-    """Potentials on a :func:`bfs_forest` that make every forest arc
-    tight: each root gets 0, and every arc a = (v, w) joining a node to
-    its parent gets pi_w - pi_v = cost[a]."""
-    pi: dict[int, int] = {}
+def tree_potentials(order: Sequence[Hashable],
+                    parent: Mapping[Hashable, tuple[Hashable, int, int]],
+                    cost: Sequence[int]) -> dict[Hashable, int]:
+    """Potentials on a rooted forest that make every forest arc tight:
+    each root gets 0, and every arc a = (v, w) joining a node to its
+    parent gets pi_w - pi_v = cost[a]."""
+    pi: dict[Hashable, int] = {}
     for v in order:
         if v in parent:
-            a, p = parent[v]
-            pi[v] = pi[p] + cost[a] if g.arcs[a][1] == v else pi[p] - cost[a]
+            p, a, direction = parent[v]
+            pi[v] = pi[p] + direction * cost[a]
         else:
             pi[v] = 0
     return pi

@@ -230,7 +230,7 @@ def _bfs_tree_solution(g: MultiGraph, b: dict[int, int]) -> list[int]:
     if len(order) != g.n:
         raise InvariantError("auxiliary construction requires a weakly connected graph")
     z = [0] * g.m
-    route_to_roots(g, order, parent, dict(b), z)
+    route_to_roots(order, parent, dict(b), z)
     return z
 
 

@@ -267,7 +267,7 @@ def _forced_loops(aux: AuxiliaryInstance, cmap: ContractionMap,
     if not loops:
         return []
     g, c = aux.graph, aux.c
-    cost = tree_potentials(g, *bfs_forest(g, cmap.merges, g.nodes), c)
+    cost = tree_potentials(*bfs_forest(g, cmap.merges, g.nodes), c)
     forced = []
     for aid in loops:
         tail, head = g.arcs[aid]
@@ -363,11 +363,11 @@ def _lift(aux: AuxiliaryInstance, cmap: ContractionMap,
     if any(demand.values()):
         reps = dict.fromkeys(cmap.find(g.arcs[aid][0]) for aid in cmap.merges)
         order, parent = bfs_forest(g, cmap.merges, reversed(reps))
-        route_to_roots(g, order, parent, demand, x)
+        route_to_roots(order, parent, demand, x)
         for v in reversed(order):
-            if v in parent and x[parent[v][0]] <= 0:
+            if v in parent and x[parent[v][1]] <= 0:
                 raise InvariantError(
-                    f"contracted arc {parent[v][0]} lost positivity while "
+                    f"contracted arc {parent[v][1]} lost positivity while "
                     "routing class imbalance")
     if any(demand.values()):
         raise InvariantError("class imbalance survived merge-forest routing")

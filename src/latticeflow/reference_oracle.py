@@ -2,7 +2,8 @@
 
 This module exists so the main solver can be checked against code that
 shares none of its machinery: a textbook successive-shortest-path solver
-driven by Bellman-Ford on the residual network, a brute-force lattice
+whose one Bellman-Ford search on the residual network finds both its
+augmenting paths and its final potentials, a brute-force lattice
 enumerator for tiny instances, exhaustive checks of optimality and
 infeasibility certificates, and a seeded random instance generator.
 
@@ -14,6 +15,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from typing import Sequence
 
 from .graph_core import MultiGraph
 from .instance_pipeline import RawInstance
@@ -45,6 +47,15 @@ class CertificateReport:
     ok: bool
     failures: list[str]
     objective: int | None
+
+
+def _net_inflow(inst: RawInstance, flow: Sequence[int]) -> dict[int, int]:
+    """Each node's inflow minus outflow under ``flow``."""
+    net = {v: 0 for v in inst.graph.nodes}
+    for a, (v, w) in enumerate(inst.graph.arcs):
+        net[v] -= flow[a]
+        net[w] += flow[a]
+    return net
 
 
 def _residual_arcs(inst: RawInstance, flow: list[int],
@@ -104,12 +115,10 @@ def ssp_solve(inst: RawInstance) -> OracleSolution:
     """
     inst.validate()
     flow = [inst.u[a] if inst.c[a] < 0 else 0 for a in range(inst.graph.m)]
-    # supply still owed by each node after the pre-saturation
-    owed: dict[int, int] = {v: -d for v, d in inst.b.items()}
-    for a, (v, w) in enumerate(inst.graph.arcs):
-        if flow[a]:
-            owed[v] -= flow[a]
-            owed[w] += flow[a]
+    # supply still owed by each node after the pre-saturation, in the
+    # order of inst.b, which fixes the order of the super arcs
+    net = _net_inflow(inst, flow)
+    owed = {v: net[v] - d for v, d in inst.b.items()}
     source_cap = {v: k for v, k in owed.items() if k > 0}
     sink_need = {v: -k for v, k in owed.items() if k < 0}
 
@@ -147,27 +156,16 @@ def ssp_solve(inst: RawInstance) -> OracleSolution:
 def _final_potentials(inst: RawInstance, flow: list[int]) -> dict[int, int]:
     """Feasible node potentials for the final residual network.
 
-    Runs Bellman-Ford from a virtual root tied to every node at cost 0;
-    the resulting distances p satisfy p_w <= p_v + c for every residual
-    arc (v, w, c), which is exactly three-way complementary slackness
-    for (flow, p).
+    Runs the path search's Bellman-Ford from a virtual root tied to
+    every node at cost 0; the resulting distances p satisfy
+    p_w <= p_v + c for every residual arc (v, w, c), which is exactly
+    three-way complementary slackness for (flow, p).
     """
-    res = [(v, w, inst.u[a] - flow[a], inst.c[a], a, True)
-           for a, (v, w) in enumerate(inst.graph.arcs) if flow[a] < inst.u[a]]
-    res += [(w, v, flow[a], -inst.c[a], a, False)
-            for a, (v, w) in enumerate(inst.graph.arcs) if flow[a] > 0]
-    dist = {v: 0 for v in inst.graph.nodes}
-    for _ in range(len(dist)):
-        changed = False
-        for tail, head, _, cost, _, _ in res:
-            if dist[tail] + cost < dist[head]:
-                dist[head] = dist[tail] + cost
-                changed = True
-        if not changed:
-            break
-    else:
-        raise AssertionError("negative cycle in optimal residual network")
-    return dist
+    nodes = inst.graph.nodes
+    res = [("r", v, 0, 0, None, True) for v in nodes]
+    res += _residual_arcs(inst, flow, {}, {})
+    dist, _ = _bellman_ford([*nodes, "r"], res, "r")
+    return {v: dist[v] for v in nodes}
 
 
 def verify_certificate(inst: RawInstance, flow: list[int],
@@ -189,10 +187,7 @@ def verify_certificate(inst: RawInstance, flow: list[int],
     for a in range(g.m):
         if not 0 <= flow[a] <= inst.u[a]:
             failures.append(f"arc {a}: flow {flow[a]} outside [0, {inst.u[a]}]")
-    net = {v: 0 for v in g.nodes}
-    for a, (v, w) in enumerate(g.arcs):
-        net[v] -= flow[a]
-        net[w] += flow[a]
+    net = _net_inflow(inst, flow)
     for v in g.nodes:
         if net[v] != inst.b[v]:
             failures.append(f"node {v}: net inflow {net[v]} != demand {inst.b[v]}")
@@ -249,10 +244,7 @@ def brute_force_optimum(inst: RawInstance) -> tuple[int | None, list[list[int]]]
     best: int | None = None
     argbest: list[list[int]] = []
     for candidate in itertools.product(*(range(cap + 1) for cap in inst.u)):
-        net = {v: 0 for v in inst.graph.nodes}
-        for a, (v, w) in enumerate(inst.graph.arcs):
-            net[v] -= candidate[a]
-            net[w] += candidate[a]
+        net = _net_inflow(inst, candidate)
         if any(net[v] != inst.b[v] for v in inst.graph.nodes):
             continue
         obj = sum(f * cost for f, cost in zip(candidate, inst.c))

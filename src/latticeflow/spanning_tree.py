@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from itertools import accumulate
 
 from .errors import InvariantError
 from .graph_core import adjacency
@@ -35,17 +34,18 @@ class TreeForest:
     appearance, and each unreached node starts a new tree. Self-loops
     never join the forest. ``order`` lists the nodes as Prim reached
     them, each root before its tree, so every node comes after its
-    parent ``parent[v] = (p, arc, direction)``; the roots are the nodes
-    without a parent.
+    parent ``parent[v] = (p, arc, direction)``: the rooted-forest form
+    of :mod:`latticeflow.graph_core`. The roots are the nodes without a
+    parent.
 
     ``off_tree`` lists the off-tree arcs by id. ``cycles`` holds, in the
     same order, ``(arc_id, [(b, sign, sign * r_b)], r(C_a))`` for each
-    off-tree arc's fundamental cycle, ``weights`` its sampling weight
-    ceil(r(C_a) / r_a), and ``prefix`` the running sums of ``weights``,
-    which the centering step draws a cycle from. The cycle is traversed
-    in the arc's own direction, so the arc itself comes first with sign
-    +1; a tree arc gets +1 when the traversal follows its orientation
-    and -1 against. A self-loop is its own cycle.
+    off-tree arc's fundamental cycle, and ``prefix`` the running sums of
+    the sampling weights ceil(r(C_a) / r_a), each at least 1, which the
+    centering step draws a cycle from. The cycle is traversed in the
+    arc's own direction, so the arc itself comes first with sign +1; a
+    tree arc gets +1 when the traversal follows its orientation and -1
+    against. A self-loop is its own cycle.
 
     ``r`` is the current resistances. ``reweight`` is the one builder of
     the resistance-dependent part of the table: the constructor walks
@@ -57,7 +57,7 @@ class TreeForest:
     """
 
     __slots__ = ("arcs", "r", "order", "parent", "depth", "off_tree",
-                 "cycles", "weights", "prefix")
+                 "cycles", "prefix")
 
     def __init__(self, arcs: list[tuple[int, object, object]],
                  r: dict[int, int]):
@@ -112,16 +112,17 @@ class TreeForest:
         The key (r_a, arc id) orders arcs strictly, so each component has
         one minimum spanning forest; this tree is it exactly when every
         off-tree arc's key exceeds that of every tree arc on its
-        fundamental cycle. If so, the coefficients, r(C_a), ``weights``
-        and ``prefix`` are computed for ``r`` and the tree is kept, which
-        leaves everything a fresh ``TreeForest(arcs, r)`` would build
-        except the discovery order of ``order``. If not, nothing
+        fundamental cycle. If so, the coefficients, r(C_a) and ``prefix``
+        are computed for ``r`` and the tree is kept, which leaves
+        everything a fresh ``TreeForest(arcs, r)`` would build except
+        the discovery order of ``order``. If not, nothing
         changes and the caller builds a fresh forest. ``r`` is read and
         never modified.
         """
         self._check_positive(r)
         cycles = []
-        weights = []
+        prefix = []
+        total = 0
         for aid, coefs, _ in self.cycles:
             ra = r[aid]
             new = []
@@ -134,11 +135,11 @@ class TreeForest:
                 cycle_r += rb
                 new.append((b, sign, sign * rb))
             cycles.append((aid, new, cycle_r))
-            weights.append(-(-cycle_r // ra))  # ceil(r(C_a) / r_a)
+            total += -(-cycle_r // ra)  # ceil(r(C_a) / r_a)
+            prefix.append(total)
         self.r = r
         self.cycles = cycles
-        self.weights = weights
-        self.prefix = list(accumulate(weights))
+        self.prefix = prefix
         return True
 
     def _walk(self, aid: int) -> list[tuple[int, int, int]]:
@@ -176,7 +177,9 @@ class TreeForest:
 
     def voltages(self, phi: dict[int, int]) -> dict:
         """Node voltages induced by the tree flow: each root sits at 0
-        and every tree arc a = (v, w) satisfies pi_w - pi_v = r_a phi_a."""
+        and every tree arc a = (v, w) satisfies pi_w - pi_v = r_a phi_a.
+        This is ``graph_core.tree_potentials`` with cost r_a phi_a,
+        computed in the same pass, since the refresh path calls it."""
         pi: dict = {}
         parent, r, flow = self.parent, self.r, phi.get
         for v in self.order:

@@ -356,6 +356,18 @@ def test_monitor_checks_the_flow_an_update_pushes():
     assert run.phi == {0: -101, 1: 33}
 
 
+def test_monitor_sees_the_sampling_total():
+    # five parallel arcs at r = 1: arc 0 is the tree, and each other
+    # arc's cycle has r(C_a) = 2 and weight 2. Every single value stored
+    # is at most 2, but the draw compares against the total, 8.
+    arcs = [(aid, 1, 2) for aid in range(5)]
+    ones = dict.fromkeys(range(5), 1)
+    with pytest.raises(BoundViolationError,
+                       match="magnitude 8 exceeds monitor limit 5"):
+        CenteringRun(arcs=arcs, x=ones, s=ones, mu=1, rng=Random(0),
+                     mu0_bits=1, monitor=BoundMonitor(5))
+
+
 def test_monitor_sees_centering_state():
     run = _two_cycle_run()
     run.run()
@@ -424,7 +436,7 @@ def test_predicted_trial_start_meets_the_demands(seed, n_nodes, n_arcs, w,
     d = w[:g.m]
     order, parent = bfs_forest(g, range(g.m), [0])
     inflow = apply_incidence(g, d)
-    route_to_roots(g, order, parent, {v: -inflow[v] for v in g.nodes}, d)
+    route_to_roots(order, parent, {v: -inflow[v] for v in g.nodes}, d)
     assert not any(apply_incidence(g, d).values())
     secant = (dict(enumerate(d)), num, den)
 

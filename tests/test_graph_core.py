@@ -194,33 +194,33 @@ class TestBfsForest:
         g = MultiGraph([1, 2, 3, 4], [(1, 3), (2, 1), (3, 4), (2, 4)])
         order, parent = bfs_forest(g, range(g.m), [1])
         assert order == [1, 3, 2, 4]
-        assert parent == {3: (0, 1), 2: (1, 1), 4: (2, 3)}
+        assert parent == {3: (1, 0, 1), 2: (1, 1, -1), 4: (3, 2, 1)}
 
     def test_arc_ids_choose_and_order_the_neighbours(self):
         g = MultiGraph([1, 2, 3, 4], [(1, 3), (2, 1), (3, 4), (2, 4)])
         order, parent = bfs_forest(g, [3, 1, 0], [4])
         assert order == [4, 2, 1, 3]
-        assert parent == {2: (3, 4), 1: (1, 2), 3: (0, 1)}
+        assert parent == {2: (4, 3, -1), 1: (2, 1, 1), 3: (1, 0, 1)}
 
     def test_several_roots(self):
         g = MultiGraph([1, 2, 3, 4, 5], [(1, 2), (4, 3), (5, 4)])
         order, parent = bfs_forest(g, range(g.m), [3, 1, 4, 5, 2])
         # 4 and 5 are reached from 3, 2 from 1: only 3 and 1 start trees
         assert order == [3, 4, 5, 1, 2]
-        assert parent == {4: (1, 3), 5: (2, 4), 2: (0, 1)}
+        assert parent == {4: (3, 1, -1), 5: (4, 2, -1), 2: (1, 0, 1)}
 
     def test_self_loops_and_parallel_arcs(self):
         g = MultiGraph([1, 2], [(1, 1), (2, 1), (1, 2), (2, 2)])
         order, parent = bfs_forest(g, range(g.m), [1])
         # the self-loops never join; the first parallel arc wins
         assert order == [1, 2]
-        assert parent == {2: (1, 1)}
+        assert parent == {2: (1, 1, -1)}
 
     def test_unreachable_nodes_are_left_out(self):
         g = MultiGraph([1, 2, 3, 4], [(1, 2), (3, 3), (3, 4)])
         order, parent = bfs_forest(g, [0, 1], [1])
         assert order == [1, 2]
-        assert parent == {2: (0, 1)}
+        assert parent == {2: (1, 0, 1)}
         assert bfs_forest(g, [], [3]) == ([3], {})
 
 
@@ -276,7 +276,7 @@ class TestRouteToRoots:
         order, parent = bfs_forest(g, range(g.m), [1])
         demand = {1: -5, 2: 2, 3: 3}
         flow = [0, 0]
-        route_to_roots(g, order, parent, demand, flow)
+        route_to_roots(order, parent, demand, flow)
         assert flow == [5, -3]
         assert demand == {1: 0, 2: 0, 3: 0}
 
@@ -290,7 +290,7 @@ class TestRouteToRoots:
         demand = {v: b[v] - inflow[v] for v in g.nodes}
         assert demand == {1: -6, 2: 6}
         order, parent = bfs_forest(g, [0], [1])
-        route_to_roots(g, order, parent, demand, flow)
+        route_to_roots(order, parent, demand, flow)
         assert flow == [4]
         assert apply_incidence(g, flow) == b
 
@@ -309,12 +309,12 @@ class TestRouteToRoots:
         assert sorted(order) == nodes
         demand = {v: b[v] for v in nodes}
         flow = [0] * g.m
-        route_to_roots(g, order, parent, demand, flow)
+        route_to_roots(order, parent, demand, flow)
         assert all(demand[v] == 0 for v in parent)
         # each tree's root holds the total its tree could not absorb
         tree_of = {}
         for v in order:
-            tree_of[v] = tree_of[parent[v][1]] if v in parent else v
+            tree_of[v] = tree_of[parent[v][0]] if v in parent else v
         for root in set(tree_of.values()):
             assert demand[root] == sum(b[v] for v in nodes
                                        if tree_of[v] == root)
@@ -322,7 +322,7 @@ class TestRouteToRoots:
         inflow = apply_incidence(g, flow)
         assert all(inflow[v] == b[v] - demand[v] for v in nodes)
         # only tree arcs carry flow
-        tree_arcs = {a for a, _ in parent.values()}
+        tree_arcs = {a for _, a, _ in parent.values()}
         assert all(flow[a] == 0 for a in range(g.m) if a not in tree_arcs)
 
 

@@ -15,6 +15,7 @@ from latticeflow.dimacs import format_instance, format_solution, parse_instance
 from latticeflow.errors import InvariantError
 from latticeflow.graph_core import MultiGraph, apply_incidence
 from latticeflow.instance_pipeline import RawInstance
+from latticeflow.ipm_driver import outer_ceiling
 from latticeflow.reference_oracle import (brute_force_optimum,
                                           random_instance, ssp_solve,
                                           verify_certificate, verify_cut)
@@ -410,8 +411,8 @@ def test_iterate_payloads_are_the_trace_rows(tmp_path, capsys):
 
 # Golden bytes: sha256 of the solution text and of the trace rows (one
 # JSON line each, as `latticeflow trace` prints them) for fixed seeded
-# instances, solved with the instance seed. Three acceptance-mix shapes
-# and one U = C = 10^12 case. Any change to the random-number stream, the
+# instances, solved with the instance seed. Three acceptance-mix shapes,
+# one U = C = 10^12 case and one sparse 32-node case. Any change to the random-number stream, the
 # rounding or the path moves them; a change that means to do so must
 # record new values and say why.
 GOLDEN = [
@@ -427,6 +428,9 @@ GOLDEN = [
     ((3, 4, 6, 10**12, 10**12, "feasible"),
      "e860f1786a5ae9054b639d0278cac4bd396a28edef223ecffdca372077e08694",
      "69a3cf0453e006f08f212ee5a98e503d715a1076c301790fe22471dff14a07a3"),
+    ((1, 32, 40, 10, 10, "feasible"),
+     "bc5f0d2ec192014dc2f89287c2641e9f71b3e45233452c72e4f2c6f013e3071b",
+     "f189c2d0db62160d14bcca9cfc9cdc27a6a69e4ce4285c73b6d1c58ee623384b"),
 ]
 
 
@@ -444,6 +448,22 @@ def test_golden_solution_and_trace_bytes(case, solution_sha, trace_sha):
     trace = "".join(json.dumps(row) + "\n" for row in rows)
     assert hashlib.sha256(solution.encode()).hexdigest() == solution_sha
     assert hashlib.sha256(trace.encode()).hexdigest() == trace_sha
+
+
+# Sparse graphs, with m0 close to n: fundamental cycles run about twice
+# as long as on 16-node shapes, and the forests are deep.
+@pytest.mark.parametrize("seed,n,m0", [(4, 24, 30), (1, 32, 40), (3, 40, 40)])
+def test_sparse_instances_match_the_oracle(seed, n, m0):
+    inst = random_instance(seed, n, m0, 10, 10, "feasible")
+    comps = []
+    result = solve(inst, SolveConfig(seed=1),
+                   probe=lambda event, payload: comps.append(payload)
+                   if event == "component" else None)
+    assert result.objective == ssp_solve(inst).objective
+    [payload], [stats] = comps, result.components
+    assert stats["max_abs"] < stats["limit"]
+    assert stats["iterations"] <= outer_ceiling(payload["cert"].m,
+                                                payload["point"].mu0)
 
 
 # Two former defect pins (ROADMAP item 1). In random_instance(9055, 4, 4,

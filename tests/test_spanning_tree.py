@@ -2,12 +2,12 @@
 centering step depends on."""
 
 from fractions import Fraction
-from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latticeflow.graph_core import tree_potentials
 from latticeflow.spanning_tree import TreeForest
 
 TRI = [(0, 1, 2), (1, 2, 3), (2, 1, 3)]  # triangle on nodes 1, 2, 3
@@ -21,13 +21,18 @@ def _roots(f):
     return [v for v in f.order if v not in f.parent]
 
 
+def _weights(f):
+    """The sampling weights, as the differences of ``prefix``."""
+    return [b - a for a, b in zip([0, *f.prefix], f.prefix)]
+
+
 def test_prim_picks_cheap_arcs():
     f = TreeForest(TRI, {0: 1, 1: 1, 2: 5})
     assert _tree_arcs(f) == [0, 1]
     assert f.off_tree == [2]
     # cycle: arc 2 forward, then back 3 -> 2 -> 1 against arcs 1 and 0
     assert f.cycles == [(2, [(2, 1, 5), (1, -1, -1), (0, -1, -1)], 5 + 1 + 1)]
-    assert f.weights == [2]  # ceil(7 / 5)
+    assert _weights(f) == [2]  # ceil(7 / 5)
     assert f.condition_ceiling() == 2  # ceil(7/5)
 
 
@@ -43,7 +48,7 @@ def test_self_loop_is_its_own_cycle():
     f = TreeForest([(0, 1, 2), (1, 2, 2)], {0: 1, 1: 4})
     assert f.off_tree == [1]
     assert f.cycles == [(1, [(1, 1, 4)], 4)]
-    assert f.weights == [1]
+    assert _weights(f) == [1]
 
 
 def test_forest_spans_components_separately():
@@ -104,17 +109,31 @@ def test_cycle_voltage_identity(n, arcs, rs, data):
 @given(st.integers(2, 7),
        st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=1,
                 max_size=12),
+       st.lists(st.integers(1, 9), min_size=1, max_size=5),
+       st.data())
+def test_voltages_are_tree_potentials(n, arcs, rs, data):
+    """The Prim forest has graph_core's rooted-forest form, and its
+    voltages are ``tree_potentials`` with cost r_a phi_a."""
+    f = _random_network(n, arcs, rs)
+    phi = {aid: data.draw(st.integers(-50, 50)) for aid in f.arcs}
+    cost = {aid: f.r[aid] * phi[aid] for aid in f.arcs}
+    assert f.voltages(phi) == tree_potentials(f.order, f.parent, cost)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 7),
+       st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=1,
+                max_size=12),
        st.lists(st.integers(1, 9), min_size=1, max_size=5))
 def test_cycle_is_a_circulation(n, arcs, rs):
     """Pushing one unit around any fundamental cycle changes no node's
     net flow, the table lists the off-tree arcs in order, each cycle's
-    resistance, coefficients and weight match its arcs, and ``prefix``
-    holds the running sums of the weights."""
+    resistance and coefficients match its arcs, and ``prefix`` holds the
+    running sums of the weights ceil(r(C_a) / r_a)."""
     f = _random_network(n, arcs, rs)
     assert [aid for aid, _, _ in f.cycles] == f.off_tree
-    assert len(f.weights) == len(f.off_tree)
-    assert f.prefix == list(accumulate(f.weights))
-    for (aid, coefs, cycle_r), weight in zip(f.cycles, f.weights):
+    assert len(f.prefix) == len(f.off_tree)
+    for (aid, coefs, cycle_r), weight in zip(f.cycles, _weights(f)):
         assert coefs[0] == (aid, 1, f.r[aid])
         net = {v: 0 for v in f.order}
         for b, sign, c in coefs:
@@ -147,14 +166,13 @@ def test_reweight_keeps_or_rejects_the_tree():
     assert f.reweight({0: 2, 1: 3, 2: 4})
     assert _tree_arcs(f) == [0, 1]
     assert f.cycles == [(2, [(2, 1, 4), (1, -1, -3), (0, -1, -2)], 9)]
-    assert f.weights == [3]  # ceil(9 / 4)
-    assert f.prefix == [3]
+    assert f.prefix == [3]  # ceil(9 / 4)
     # a tie with arc 1 goes to the lower id, which is the tree arc
     assert f.reweight({0: 2, 1: 4, 2: 4})
     # arc 2 now beats arc 1 on its cycle: rejected, nothing changes
-    before = (f.r, f.cycles, f.weights, f.prefix)
+    before = (f.r, f.cycles, f.prefix)
     assert not f.reweight({0: 2, 1: 5, 2: 4})
-    assert (f.r, f.cycles, f.weights, f.prefix) == before
+    assert (f.r, f.cycles, f.prefix) == before
 
 
 # two groups of node labels, so the arcs can fall into several
@@ -177,20 +195,19 @@ def test_reweight_matches_a_fresh_build(arc_list, data):
     r2 = {aid: data.draw(st.one_of(st.just(r1[aid]), res))
           for aid, _, _ in arc_list}
     f = TreeForest(arc_list, r1)
-    before = (f.r, f.cycles, f.weights, f.prefix)
+    before = (f.r, f.cycles, f.prefix)
     fresh = TreeForest(arc_list, r2)
     if f.reweight(r2):
         assert f.parent == fresh.parent
         assert f.depth == fresh.depth
         assert f.off_tree == fresh.off_tree
         assert f.cycles == fresh.cycles
-        assert f.weights == fresh.weights
         assert f.prefix == fresh.prefix
         assert f.condition_ceiling() == fresh.condition_ceiling()
         phi = {aid: data.draw(st.integers(-20, 20)) for aid in f.arcs}
         assert f.voltages(phi) == fresh.voltages(phi)
     else:
-        assert (f.r, f.cycles, f.weights, f.prefix) == before
+        assert (f.r, f.cycles, f.prefix) == before
         assert _tree_arcs(fresh) != _tree_arcs(f)
 
 
