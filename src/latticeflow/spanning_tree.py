@@ -20,7 +20,7 @@ import heapq
 from fractions import Fraction
 
 from .errors import InvariantError
-from .graph_core import adjacency
+from .graph_core import adjacency, tree_potentials
 
 __all__ = ["TreeForest"]
 
@@ -177,18 +177,11 @@ class TreeForest:
 
     def voltages(self, phi: dict[int, int]) -> dict:
         """Node voltages induced by the tree flow: each root sits at 0
-        and every tree arc a = (v, w) satisfies pi_w - pi_v = r_a phi_a.
-        This is ``graph_core.tree_potentials`` with cost r_a phi_a,
-        computed in the same pass, since the refresh path calls it."""
-        pi: dict = {}
-        parent, r, flow = self.parent, self.r, phi.get
-        for v in self.order:
-            if v in parent:
-                p, arc, d = parent[v]
-                pi[v] = pi[p] + d * r[arc] * flow(arc, 0)
-            else:
-                pi[v] = 0
-        return pi
+        and every tree arc a = (v, w) satisfies pi_w - pi_v = r_a phi_a,
+        that is ``tree_potentials`` with cost r_a phi_a."""
+        return tree_potentials(self.order, self.parent,
+                               {a: self.r[a] * phi.get(a, 0)
+                                for _, a, _ in self.parent.values()})
 
     def condition_ceiling(self) -> int:
         """ceil(tau(T)) where tau(T) = sum over off-tree arcs of

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latticeflow.graph_core import tree_potentials
 from latticeflow.spanning_tree import TreeForest
 
 TRI = [(0, 1, 2), (1, 2, 3), (2, 1, 3)]  # triangle on nodes 1, 2, 3
@@ -103,21 +102,6 @@ def test_cycle_voltage_identity(n, arcs, rs, data):
         lam_cycle = sum(c * phi[b] for b, _, c in coefs)
         lam_direct = f.r[aid] * phi[aid] - (pi[head] - pi[tail])
         assert lam_cycle == lam_direct
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.integers(2, 7),
-       st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=1,
-                max_size=12),
-       st.lists(st.integers(1, 9), min_size=1, max_size=5),
-       st.data())
-def test_voltages_are_tree_potentials(n, arcs, rs, data):
-    """The Prim forest has graph_core's rooted-forest form, and its
-    voltages are ``tree_potentials`` with cost r_a phi_a."""
-    f = _random_network(n, arcs, rs)
-    phi = {aid: data.draw(st.integers(-50, 50)) for aid in f.arcs}
-    cost = {aid: f.r[aid] * phi[aid] for aid in f.arcs}
-    assert f.voltages(phi) == tree_potentials(f.order, f.parent, cost)
 
 
 @settings(max_examples=80, deadline=None)
