@@ -19,7 +19,16 @@ Starting from the constructed interior point at mu0, each iteration:
    A bridge's flow and a loop's slack cannot move while the minor stays
    the same, so the rules run only after a change;
 2. stops once the duality-gap proxy over the minor is tiny
-   (81 * sum x_a s_a < 4 beta gamma);
+   (81 * sum x_a s_a < 4 beta gamma). Before that, the optimal face is
+   often already identified (Ye, Math. Programming 57, 1992; Mehrotra
+   and Ye, Math. Programming 62, 1993), so when the caller hands in a
+   ``rounding`` (the crossover), the loop tries it on a fixed schedule:
+   at iteration 0, at every power-of-two iteration, and whenever the
+   proxy's bit gap, the bit length of 81 * sum x_a s_a less that of
+   4 beta gamma, is at most half of what it was at the last try. A try
+   that certifies ends the path with its answer; one that raises
+   InvariantError changes nothing, since the crossover copies what it
+   changes, and the path goes on;
 3. otherwise lowers mu and recenters the minor with random integer
    cycle updates. The proven short step cuts mu by mu / (8 sqrt m).
    One centering run first tries k times that cut, k in {2, 4, 8}, with
@@ -82,6 +91,9 @@ class IPMResult:
     iterations: int
     updates: int
     refreshes: int
+    rounding_tries: int = 0
+    # the certified (x_star, y_t, s_t) of a try that ended the path
+    rounded: tuple[list[int], dict[int, int], list[int]] | None = None
 
 
 def decrement_mu(mu: int, m: int) -> int:
@@ -122,9 +134,15 @@ def run_interior_point(
     rng: Random,
     monitor: BoundMonitor,
     probe: Callable[[str, dict], None] | None = None,
+    rounding: Callable[[AuxiliaryInstance, ScalingCertificate, IPMResult],
+                       tuple] | None = None,
 ) -> IPMResult:
     """Follow the central path down until the gap proxy clears, then
-    hand the final point (plus the accumulated minor) to the crossover."""
+    hand the final point (plus the accumulated minor) to the crossover.
+
+    With ``rounding``, the path also ends at the first scheduled try
+    whose rounding certifies, with the answer in ``rounded``; without
+    it, no try is made."""
     g = aux.graph
     m = cert.m
     x = list(point.x)
@@ -137,8 +155,10 @@ def run_interior_point(
     previous = None  # mu and the minor's x at the last centering's start
     ceiling = outer_ceiling(m, point.mu0)
     mu0_bits = point.mu0.bit_length()
-    iterations = updates = refreshes = 0
+    iterations = updates = refreshes = tries = 0
     k = 1  # the trial step in short steps; 1 is the short step alone
+    exit_line = 4 * cert.beta * cert.gamma
+    tried_gap = 0  # the proxy's bit gap at the last rounding try
 
     while True:
         # 1. grow the deleted/contracted sets against the current point;
@@ -174,15 +194,29 @@ def run_interior_point(
                 "deleted": len(cmap.deleted), "gap_sum": gap_sum,
                 "max_abs": monitor.max_seen})
 
-        # 2. duality-gap proxy over the minor
-        if 81 * gap_sum < 4 * cert.beta * cert.gamma:
+        # 2. duality-gap proxy over the minor, then a scheduled try
+        if 81 * gap_sum < exit_line:
             return IPMResult(x, s, y, mu, cmap, iterations, updates,
-                             refreshes)
+                             refreshes, tries)
 
         if iterations >= ceiling:
             raise IterationCeilingError(
                 f"proxy still large after {iterations} decrements "
                 f"(ceiling {ceiling})")
+
+        if rounding is not None:
+            gap = (81 * gap_sum).bit_length() - exit_line.bit_length()
+            if iterations & (iterations - 1) == 0 or 2 * gap <= tried_gap:
+                tried_gap = gap
+                tries += 1
+                res = IPMResult(x, s, y, mu, cmap, iterations, updates,
+                                refreshes, tries)
+                try:
+                    res.rounded = rounding(aux, cert, res)
+                except InvariantError:
+                    pass
+                else:
+                    return res
 
         # 3. decrement and recenter the minor, trying k short steps first
         short_mu = decrement_mu(mu, m)

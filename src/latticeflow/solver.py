@@ -11,10 +11,12 @@ of the arcs entering it, and the solve returns that cut at once.
 Otherwise each weakly-connected component runs the whole pipeline
 independently: cost normalization, gcd downscaling, choosing the scale
 factors, the uncapacitated auxiliary build, path following, crossover,
-and exact unscaling. The auxiliary instance's balancing arcs still
-carry the constructed initial point, but the instance is known to be
-feasible, so a balancing arc with flow at the optimum contradicts the
-max-flow and raises InvariantError.
+and exact unscaling. Path following is handed the crossover, tries it
+on a fixed schedule and stops at the first try that certifies; when no
+try does, the crossover runs once at the proxy exit. The auxiliary
+instance's balancing arcs still carry the constructed initial point,
+but the instance is known to be feasible, so a balancing arc with flow
+at the optimum contradicts the max-flow and raises InvariantError.
 
 Every magnitude a component stores is recorded in a BoundMonitor whose
 limit is 2^31 m^10 U^2 C^2 with m = 3 m0 and U, C measured after the
@@ -100,13 +102,13 @@ def _solve_component(inst: RawInstance, arc_ids: list[int], rng: Random,
     scaled = scale_up(down, cert)
     aux, point = build_auxiliary(scaled, cert, monitor=monitor)
     res = run_interior_point(aux, cert, point, rng=rng, monitor=monitor,
-                             probe=probe)
+                             probe=probe, rounding=crossover)
     if probe is not None:
         probe("component", {
             "instance": inst, "arc_ids": arc_ids, "normalized": norm,
             "reversed_ids": reversed_ids, "cert": cert, "aux": aux,
             "point": point, "result": res})
-    x_star, y_t, s_t = crossover(aux, cert, res)
+    x_star, y_t, s_t = res.rounded or crossover(aux, cert, res)
     monitor.record_many(x_star)
     monitor.record_many(s_t)
     monitor.record_many(y_t.values())
@@ -120,6 +122,7 @@ def _solve_component(inst: RawInstance, arc_ids: list[int], rng: Random,
         "iterations": res.iterations,
         "updates": res.updates,
         "refreshes": res.refreshes,
+        "rounding_tries": res.rounding_tries,
         "deleted": len(res.cmap.deleted),
         "contracted": len(res.cmap.contracted),
         "max_abs": monitor.max_seen,

@@ -1,11 +1,13 @@
 """Checks that only the tests use, kept out of the shipped package:
 the acceptance suite's instance sizes, whether an oracle optimum's
-support is unique, the exact energy gap of a centering run, and point
-edits for the guard tests."""
+support is unique, the exact energy gap of a centering run, point
+edits for the guard tests, and solves whose path runs to the proxy
+exit."""
 
 from fractions import Fraction
 from random import Random
 
+from latticeflow import solver
 from latticeflow.centering import CenteringRun
 from latticeflow.graph_core import MultiGraph
 from latticeflow.instance_pipeline import RawInstance
@@ -84,3 +86,21 @@ def changed_point(x: list[int], s: list[int],
     for (name, a), v in changes.items():
         vecs[name][a] = v
     return vecs["x"], vecs["s"]
+
+
+def solve_to_the_proxy_exit(inst: RawInstance, config: solver.SolveConfig,
+                            probe=None) -> solver.SolveResult:
+    """``solve`` with the driver's early rounding tries left out: each
+    component's path runs to the proxy exit and is rounded there once.
+    Tests of path states and of former path defects use it, so what
+    they reach does not depend on when a rounding first certifies."""
+    real = solver.run_interior_point
+
+    def without_tries(*args, rounding=None, **kwargs):
+        return real(*args, **kwargs)
+
+    solver.run_interior_point = without_tries
+    try:
+        return solver.solve(inst, config, probe=probe)
+    finally:
+        solver.run_interior_point = real

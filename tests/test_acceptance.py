@@ -1,11 +1,18 @@
 """Shipping gate: one test and one printed PASS/FAIL line per criterion.
 
-The module fixture solves a 200-instance seeded suite once, with a probe
-attached to each solve, so the interior invariants (initial point,
-post-centering centrality, lifted feasibility, perturbation bounds,
-crossover monotonicity, minor legitimacy) are checked on the real run,
-independently of the solver's own assertions. Run with ``pytest -s`` to
-see the lines as they print; they also appear in failure output.
+The module fixture solves a 200-instance seeded suite and a long-path
+tier once, with a probe attached to each solve, so the interior
+invariants (initial point, post-centering centrality, lifted
+feasibility, perturbation bounds, crossover monotonicity, minor
+legitimacy) are checked on the real run, independently of the solver's
+own assertions. Run with ``pytest -s`` to see the lines as they print;
+they also appear in failure output.
+
+Most suite solves round early, often at iteration 0, so the suite alone
+sees few path states. The tier's feasible draws, with costs up to 100,
+run long paths before their rounding certifies; with them the gate
+checks at least as many path states as it did when every path ran to
+the proxy exit, and the floors below hold it there.
 """
 
 import json
@@ -30,6 +37,16 @@ from latticeflow.solver import SolveConfig, solve
 from helpers import energy_gap, has_unique_support, suite_params
 
 SUITE_SIZE = 200
+# long-path tier: seeds after the suite's, one shape
+TIER_SEEDS = range(SUITE_SIZE, SUITE_SIZE + 120)
+TIER_SHAPE = (8, 16, 10, 100, "feasible")
+# the path coverage the gate had before early rounding: post-centering
+# and lifted points, delete/contract decisions and the unique-support
+# instances they were checked on
+PATH_POINTS_FLOOR = 9524
+DECISIONS_FLOOR = 1807
+UNIQUE_FLOOR = 117
+LATE_ITERATION = 40  # criterion 10 captures states from here on
 SUITE_BUDGET_SECONDS = 600.0
 STATES_WANTED = 5
 STATES_PER_SEED = 2
@@ -82,7 +99,8 @@ def _make_probe(seed, oracle, unique, data):
         elif event == "centering_enter":
             states = data["states"]
             it = payload["iteration"]
-            if (len(states) >= STATES_WANTED or it < 40 or it % 20
+            if (len(states) >= STATES_WANTED or it < LATE_ITERATION
+                    or it % 20
                     or data["state_seeds"].get(seed, 0) >= STATES_PER_SEED
                     or len(payload["arcs"]) < 2):
                 return
@@ -236,9 +254,10 @@ def suite():
         "determinism_checked": 0, "determinism_violations": [],
     }
     t_start = time.perf_counter()
-    for seed in range(SUITE_SIZE):
-        n, m, u_max, c_max, mode = suite_params(seed)
-        inst = random_instance(seed, n, m, u_max, c_max, mode)
+    draws = [(seed, suite_params(seed)) for seed in range(SUITE_SIZE)]
+    draws += [(seed, TIER_SHAPE) for seed in TIER_SEEDS]
+    for seed, params in draws:
+        inst = random_instance(seed, *params)
         oracle = ssp_solve(inst)
         unique = oracle.status == "optimal" and has_unique_support(inst,
                                                                    oracle)
@@ -299,7 +318,8 @@ def test_criterion_01_oracle_equivalence(suite):
     ok = (not suite["mismatches"] and not suite["solve_errors"]
           and suite["wall_solve"] <= SUITE_BUDGET_SECONDS)
     _report(1, ok,
-            f"{SUITE_SIZE} seeded instances ({suite['n_optimal']} optimal, "
+            f"{SUITE_SIZE} seeded and {len(TIER_SEEDS)} long-path instances "
+            f"({suite['n_optimal']} optimal, "
             f"{suite['n_infeasible']} infeasible) matched the oracle exactly "
             f"in {suite['wall_solve']:.1f}s; "
             f"mismatches={suite['mismatches'][:3]} "
@@ -339,26 +359,29 @@ def test_criterion_04_initial_point(suite):
 
 
 def test_criterion_05_centrality_and_feasibility(suite):
-    ok = (suite["exit_checks"] > 0 and not suite["exit_violations"]
-          and suite["lift_checks"] > 0 and not suite["lift_violations"]
+    ok = (suite["exit_checks"] >= PATH_POINTS_FLOOR
+          and not suite["exit_violations"]
+          and suite["lift_checks"] >= PATH_POINTS_FLOOR
+          and not suite["lift_violations"]
           and not suite["deep_errors"])
     _report(5, ok,
             f"{suite['exit_checks']} post-centering points satisfied strict "
             f"8-fold centrality and {suite['lift_checks']} lifted points "
-            f"stayed exactly feasible; "
+            f"stayed exactly feasible (floor {PATH_POINTS_FLOOR} each); "
             f"exit_violations={suite['exit_violations'][:3]} "
             f"lift_violations={suite['lift_violations'][:3]} "
             f"errors={suite['deep_errors'][:3]}")
 
 
 def test_criterion_06_minor_legitimacy(suite):
-    ok = (suite["unique_instances"] > 0 and suite["minor_checks"] > 0
+    ok = (suite["unique_instances"] >= UNIQUE_FLOOR
+          and suite["minor_checks"] >= DECISIONS_FLOOR
           and not suite["minor_violations"])
     _report(6, ok,
             f"{suite['minor_checks']} delete/contract decisions on "
             f"{suite['unique_instances']} unique-support instances all "
-            f"consistent with the oracle optimum; "
-            f"violations={suite['minor_violations'][:3]}")
+            f"consistent with the oracle optimum (floors {DECISIONS_FLOOR} "
+            f"on {UNIQUE_FLOOR}); violations={suite['minor_violations'][:3]}")
 
 
 def test_criterion_07_perturbation_bounds(suite):
@@ -415,7 +438,9 @@ def test_criterion_10_energy_decrease(suite):
                                monitor=BoundMonitor(REPLAY_LIMIT))
             decreases.append(run.sample_update().energy_decrease)
         lcbs.append(_bootstrap_lcb(decreases, rng))
-    ok = len(states) == STATES_WANTED and all(lcb > 0 for lcb in lcbs)
+    ok = (len(states) == STATES_WANTED
+          and all(s["iteration"] >= LATE_ITERATION for s in states)
+          and all(lcb > 0 for lcb in lcbs))
     origin = [(s["seed"], s["iteration"]) for s in states]
     _report(10, ok,
             f"bootstrap 99% lower bound on mean energy decrease positive "

@@ -16,9 +16,9 @@ from latticeflow.exact_arith import BoundMonitor, round_nearest
 from latticeflow.graph_core import (MultiGraph, apply_incidence, bfs_forest,
                                     route_to_roots)
 from latticeflow.reference_oracle import random_instance
-from latticeflow.solver import SolveConfig, solve
+from latticeflow.solver import SolveConfig
 
-from helpers import energy_gap
+from helpers import energy_gap, solve_to_the_proxy_exit
 
 TWO_CYCLE = [(0, "A", "B"), (1, "B", "A")]
 # magnitude limit for the hand-sized states here, far above any value
@@ -132,8 +132,9 @@ def test_stall_ceiling_raises():
 
 
 def _solve_states(case, every):
-    """Every ``every``-th centering entry of a seeded solve, with its
-    component's mu0 bit length and magnitude limit."""
+    """Every ``every``-th centering entry of a seeded solve whose path
+    runs to the proxy exit, with its component's mu0 bit length and
+    magnitude limit."""
     states = []
     pending = []
     mu0_bits = []
@@ -148,7 +149,8 @@ def _solve_states(case, every):
                           for state, bits in pending)
             pending.clear()
 
-    solve(random_instance(*case), SolveConfig(seed=case[0]), probe=probe)
+    solve_to_the_proxy_exit(random_instance(*case),
+                            SolveConfig(seed=case[0]), probe=probe)
     return states
 
 

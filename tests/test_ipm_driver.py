@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latticeflow import SolveConfig, centering, solve
+from latticeflow.crossover import crossover
 from latticeflow.errors import InvariantError
 from latticeflow.exact_arith import BoundMonitor
 from latticeflow.graph_core import (ContractionMap, MultiGraph, apply_incidence,
@@ -486,7 +487,7 @@ def test_invariants_hold_throughout():
 def test_centerings_reuse_the_forest(monkeypatch):
     # an outer iteration that deletes and contracts nothing keeps the
     # minor, and the forest is rebuilt only when the new resistances
-    # change the minimum tree; this solve builds 39 forests in 134
+    # change the minimum tree; this solve builds 28 forests in 109
     # centerings, and would build one per centering without reuse
     builds = 0
 
@@ -504,6 +505,46 @@ def test_centerings_reuse_the_forest(monkeypatch):
                    if event == "centering_enter" else None)
     assert result.status == "optimal"
     assert 1 <= builds <= len(enters) // 3
+
+
+def test_rounding_tries_follow_the_schedule_and_a_refused_one_changes_nothing():
+    """The driver tries the rounding at iteration 0, at every power of
+    two, and when the proxy's bit gap is at most half of what it was at
+    the last try. On this m0 = 48 draw every try but the last is
+    refused, the one at iteration 1 among them, and a refused try
+    leaves the point and the minor as it found them; the last try
+    certifies and ends the path."""
+    tried, refused, rows = [], [], []
+
+    def rounding(aux, cert, res):
+        before = (list(res.x), list(res.s), dict(res.y),
+                  set(res.cmap.deleted), set(res.cmap.contracted))
+        tried.append(res.iterations)
+        try:
+            return crossover(aux, cert, res)
+        except InvariantError:
+            refused.append(res.iterations)
+            assert (res.x, res.s, res.y, res.cmap.deleted,
+                    res.cmap.contracted) == before
+            raise
+
+    inst = random_instance(1, 16, 48, 10, 10, "feasible")
+    _, cert, res = _solve_aux(
+        inst, seed=1, rounding=rounding,
+        probe=lambda ev, p: rows.append(p) if ev == "iterate" else None)
+    line = (4 * cert.beta * cert.gamma).bit_length()
+    expected, last = [], None  # iteration 0 is always tried
+    for row in rows:
+        it = row["iter"]
+        gap = (81 * row["gap_sum"]).bit_length() - line
+        if it & (it - 1) == 0 or 2 * gap <= last:
+            expected.append(it)
+            last = gap
+    assert tried == expected
+    assert 1 in refused and refused == tried[:-1]
+    assert res.iterations == tried[-1] == rows[-1]["iter"]
+    assert res.rounding_tries == len(tried)
+    assert res.rounded is not None
 
 
 # The driver state of random_instance(9055, 4, 4, 2, 2, "feasible"),

@@ -20,7 +20,7 @@ from latticeflow.reference_oracle import (brute_force_optimum,
                                           verify_certificate, verify_cut)
 from latticeflow.solver import SolveConfig, _split_components, solve
 
-from helpers import suite_params
+from helpers import solve_to_the_proxy_exit, suite_params
 
 
 def _check_optimal(inst, result):
@@ -411,25 +411,25 @@ def test_iterate_payloads_are_the_trace_rows(tmp_path, capsys):
 # Golden bytes: sha256 of the solution text and of the trace rows (one
 # JSON line each, as `latticeflow trace` prints them) for fixed seeded
 # instances, solved with the instance seed. Three acceptance-mix shapes,
-# one U = C = 10^12 case and one sparse 32-node case. Any change to the random-number stream, the
-# rounding or the path moves them; a change that means to do so must
-# record new values and say why.
+# one U = C = 10^12 case and one sparse 32-node case. Any change to the
+# random-number stream, the rounding or the path moves them; a change
+# that means to do so must record new values and say why.
 GOLDEN = [
     ((7, 8, 16, 10, 10, "feasible"),
      "b82805d9ed2ffb6e0f3f91bddde6fe4ba723474d763e84cc1319584b4c2635dd",
-     "9df5830d36583f7728ed9e9179e3ff6ef5bbed45c0ea5a5ac7c81d82c09a3e99"),
+     "d8d04bec263e71fec2fd281985d72d8ce0617144c83fd6de7c7517d4e52de225"),
     ((11, 6, 12, 5, 3, "feasible"),
      "5582c2384849cf63dbe55042422bd8b3cc0f30fae9a353081cd1e5b74cdc9a0c",
-     "bac3f030ee488708d60994b2de863cff4bef418d4f285940beed2a48dd1ebb6e"),
+     "95a0b68f21d9d0009527d7c2cd236c493eeb32c3cfbb961c659b60ca57edc954"),
     ((20, 5, 9, 10, 10, "random"),
-     "2500441da7821dfe54e5e4964d4d0d75e705667cddd3df65f4d14ce9c457dd70",
-     "ff6e652931c6ac8fc7b6988060c169d1138a4668d8859d4242b4acafec5ba93c"),
+     "c80392c3d41e7ed889e22a7511b03051d8ab38d730dced6c600adb557829a5e1",
+     "7bd99c5ee0293e119f41be877340f84f1f828f5db06fa7efdc10aae8a2ed8e98"),
     ((3, 4, 6, 10**12, 10**12, "feasible"),
      "e860f1786a5ae9054b639d0278cac4bd396a28edef223ecffdca372077e08694",
-     "69a3cf0453e006f08f212ee5a98e503d715a1076c301790fe22471dff14a07a3"),
+     "460bd711f9ecc79ff94c76a640a087f661745d06aa509134938a1dca58e4ccce"),
     ((1, 32, 40, 10, 10, "feasible"),
      "bc5f0d2ec192014dc2f89287c2641e9f71b3e45233452c72e4f2c6f013e3071b",
-     "f189c2d0db62160d14bcca9cfc9cdc27a6a69e4ce4285c73b6d1c58ee623384b"),
+     "c2209847cc4dcb757af498f4f333a1a5dd5c3e1426ff27b757429475d17f8453"),
 ]
 
 
@@ -449,6 +449,28 @@ def test_golden_solution_and_trace_bytes(case, solution_sha, trace_sha):
     assert hashlib.sha256(trace.encode()).hexdigest() == trace_sha
 
 
+@pytest.mark.parametrize("case", [
+    (1027, *suite_params(1027)), (7, 8, 16, 10, 10, "feasible"),
+    (20, 5, 9, 10, 10, "random"), (3, 4, 6, 10**12, 10**12, "feasible")])
+def test_early_rounding_stops_on_the_path_it_would_have_followed(case):
+    """The rounding tries draw no random numbers and change no driver
+    state, so a solve's iterate, centering-exit and lifted rows are a
+    prefix of those of the path followed to the proxy exit, and the
+    objective is the same."""
+    inst = random_instance(*case)
+    runs = []
+    for run in (solve, solve_to_the_proxy_exit):
+        rows = []
+        result = run(inst, SolveConfig(seed=case[0]),
+                     probe=lambda event, payload: rows.append(payload)
+                     if event in ("iterate", "centering_exit", "lifted")
+                     else None)
+        runs.append((rows, result.objective))
+    (early, objective), (full, full_objective) = runs
+    assert len(early) < len(full) and early == full[:len(early)]
+    assert objective == full_objective == ssp_solve(inst).objective
+
+
 # Sparse graphs, with m0 close to n: fundamental cycles run about twice
 # as long as on 16-node shapes, and the forests are deep.
 @pytest.mark.parametrize("seed,n,m0", [(4, 24, 30), (1, 32, 40), (3, 40, 40)])
@@ -465,13 +487,15 @@ def test_sparse_instances_match_the_oracle(seed, n, m0):
 # frozen flow, so it stayed above the deletion line, and the centering
 # drove its slack, and with it the duals, past arc 4. The bridge rule
 # now deletes bridge 6, and the per-component dual shift keeps deleted
-# slacks positive.
+# slacks positive. A rounding now certifies at iteration 0, so the pin
+# follows the path to the proxy exit, past iteration 39.
 def test_deleted_arc_keeps_dual_feasibility():
     inst = random_instance(9055, 4, 4, 2, 2, "feasible")
-    result = solve(inst, SolveConfig(seed=9055))
+    result = solve_to_the_proxy_exit(inst, SolveConfig(seed=9055))
     oracle = ssp_solve(inst)
     assert (result.status, result.objective) == (oracle.status,
                                                  oracle.objective)
+    assert result.components[0]["iterations"] > 39
 
 
 # In random_instance(4003, 5, 10, 10, 0, "random"), auxiliary arc 11 was
@@ -479,17 +503,21 @@ def test_deleted_arc_keeps_dual_feasibility():
 # through it in the same direction, until its flow fell below zero at
 # iteration 70. The imbalance came from minor self-loops 2, 8 and 16,
 # whose flow the centering moves freely; the loop rule now contracts
-# them as soon as they become loops.
+# them as soon as they become loops. A rounding now certifies at
+# iteration 0, so the pin follows the path to the proxy exit.
 def test_contracted_arc_keeps_positive_flow():
     inst = random_instance(4003, 5, 10, 10, 0, "random")
-    result = solve(inst, SolveConfig(seed=4003))
+    result = solve_to_the_proxy_exit(inst, SolveConfig(seed=4003))
     oracle = ssp_solve(inst)
     assert (result.status, result.objective) == (oracle.status,
                                                  oracle.objective)
 
 
 # Every instance that failed one of the two defect modes under some
-# random stream: acceptance-size draws, and the two pins above.
+# random stream: acceptance-size draws, and the two pins above. Each is
+# solved as shipped, and again with its path followed to the proxy exit,
+# where the defects showed; early rounding stops most of them within
+# 32 iterations.
 FORMER_FAILURES = [
     *((seed, suite_params(seed)) for seed in (
         1027, 1053, 1118, 1129, 1174, 1176, 1178, 1289, 1338, 1344, 1379)),
@@ -502,7 +530,8 @@ FORMER_FAILURES = [
                          ids=[str(seed) for seed, _ in FORMER_FAILURES])
 def test_former_failures_match_the_oracle(seed, params):
     inst = random_instance(seed, *params)
-    result = solve(inst, SolveConfig(seed=seed))
     oracle = ssp_solve(inst)
-    assert (result.status, result.objective) == (oracle.status,
-                                                 oracle.objective)
+    for run in (solve, solve_to_the_proxy_exit):
+        result = run(inst, SolveConfig(seed=seed))
+        assert (result.status, result.objective) == (oracle.status,
+                                                     oracle.objective)
