@@ -46,18 +46,8 @@ EXIT_INFEASIBLE = 2
 EXIT_GUARD = 3
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse defaults to exit code 2
-        self.print_usage(sys.stderr)
-        raise SystemExit(self._usage_exit(message))
-
-    def _usage_exit(self, message) -> int:
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        return EXIT_USAGE
-
-
-def _build_parser() -> _Parser:
-    parser = _Parser(
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
         prog="latticeflow",
         description="Exact integer min-cost flow via interior point "
                     "path following.")
@@ -180,8 +170,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    except SystemExit as exc:  # argparse's usage errors exit with 2
+        return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.run(args)
     except (FormatError, ValueError) as exc:

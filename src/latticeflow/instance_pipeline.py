@@ -203,7 +203,6 @@ class AuxiliaryInstance:
     graph: MultiGraph
     b: dict[int, int]
     c: list[int]
-    arc_node: dict[int, int]
     up_arc: dict[int, int]
     down_arc: dict[int, int]
     hat_arc: dict[int, int] = field(default_factory=dict)
@@ -258,7 +257,6 @@ def build_auxiliary(
     arcs: list[tuple[int, int]] = []
     costs: list[int] = []
     x: list[int] = []
-    arc_node: dict[int, int] = {}
     up_arc: dict[int, int] = {}
     down_arc: dict[int, int] = {}
     hat_arc: dict[int, int] = {}
@@ -270,7 +268,6 @@ def build_auxiliary(
         if scaled.u[i] % 2:
             raise InvariantError("scaled capacity is odd; beta must be even")
         vw = base + i
-        arc_node[i] = vw
         up_arc[i] = len(arcs)
         arcs.append((tail, vw))
         costs.append(scaled.c[i])
@@ -300,7 +297,6 @@ def build_auxiliary(
         graph=aux_graph,
         b=b_aux,
         c=costs,
-        arc_node=arc_node,
         up_arc=up_arc,
         down_arc=down_arc,
         hat_arc=hat_arc,

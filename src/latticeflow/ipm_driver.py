@@ -18,17 +18,18 @@ Starting from the constructed interior point at mu0, each iteration:
      InvariantError.
    A bridge's flow and a loop's slack cannot move while the minor stays
    the same, so the rules run only after a change;
-2. stops once the duality-gap proxy over the minor is tiny
-   (81 * sum x_a s_a < 4 beta gamma). Before that, the optimal face is
-   often already identified (Ye, Math. Programming 57, 1992; Mehrotra
-   and Ye, Math. Programming 62, 1993), so when the caller hands in a
-   ``rounding`` (the crossover), the loop tries it on a fixed schedule:
-   at iteration 0, at every power-of-two iteration, and whenever the
-   proxy's bit gap, the bit length of 81 * sum x_a s_a less that of
-   4 beta gamma, is at most half of what it was at the last try. A try
-   that certifies ends the path with its answer; one that raises
-   InvariantError changes nothing, since the crossover copies what it
-   changes, and the path goes on;
+2. tries the caller's ``rounding`` (the crossover) on a fixed
+   schedule: at iteration 0, at every power-of-two iteration, whenever
+   the proxy's bit gap, the bit length of 81 * sum x_a s_a less that
+   of 4 beta gamma, is at most half of what it was at the last try,
+   and at the proxy exit, where the duality-gap proxy over the minor
+   is tiny (81 * sum x_a s_a < 4 beta gamma). The optimal face is
+   often identified well before that line (Ye, Math. Programming 57,
+   1992; Mehrotra and Ye, Math. Programming 62, 1993). A try that
+   certifies ends the path with its answer. One that raises
+   InvariantError before the exit changes nothing, since the crossover
+   copies what it changes, and the path goes on; at the exit, where
+   the crossover is proven to certify, the error propagates;
 3. otherwise lowers mu and recenters the minor with random integer
    cycle updates. The proven short step cuts mu by mu / (8 sqrt m).
    One centering run first tries k times that cut, k in {2, 4, 8}, with
@@ -92,7 +93,8 @@ class IPMResult:
     updates: int
     refreshes: int
     rounding_tries: int = 0
-    # the certified (x_star, y_t, s_t) of a try that ended the path
+    # the certified (x_star, y_t, s_t) of the try that ended the path;
+    # None only while the rounding is looking at this result
     rounded: tuple[list[int], dict[int, int], list[int]] | None = None
 
 
@@ -135,14 +137,13 @@ def run_interior_point(
     monitor: BoundMonitor,
     probe: Callable[[str, dict], None] | None = None,
     rounding: Callable[[AuxiliaryInstance, ScalingCertificate, IPMResult],
-                       tuple] | None = None,
+                       tuple],
 ) -> IPMResult:
-    """Follow the central path down until the gap proxy clears, then
-    hand the final point (plus the accumulated minor) to the crossover.
-
-    With ``rounding``, the path also ends at the first scheduled try
-    whose rounding certifies, with the answer in ``rounded``; without
-    it, no try is made."""
+    """Follow the central path down, handing the point (plus the
+    accumulated minor) to ``rounding`` on the schedule of step 2, and
+    return at the first try that certifies, with the answer in
+    ``rounded``. The proxy exit's try is the last: its InvariantError
+    propagates."""
     g = aux.graph
     m = cert.m
     x = list(point.x)
@@ -194,29 +195,26 @@ def run_interior_point(
                 "deleted": len(cmap.deleted), "gap_sum": gap_sum,
                 "max_abs": monitor.max_seen})
 
-        # 2. duality-gap proxy over the minor, then a scheduled try
-        if 81 * gap_sum < exit_line:
-            return IPMResult(x, s, y, mu, cmap, iterations, updates,
-                             refreshes, tries)
-
-        if iterations >= ceiling:
+        # 2. a rounding try on the schedule, and always at the proxy exit
+        at_exit = 81 * gap_sum < exit_line
+        if not at_exit and iterations >= ceiling:
             raise IterationCeilingError(
                 f"proxy still large after {iterations} decrements "
                 f"(ceiling {ceiling})")
-
-        if rounding is not None:
-            gap = (81 * gap_sum).bit_length() - exit_line.bit_length()
-            if iterations & (iterations - 1) == 0 or 2 * gap <= tried_gap:
-                tried_gap = gap
-                tries += 1
-                res = IPMResult(x, s, y, mu, cmap, iterations, updates,
-                                refreshes, tries)
-                try:
-                    res.rounded = rounding(aux, cert, res)
-                except InvariantError:
-                    pass
-                else:
-                    return res
+        gap = (81 * gap_sum).bit_length() - exit_line.bit_length()
+        if (at_exit or iterations & (iterations - 1) == 0
+                or 2 * gap <= tried_gap):
+            tried_gap = gap
+            tries += 1
+            res = IPMResult(x, s, y, mu, cmap, iterations, updates,
+                            refreshes, tries)
+            try:
+                res.rounded = rounding(aux, cert, res)
+            except InvariantError:
+                if at_exit:
+                    raise
+            else:
+                return res
 
         # 3. decrement and recenter the minor, trying k short steps first
         short_mu = decrement_mu(mu, m)

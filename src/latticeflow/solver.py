@@ -12,11 +12,11 @@ Otherwise each weakly-connected component runs the whole pipeline
 independently: cost normalization, gcd downscaling, choosing the scale
 factors, the uncapacitated auxiliary build, path following, crossover,
 and exact unscaling. Path following is handed the crossover, tries it
-on a fixed schedule and stops at the first try that certifies; when no
-try does, the crossover runs once at the proxy exit. The auxiliary
-instance's balancing arcs still carry the constructed initial point,
-but the instance is known to be feasible, so a balancing arc with flow
-at the optimum contradicts the max-flow and raises InvariantError.
+on a fixed schedule whose last try is at the proxy exit, and returns
+the answer of the first try that certifies. The auxiliary instance's
+balancing arcs still carry the constructed initial point, but the
+instance is known to be feasible, so a balancing arc with flow at the
+optimum contradicts the max-flow and raises InvariantError.
 
 Every magnitude a component stores is recorded in a BoundMonitor whose
 limit is 2^31 m^10 U^2 C^2 with m = 3 m0 and U, C measured after the
@@ -108,7 +108,7 @@ def _solve_component(inst: RawInstance, arc_ids: list[int], rng: Random,
             "instance": inst, "arc_ids": arc_ids, "normalized": norm,
             "reversed_ids": reversed_ids, "cert": cert, "aux": aux,
             "point": point, "result": res})
-    x_star, y_t, s_t = res.rounded or crossover(aux, cert, res)
+    x_star, y_t, s_t = res.rounded
     monitor.record_many(x_star)
     monitor.record_many(s_t)
     monitor.record_many(y_t.values())

@@ -1,15 +1,17 @@
 """Checks that only the tests use, kept out of the shipped package:
 the acceptance suite's instance sizes, whether an oracle optimum's
 support is unique, the exact energy gap of a centering run, point
-edits for the guard tests, and solves whose path runs to the proxy
-exit."""
+edits for the guard tests, and a rounding and solves whose path runs
+to the proxy exit."""
 
 from fractions import Fraction
 from random import Random
 
 from latticeflow import solver
 from latticeflow.centering import CenteringRun
-from latticeflow.graph_core import MultiGraph
+from latticeflow.crossover import crossover
+from latticeflow.errors import InvariantError
+from latticeflow.graph_core import MultiGraph, minor_arcs
 from latticeflow.instance_pipeline import RawInstance
 from latticeflow.reference_oracle import OracleSolution, ssp_solve
 
@@ -88,19 +90,26 @@ def changed_point(x: list[int], s: list[int],
     return vecs["x"], vecs["s"]
 
 
+def round_at_the_proxy_exit(aux, cert, res):
+    """A ``rounding`` for the driver that refuses every try above the
+    proxy exit line and runs the real crossover at it, so the path runs
+    to the proxy exit."""
+    gap_sum = sum(res.x[aid] * res.s[aid]
+                  for aid, _, _ in minor_arcs(aux.graph, res.cmap))
+    if 81 * gap_sum >= 4 * cert.beta * cert.gamma:
+        raise InvariantError("above the proxy exit line")
+    return crossover(aux, cert, res)
+
+
 def solve_to_the_proxy_exit(inst: RawInstance, config: solver.SolveConfig,
                             probe=None) -> solver.SolveResult:
-    """``solve`` with the driver's early rounding tries left out: each
-    component's path runs to the proxy exit and is rounded there once.
+    """``solve`` with every rounding try before the proxy exit refused:
+    each component's path runs to the proxy exit and is rounded there.
     Tests of path states and of former path defects use it, so what
     they reach does not depend on when a rounding first certifies."""
-    real = solver.run_interior_point
-
-    def without_tries(*args, rounding=None, **kwargs):
-        return real(*args, **kwargs)
-
-    solver.run_interior_point = without_tries
+    real = solver.crossover
+    solver.crossover = round_at_the_proxy_exit
     try:
         return solver.solve(inst, config, probe=probe)
     finally:
-        solver.run_interior_point = real
+        solver.crossover = real

@@ -164,10 +164,11 @@ def _check_minors(seed, oracle, comp, data):
         f_norm[j] = sub.u[j] - f_norm[j]
     yhat = {v: oracle.potentials[v] for v in norm.graph.nodes}
     for i, (v, w) in enumerate(norm.graph.arcs):
+        vw = aux.graph.arcs[aux.up_arc[i]][1]  # the split node
         if f_norm[i] < norm.u[i]:
-            yhat[aux.arc_node[i]] = yhat[w]
+            yhat[vw] = yhat[w]
         else:
-            yhat[aux.arc_node[i]] = norm.c[i] + yhat[v]
+            yhat[vw] = norm.c[i] + yhat[v]
 
     # the oracle's flow on the split arcs; every hat arc carries none
     aux_flow = [0] * aux.graph.m

@@ -30,12 +30,14 @@ from latticeflow.instance_pipeline import (
 from latticeflow.ipm_driver import IPMResult, run_interior_point
 from latticeflow.reference_oracle import ssp_solve
 
+from helpers import round_at_the_proxy_exit
+
 GAMMA = compute_scaling(1, 1, 1).gamma
 
 
 def _aux(nodes, arcs, b, c):
     return AuxiliaryInstance(graph=MultiGraph(nodes, arcs), b=b, c=c,
-                             arc_node={}, up_arc={}, down_arc={})
+                             up_arc={}, down_arc={})
 
 
 def _path_pert():
@@ -129,7 +131,7 @@ def _pipeline(inst, seed=0):
     monitor = BoundMonitor(cert.limit)
     aux, point = build_auxiliary(scaled, cert, monitor)
     res = run_interior_point(aux, cert, point, rng=Random(seed),
-                             monitor=monitor)
+                             monitor=monitor, rounding=round_at_the_proxy_exit)
     return aux, cert, res, down, rev
 
 

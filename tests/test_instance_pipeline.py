@@ -117,7 +117,6 @@ def test_auxiliary_shape_single_arc():
     inst = RawInstance(MultiGraph([1, 2], [(1, 2)]), {1: -1, 2: 1}, [2], [1])
     (aux, point), cert = _aux_for(inst)
     assert aux.graph.n == 3
-    assert aux.arc_node[0] == 3
     assert aux.graph.arcs[aux.up_arc[0]] == (1, 3)
     assert aux.graph.arcs[aux.down_arc[0]] == (2, 3)
     assert aux.c[aux.up_arc[0]] == cert.gamma  # original cost 1, scaled
@@ -188,7 +187,7 @@ def test_initial_point_guard_names_each_broken_invariant(before, after,
     base = [10, 10], [10, 10]
 
     def aux_for(x, s):
-        return AuxiliaryInstance(g, apply_incidence(g, x), s, {}, {}, {},
+        return AuxiliaryInstance(g, apply_incidence(g, x), s, {}, {},
                                  hat_arc={0: 1})
 
     _check_initial_point(aux_for(*base), InitialPoint(*base, y, 100), cert)
@@ -229,7 +228,7 @@ def test_initial_point_properties_random(seed, n, extra, U_max, C_max):
         xu = point.x[aux.up_arc[i]]
         xd = point.x[aux.down_arc[i]]
         assert xu == xd
-        assert xu + xd == aux.b[aux.arc_node[i]]
+        assert xu + xd == aux.b[aux.graph.arcs[aux.up_arc[i]][1]]
 
 
 def test_scale_up_multiplies():

@@ -37,7 +37,7 @@ from latticeflow.ipm_driver import (
 )
 from latticeflow.reference_oracle import random_instance
 
-from helpers import changed_point
+from helpers import changed_point, round_at_the_proxy_exit
 
 
 def test_decrement_frozen_value():
@@ -70,8 +70,7 @@ def test_classification_rejects_double_qualifiers():
 
 
 def _tiny_aux(graph, b, c):
-    return AuxiliaryInstance(graph=graph, b=b, c=c, arc_node={}, up_arc={},
-                             down_arc={})
+    return AuxiliaryInstance(graph=graph, b=b, c=c, up_arc={}, down_arc={})
 
 
 # a valid iterate: arcs 0 and 1 form the minor, arc 2 is deleted and arc
@@ -360,7 +359,8 @@ def test_outer_ceiling_scales():
     assert outer_ceiling(3, 1 << 54) < 2000
 
 
-def _solve_aux(inst: RawInstance, seed=0, **kw):
+def _solve_aux(inst: RawInstance, seed=0, rounding=round_at_the_proxy_exit,
+               **kw):
     norm, _ = normalize_costs(inst)
     down, info = downscale(norm)
     cert = compute_scaling(down.graph.m, info.U, info.C,
@@ -369,7 +369,7 @@ def _solve_aux(inst: RawInstance, seed=0, **kw):
     monitor = kw.pop("monitor", None) or BoundMonitor(cert.limit)
     aux, point = build_auxiliary(scaled, cert, monitor=monitor)
     res = run_interior_point(aux, cert, point, rng=Random(seed),
-                             monitor=monitor, **kw)
+                             monitor=monitor, rounding=rounding, **kw)
     return aux, cert, res
 
 
@@ -507,6 +507,21 @@ def test_centerings_reuse_the_forest(monkeypatch):
     assert 1 <= builds <= len(enters) // 3
 
 
+def _scheduled_tries(rows, cert):
+    """The iterations among ``rows`` (iterate payloads) that the
+    schedule tries: 0, every power of two, and each whose bit gap is at
+    most half of the last tried one's."""
+    line = (4 * cert.beta * cert.gamma).bit_length()
+    tries, last = [], None  # iteration 0 is always tried
+    for row in rows:
+        it = row["iter"]
+        gap = (81 * row["gap_sum"]).bit_length() - line
+        if it & (it - 1) == 0 or 2 * gap <= last:
+            tries.append(it)
+            last = gap
+    return tries
+
+
 def test_rounding_tries_follow_the_schedule_and_a_refused_one_changes_nothing():
     """The driver tries the rounding at iteration 0, at every power of
     two, and when the proxy's bit gap is at most half of what it was at
@@ -532,19 +547,33 @@ def test_rounding_tries_follow_the_schedule_and_a_refused_one_changes_nothing():
     _, cert, res = _solve_aux(
         inst, seed=1, rounding=rounding,
         probe=lambda ev, p: rows.append(p) if ev == "iterate" else None)
-    line = (4 * cert.beta * cert.gamma).bit_length()
-    expected, last = [], None  # iteration 0 is always tried
-    for row in rows:
-        it = row["iter"]
-        gap = (81 * row["gap_sum"]).bit_length() - line
-        if it & (it - 1) == 0 or 2 * gap <= last:
-            expected.append(it)
-            last = gap
-    assert tried == expected
+    assert tried == _scheduled_tries(rows, cert)
     assert 1 in refused and refused == tried[:-1]
     assert res.iterations == tried[-1] == rows[-1]["iter"]
     assert res.rounding_tries == len(tried)
     assert res.rounded is not None
+
+
+def test_a_refusal_at_the_proxy_exit_propagates():
+    """The proxy exit's try is the last one: when the rounding refuses
+    there too, the driver raises the refusal. It neither returns an
+    unrounded point nor runs on to its iteration ceiling, and it calls
+    the rounding once per scheduled try plus once at the exit."""
+    tried, rows, certs = [], [], []
+
+    def refuse(aux, cert, res):
+        tried.append(res.iterations)
+        certs.append(cert)
+        raise InvariantError("refused")
+
+    with pytest.raises(InvariantError, match="^refused$"):
+        _solve_aux(E1, rounding=refuse, probe=lambda ev, p: rows.append(p)
+                   if ev == "iterate" else None)
+    cert = certs[0]
+    exit_line = 4 * cert.beta * cert.gamma
+    at_exit = [81 * row["gap_sum"] < exit_line for row in rows]
+    assert at_exit == [False] * (len(rows) - 1) + [True]
+    assert tried == _scheduled_tries(rows[:-1], cert) + [rows[-1]["iter"]]
 
 
 # The driver state of random_instance(9055, 4, 4, 2, 2, "feasible"),
