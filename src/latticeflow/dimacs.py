@@ -7,10 +7,11 @@ Instances::
     n <node> <supply>
     a <tail> <head> <low> <cap> <cost>
 
-Nodes are 1..<nodes>. A positive supply means the node produces flow, a
-negative one means it consumes; internally demands are stored as net
-inflow, so b_v = -supply_v. Lower bounds must be 0 and capacities must
-be at least 1. Solutions::
+Nodes are 1..<nodes>, at most one more than the ``a`` (two each) and
+``n`` (one each) lines can name. A positive supply means the node
+produces flow, a negative one means it consumes; internally demands are
+stored as net inflow, so b_v = -supply_v. Lower bounds must be 0 and
+capacities must be at least 1. Solutions::
 
     s <objective>
     f <tail> <head> <flow>
@@ -78,6 +79,7 @@ def parse_instance(text: str) -> RawInstance:
                 if len(fields) != 4 or fields[1] != "min":
                     raise FormatError(f"line {lineno}: expected 'p min <n> <m>'")
                 n_nodes, n_arcs = int(fields[2]), int(fields[3])
+                p_line = lineno
                 if n_nodes < 1 or n_arcs < 0:
                     raise FormatError(f"line {lineno}: bad problem dimensions")
             elif kind == "n":
@@ -119,6 +121,12 @@ def parse_instance(text: str) -> RawInstance:
         raise FormatError(f"problem line promises {n_arcs} arcs, found {len(arcs)}")
     if sum(supplies.values()) != 0:
         raise FormatError("supplies do not sum to zero")
+    # refuse nodes no record can name (a lone node aside) before
+    # allocating any
+    if n_nodes > 2 * len(arcs) + len(supplies) + 1:
+        raise FormatError(
+            f"line {p_line}: problem line declares {n_nodes} nodes, more "
+            f"than {len(arcs)} arc and {len(supplies)} node lines can name")
     b = {v: -supplies.get(v, 0) for v in range(1, n_nodes + 1)}
     return RawInstance(MultiGraph(list(range(1, n_nodes + 1)), arcs), b,
                        caps, costs)

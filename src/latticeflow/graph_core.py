@@ -1,5 +1,5 @@
 """Directed multigraph with stable arc ids, incidence operators, minors,
-the one tree walk and the one max-flow the solver needs.
+every graph walk and the one max-flow the solver needs.
 
 Arcs are identified by their dense index into the arc list and keep that
 identity forever: deleting or contracting arcs never renumbers the
@@ -10,17 +10,18 @@ representatives.
 Every rooted forest has one form: ``order`` lists its nodes, each after
 its parent, and ``parent[v] = (p, arc, direction)`` for each non-root v,
 with direction +1 when the arc points from p to v and -1 otherwise.
-:func:`bfs_forest` grows one over a chosen set of arcs, ignoring their
-direction, as ``spanning_tree.TreeForest`` grows its Prim forest;
-:func:`route_to_roots` routes a demand vector along it leaf to root,
-:func:`tree_potentials` prices its arcs tight, neither reading the
-graph, and :func:`component_roots` labels each node with its tree's
-root. Together they build tree solutions, route class imbalances, lift
-tree potentials and split an instance into its weakly-connected
-components. :func:`bridges` finds, in linear time, the arcs of a minor
-whose removal splits its component, with the weight of the side each
-one cuts off. The forest builders all read one undirected
-:func:`adjacency`.
+:func:`grow_forest` is the one loop that grows such a forest, breadth
+first or, given a key per arc, by Prim's rule (``spanning_tree``'s
+forest), over the one undirected :func:`adjacency`; :func:`bfs_forest`
+grows one over a graph's arcs. Reading no graph, :func:`tree_path` walks a forest
+between two nodes, :func:`route_to_roots` routes a demand vector along
+it leaf to root, :func:`tree_potentials` prices its arcs tight and
+:func:`component_roots` labels each node with its tree's root. Together
+they build tree solutions and fundamental cycles, route class
+imbalances, lift tree potentials, split an instance into its
+weakly-connected components and find :func:`bridges`: the arcs of a
+minor whose removal splits its component, with the weight of the side
+each one cuts off.
 
 :func:`max_flow` is Dinic's exact transshipment over any hashable nodes:
 it meets a demand vector from a super source and into a super sink. It
@@ -35,6 +36,8 @@ has -1 at the tail v and +1 at the head w, so a vector b with
 
 from __future__ import annotations
 
+from collections import deque
+from heapq import heappop, heappush
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .errors import InvariantError
@@ -46,7 +49,9 @@ __all__ = [
     "apply_incidence",
     "reduced_costs",
     "adjacency",
+    "grow_forest",
     "bfs_forest",
+    "tree_path",
     "component_roots",
     "bridges",
     "route_to_roots",
@@ -187,36 +192,80 @@ def adjacency(arcs: Iterable[tuple[int, Hashable, Hashable]]
     return adj
 
 
+def grow_forest(arcs: Sequence[tuple[int, Hashable, Hashable]],
+                roots: Iterable[Hashable] | None = None,
+                key: Mapping[int, int] | None = None
+                ) -> tuple[list, dict[Hashable, tuple[Hashable, int, int]]]:
+    """A rooted forest over the (arc_id, tail, head) triples ``arcs``,
+    direction ignored, as ``(order, parent)`` in the module's form.
+
+    Each root not yet reached starts a tree (``roots`` defaults to every
+    endpoint in order of first appearance) and grows it one frontier arc
+    at a time, an arc from a reached node to an unreached one: with
+    ``key``, the least by (key[arc_id], arc_id), so each tree is its
+    component's unique minimum spanning tree (Prim); without, the one
+    found first, each node's arcs read in input order (breadth first).
+    Self-loops never join. ``order`` keeps every tree contiguous.
+    """
+    adj = adjacency(arcs)
+    heads = {aid: head for aid, _, head in arcs}
+    # entries (key, arc, from, to) never tie: an arc is queued only once
+    if key is None:
+        frontier, put, take = deque(), deque.append, deque.popleft
+    else:
+        frontier, put, take = [], heappush, heappop
+    order: list = []
+    parent: dict = {}
+    reached: set = set()
+    for root in (adj if roots is None else roots):
+        if root in reached:
+            continue
+        put(frontier, (None, None, None, root))  # reached by no arc
+        while frontier:
+            _, aid, p, v = take(frontier)
+            if v in reached:
+                continue
+            reached.add(v)
+            order.append(v)
+            if aid is not None:
+                parent[v] = (p, aid, 1 if heads[aid] == v else -1)
+            for bid, w in adj.get(v, ()):
+                if w not in reached:
+                    put(frontier,
+                        (None if key is None else key[bid], bid, v, w))
+    return order, parent
+
+
 def bfs_forest(g: MultiGraph, arc_ids: Iterable[int], roots: Iterable[int]
                ) -> tuple[list[int], dict[int, tuple[int, int, int]]]:
-    """Breadth-first forest over the arcs ``arc_ids``, direction ignored.
-
-    Each root not yet reached starts a new tree; neighbours are visited
-    in ``arc_ids`` order and self-loops are skipped. Returns ``order``,
-    the reached nodes in visiting order (every tree contiguous, its root
-    first), and ``parent``, mapping each non-root node v to
-    (p, arc, direction) as the module docstring describes.
-    """
+    """The breadth-first :func:`grow_forest` from ``roots`` over the
+    arcs ``arc_ids`` of ``g``, in that order."""
     arcs = g.arcs
-    adj = adjacency((a, *arcs[a]) for a in arc_ids)
-    order: list[int] = []
-    parent: dict[int, tuple[int, int, int]] = {}
-    seen: set[int] = set()
-    qi = 0
-    for root in roots:
-        if root in seen:
-            continue
-        seen.add(root)
-        order.append(root)
-        while qi < len(order):
-            v = order[qi]
-            qi += 1
-            for a, w in adj.get(v, ()):
-                if w not in seen:
-                    seen.add(w)
-                    parent[w] = (v, a, 1 if arcs[a][1] == w else -1)
-                    order.append(w)
-    return order, parent
+    return grow_forest([(a, *arcs[a]) for a in arc_ids], roots)
+
+
+def tree_path(parent: Mapping[Hashable, tuple[Hashable, int, int]],
+              depth: Mapping[Hashable, int], u: Hashable, v: Hashable
+              ) -> list[tuple[int, int]]:
+    """The path from u to v in one tree of a rooted forest, ``depth``
+    giving each node's distance from its root, as (arc, sign) pairs in
+    traversal order: sign +1 where the path follows the arc and -1
+    where it goes against it."""
+    up: list[tuple[int, int]] = []
+    down: list[tuple[int, int]] = []  # from v, so reversed at the end
+    while depth[u] > depth[v]:
+        u, arc, direction = parent[u]
+        up.append((arc, -direction))
+    while depth[v] > depth[u]:
+        v, arc, direction = parent[v]
+        down.append((arc, direction))
+    while u != v:
+        u, arc, direction = parent[u]
+        up.append((arc, -direction))
+        v, arc, direction = parent[v]
+        down.append((arc, direction))
+    up.extend(reversed(down))
+    return up
 
 
 def component_roots(g: MultiGraph, arc_ids: Iterable[int],
@@ -237,45 +286,30 @@ def bridges(arcs: Sequence[tuple[int, Hashable, Hashable]],
 
     ``arcs`` are (arc_id, tail, head) triples, as :func:`minor_arcs`
     gives them; a bridge is an arc on no cycle, so parallel arcs and
-    self-loops never are. One depth-first search per component, in the
-    order nodes first appear in ``arcs``, finds them in linear time
-    (Tarjan's low points, with an explicit stack). Returns (arc_id,
-    side) for each bridge in the order the search closes it, where side
-    sums ``weight`` (0 for a node it does not list) over the nodes the
-    bridge cuts off from the search's root.
+    self-loops never are: it is an arc of the breadth-first
+    :func:`grow_forest` that no other arc's :func:`tree_path` runs
+    through. Returns (arc_id, side) per bridge, leaves first within each
+    tree (the forest's ``order`` reversed), where side sums ``weight``
+    (0 for a node it does not list) over the nodes the bridge cuts off
+    from its tree's root, the component's first node in ``arcs``.
     """
-    adj = adjacency(arcs)
-    disc: dict[Hashable, int] = {}
-    low: dict[Hashable, int] = {}
-    side: dict[Hashable, int] = {}
+    order, parent = grow_forest(arcs)
+    depth: dict[Hashable, int] = {}
+    for v in order:
+        depth[v] = depth[parent[v][0]] + 1 if v in parent else 0
+    tree = {a for _, a, _ in parent.values()}
+    covered: set[int] = set()
+    for aid, tail, head in arcs:
+        if aid not in tree:
+            covered.update(a for a, _ in tree_path(parent, depth, tail, head))
+    side = {v: weight.get(v, 0) for v in order}
     found: list[tuple[int, int]] = []
-    for root in adj:
-        if root in disc:
-            continue
-        disc[root] = low[root] = len(disc)
-        side[root] = weight.get(root, 0)
-        # (node, arc it was reached by, its remaining neighbours)
-        stack = [(root, None, iter(adj[root]))]
-        while stack:
-            v, via, rest = stack[-1]
-            for aid, w in rest:
-                if aid == via:
-                    continue
-                if w in disc:
-                    low[v] = min(low[v], disc[w])
-                else:
-                    disc[w] = low[w] = len(disc)
-                    side[w] = weight.get(w, 0)
-                    stack.append((w, aid, iter(adj[w])))
-                    break
-            else:
-                stack.pop()
-                if stack:
-                    p = stack[-1][0]
-                    low[p] = min(low[p], low[v])
-                    side[p] += side[v]
-                    if low[v] > disc[p]:
-                        found.append((via, side[v]))
+    for v in reversed(order):
+        if v in parent:
+            p, a, _ = parent[v]
+            side[p] += side[v]
+            if a not in covered:
+                found.append((a, side[v]))
     return found
 
 

@@ -1,10 +1,13 @@
-"""Spanning forests over resistance-weighted multigraphs.
+"""Spanning forests over resistance-weighted multigraphs, their
+electrical part.
 
 The centering step treats the current minor as an electrical network
 with integer resistances r_a and works relative to a spanning forest:
 off-tree arcs define fundamental cycles, tree arcs define node voltages,
 and each cycle's total resistance both weights the random arc choice and
-bounds the stall ceiling through the forest's condition number.
+bounds the stall ceiling through the forest's stretch. ``graph_core``
+grows the forest and walks its cycles; this module keeps the
+resistances, the cycle table, voltages and stretch.
 
 Arcs are identified by their stable ids in the enclosing graph, so a
 forest can be built directly over a minor's surviving arcs. A forest
@@ -16,11 +19,10 @@ part of the cycle table; a fresh forest builds that part the same way.
 
 from __future__ import annotations
 
-import heapq
 from fractions import Fraction
 
 from .errors import InvariantError
-from .graph_core import adjacency, tree_potentials
+from .graph_core import grow_forest, tree_path, tree_potentials
 
 __all__ = ["TreeForest"]
 
@@ -28,8 +30,9 @@ __all__ = ["TreeForest"]
 class TreeForest:
     """A minimum-resistance spanning forest and its cycle table.
 
-    Built by Prim's algorithm per weakly-connected component, smallest
-    resistance first with arc id as the tie-break, so construction is
+    Built by ``graph_core.grow_forest`` with the resistances as key:
+    Prim's algorithm per weakly-connected component, smallest resistance
+    first with arc id as the tie-break, so construction is
     deterministic. Nodes are taken from ``arcs`` in order of first
     appearance, and each unreached node starts a new tree. Self-loops
     never join the forest. ``order`` lists the nodes as Prim reached
@@ -38,25 +41,27 @@ class TreeForest:
     of :mod:`latticeflow.graph_core`. The roots are the nodes without a
     parent.
 
-    ``off_tree`` lists the off-tree arcs by id. ``cycles`` holds, in the
-    same order, ``(arc_id, [(b, sign, sign * r_b)], r(C_a))`` for each
-    off-tree arc's fundamental cycle, and ``prefix`` the running sums of
-    the sampling weights ceil(r(C_a) / r_a), each at least 1, which the
-    centering step draws a cycle from. The cycle is traversed in the
-    arc's own direction, so the arc itself comes first with sign +1; a
-    tree arc gets +1 when the traversal follows its orientation and -1
-    against. A self-loop is its own cycle.
+    ``off_tree`` lists the off-tree arcs by id, and ``walks``, in the
+    same order, ``(arc_id, [(b, sign)])`` for each one's fundamental
+    cycle. The cycle is traversed in the arc's own direction, so the arc
+    itself comes first with sign +1, and returns through the tree from
+    head to tail (``graph_core.tree_path``); a tree arc gets +1 when the
+    traversal follows its orientation and -1 against. A self-loop is its
+    own cycle. ``cycles`` adds the coefficients, ``(arc_id, [(b, sign,
+    sign * r_b)], r(C_a))`` per walk, and ``prefix`` holds the running
+    sums of the sampling weights ceil(r(C_a) / r_a), each at least 1,
+    which the centering step draws a cycle from.
 
     ``r`` is the current resistances. ``reweight`` is the one builder of
-    the resistance-dependent part of the table: the constructor walks
-    each cycle once and then reweights to ``r``, so a Prim tree that
-    fails the cycle property raises ``InvariantError``; a later
-    ``reweight`` replaces ``r`` and that part of the table when the tree
-    stays the one Prim would build. ``parent``, ``depth``, ``off_tree``
-    and the cycles' arcs and signs never change after construction.
+    ``cycles`` and ``prefix``: the constructor walks each cycle once and
+    then reweights to ``r``, so a Prim tree that fails the cycle
+    property raises ``InvariantError``; a later ``reweight`` replaces
+    ``r``, ``cycles`` and ``prefix`` when the tree stays the one Prim
+    would build. ``order``, ``parent``, ``off_tree`` and ``walks`` never
+    change after construction.
     """
 
-    __slots__ = ("arcs", "r", "order", "parent", "depth", "off_tree",
+    __slots__ = ("arcs", "r", "order", "parent", "off_tree", "walks",
                  "cycles", "prefix")
 
     def __init__(self, arcs: list[tuple[int, object, object]],
@@ -68,35 +73,18 @@ class TreeForest:
             raise ValueError("duplicate arc ids")
         self._check_positive(r)
 
-        adj = adjacency(arcs)
-
-        self.order: list = []
-        self.parent: dict = {}
-        self.depth: dict = {}
-        tree: set[int] = set()
-        for start in adj:
-            if start in self.depth:
-                continue
-            self.order.append(start)
-            self.depth[start] = 0
-            heap = [(r[aid], aid, start, other) for aid, other in adj[start]]
-            heapq.heapify(heap)
-            while heap:
-                _, aid, frm, to = heapq.heappop(heap)
-                if to in self.depth:
-                    continue
-                direction = 1 if self.arcs[aid] == (frm, to) else -1
-                self.parent[to] = (frm, aid, direction)
-                self.depth[to] = self.depth[frm] + 1
-                self.order.append(to)
-                tree.add(aid)
-                for bid, other in adj[to]:
-                    if other not in self.depth:
-                        heapq.heappush(heap, (r[bid], bid, to, other))
-
+        order, parent = grow_forest(arcs, key=r)
+        self.order, self.parent = order, parent
+        depth: dict = {}
+        for v in order:
+            depth[v] = depth[parent[v][0]] + 1 if v in parent else 0
+        tree = {aid for _, aid, _ in parent.values()}
         self.off_tree = sorted(set(self.arcs) - tree)
-        self.cycles: list[tuple[int, list[tuple[int, int, int]], int]] = [
-            (aid, self._walk(aid), 0) for aid in self.off_tree]
+        self.walks = []
+        for aid in self.off_tree:
+            tail, head = self.arcs[aid]
+            self.walks.append(
+                (aid, [(aid, 1)] + tree_path(parent, depth, head, tail)))
         if not self.reweight(r):
             raise InvariantError("Prim forest fails the cycle property")
 
@@ -123,11 +111,11 @@ class TreeForest:
         cycles = []
         prefix = []
         total = 0
-        for aid, coefs, _ in self.cycles:
+        for aid, walk in self.walks:
             ra = r[aid]
             new = []
             cycle_r = 0
-            for b, sign, _ in coefs:
+            for b, sign in walk:
                 rb = r[b]
                 # the arc itself is the one entry with an equal key
                 if rb > ra or (rb == ra and b > aid):
@@ -141,39 +129,6 @@ class TreeForest:
         self.cycles = cycles
         self.prefix = prefix
         return True
-
-    def _walk(self, aid: int) -> list[tuple[int, int, int]]:
-        """The fundamental cycle of off-tree arc aid as (arc_id, sign, 0)
-        entries, in traversal order; ``reweight`` fills in the
-        coefficients."""
-        tail, head = self.arcs[aid]
-        cycle = [(aid, 1, 0)]
-        if tail == head:
-            return cycle
-        # walk both endpoints up to their meeting point; the cycle runs
-        # head -> lca -> tail, so climbing from head keeps traversal
-        # order and climbing from tail is reversed
-        up_from_head: list[tuple[int, int, int]] = []
-        up_from_tail: list[tuple[int, int, int]] = []
-        a, b = head, tail
-        while self.depth[a] > self.depth[b]:
-            p, arc, d = self.parent[a]
-            up_from_head.append((arc, -d, 0))
-            a = p
-        while self.depth[b] > self.depth[a]:
-            p, arc, d = self.parent[b]
-            up_from_tail.append((arc, d, 0))
-            b = p
-        while a != b:
-            p, arc, d = self.parent[a]
-            up_from_head.append((arc, -d, 0))
-            a = p
-            p, arc, d = self.parent[b]
-            up_from_tail.append((arc, d, 0))
-            b = p
-        cycle.extend(up_from_head)
-        cycle.extend(reversed(up_from_tail))
-        return cycle
 
     def voltages(self, phi: dict[int, int]) -> dict:
         """Node voltages induced by the tree flow: each root sits at 0

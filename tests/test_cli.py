@@ -227,8 +227,10 @@ def test_solve_deterministic_bytes(triangle_file, capsys):
     assert first == second
 
 
-# small integers only: a 'p' line allocates every node up front
 _SMALL = st.integers(-3, 9).map(str)
+# a 'p' line's node count may be huge: the parser refuses a count its
+# records cannot use before allocating any node
+_COUNT = st.one_of(_SMALL, st.integers(0, 10**9).map(str))
 _TOKENS = st.one_of(
     st.sampled_from(["p", "min", "n", "a", "s", "f", "y", "c"]),
     _SMALL,
@@ -237,9 +239,11 @@ _TOKENS = st.one_of(
 # soup lines, plus lines with a real keyword
 _LINE = st.one_of(
     st.lists(_TOKENS, max_size=7).map(" ".join),
-    st.tuples(st.sampled_from(["p min", "n", "a", "s", "f", "y"]),
+    st.tuples(st.sampled_from(["n", "a", "s", "f", "y"]),
               st.lists(_SMALL, min_size=1, max_size=5)).map(
         lambda line: " ".join([line[0], *line[1]])),
+    st.tuples(_COUNT, st.lists(_SMALL, max_size=4)).map(
+        lambda line: " ".join(["p min", line[0], *line[1]])),
 )
 _SOUP = st.lists(_LINE, max_size=10).map("\n".join)
 

@@ -72,6 +72,7 @@ def test_nonzero_lower_bound_rejected():
     "p min 2 1\na 1 2 0 1\n",            # short arc line
     "p min 2 1\nq nonsense\na 1 2 0 1 0\n",  # unknown line kind
     "",                                  # no problem line at all
+    "p min 1000000 0\n",                 # more nodes than records name
 ])
 def test_malformed_inputs(text):
     with pytest.raises(FormatError):

@@ -13,10 +13,12 @@ from latticeflow.graph_core import (
     bfs_forest,
     bridges,
     component_roots,
+    grow_forest,
     max_flow,
     minor_arcs,
     reduced_costs,
     route_to_roots,
+    tree_path,
 )
 
 
@@ -187,6 +189,66 @@ def test_component_roots_label_each_tree_by_its_root():
     assert list(roots) == [3, 4, 5, 1, 2, 6]
     # a node no root reaches gets no label
     assert component_roots(g, [0], [2]) == {2: 2, 1: 2}
+
+
+# (n, arcs): a multigraph on nodes 0..n-1 as (arc_id, tail, head)
+# triples, self-loops and parallel arcs included
+_MULTIGRAPHS = st.integers(1, 7).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+             min_size=1, max_size=14).map(
+        lambda ends: [(a, t, h) for a, (t, h) in enumerate(ends)])))
+
+
+class TestGrowForest:
+    @given(_MULTIGRAPHS, st.data())
+    @settings(max_examples=200)
+    def test_key_gives_kruskals_forest(self, graph, data):
+        """With a key, the forest is the unique minimum spanning forest
+        under (key, arc id): the arcs that join two components when
+        Kruskal takes them in that order, as the merges of contracting
+        every arc."""
+        n, arcs = graph
+        key = {a: data.draw(st.integers(1, 4)) for a, _, _ in arcs}
+        order, parent = grow_forest(arcs, key=key)
+        cmap = ContractionMap(MultiGraph(range(n), [(t, h) for _, t, h in arcs]))
+        for a, _, _ in sorted(arcs, key=lambda arc: (key[arc[0]], arc[0])):
+            cmap.contract(a)
+        assert {a for _, a, _ in parent.values()} == set(cmap.merges)
+        # the rooted-forest form: every endpoint once, each node after
+        # its parent, each direction read off its arc
+        assert sorted(order) == sorted({v for _, t, h in arcs for v in (t, h)})
+        ends = {a: (t, h) for a, t, h in arcs}
+        for v, (p, a, direction) in parent.items():
+            assert order.index(p) < order.index(v)
+            assert ends[a] == ((p, v) if direction == 1 else (v, p))
+
+    @given(_MULTIGRAPHS, st.data())
+    @settings(max_examples=200)
+    def test_tree_path_carries_one_unit(self, graph, data):
+        """One unit pushed along ``tree_path``'s signed arcs leaves u and
+        enters v, and no tree arc is used twice."""
+        n, arcs = graph
+        order, parent = grow_forest(arcs)
+        root, depth = {}, {}
+        for w in order:
+            p = parent[w][0] if w in parent else None
+            root[w] = w if p is None else root[p]
+            depth[w] = 0 if p is None else depth[p] + 1
+        u = data.draw(st.sampled_from(order))
+        v = data.draw(st.sampled_from([w for w in order if root[w] == root[u]]))
+        path = tree_path(parent, depth, u, v)
+        used = [a for a, _ in path]
+        assert len(used) == len(set(used))
+        assert set(used) <= {a for _, a, _ in parent.values()}
+        g = MultiGraph(range(n), [(t, h) for _, t, h in arcs])
+        flow = [0] * g.m
+        for a, sign in path:
+            flow[a] += sign
+        expected = dict.fromkeys(g.nodes, 0)
+        expected[u] -= 1
+        expected[v] += 1
+        assert apply_incidence(g, flow) == expected
 
 
 class TestBfsForest:

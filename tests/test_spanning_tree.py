@@ -183,7 +183,6 @@ def test_reweight_matches_a_fresh_build(arc_list, data):
     fresh = TreeForest(arc_list, r2)
     if f.reweight(r2):
         assert f.parent == fresh.parent
-        assert f.depth == fresh.depth
         assert f.off_tree == fresh.off_tree
         assert f.cycles == fresh.cycles
         assert f.prefix == fresh.prefix
