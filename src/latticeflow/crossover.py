@@ -80,21 +80,21 @@ def build_perturbed(aux: AuxiliaryInstance, cert: ScalingCertificate,
 
 
 def nested_cut_crossover(aux: AuxiliaryInstance, pert: PerturbedPoint,
-                         y: dict[int, int],
                          objective_log: list[int] | None = None,
                          ) -> list[int]:
     """Grow S from the lowest node to an optimal perturbed dual, and
     return the tree of the arcs that tightened.
 
-    Each step shifts the duals y uniformly on S: up when S wants net
+    Each step shifts the duals uniformly on S: up when S wants net
     inflow (b_hat(S) >= 0, tightening an entering arc), down when it
     wants net outflow (tightening a leaving arc). Only the arcs that
     cross the cut change their reduced cost. The tightened arc joins the
     tree and its far endpoint joins S. Ties break to the smallest arc
-    id. The shifted duals are not kept: the perturbed dual objective
-    starts at b_hat . y, moves by sign * theta * b_hat(S) per step, and
+    id. The steps read only s_hat and b_hat, so no duals are taken: the
+    perturbed dual objective is counted from 0, relative to whatever
+    duals priced s_hat, moves by sign * theta * b_hat(S) per step, and
     is checked to never decrease. When given, objective_log receives
-    that objective after every step.
+    that objective before the first step and after every step.
     """
     g = aux.graph
     arcs = g.arcs
@@ -105,7 +105,7 @@ def nested_cut_crossover(aux: AuxiliaryInstance, pert: PerturbedPoint,
     # the arcs with exactly one end in S; self-loops never are
     crossing = {a for a, _ in at.get(start, ())}
     tree: list[int] = []
-    objective = sum(pert.b_hat[v] * y[v] for v in g.nodes)
+    objective = 0
     if objective_log is not None:
         objective_log.append(objective)
     b_s = pert.b_hat[start]
@@ -216,7 +216,7 @@ def crossover(aux: AuxiliaryInstance, cert: ScalingCertificate,
     """Full rounding: perturb, nested cuts, tree lift, admissible flow,
     certificate. Returns (x_star, y_t, s_t) on the auxiliary instance."""
     pert = build_perturbed(aux, cert, res)
-    tree = nested_cut_crossover(aux, pert, res.y)
+    tree = nested_cut_crossover(aux, pert)
     y_t, s_t = lift_tree_duals(aux, cert, tree)
     x_star = admissible_max_flow(aux, s_t)
     verify_aux_certificate(aux, x_star, y_t, s_t)

@@ -11,7 +11,9 @@ Nodes are 1..<nodes>, at most one more than the ``a`` (two each) and
 ``n`` (one each) lines can name. A positive supply means the node
 produces flow, a negative one means it consumes; internally demands are
 stored as net inflow, so b_v = -supply_v. Lower bounds must be 0 and
-capacities must be at least 1. Solutions::
+capacities must be at least 1. ``format_instance`` writes an ``n`` line
+for every node with a nonzero supply or that no arc names, so its text
+always reads back; it refuses node ids other than 1..n. Solutions::
 
     s <objective>
     f <tail> <head> <flow>
@@ -133,15 +135,20 @@ def parse_instance(text: str) -> RawInstance:
 
 
 def format_instance(inst: RawInstance, comment: str | None = None) -> str:
+    """Text that ``parse_instance`` reads back equal; nodes must be 1..n."""
+    g = inst.graph
+    if sorted(g.nodes) != list(range(1, g.n + 1)):
+        raise ValueError("DIMACS node ids must be exactly 1..n")
     lines = []
     if comment:
         for row in comment.splitlines():
             lines.append(f"c {row}")
-    lines.append(f"p min {inst.graph.n} {inst.graph.m}")
-    for v in inst.graph.nodes:
-        if inst.b[v]:
+    lines.append(f"p min {g.n} {g.m}")
+    named = {v for arc in g.arcs for v in arc}
+    for v in g.nodes:
+        if inst.b[v] or v not in named:
             lines.append(f"n {v} {-inst.b[v]}")
-    for a, (tail, head) in enumerate(inst.graph.arcs):
+    for a, (tail, head) in enumerate(g.arcs):
         lines.append(f"a {tail} {head} 0 {inst.u[a]} {inst.c[a]}")
     return "\n".join(lines) + "\n"
 

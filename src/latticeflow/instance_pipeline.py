@@ -1,7 +1,7 @@
 """Instance ingestion, scaling, the uncapacitated auxiliary instance, and
 the constructed initial interior point.
 
-The pipeline takes a capacitated instance through four stages:
+The pipeline takes a capacitated instance through five stages:
 
 1. ``normalize_costs``: reverse negative-cost arcs so costs are >= 0.
 2. ``downscale``: divide out the input gcds (demands/capacities by
@@ -10,13 +10,17 @@ The pipeline takes a capacitated instance through four stages:
    two) and gamma, plus the initial path parameter mu0 and the magnitude
    limit, all fixed before the auxiliary graph exists by using the arc
    bound m = 3 * m0.
-4. ``build_auxiliary``: split every arc through a fresh node to remove
+4. ``scale_up``: multiply demands and capacities by beta and costs by
+   gamma.
+5. ``build_auxiliary``: split every arc through a fresh node to remove
    its capacity constraint, add one high-cost balancing arc per split
    where needed, and write down an exactly-central integer interior
    point for mu0.
 
-Everything downstream operates on the auxiliary instance;
-``solver._solve_component`` maps its solutions back to the input arcs.
+Everything downstream operates on the auxiliary instance. The stages
+are sequenced in one place, ``solver._prepare``, which runs this front
+half for a component; ``solver._solve_component`` maps the solutions
+back to the input arcs.
 """
 
 from __future__ import annotations

@@ -90,10 +90,10 @@ def _split_components(inst: RawInstance) -> list[tuple[list[int], list[int]]]:
     return list(groups.values())
 
 
-def _solve_component(inst: RawInstance, arc_ids: list[int], rng: Random,
-                     probe: Callable[[str, dict], None] | None
-                     ) -> tuple[list[int], dict[int, int], dict]:
-    """Run the full pipeline on one weakly-connected feasible instance."""
+def _prepare(inst: RawInstance) -> tuple:
+    """The front half of the pipeline on one component: (normalized
+    instance, reversed arc ids, scaling certificate, monitor, auxiliary
+    instance, initial point)."""
     norm, reversed_ids = normalize_costs(inst)
     down, info = downscale(norm)
     cert = compute_scaling(down.graph.m, info.U, info.C,
@@ -101,6 +101,14 @@ def _solve_component(inst: RawInstance, arc_ids: list[int], rng: Random,
     monitor = BoundMonitor(cert.limit)
     scaled = scale_up(down, cert)
     aux, point = build_auxiliary(scaled, cert, monitor=monitor)
+    return norm, reversed_ids, cert, monitor, aux, point
+
+
+def _solve_component(inst: RawInstance, arc_ids: list[int], rng: Random,
+                     probe: Callable[[str, dict], None] | None
+                     ) -> tuple[list[int], dict[int, int], dict]:
+    """Run the full pipeline on one weakly-connected feasible instance."""
+    norm, reversed_ids, cert, monitor, aux, point = _prepare(inst)
     res = run_interior_point(aux, cert, point, rng=rng, monitor=monitor,
                              probe=probe, rounding=crossover)
     if probe is not None:
@@ -135,7 +143,7 @@ def _solve_component(inst: RawInstance, arc_ids: list[int], rng: Random,
             "max-flow found feasible")
 
     flow: list[int] = []
-    for i in range(down.graph.m):
+    for i in range(norm.graph.m):
         up = x_star[aux.up_arc[i]]
         if up % cert.beta:
             raise InvariantError(f"arc {i}: optimal flow is not integral")

@@ -1,8 +1,8 @@
 """Checks that only the tests use, kept out of the shipped package:
-the acceptance suite's instance sizes, whether an oracle optimum's
-support is unique, the exact energy gap of a centering run, point
-edits for the guard tests, and a rounding and solves whose path runs
-to the proxy exit."""
+the small instance E1, the acceptance suite's instance sizes, whether
+an oracle optimum's support is unique, the exact energy gap of a
+centering run, point edits for the guard tests, and a rounding, a
+component path and solves that run to the proxy exit."""
 
 from fractions import Fraction
 from random import Random
@@ -13,7 +13,13 @@ from latticeflow.crossover import crossover
 from latticeflow.errors import InvariantError
 from latticeflow.graph_core import MultiGraph, minor_arcs
 from latticeflow.instance_pipeline import RawInstance
+from latticeflow.ipm_driver import run_interior_point
 from latticeflow.reference_oracle import OracleSolution, ssp_solve
+
+
+# a triangle whose optimum sends both units along the path 1 -> 2 -> 3
+E1 = RawInstance(MultiGraph([1, 2, 3], [(1, 2), (2, 3), (1, 3)]),
+                 {1: -2, 2: 0, 3: 2}, [2, 2, 1], [1, 1, 3])
 
 
 def suite_params(seed: int) -> tuple[int, int, int, int, str]:
@@ -99,6 +105,17 @@ def round_at_the_proxy_exit(aux, cert, res):
     if 81 * gap_sum >= 4 * cert.beta * cert.gamma:
         raise InvariantError("above the proxy exit line")
     return crossover(aux, cert, res)
+
+
+def follow_path(inst: RawInstance, seed=0, rounding=round_at_the_proxy_exit,
+                **kw):
+    """One component's path on its auxiliary instance from
+    ``solver._prepare``, ended by the first try of ``rounding`` that
+    certifies, by default the one at the proxy exit: (aux, cert, res)."""
+    _, _, cert, monitor, aux, point = solver._prepare(inst)
+    res = run_interior_point(aux, cert, point, rng=Random(seed),
+                             monitor=monitor, rounding=rounding, **kw)
+    return aux, cert, res
 
 
 def solve_to_the_proxy_exit(inst: RawInstance, config: solver.SolveConfig,

@@ -2,7 +2,6 @@
 pipeline-to-certificate run checked against the reference oracle."""
 
 import re
-from random import Random
 
 import pytest
 
@@ -16,21 +15,12 @@ from latticeflow.crossover import (
     PerturbedPoint,
 )
 from latticeflow.errors import InvariantError
-from latticeflow.exact_arith import BoundMonitor
 from latticeflow.graph_core import ContractionMap, MultiGraph, reduced_costs
-from latticeflow.instance_pipeline import (
-    AuxiliaryInstance,
-    RawInstance,
-    build_auxiliary,
-    compute_scaling,
-    downscale,
-    normalize_costs,
-    scale_up,
-)
-from latticeflow.ipm_driver import IPMResult, run_interior_point
+from latticeflow.instance_pipeline import AuxiliaryInstance, compute_scaling
+from latticeflow.ipm_driver import IPMResult
 from latticeflow.reference_oracle import ssp_solve
 
-from helpers import round_at_the_proxy_exit
+from helpers import E1, follow_path
 
 GAMMA = compute_scaling(1, 1, 1).gamma
 
@@ -51,14 +41,14 @@ def test_nested_cuts_hand_simulation():
     # S = {1} wants outflow, so y drops on S until arc 0 is tight; then
     # S = {1, 2} drops again until arc 1 is tight
     aux, pert = _path_pert()
-    tree = nested_cut_crossover(aux, pert, {1: 0, 2: 0, 3: 0})
+    tree = nested_cut_crossover(aux, pert)
     assert tree == [0, 1]
 
 
 def test_nested_cuts_objective_log_is_monotone():
     aux, pert = _path_pert()
     log = []
-    nested_cut_crossover(aux, pert, {1: 0, 2: 0, 3: 0}, objective_log=log)
+    nested_cut_crossover(aux, pert, objective_log=log)
     # one entry before the walk plus one per grown node; the duals end
     # at y = (-8g, -5g, 0), so the objective is -2 * -8g + 2 * 0 = 16g
     assert len(log) == aux.graph.n
@@ -69,13 +59,13 @@ def test_nested_cuts_objective_log_is_monotone():
 def test_nested_cuts_tie_breaks_to_lowest_arc_id():
     aux = _aux([1, 2], [(1, 2), (1, 2)], {1: -1, 2: 1}, [GAMMA, GAMMA])
     pert = PerturbedPoint(dict(aux.b), list(aux.c))
-    tree = nested_cut_crossover(aux, pert, {1: 0, 2: 0})
+    tree = nested_cut_crossover(aux, pert)
     assert tree == [0]
 
 
 def test_tree_lift_and_admissible_flow():
     aux, pert = _path_pert()
-    tree = nested_cut_crossover(aux, pert, {1: 0, 2: 0, 3: 0})
+    tree = nested_cut_crossover(aux, pert)
     y_t, s_t = lift_tree_duals(aux, compute_scaling(1, 1, 1), tree)
     assert y_t == {1: 0, 2: 3 * GAMMA, 3: 8 * GAMMA}
     assert s_t == [0, 0, 2 * GAMMA]
@@ -93,7 +83,7 @@ def test_admissible_flow_requires_saturation():
 
 def test_verify_rejects_noncomplementary_pairs():
     aux, pert = _path_pert()
-    tree = nested_cut_crossover(aux, pert, {1: 0, 2: 0, 3: 0})
+    tree = nested_cut_crossover(aux, pert)
     y_t, s_t = lift_tree_duals(aux, compute_scaling(1, 1, 1), tree)
     with pytest.raises(InvariantError,
                        match="^rounded pair is not complementary$"):
@@ -122,44 +112,28 @@ def test_verify_names_each_broken_certificate_check(x_star, y3, s_t, message):
         verify_aux_certificate(aux, x_star, y_t, s_t)
 
 
-def _pipeline(inst, seed=0):
-    norm, rev = normalize_costs(inst)
-    down, info = downscale(norm)
-    cert = compute_scaling(down.graph.m, info.U, info.C,
-                           beta0=info.beta0, gamma0=info.gamma0)
-    scaled = scale_up(down, cert)
-    monitor = BoundMonitor(cert.limit)
-    aux, point = build_auxiliary(scaled, cert, monitor)
-    res = run_interior_point(aux, cert, point, rng=Random(seed),
-                             monitor=monitor, rounding=round_at_the_proxy_exit)
-    return aux, cert, res, down, rev
-
-
-E1 = RawInstance(MultiGraph([1, 2, 3], [(1, 2), (2, 3), (1, 3)]),
-                 {1: -2, 2: 0, 3: 2}, [2, 2, 1], [1, 1, 3])
-
-
 def test_full_crossover_matches_oracle():
-    aux, cert, res, down, rev = _pipeline(E1)
+    # E1's costs are nonnegative and its gcds are 1, so the auxiliary
+    # instance splits E1's own arcs
+    aux, cert, res = follow_path(E1)
     x_star, y_t, s_t = crossover(aux, cert, res)
     # no balancing arc carries flow: the instance is feasible
     assert all(x_star[h] == 0 for h in aux.hat_arc.values())
     # per original arc, the up/down pair splits the scaled capacity
     flow = []
-    for i in range(down.graph.m):
+    for i in range(E1.graph.m):
         up = x_star[aux.up_arc[i]]
         dn = x_star[aux.down_arc[i]]
         assert up % cert.beta == 0
-        assert up + dn == down.u[i] * cert.beta
+        assert up + dn == E1.u[i] * cert.beta
         flow.append(up // cert.beta)
-    assert rev == []
-    oracle = ssp_solve(down)
-    got = sum(f * c for f, c in zip(flow, down.c))
+    oracle = ssp_solve(E1)
+    got = sum(f * c for f, c in zip(flow, E1.c))
     assert got == oracle.objective
 
 
 def test_build_perturbed_folds_and_checks():
-    aux, cert, res, down, rev = _pipeline(E1)
+    aux, cert, res = follow_path(E1)
     pert = build_perturbed(aux, cert, res)
     g = aux.graph
     # a contracted arc's slack moves into its cost, so its perturbed

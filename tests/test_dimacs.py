@@ -41,11 +41,45 @@ def test_roundtrip_through_format():
 
 
 def test_format_skips_zero_supply_nodes():
-    inst = RawInstance(MultiGraph([1, 2, 3], [(1, 2)]), {1: -1, 2: 1, 3: 0},
-                       [1], [4])
+    # node 2 has no supply and an arc names it; no arc names node 4
+    inst = RawInstance(MultiGraph([1, 2, 3, 4], [(1, 2), (2, 3)]),
+                       {1: -1, 2: 0, 3: 1, 4: 0}, [1, 1], [4, 4])
     lines = format_instance(inst).splitlines()
-    assert "n 3 0" not in lines
-    assert "n 1 1" in lines and "n 2 -1" in lines
+    assert "n 2 0" not in lines
+    assert "n 1 1" in lines and "n 3 -1" in lines and "n 4 0" in lines
+
+
+_HUGE = st.integers(-10**30, 10**30)
+
+
+@st.composite
+def _instances(draw):
+    """Instances on nodes 1..n in any order, with arc-less nodes,
+    self-loops, parallel arcs and values up to 10^30 in size."""
+    n = draw(st.integers(1, 6))
+    nodes = draw(st.permutations(range(1, n + 1)))
+    arcs = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n),
+                                   st.integers(1, 10**30), _HUGE), max_size=8))
+    supplies = [draw(_HUGE) for _ in nodes[1:]]
+    b = dict(zip(nodes, [-sum(supplies), *supplies]))
+    return RawInstance(MultiGraph(nodes, [a[:2] for a in arcs]), b,
+                       [a[2] for a in arcs], [a[3] for a in arcs])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_instances(), st.one_of(st.none(), st.text()))
+def test_every_formatted_instance_reads_back(inst, comment):
+    again = parse_instance(format_instance(inst, comment=comment))
+    assert set(again.graph.nodes) == set(inst.graph.nodes)
+    assert again.graph.arcs == inst.graph.arcs
+    assert again.b == inst.b and again.u == inst.u and again.c == inst.c
+
+
+@pytest.mark.parametrize("nodes", [[2, 5, 9], [0, 1], [1, 3]])
+def test_format_refuses_node_ids_other_than_one_to_n(nodes):
+    inst = RawInstance(MultiGraph(nodes, []), {v: 0 for v in nodes}, [], [])
+    with pytest.raises(ValueError, match="exactly 1..n"):
+        format_instance(inst)
 
 
 def test_negative_costs_allowed():
@@ -153,10 +187,12 @@ def test_parse_solution_rejects_bad_potential_lines(potentials, message):
         parse_solution("s 3\nf 1 2 1\n" + potentials, inst)
 
 
-# small integers only: a 'p' line allocates every node up front
+# a 'p' line may declare up to 10^9 nodes: the parser refuses a count
+# its records cannot name before allocating any node
 _TOKENS = st.one_of(
     st.sampled_from(["p", "min", "n", "a", "s", "f", "y", "c"]),
     st.integers(-3, 20).map(str),
+    st.integers(0, 10**9).map(str),
     st.sampled_from(["x", "min0", "1.5", "-", "+4", "07", "0x1", "\t"]),
 )
 _TEXT = st.lists(st.lists(_TOKENS, max_size=7), max_size=10).map(

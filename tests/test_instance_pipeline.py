@@ -9,20 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latticeflow.errors import InvariantError
-from latticeflow.exact_arith import BoundMonitor
 from latticeflow.graph_core import MultiGraph, apply_incidence
 from latticeflow.instance_pipeline import (
     AuxiliaryInstance,
     InitialPoint,
     RawInstance,
     _check_initial_point,
-    build_auxiliary,
     compute_scaling,
     downscale,
     normalize_costs,
     scale_up,
 )
 from latticeflow.reference_oracle import random_instance
+from latticeflow.solver import _prepare
 
 from helpers import changed_point
 
@@ -104,18 +103,9 @@ def test_scaling_invariants(m0, U, C):
     assert 3 * cert.t > 2 * cert.mu0
 
 
-def _aux_for(inst: RawInstance):
-    norm, _ = normalize_costs(inst)
-    down, info = downscale(norm)
-    cert = compute_scaling(down.graph.m, info.U, info.C, info.beta0,
-                           info.gamma0)
-    scaled = scale_up(down, cert)
-    return build_auxiliary(scaled, cert, BoundMonitor(cert.limit)), cert
-
-
 def test_auxiliary_shape_single_arc():
     inst = RawInstance(MultiGraph([1, 2], [(1, 2)]), {1: -1, 2: 1}, [2], [1])
-    (aux, point), cert = _aux_for(inst)
+    _, _, cert, _, aux, point = _prepare(inst)
     assert aux.graph.n == 3
     assert aux.graph.arcs[aux.up_arc[0]] == (1, 3)
     assert aux.graph.arcs[aux.down_arc[0]] == (2, 3)
@@ -132,7 +122,7 @@ def test_auxiliary_hat_arc_orientation_and_cost():
     # tree routes beta along the arc, half capacity is beta/2, so the
     # balancing arc points along the original arc carrying beta/2
     inst = RawInstance(MultiGraph([1, 2], [(1, 2)]), {1: -2, 2: 2}, [2], [1])
-    (aux, point), cert = _aux_for(inst)
+    _, _, cert, _, aux, point = _prepare(inst)
     assert 0 in aux.hat_arc
     h = aux.hat_arc[0]
     assert aux.graph.arcs[h] == (1, 2)
@@ -145,7 +135,7 @@ def test_auxiliary_no_hat_when_balanced():
     # zero demand on an even capacity: tree flow 0 ... but u/2 != 0, so a
     # hat still appears; balance instead via demand u/2 across the arc
     inst = RawInstance(MultiGraph([1, 2], [(1, 2)]), {1: -1, 2: 1}, [2], [1])
-    (aux, _), cert = _aux_for(inst)
+    _, _, cert, _, aux, _ = _prepare(inst)
     # z = beta (scaled demand), half capacity = beta: exactly balanced
     assert 0 not in aux.hat_arc
     assert aux.graph.m == 2
@@ -154,7 +144,7 @@ def test_auxiliary_no_hat_when_balanced():
 def test_initial_point_interval_and_centrality():
     inst = RawInstance(MultiGraph([1, 2, 3], [(1, 2), (2, 3), (1, 3)]),
                        {1: -2, 2: 0, 3: 2}, [2, 2, 1], [1, 1, 3])
-    (aux, point), cert = _aux_for(inst)
+    _, _, cert, _, aux, point = _prepare(inst)
     dev = 0
     for xa, sa in zip(point.x, point.s):
         p = xa * sa
@@ -199,12 +189,7 @@ def test_initial_point_guard_names_each_broken_invariant(before, after,
 
 def test_initial_point_records_into_monitor():
     inst = RawInstance(MultiGraph([1, 2], [(1, 2)]), {1: -1, 2: 1}, [2], [1])
-    norm, _ = normalize_costs(inst)
-    down, info = downscale(norm)
-    cert = compute_scaling(down.graph.m, info.U, info.C)
-    scaled = scale_up(down, cert)
-    mon = BoundMonitor(cert.limit)
-    build_auxiliary(scaled, cert, monitor=mon)
+    _, _, cert, mon, _, _ = _prepare(inst)
     assert 0 < mon.max_seen <= cert.limit
 
 
@@ -214,7 +199,7 @@ def test_initial_point_records_into_monitor():
 def test_initial_point_properties_random(seed, n, extra, U_max, C_max):
     m = n - 1 + extra
     inst = random_instance(seed, n, m, U_max, max(C_max, 0), mode="random")
-    (aux, point), cert = _aux_for(inst)
+    _, _, cert, _, aux, point = _prepare(inst)
     # conservation and dual feasibility are asserted inside the builder;
     # re-check the headline facts here against fresh arithmetic
     assert len(point.x) == aux.graph.m == len(point.s)

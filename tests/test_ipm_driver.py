@@ -3,7 +3,6 @@ imbalance routing) and an end-to-end run of the path following on a
 small instance built through the real pipeline."""
 
 import re
-from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -12,18 +11,10 @@ from hypothesis import strategies as st
 from latticeflow import SolveConfig, centering, solve
 from latticeflow.crossover import crossover
 from latticeflow.errors import InvariantError
-from latticeflow.exact_arith import BoundMonitor
 from latticeflow.graph_core import (ContractionMap, MultiGraph, apply_incidence,
                                     bfs_forest, minor_arcs)
-from latticeflow.instance_pipeline import (
-    AuxiliaryInstance,
-    RawInstance,
-    build_auxiliary,
-    compute_scaling,
-    downscale,
-    normalize_costs,
-    scale_up,
-)
+from latticeflow.instance_pipeline import (AuxiliaryInstance, RawInstance,
+                                           compute_scaling)
 from latticeflow.ipm_driver import (
     _check_iterate,
     _classify,
@@ -33,11 +24,11 @@ from latticeflow.ipm_driver import (
     _shift_components,
     decrement_mu,
     outer_ceiling,
-    run_interior_point,
 )
 from latticeflow.reference_oracle import random_instance
+from latticeflow.solver import _prepare
 
-from helpers import changed_point, round_at_the_proxy_exit
+from helpers import E1, changed_point, follow_path
 
 
 def test_decrement_frozen_value():
@@ -359,33 +350,14 @@ def test_outer_ceiling_scales():
     assert outer_ceiling(3, 1 << 54) < 2000
 
 
-def _solve_aux(inst: RawInstance, seed=0, rounding=round_at_the_proxy_exit,
-               **kw):
-    norm, _ = normalize_costs(inst)
-    down, info = downscale(norm)
-    cert = compute_scaling(down.graph.m, info.U, info.C,
-                           beta0=info.beta0, gamma0=info.gamma0)
-    scaled = scale_up(down, cert)
-    monitor = kw.pop("monitor", None) or BoundMonitor(cert.limit)
-    aux, point = build_auxiliary(scaled, cert, monitor=monitor)
-    res = run_interior_point(aux, cert, point, rng=Random(seed),
-                             monitor=monitor, rounding=rounding, **kw)
-    return aux, cert, res
-
-
-E1 = RawInstance(MultiGraph([1, 2, 3], [(1, 2), (2, 3), (1, 3)]),
-                 {1: -2, 2: 0, 3: 2}, [2, 2, 1], [1, 1, 3])
-
-
 def test_path_following_reaches_proxy_exit():
-    monitor = BoundMonitor(10**100)
     trace = []
 
     def probe(event, payload):
         if event == "iterate":
             trace.append(payload)
 
-    aux, cert, res = _solve_aux(E1, monitor=monitor, probe=probe)
+    aux, cert, res = follow_path(E1, probe=probe)
     live = minor_arcs(aux.graph, res.cmap)
     gap = sum(res.x[aid] * res.s[aid] for aid, _, _ in live)
     assert 81 * gap < 4 * cert.beta * cert.gamma
@@ -397,14 +369,14 @@ def test_path_following_reaches_proxy_exit():
     # mu is strictly decreasing along the trace
     mus = [row["mu"] for row in trace]
     assert all(a > b for a, b in zip(mus, mus[1:]))
-    assert monitor.max_seen > 0
+    assert trace[-1]["max_abs"] > 0
 
 
 def test_path_following_is_deterministic():
-    _, _, a = _solve_aux(E1, seed=42)
-    _, _, b = _solve_aux(E1, seed=42)
+    _, _, a = follow_path(E1, seed=42)
+    _, _, b = follow_path(E1, seed=42)
     assert a.x == b.x and a.s == b.s and a.y == b.y and a.mu == b.mu
-    _, _, c = _solve_aux(E1, seed=43)
+    _, _, c = follow_path(E1, seed=43)
     assert (a.x, a.iterations) != (c.x, c.iterations) or a.updates != c.updates
 
 
@@ -414,7 +386,7 @@ def test_probe_sees_centering_entries_and_exits():
     def probe(event, payload):
         seen.append((event, payload))
 
-    aux, _, _ = _solve_aux(E1, probe=probe)
+    aux, _, _ = follow_path(E1, probe=probe)
     assert seen
     enters = [p for ev, p in seen if ev == "centering_enter"]
     exits = [p for ev, p in seen if ev == "centering_exit"]
@@ -448,7 +420,7 @@ def test_trial_steps_follow_the_adaptive_rule():
     after an accepted trial up to 8, halves after a rejected one, and
     is 2 after a step without a trial."""
     seen = []
-    _, cert, _ = _solve_aux(E1, probe=lambda ev, p: seen.append((ev, p)))
+    _, cert, _ = follow_path(E1, probe=lambda ev, p: seen.append((ev, p)))
     rows = [p for ev, p in seen if ev == "iterate"]
     enters = [p for ev, p in seen if ev == "centering_enter"]
     exits = [p for ev, p in seen if ev == "centering_exit"]
@@ -476,7 +448,7 @@ def test_trial_steps_follow_the_adaptive_rule():
 
 def test_invariants_hold_throughout():
     # the per-iteration checks raise on any lapse; a clean run is the assertion
-    aux, cert, res = _solve_aux(E1)
+    aux, cert, res = follow_path(E1)
     dev = 0
     live = minor_arcs(aux.graph, res.cmap)
     for aid, _, _ in live:
@@ -544,7 +516,7 @@ def test_rounding_tries_follow_the_schedule_and_a_refused_one_changes_nothing():
             raise
 
     inst = random_instance(1, 16, 48, 10, 10, "feasible")
-    _, cert, res = _solve_aux(
+    _, cert, res = follow_path(
         inst, seed=1, rounding=rounding,
         probe=lambda ev, p: rows.append(p) if ev == "iterate" else None)
     assert tried == _scheduled_tries(rows, cert)
@@ -567,7 +539,7 @@ def test_a_refusal_at_the_proxy_exit_propagates():
         raise InvariantError("refused")
 
     with pytest.raises(InvariantError, match="^refused$"):
-        _solve_aux(E1, rounding=refuse, probe=lambda ev, p: rows.append(p)
+        follow_path(E1, rounding=refuse, probe=lambda ev, p: rows.append(p)
                    if ev == "iterate" else None)
     cert = certs[0]
     exit_line = 4 * cert.beta * cert.gamma
@@ -609,16 +581,6 @@ PIN_9055 = {
 }
 
 
-def _pinned_aux(inst):
-    norm, _ = normalize_costs(inst)
-    down, info = downscale(norm)
-    cert = compute_scaling(down.graph.m, info.U, info.C,
-                           beta0=info.beta0, gamma0=info.gamma0)
-    aux, _ = build_auxiliary(scale_up(down, cert), cert,
-                             monitor=BoundMonitor(cert.limit))
-    return aux, cert
-
-
 # The lift moved the duals so far that deleted arc 4's slack, recomputed
 # from them, fell from 3.5e14 to below zero. Minor bridge 6 cuts off
 # the nodes of no demand and carries the deleted arcs' frozen flow, so
@@ -626,7 +588,7 @@ def _pinned_aux(inst):
 # keeps every deleted slack positive.
 def test_frozen_lift_keeps_deleted_arc_slack_positive():
     pin = PIN_9055
-    aux, cert = _pinned_aux(pin["instance"])
+    _, _, cert, _, aux, _ = _prepare(pin["instance"])
     cmap = ContractionMap(aux.graph)
     for aid in pin["deleted"]:
         cmap.delete(aid)
@@ -691,7 +653,7 @@ PIN_4003 = {
 # contracts them, and this state is no longer reached.
 def test_frozen_state_contracts_the_forced_loops():
     pin = PIN_4003
-    aux, _ = _pinned_aux(pin["instance"])
+    _, _, _, _, aux, _ = _prepare(pin["instance"])
     cmap = ContractionMap(aux.graph)
     for aid in pin["deleted"]:
         cmap.delete(aid)
