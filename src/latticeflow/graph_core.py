@@ -3,9 +3,9 @@ every graph walk and the one max-flow the solver needs.
 
 Arcs are identified by their dense index into the arc list and keep that
 identity forever: deleting or contracting arcs never renumbers the
-survivors. Contraction state lives in a union-find over node ids;
-:func:`minor_arcs` maps the surviving arcs onto contraction-class
-representatives.
+survivors. :class:`ContractionMap` keeps the contraction classes as a
+merge forest, each class a tree rooted at and named by its smallest
+node; :func:`minor_arcs` maps the surviving arcs onto the classes.
 
 Every rooted forest has one form: ``order`` lists its nodes, each after
 its parent, and ``parent[v] = (p, arc, direction)`` for each non-root v,
@@ -13,12 +13,12 @@ with direction +1 when the arc points from p to v and -1 otherwise.
 :func:`grow_forest` is the one loop that grows such a forest, breadth
 first or, given a key per arc, by Prim's rule (``spanning_tree``'s
 forest), over the one undirected :func:`adjacency`; :func:`bfs_forest`
-grows one over a graph's arcs. Reading no graph, :func:`tree_path` walks a forest
-between two nodes, :func:`route_to_roots` routes a demand vector along
-it leaf to root, :func:`tree_potentials` prices its arcs tight and
-:func:`component_roots` labels each node with its tree's root. Together
-they build tree solutions and fundamental cycles, route class
-imbalances, lift tree potentials, split an instance into its
+grows one over a graph's arcs. Reading no graph, :func:`tree_path`
+walks a forest between two nodes, :func:`route_to_roots` routes a
+demand vector along it leaf to root, :func:`tree_potentials` prices its
+arcs tight and :func:`forest_roots` labels each node with its tree's
+root. Together they build tree solutions and fundamental cycles, route
+class imbalances, lift tree potentials, split an instance into its
 weakly-connected components and find :func:`bridges`: the arcs of a
 minor whose removal splits its component, with the weight of the side
 each one cuts off.
@@ -56,6 +56,7 @@ __all__ = [
     "bridges",
     "route_to_roots",
     "tree_potentials",
+    "forest_roots",
     "max_flow",
 ]
 
@@ -106,35 +107,36 @@ def reduced_costs(g: MultiGraph, c: Sequence[int],
 
 
 class ContractionMap:
-    """Union-find over nodes plus the deleted / contracted arc sets and
+    """The deleted / contracted arc sets and the contraction classes, as
     the merge forest.
 
     Deletion and contraction are never revoked. A contracted arc whose
     endpoints were already in one class (a chord) is recorded in
     ``contracted`` all the same; an arc that joined two classes is also
-    appended to ``merges``, so ``merges`` lists the merge forest's arcs
-    in the order they were contracted.
+    appended to ``merges``, the forest's arcs in contraction order.
+    ``order`` / ``parent`` hold the forest in the module's form, grown
+    breadth first from the nodes in increasing order and regrown at each
+    merge, so each class is a tree rooted at its smallest node.
     """
 
-    __slots__ = ("_arcs", "_parent", "_size", "deleted", "contracted",
+    __slots__ = ("_g", "_root", "order", "parent", "deleted", "contracted",
                  "merges")
 
     def __init__(self, g: MultiGraph) -> None:
-        self._arcs = g.arcs
-        self._parent: dict[int, int] = {v: v for v in g.nodes}
-        self._size: dict[int, int] = {v: 1 for v in g.nodes}
+        self._g = g
         self.deleted: set[int] = set()
         self.contracted: set[int] = set()
         self.merges: list[int] = []
+        self._grow()
+
+    def _grow(self) -> None:
+        self.order, self.parent = bfs_forest(self._g, self.merges,
+                                             sorted(self._g.nodes))
+        self._root = forest_roots(self.order, self.parent)
 
     def find(self, v: int) -> int:
-        parent = self._parent
-        root = v
-        while parent[root] != root:
-            root = parent[root]
-        while parent[v] != root:
-            parent[v], v = root, parent[v]
-        return root
+        """The name of v's class: its smallest node."""
+        return self._root[v]
 
     def _check_fresh(self, a: int) -> None:
         if a in self.deleted:
@@ -147,29 +149,20 @@ class ContractionMap:
         self.deleted.add(a)
 
     def contract(self, a: int) -> None:
-        """Record arc a as contracted, unioning its endpoint classes;
-        when those were distinct, a joins ``merges``."""
+        """Record arc a as contracted; when its endpoints' classes were
+        distinct, a joins ``merges`` and the forest is regrown."""
         self._check_fresh(a)
         self.contracted.add(a)
-        tail, head = self._arcs[a]
-        rx, ry = self.find(tail), self.find(head)
-        if rx == ry:
-            return
-        # union by size; tie broken toward the smaller representative so
-        # minor node identities are deterministic
-        if self._size[rx] < self._size[ry] or (
-            self._size[rx] == self._size[ry] and ry < rx
-        ):
-            rx, ry = ry, rx
-        self._parent[ry] = rx
-        self._size[rx] += self._size[ry]
-        self.merges.append(a)
+        tail, head = self._g.arcs[a]
+        if self._root[tail] != self._root[head]:
+            self.merges.append(a)
+            self._grow()
 
 
 def minor_arcs(g: MultiGraph, cmap: ContractionMap) -> list[tuple[int, int, int]]:
     """The minor induced by a ContractionMap, as (arc_id, tail_class,
-    head_class) per surviving arc in arc-id order; a surviving arc whose
-    endpoints share a class appears as a self-loop."""
+    head_class) per surviving arc in arc-id order, classes named by their
+    smallest nodes; an arc inside one class appears as a self-loop."""
     find, dead_d, dead_c = cmap.find, cmap.deleted, cmap.contracted
     return [(a, find(tail), find(head))
             for a, (tail, head) in enumerate(g.arcs)
@@ -273,11 +266,7 @@ def component_roots(g: MultiGraph, arc_ids: Iterable[int],
     """Map every node that :func:`bfs_forest` reaches over ``arc_ids``
     from ``roots`` to the root of its tree, in visiting order; the nodes
     one root labels form a weakly-connected component of those arcs."""
-    order, parent = bfs_forest(g, arc_ids, roots)
-    root: dict[int, int] = {}
-    for v in order:
-        root[v] = root[parent[v][0]] if v in parent else v
-    return root
+    return forest_roots(*bfs_forest(g, arc_ids, roots))
 
 
 def bridges(arcs: Sequence[tuple[int, Hashable, Hashable]],
@@ -347,6 +336,16 @@ def tree_potentials(order: Sequence[Hashable],
         else:
             pi[v] = 0
     return pi
+
+
+def forest_roots(order: Sequence[Hashable],
+                 parent: Mapping[Hashable, tuple[Hashable, int, int]]
+                 ) -> dict[Hashable, Hashable]:
+    """Map each node of a rooted forest to its tree's root, in order."""
+    root: dict[Hashable, Hashable] = {}
+    for v in order:
+        root[v] = root[parent[v][0]] if v in parent else v
+    return root
 
 
 def max_flow(nodes: Iterable[Hashable],

@@ -53,7 +53,8 @@ Starting from the constructed interior point at mu0, each iteration:
    minor arcs take their new values, every node's dual moves by its
    class voltage, deleted arcs get their slack recomputed, and flow
    imbalances inside each contracted class are routed leaf-to-root
-   along the arcs whose contraction built the class. When a deleted
+   along its tree in the merge forest, naming the first merge arc in
+   contraction order that is left without positive flow. When a deleted
    arc's slack would not be positive, each component of the minor
    shifts its duals by its own constant, which moves no minor or
    contracted slack; shortest paths over the constraints "slack >= 1"
@@ -61,7 +62,7 @@ Starting from the constructed interior point at mu0, each iteration:
 
 All checks are exact integer comparisons. The deletions and
 contractions are permanent: the sets only grow, which is what makes the
-per-class routing forests well defined.
+merge forest well defined.
 """
 
 from __future__ import annotations
@@ -74,9 +75,9 @@ from typing import Callable
 from .centering import CenteringRun
 from .errors import InvariantError, IterationCeilingError
 from .exact_arith import BoundMonitor
-from .graph_core import (ContractionMap, apply_incidence, bfs_forest,
-                         bridges, component_roots, minor_arcs,
-                         reduced_costs, route_to_roots, tree_potentials)
+from .graph_core import (ContractionMap, apply_incidence, bridges,
+                         component_roots, minor_arcs, reduced_costs,
+                         route_to_roots, tree_potentials)
 from .instance_pipeline import AuxiliaryInstance, InitialPoint, ScalingCertificate
 
 __all__ = ["IPMResult", "run_interior_point", "decrement_mu", "outer_ceiling"]
@@ -299,7 +300,7 @@ def _forced_loops(aux: AuxiliaryInstance, cmap: ContractionMap,
     if not loops:
         return []
     g, c = aux.graph, aux.c
-    cost = tree_potentials(*bfs_forest(g, cmap.merges, g.nodes), c)
+    cost = tree_potentials(cmap.order, cmap.parent, c)
     forced = []
     for aid in loops:
         tail, head = g.arcs[aid]
@@ -364,7 +365,7 @@ def _lift(aux: AuxiliaryInstance, cmap: ContractionMap,
     """Write the recentered minor point into ``x``, ``s`` and ``y``,
     shift the minor components' duals when a deleted slack needs it (see
     ``_shift_components``), and route each class's flow imbalance along
-    its merge forest.
+    its tree in the merge forest.
 
     ``x`` must meet the demands ``aux.b`` on entry, as ``_check_iterate``
     proves each iteration, so the imbalance left behind is exactly the
@@ -390,16 +391,13 @@ def _lift(aux: AuxiliaryInstance, cmap: ContractionMap,
     _shift_components(aux, cmap, minor, y, s)
 
     # route per-class flow imbalance along the merge forest, leaf first;
-    # the roots go in reverse so that the leaf-first walk (and so the
-    # positivity check) meets the classes in the order they were merged
+    # a merge arc that lost positivity is named in contraction order
     if any(demand.values()):
-        reps = dict.fromkeys(cmap.find(g.arcs[aid][0]) for aid in cmap.merges)
-        order, parent = bfs_forest(g, cmap.merges, reversed(reps))
-        route_to_roots(order, parent, demand, x)
-        for v in reversed(order):
-            if v in parent and x[parent[v][1]] <= 0:
+        route_to_roots(cmap.order, cmap.parent, demand, x)
+        for aid in cmap.merges:
+            if x[aid] <= 0:
                 raise InvariantError(
-                    f"contracted arc {parent[v][1]} lost positivity while "
+                    f"contracted arc {aid} lost positivity while "
                     "routing class imbalance")
     if any(demand.values()):
         raise InvariantError("class imbalance survived merge-forest routing")

@@ -1,5 +1,6 @@
 """Checks that only the tests use, kept out of the shipped package:
-the small instance E1, the acceptance suite's instance sizes, whether
+the small instance E1, bare auxiliary instances for unit tests, the
+acceptance suite's instance sizes, whether
 an oracle optimum's support is unique, the exact energy gap of a
 centering run, point edits for the guard tests, and a rounding, a
 component path and solves that run to the proxy exit."""
@@ -12,7 +13,7 @@ from latticeflow.centering import CenteringRun
 from latticeflow.crossover import crossover
 from latticeflow.errors import InvariantError
 from latticeflow.graph_core import MultiGraph, minor_arcs
-from latticeflow.instance_pipeline import RawInstance
+from latticeflow.instance_pipeline import AuxiliaryInstance, RawInstance
 from latticeflow.ipm_driver import run_interior_point
 from latticeflow.reference_oracle import OracleSolution, ssp_solve
 
@@ -20,6 +21,13 @@ from latticeflow.reference_oracle import OracleSolution, ssp_solve
 # a triangle whose optimum sends both units along the path 1 -> 2 -> 3
 E1 = RawInstance(MultiGraph([1, 2, 3], [(1, 2), (2, 3), (1, 3)]),
                  {1: -2, 2: 0, 3: 2}, [2, 2, 1], [1, 1, 3])
+
+
+def aux_instance(graph: MultiGraph, b: dict[int, int],
+                 c: list[int]) -> AuxiliaryInstance:
+    """An auxiliary instance with no arc maps, for the pieces that read
+    only its graph, demands and costs."""
+    return AuxiliaryInstance(graph=graph, b=b, c=c, up_arc={}, down_arc={})
 
 
 def suite_params(seed: int) -> tuple[int, int, int, int, str]:

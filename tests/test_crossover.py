@@ -16,23 +16,18 @@ from latticeflow.crossover import (
 )
 from latticeflow.errors import InvariantError
 from latticeflow.graph_core import ContractionMap, MultiGraph, reduced_costs
-from latticeflow.instance_pipeline import AuxiliaryInstance, compute_scaling
+from latticeflow.instance_pipeline import compute_scaling
 from latticeflow.ipm_driver import IPMResult
 from latticeflow.reference_oracle import ssp_solve
 
-from helpers import E1, follow_path
+from helpers import E1, aux_instance, follow_path
 
 GAMMA = compute_scaling(1, 1, 1).gamma
 
 
-def _aux(nodes, arcs, b, c):
-    return AuxiliaryInstance(graph=MultiGraph(nodes, arcs), b=b, c=c,
-                             up_arc={}, down_arc={})
-
-
 def _path_pert():
-    aux = _aux([1, 2, 3], [(1, 2), (2, 3), (1, 3)], {1: -2, 2: 0, 3: 2},
-               [3 * GAMMA, 5 * GAMMA, 10 * GAMMA])
+    aux = aux_instance(E1.graph, dict(E1.b),
+                       [3 * GAMMA, 5 * GAMMA, 10 * GAMMA])
     pert = PerturbedPoint(b_hat=dict(aux.b), s_hat=list(aux.c))
     return aux, pert
 
@@ -57,7 +52,8 @@ def test_nested_cuts_objective_log_is_monotone():
 
 
 def test_nested_cuts_tie_breaks_to_lowest_arc_id():
-    aux = _aux([1, 2], [(1, 2), (1, 2)], {1: -1, 2: 1}, [GAMMA, GAMMA])
+    aux = aux_instance(MultiGraph([1, 2], [(1, 2), (1, 2)]), {1: -1, 2: 1},
+                       [GAMMA, GAMMA])
     pert = PerturbedPoint(dict(aux.b), list(aux.c))
     tree = nested_cut_crossover(aux, pert)
     assert tree == [0]
@@ -76,7 +72,8 @@ def test_tree_lift_and_admissible_flow():
 
 def test_admissible_flow_requires_saturation():
     # only the expensive arc is admissible and it points the wrong way
-    aux = _aux([1, 2], [(1, 2), (2, 1)], {1: -1, 2: 1}, [GAMMA, 0])
+    aux = aux_instance(MultiGraph([1, 2], [(1, 2), (2, 1)]), {1: -1, 2: 1},
+                       [GAMMA, 0])
     with pytest.raises(InvariantError):
         admissible_max_flow(aux, [GAMMA, 0])
 
@@ -153,7 +150,7 @@ def test_build_perturbed_folds_and_checks():
 
 def test_build_perturbed_rejects_oversized_residue():
     g = MultiGraph([1, 2], [(1, 2)])
-    aux = _aux([1, 2], [(1, 2)], {1: -4, 2: 4}, [GAMMA])
+    aux = aux_instance(g, {1: -4, 2: 4}, [GAMMA])
     cmap = ContractionMap(g)
     cmap.delete(0)
     cert = compute_scaling(1, 1, 1)

@@ -13,6 +13,7 @@ from latticeflow.graph_core import (
     bfs_forest,
     bridges,
     component_roots,
+    forest_roots,
     grow_forest,
     max_flow,
     minor_arcs,
@@ -21,9 +22,7 @@ from latticeflow.graph_core import (
     tree_path,
 )
 
-
-def triangle() -> MultiGraph:
-    return MultiGraph([1, 2, 3], [(1, 2), (2, 3), (1, 3)])
+from helpers import E1
 
 
 @pytest.mark.parametrize("nodes, arcs, message", [
@@ -46,14 +45,14 @@ class TestApplyIncidence:
         assert apply_incidence(g, [7]) == {1: 0}
 
     def test_triangle(self):
-        assert apply_incidence(triangle(), [2, 2, 0]) == {1: -2, 2: 0, 3: 2}
+        assert apply_incidence(E1.graph, [2, 2, 0]) == {1: -2, 2: 0, 3: 2}
 
     @given(
         x=st.lists(st.integers(min_value=-(2**64), max_value=2**64), min_size=3, max_size=3)
     )
     @settings(max_examples=100)
     def test_output_sums_to_zero(self, x):
-        b = apply_incidence(triangle(), x)
+        b = apply_incidence(E1.graph, x)
         assert sum(b.values()) == 0
 
 
@@ -73,7 +72,7 @@ class TestReducedCosts:
 
 class TestContractionMap:
     def test_contract_merges_classes(self):
-        g = triangle()
+        g = E1.graph
         cmap = ContractionMap(g)
         cmap.contract(0)
         assert cmap.merges == [0]
@@ -86,13 +85,13 @@ class TestContractionMap:
         ]
 
     def test_delete(self):
-        g = triangle()
+        g = E1.graph
         cmap = ContractionMap(g)
         cmap.delete(2)
         assert [a for a, _, _ in minor_arcs(g, cmap)] == [0, 1]
 
     def test_chain_contraction_makes_self_loop(self):
-        g = triangle()
+        g = E1.graph
         cmap = ContractionMap(g)
         cmap.contract(0)
         cmap.contract(1)
@@ -122,7 +121,7 @@ class TestContractionMap:
         assert cmap.contracted == {0, 1, 2, 3, 4}
 
     def test_double_application_rejected(self):
-        g = triangle()
+        g = E1.graph
         cmap = ContractionMap(g)
         cmap.delete(0)
         with pytest.raises(InvariantError):
@@ -131,7 +130,7 @@ class TestContractionMap:
             cmap.contract(0)
 
     def test_arc_ids_stable(self):
-        g = triangle()
+        g = E1.graph
         cmap = ContractionMap(g)
         cmap.delete(0)
         assert [a for a, _, _ in minor_arcs(g, cmap)] == [1, 2]
@@ -182,6 +181,17 @@ def test_adjacency_lists_nodes_by_first_appearance():
     assert list(adjacency(arcs)) == ["b", "a", "c"]
 
 
+def test_forest_roots_label_each_node_by_its_tree_root():
+    # a tree rooted at 5 (2 and 1 its children, 7 below 2), a lone root
+    # 3, and "b" below "a"
+    order = [5, 2, 1, 3, 7, "a", "b"]
+    parent = {2: (5, 0, 1), 1: (5, 1, -1), 7: (2, 2, 1), "b": ("a", 3, 1)}
+    roots = forest_roots(order, parent)
+    assert roots == {5: 5, 2: 5, 1: 5, 3: 3, 7: 5, "a": "a", "b": "a"}
+    assert list(roots) == order
+    assert forest_roots([], {}) == {}
+
+
 def test_component_roots_label_each_tree_by_its_root():
     g = MultiGraph([1, 2, 3, 4, 5, 6], [(2, 1), (4, 3), (5, 4), (6, 6)])
     roots = component_roots(g, range(g.m), [3, 1, 5, 2, 6])
@@ -198,6 +208,58 @@ _MULTIGRAPHS = st.integers(1, 7).flatmap(lambda n: st.tuples(
     st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
              min_size=1, max_size=14).map(
         lambda ends: [(a, t, h) for a, (t, h) in enumerate(ends)])))
+
+
+def _partition(n, arcs, contracted):
+    """Each node of 0..n-1 mapped to the smallest node it reaches over
+    the ``contracted`` arcs, direction ignored: found by relabelling
+    until nothing changes."""
+    label = list(range(n))
+    changed = True
+    while changed:
+        changed = False
+        for a in contracted:
+            _, t, h = arcs[a]
+            low = min(label[t], label[h])
+            if label[t] != low or label[h] != low:
+                label[t] = label[h] = low
+                changed = True
+    return label
+
+
+@given(_MULTIGRAPHS, st.data())
+@settings(max_examples=300)
+def test_contraction_map_agrees_with_brute_force_partition(graph, data):
+    """After any delete / contract sequence, each class is named by its
+    smallest node, ``merges`` lists the contracted arcs that joined two
+    classes, in order, and ``(order, parent)`` is a forest in the
+    rooted-forest form whose arcs are exactly ``merges``, one tree per
+    class rooted at its name."""
+    n, arcs = graph
+    g = MultiGraph(range(n), [(t, h) for _, t, h in arcs])
+    cmap = ContractionMap(g)
+    contracted, merges = [], []
+    for a in data.draw(st.permutations(range(g.m))):
+        kind = data.draw(st.sampled_from(["keep", "delete", "contract"]))
+        if kind == "delete":
+            cmap.delete(a)
+        elif kind == "contract":
+            label = _partition(n, arcs, contracted)
+            if label[arcs[a][1]] != label[arcs[a][2]]:
+                merges.append(a)
+            contracted.append(a)
+            cmap.contract(a)
+    label = _partition(n, arcs, contracted)
+    assert [cmap.find(v) for v in range(n)] == label
+    assert cmap.merges == merges
+    assert cmap.contracted == set(contracted)
+    assert sorted(cmap.order) == list(range(n))
+    for v, (p, a, direction) in cmap.parent.items():
+        assert cmap.order.index(p) < cmap.order.index(v)
+        assert g.arcs[a] == ((p, v) if direction == 1 else (v, p))
+    assert sorted(a for _, a, _ in cmap.parent.values()) == sorted(merges)
+    assert forest_roots(cmap.order, cmap.parent) == {v: label[v]
+                                                     for v in range(n)}
 
 
 class TestGrowForest:

@@ -13,8 +13,7 @@ from latticeflow.crossover import crossover
 from latticeflow.errors import InvariantError
 from latticeflow.graph_core import (ContractionMap, MultiGraph, apply_incidence,
                                     bfs_forest, minor_arcs)
-from latticeflow.instance_pipeline import (AuxiliaryInstance, RawInstance,
-                                           compute_scaling)
+from latticeflow.instance_pipeline import RawInstance, compute_scaling
 from latticeflow.ipm_driver import (
     _check_iterate,
     _classify,
@@ -28,7 +27,7 @@ from latticeflow.ipm_driver import (
 from latticeflow.reference_oracle import random_instance
 from latticeflow.solver import _prepare
 
-from helpers import E1, changed_point, follow_path
+from helpers import E1, aux_instance, changed_point, follow_path
 
 
 def test_decrement_frozen_value():
@@ -58,10 +57,6 @@ def test_classification_rejects_double_qualifiers():
     cert = compute_scaling(1, 1, 1)
     with pytest.raises(InvariantError):
         _classify(1, 1, cert.m, cert)
-
-
-def _tiny_aux(graph, b, c):
-    return AuxiliaryInstance(graph=graph, b=b, c=c, up_arc={}, down_arc={})
 
 
 # a valid iterate: arcs 0 and 1 form the minor, arc 2 is deleted and arc
@@ -96,10 +91,10 @@ def test_check_iterate_names_each_broken_invariant(before, after, message):
     y = {1: 0, 2: 0, 3: 0}
     base = [K, K, 0, 1], [K, K, 1, 0]
     x, s = base
-    _check_iterate(_tiny_aux(g, apply_incidence(g, x), s), ITER_CERT, x, s,
+    _check_iterate(aux_instance(g, apply_incidence(g, x), s), ITER_CERT, x, s,
                    y, K * K, cmap, minor)
     x, s = changed_point(*base, before)
-    aux = _tiny_aux(g, apply_incidence(g, x), s)
+    aux = aux_instance(g, apply_incidence(g, x), s)
     x, s = changed_point(*base, {**before, **after})
     with pytest.raises(InvariantError, match=f"^{re.escape(message)}$"):
         _check_iterate(aux, ITER_CERT, x, s, y, K * K, cmap, minor)
@@ -109,7 +104,7 @@ def test_lift_routes_class_imbalance():
     # arc 0 = (1, 2) is contracted; recentering moves flow between the
     # two class-to-node arcs, and the merge arc absorbs the difference
     g = MultiGraph([1, 2, 3], [(1, 2), (1, 3), (2, 3)])
-    aux = _tiny_aux(g, {1: -4, 2: 0, 3: 4}, [0, 0, 0])
+    aux = aux_instance(g, {1: -4, 2: 0, 3: 4}, [0, 0, 0])
     cmap = ContractionMap(g)
     cmap.contract(0)
     assert cmap.merges == [0]
@@ -126,7 +121,7 @@ def test_lift_routes_class_imbalance():
 
 def test_lift_shifts_duals_by_class_voltage():
     g = MultiGraph([1, 2, 3], [(1, 2), (1, 3), (2, 3)])
-    aux = _tiny_aux(g, {1: -4, 2: 0, 3: 4}, [0, 0, 0])
+    aux = aux_instance(g, {1: -4, 2: 0, 3: 4}, [0, 0, 0])
     cmap = ContractionMap(g)
     cmap.contract(0)
     minor = minor_arcs(g, cmap)
@@ -143,7 +138,7 @@ def test_lift_shifts_duals_by_class_voltage():
 
 def test_lift_detects_positivity_loss():
     g = MultiGraph([1, 2, 3], [(1, 2), (1, 3), (2, 3)])
-    aux = _tiny_aux(g, {1: -4, 2: 0, 3: 4}, [0, 0, 0])
+    aux = aux_instance(g, {1: -4, 2: 0, 3: 4}, [0, 0, 0])
     cmap = ContractionMap(g)
     cmap.contract(0)
     minor = minor_arcs(g, cmap)
@@ -153,7 +148,7 @@ def test_lift_detects_positivity_loss():
     s = [1, 5, 5]
     y = {1: 0, 2: 0, 3: 0}
     b = apply_incidence(g, x)
-    aux = _tiny_aux(g, b, [0, 0, 0])
+    aux = aux_instance(g, b, [0, 0, 0])
     rep = cmap.find(1)
     with pytest.raises(InvariantError, match="contracted arc 0 lost positivity"):
         _lift(aux, cmap, minor, {1: 4, 2: 0 + 2 - 2}, {1: 5, 2: 5},
@@ -167,7 +162,7 @@ def test_lift_names_the_first_merged_class_losing_positivity(merge_edges, arc):
     # the one reported
     g = MultiGraph([1, 2, 3, 4], [(1, 2), (4, 3), (1, 3), (2, 4)])
     x = [1, 1, 2, 2]
-    aux = _tiny_aux(g, apply_incidence(g, x), [0, 0, 0, 0])
+    aux = aux_instance(g, apply_incidence(g, x), [0, 0, 0, 0])
     cmap = ContractionMap(g)
     for aid in merge_edges:
         cmap.contract(aid)
@@ -176,6 +171,24 @@ def test_lift_names_the_first_merged_class_losing_positivity(merge_edges, arc):
     with pytest.raises(InvariantError, match=f"contracted arc {arc} lost"):
         _lift(aux, cmap, minor_arcs(g, cmap), {2: 4, 3: 0}, {2: 5, 3: 5},
               {cmap.find(1): 0, cmap.find(3): 0}, x, [1, 1, 5, 5], y)
+
+
+@pytest.mark.parametrize("merge_edges,arc", [([0, 1], 0), ([1, 0], 1)])
+def test_lift_names_the_first_contracted_arc_of_a_class_losing_positivity(
+        merge_edges, arc):
+    # one class {1, 2, 3} on the path 1 - 2 - 3; moving 2 units from
+    # minor arc 3 to minor arc 2 drives both merge arcs to -1, and the
+    # one contracted first is the one reported
+    g = MultiGraph([1, 2, 3, 4], [(1, 2), (2, 3), (1, 4), (3, 4)])
+    x = [1, 1, 2, 2]
+    aux = aux_instance(g, apply_incidence(g, x), [0, 0, 0, 0])
+    cmap = ContractionMap(g)
+    for aid in merge_edges:
+        cmap.contract(aid)
+    assert cmap.merges == merge_edges
+    with pytest.raises(InvariantError, match=f"contracted arc {arc} lost"):
+        _lift(aux, cmap, minor_arcs(g, cmap), {2: 4, 3: 0}, {2: 5, 3: 5},
+              {1: 0, 4: 0}, x, [1, 1, 5, 5], {v: 0 for v in g.nodes})
 
 
 def _draw_state(data):
@@ -211,7 +224,7 @@ def test_lift_leaves_the_demands_met_or_raises(data):
     deleted slack starts at 0, so the dual shift runs each time."""
     g, cmap = _draw_state(data)
     x = _ints(data, g.m, 1, 6)
-    aux = _tiny_aux(g, apply_incidence(g, x), [0] * g.m)
+    aux = aux_instance(g, apply_incidence(g, x), [0] * g.m)
     minor = minor_arcs(g, cmap)
     new_x = {a: x[a] + data.draw(st.integers(-2, 2)) for a, _, _ in minor}
     class_change = {}
@@ -245,7 +258,7 @@ def test_bridge_rule_deletes_only_bridges_that_cut_off_no_demand(data):
     b = dict(zip(g.nodes, _ints(data, g.n, -2, 2)))
     x = _ints(data, g.m, 1, 3000)
     minor = minor_arcs(g, cmap)
-    forced = _forced_bridges(_tiny_aux(g, b, [0] * g.m), cert, cmap, minor, x)
+    forced = _forced_bridges(aux_instance(g, b, [0] * g.m), cert, cmap, minor, x)
     assert len(forced) == len(set(forced))
     for aid, _, _ in minor:
         tail, head = g.arcs[aid]
@@ -287,7 +300,7 @@ def test_loop_rule_contracts_only_loops_of_zero_class_reduced_cost(data):
 
     reduced = {aid: c[aid] - path_cost(*g.arcs[aid])
                for aid, tail, head in minor if tail == head}
-    aux = _tiny_aux(g, dict.fromkeys(g.nodes, 0), c)
+    aux = aux_instance(g, dict.fromkeys(g.nodes, 0), c)
     if any(r < 0 for r in reduced.values()):
         with pytest.raises(InvariantError, match="negative reduced cost"):
             _forced_loops(aux, cmap, minor)
@@ -313,7 +326,7 @@ def test_dual_shift_moves_no_minor_or_contracted_slack(data):
         return c[aid] - (duals[head] - duals[tail])
 
     s = [slack(aid, y) for aid in range(g.m)]
-    _shift_components(_tiny_aux(g, {}, c), cmap, minor_arcs(g, cmap), y, s)
+    _shift_components(aux_instance(g, {}, c), cmap, minor_arcs(g, cmap), y, s)
     assert s == [slack(aid, y) if aid in cmap.deleted else
                  slack(aid, before) for aid in range(g.m)]
     for aid in range(g.m):
@@ -331,7 +344,7 @@ def test_dual_shift_separates_components_when_it_can():
     cmap = ContractionMap(g)
     cmap.delete(1)
     cmap.delete(2)
-    aux = _tiny_aux(g, {}, [0, 0, 9])
+    aux = aux_instance(g, {}, [0, 0, 9])
     y = {1: 0, 2: 0, 3: 4}
     s = [0, -4, 13]
     _shift_components(aux, cmap, minor_arcs(g, cmap), y, s)

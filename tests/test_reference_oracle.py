@@ -17,29 +17,23 @@ from latticeflow.reference_oracle import (
     verify_cut,
 )
 
-from helpers import has_unique_support
-
-
-def _tri():
-    # two cheap serial arcs vs one expensive direct arc, demand 2 at node 3
-    g = MultiGraph([1, 2, 3], [(1, 2), (2, 3), (1, 3)])
-    return RawInstance(g, {1: -2, 2: 0, 3: 2}, [2, 2, 1], [1, 1, 3])
+from helpers import E1, has_unique_support
 
 
 def test_triangle_optimum():
-    sol = ssp_solve(_tri())
+    sol = ssp_solve(E1)
     assert sol.status == "optimal"
     assert sol.objective == 4
     assert sol.flow == [2, 2, 0]
-    report = verify_certificate(_tri(), sol.flow, sol.potentials)
+    report = verify_certificate(E1, sol.flow, sol.potentials)
     assert report.ok, report.failures
     assert report.objective == 4
 
 
 def test_triangle_wrong_flow_fails_verification():
     # feasible but suboptimal: potentials certifying cost 4 must reject it
-    sol = ssp_solve(_tri())
-    report = verify_certificate(_tri(), [1, 1, 1], sol.potentials)
+    sol = ssp_solve(E1)
+    report = verify_certificate(E1, [1, 1, 1], sol.potentials)
     assert not report.ok
 
 
@@ -81,14 +75,14 @@ def test_negative_self_loop_saturates():
 
 
 def test_brute_force_triangle():
-    best, flows = brute_force_optimum(_tri())
+    best, flows = brute_force_optimum(E1)
     assert best == 4
     assert [2, 2, 0] in flows
     assert len(flows) == 1
 
 
 def test_unique_support_detection():
-    assert has_unique_support(_tri(), ssp_solve(_tri()))
+    assert has_unique_support(E1, ssp_solve(E1))
     # two identical parallel arcs: either one can carry the unit
     g = MultiGraph([1, 2], [(1, 2), (1, 2)])
     tie = RawInstance(g, {1: -1, 2: 1}, [1, 1], [1, 1])
