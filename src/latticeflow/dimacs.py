@@ -27,6 +27,9 @@ parallel arcs unambiguous. An infeasible instance's solution is::
 
 with one ``x`` line per node of a cut whose demand exceeds the capacity
 of the arcs entering it.
+
+Numbers are optionally signed ASCII decimals: a record line with ``_``
+or a non-ASCII character is a format error; a comment may hold any text.
 """
 
 from __future__ import annotations
@@ -59,10 +62,14 @@ class Solution(NamedTuple):
 
 def _records(text: str) -> Iterator[tuple[int, list[str]]]:
     """(line number, fields) for each line of ``text`` that is neither
-    blank nor a ``c`` comment."""
+    blank nor a ``c`` comment, which must be ASCII without ``_``: ``int``
+    would read ``1_0`` and non-ASCII digits as numbers."""
     for lineno, raw_line in enumerate(text.splitlines(), 1):
         line = raw_line.strip()
         if line and not line.startswith("c"):
+            if not raw_line.isascii() or "_" in line:
+                raise FormatError(f"line {lineno}: record holds '_' or "
+                                  "a non-ASCII character")
             yield lineno, line.split()
 
 

@@ -17,11 +17,12 @@ grows one over a graph's arcs. Reading no graph, :func:`tree_path`
 walks a forest between two nodes, :func:`route_to_roots` routes a
 demand vector along it leaf to root, :func:`tree_potentials` prices its
 arcs tight and :func:`forest_roots` labels each node with its tree's
-root. Together they build tree solutions and fundamental cycles, route
-class imbalances, lift tree potentials, split an instance into its
-weakly-connected components and find :func:`bridges`: the arcs of a
-minor whose removal splits its component, with the weight of the side
-each one cuts off.
+root; :func:`fundamental_cycles`, the one place that computes forest
+depths, walks the cycle of each arc outside a forest. Together they
+build tree solutions and cycle tables, route class imbalances, lift
+tree potentials, split an instance into its weakly-connected components
+and find :func:`bridges`: the arcs of a minor whose removal splits its
+component, with the weight of the side each one cuts off.
 
 :func:`max_flow` is Dinic's exact transshipment over any hashable nodes:
 it meets a demand vector from a super source and into a super sink. It
@@ -52,6 +53,7 @@ __all__ = [
     "grow_forest",
     "bfs_forest",
     "tree_path",
+    "fundamental_cycles",
     "component_roots",
     "bridges",
     "route_to_roots",
@@ -261,6 +263,24 @@ def tree_path(parent: Mapping[Hashable, tuple[Hashable, int, int]],
     return up
 
 
+def fundamental_cycles(arcs: Sequence[tuple[int, Hashable, Hashable]],
+                       key: Mapping[int, int] | None = None
+                       ) -> tuple[list, dict, list[tuple[int, list]]]:
+    """``(order, parent, cycles)``: the :func:`grow_forest` over ``arcs``
+    and, by increasing id, ``(arc_id, [(arc_id, 1)] + tree_path(parent,
+    depth, head, tail))`` for each arc outside it, a circulation; a
+    self-loop's cycle is itself."""
+    order, parent = grow_forest(arcs, key=key)
+    depth: dict[Hashable, int] = {}
+    for v in order:
+        depth[v] = depth[parent[v][0]] + 1 if v in parent else 0
+    tree = {a for _, a, _ in parent.values()}
+    cycles = [(aid, [(aid, 1)] + tree_path(parent, depth, head, tail))
+              for aid, tail, head in sorted(arcs, key=lambda arc: arc[0])
+              if aid not in tree]
+    return order, parent, cycles
+
+
 def component_roots(g: MultiGraph, arc_ids: Iterable[int],
                     roots: Iterable[int]) -> dict[int, int]:
     """Map every node that :func:`bfs_forest` reaches over ``arc_ids``
@@ -275,22 +295,15 @@ def bridges(arcs: Sequence[tuple[int, Hashable, Hashable]],
 
     ``arcs`` are (arc_id, tail, head) triples, as :func:`minor_arcs`
     gives them; a bridge is an arc on no cycle, so parallel arcs and
-    self-loops never are: it is an arc of the breadth-first
-    :func:`grow_forest` that no other arc's :func:`tree_path` runs
-    through. Returns (arc_id, side) per bridge, leaves first within each
-    tree (the forest's ``order`` reversed), where side sums ``weight``
-    (0 for a node it does not list) over the nodes the bridge cuts off
-    from its tree's root, the component's first node in ``arcs``.
+    self-loops never are: it is an arc of the breadth-first forest that
+    lies on none of its :func:`fundamental_cycles`. Returns (arc_id,
+    side) per bridge, leaves first within each tree (the forest's
+    ``order`` reversed), where side sums ``weight`` (0 for a node it
+    does not list) over the nodes the bridge cuts off from its tree's
+    root, the component's first node in ``arcs``.
     """
-    order, parent = grow_forest(arcs)
-    depth: dict[Hashable, int] = {}
-    for v in order:
-        depth[v] = depth[parent[v][0]] + 1 if v in parent else 0
-    tree = {a for _, a, _ in parent.values()}
-    covered: set[int] = set()
-    for aid, tail, head in arcs:
-        if aid not in tree:
-            covered.update(a for a, _ in tree_path(parent, depth, tail, head))
+    order, parent, cycles = fundamental_cycles(arcs)
+    covered = {a for _, cycle in cycles for a, _ in cycle}
     side = {v: weight.get(v, 0) for v in order}
     found: list[tuple[int, int]] = []
     for v in reversed(order):

@@ -320,8 +320,6 @@ def _check_initial_point(aux: AuxiliaryInstance, point: InitialPoint,
                          cert: ScalingCertificate) -> None:
     if apply_incidence(aux.graph, point.x) != aux.b:
         raise InvariantError("initial point violates flow conservation")
-    if reduced_costs(aux.graph, aux.c, point.y) != point.s:
-        raise InvariantError("initial duals are infeasible")
     if any(v <= 0 for v in point.x) or any(v <= 0 for v in point.s):
         raise InvariantError("initial point is not interior")
     lo, hi = cert.t, cert.mu0

@@ -50,15 +50,16 @@ Starting from the constructed interior point at mu0, each iteration:
    point (the predictor half of Mizuno, Todd and Ye). The short-step
    fallback starts from the driver's point as before;
 4. lifts the recentered point back to the full auxiliary instance:
-   minor arcs take their new values, every node's dual moves by its
-   class voltage, deleted arcs get their slack recomputed, and flow
-   imbalances inside each contracted class are routed leaf-to-root
-   along its tree in the merge forest, naming the first merge arc in
-   contraction order that is left without positive flow. When a deleted
-   arc's slack would not be positive, each component of the minor
-   shifts its duals by its own constant, which moves no minor or
-   contracted slack; shortest paths over the constraints "slack >= 1"
-   on the deleted arcs between components choose the constants.
+   minor arcs take their new flows, every node's dual moves by its
+   class voltage, and flow imbalances inside each contracted class are
+   routed leaf-to-root along its tree in the merge forest, naming the
+   first merge arc in contraction order that is left without positive
+   flow. When a deleted arc's slack would not be positive, each
+   component of the minor shifts its duals by its own constant, which
+   moves no minor or contracted slack; shortest paths over the
+   constraints "slack >= 1" on the deleted arcs between components
+   choose the constants. The slacks are read off the duals, never kept
+   beside them: s = c - A^T y.
 
 All checks are exact integer comparisons. The deletions and
 contractions are permanent: the sets only grow, which is what makes the
@@ -186,7 +187,7 @@ def run_interior_point(
                 cmap.contract(aid)
             changed = bool(forced or loops)
 
-        _check_iterate(aux, cert, x, s, y, mu, cmap, minor)
+        _check_iterate(aux, cert, x, s, mu, cmap, minor)
 
         gap_sum = sum(x[aid] * s[aid] for aid, _, _ in minor)
         if probe is not None:
@@ -261,7 +262,8 @@ def run_interior_point(
             })
 
         # 4. lift the recentered minor point back to the full instance
-        _lift(aux, cmap, minor, run.x_cur, run.s_cur, run.pi, x, s, y)
+        _lift(aux, cmap, minor, run.x_cur, run.pi, x, y)
+        s = reduced_costs(g, aux.c, y)
         if probe is not None:
             probe("lifted", {
                 "iteration": iterations,
@@ -316,11 +318,10 @@ def _forced_loops(aux: AuxiliaryInstance, cmap: ContractionMap,
 
 def _shift_components(aux: AuxiliaryInstance, cmap: ContractionMap,
                       minor: list[tuple[int, int, int]],
-                      y: dict[int, int], s: list[int]) -> None:
+                      y: dict[int, int]) -> None:
     """Shift each minor component's duals by a constant so that every
-    deleted arc's slack is at least 1, when some is not positive and
-    such constants exist; otherwise leave ``y`` alone. ``s`` must hold
-    the deleted arcs' slacks under ``y``, and is kept so.
+    deleted arc's slack under ``y`` is at least 1, when some is not
+    positive and such constants exist; otherwise leave ``y`` alone.
 
     Minor and contracted arcs join nodes of one component, so their
     slacks do not move. A deleted arc from component K to component L
@@ -328,17 +329,19 @@ def _shift_components(aux: AuxiliaryInstance, cmap: ContractionMap,
     source finds the largest shifts, all <= 0, that meet every such
     constraint, or a negative cycle when none do.
     """
-    if all(s[aid] > 0 for aid in cmap.deleted):
-        return
     g = aux.graph
+    slack = {aid: aux.c[aid] - (y[g.arcs[aid][1]] - y[g.arcs[aid][0]])
+             for aid in cmap.deleted}
+    if all(sa > 0 for sa in slack.values()):
+        return
     comp = component_roots(
         g, [aid for aid, _, _ in minor] + cmap.merges, g.nodes)
     limits = []
-    for aid in cmap.deleted:
+    for aid, sa in slack.items():
         tail, head = comp[g.arcs[aid][0]], comp[g.arcs[aid][1]]
         if tail != head:
-            limits.append((tail, head, s[aid] - 1))
-        elif s[aid] <= 0:
+            limits.append((tail, head, sa - 1))
+        elif sa <= 0:
             return
     shift = dict.fromkeys(comp.values(), 0)
     for _ in shift:
@@ -353,17 +356,14 @@ def _shift_components(aux: AuxiliaryInstance, cmap: ContractionMap,
         return  # a negative cycle: the constraints cannot all hold
     for v in g.nodes:
         y[v] += shift[comp[v]]
-    for aid in cmap.deleted:
-        tail, head = g.arcs[aid]
-        s[aid] -= shift[comp[head]] - shift[comp[tail]]
 
 
 def _lift(aux: AuxiliaryInstance, cmap: ContractionMap,
-          minor: list[tuple[int, int, int]],
-          new_x: dict[int, int], new_s: dict[int, int], pi: dict,
-          x: list[int], s: list[int], y: dict[int, int]) -> None:
-    """Write the recentered minor point into ``x``, ``s`` and ``y``,
-    shift the minor components' duals when a deleted slack needs it (see
+          minor: list[tuple[int, int, int]], new_x: dict[int, int],
+          pi: dict, x: list[int], y: dict[int, int]) -> None:
+    """Write the recentered minor flow into ``x``, move every node's
+    dual in ``y`` by its class voltage in ``pi``, shift the minor
+    components' duals when a deleted slack needs it (see
     ``_shift_components``), and route each class's flow imbalance along
     its tree in the merge forest.
 
@@ -379,16 +379,9 @@ def _lift(aux: AuxiliaryInstance, cmap: ContractionMap,
         demand[tail] += change
         demand[head] -= change
         x[aid] = new_x[aid]
-        s[aid] = new_s[aid]
-    # every node inherits its class voltage; contracted arcs join equal
-    # classes so their slack is untouched, deleted arcs pick up whatever
-    # the new duals dictate, after a per-component shift if they need one
     for v in g.nodes:
         y[v] += pi.get(cmap.find(v), 0)
-    for aid in cmap.deleted:
-        tail, head = g.arcs[aid]
-        s[aid] = aux.c[aid] - (y[head] - y[tail])
-    _shift_components(aux, cmap, minor, y, s)
+    _shift_components(aux, cmap, minor, y)
 
     # route per-class flow imbalance along the merge forest, leaf first;
     # a merge arc that lost positivity is named in contraction order
@@ -404,15 +397,12 @@ def _lift(aux: AuxiliaryInstance, cmap: ContractionMap,
 
 
 def _check_iterate(aux: AuxiliaryInstance, cert: ScalingCertificate,
-                   x: list[int], s: list[int], y: dict[int, int], mu: int,
-                   cmap: ContractionMap,
+                   x: list[int], s: list[int], mu: int, cmap: ContractionMap,
                    minor: list[tuple[int, int, int]]) -> None:
-    g = aux.graph
-    if apply_incidence(g, x) != aux.b:
+    """The per-iteration invariants; ``s`` is read off the duals, so it
+    needs no check against them."""
+    if apply_incidence(aux.graph, x) != aux.b:
         raise InvariantError("iterate violates flow conservation")
-    for aid, sa in enumerate(reduced_costs(g, aux.c, y)):
-        if sa != s[aid]:
-            raise InvariantError(f"arc {aid}: duals and slack disagree")
     dev = 0
     for aid, _, _ in minor:
         if x[aid] <= 0 or s[aid] <= 0:

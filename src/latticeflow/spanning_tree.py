@@ -5,9 +5,10 @@ The centering step treats the current minor as an electrical network
 with integer resistances r_a and works relative to a spanning forest:
 off-tree arcs define fundamental cycles, tree arcs define node voltages,
 and each cycle's total resistance both weights the random arc choice and
-bounds the stall ceiling through the forest's stretch. ``graph_core``
-grows the forest and walks its cycles; this module keeps the
-resistances, the cycle table, voltages and stretch.
+bounds the stall ceiling through the forest's stretch.
+``graph_core.fundamental_cycles`` grows the forest and walks its cycles;
+this module keeps the resistances, the cycle table, voltages and
+stretch.
 
 Arcs are identified by their stable ids in the enclosing graph, so a
 forest can be built directly over a minor's surviving arcs. A forest
@@ -22,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InvariantError
-from .graph_core import grow_forest, tree_path, tree_potentials
+from .graph_core import fundamental_cycles, tree_potentials
 
 __all__ = ["TreeForest"]
 
@@ -30,9 +31,9 @@ __all__ = ["TreeForest"]
 class TreeForest:
     """A minimum-resistance spanning forest and its cycle table.
 
-    Built by ``graph_core.grow_forest`` with the resistances as key:
-    Prim's algorithm per weakly-connected component, smallest resistance
-    first with arc id as the tie-break, so construction is
+    Built by ``graph_core.fundamental_cycles`` with the resistances as
+    key: Prim's algorithm per weakly-connected component, smallest
+    resistance first with arc id as the tie-break, so construction is
     deterministic. Nodes are taken from ``arcs`` in order of first
     appearance, and each unreached node starts a new tree. Self-loops
     never join the forest. ``order`` lists the nodes as Prim reached
@@ -73,18 +74,8 @@ class TreeForest:
             raise ValueError("duplicate arc ids")
         self._check_positive(r)
 
-        order, parent = grow_forest(arcs, key=r)
-        self.order, self.parent = order, parent
-        depth: dict = {}
-        for v in order:
-            depth[v] = depth[parent[v][0]] + 1 if v in parent else 0
-        tree = {aid for _, aid, _ in parent.values()}
-        self.off_tree = sorted(set(self.arcs) - tree)
-        self.walks = []
-        for aid in self.off_tree:
-            tail, head = self.arcs[aid]
-            self.walks.append(
-                (aid, [(aid, 1)] + tree_path(parent, depth, head, tail)))
+        self.order, self.parent, self.walks = fundamental_cycles(arcs, key=r)
+        self.off_tree = [aid for aid, _ in self.walks]
         if not self.reweight(r):
             raise InvariantError("Prim forest fails the cycle property")
 

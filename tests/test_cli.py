@@ -144,6 +144,8 @@ def test_verify_rejects_bare_objective_line(triangle_file, tmp_path, capsys):
 @pytest.mark.parametrize("potentials,error", [
     ("y 1 0\ny 2 3\ny 99 7\n", "line 5: node 99 out of range"),
     ("y 1 9\ny 1 0\ny 2 3\n", "line 4: duplicate potential for node 1"),
+    # int() alone would read this as 10
+    ("y 1 0\ny 2 1_0\n", "line 4: record holds '_' or a non-ASCII character"),
 ])
 def test_verify_rejects_bad_potential_lines(tmp_path, capsys, potentials,
                                             error):
@@ -234,7 +236,8 @@ _COUNT = st.one_of(_SMALL, st.integers(0, 10**9).map(str))
 _TOKENS = st.one_of(
     st.sampled_from(["p", "min", "n", "a", "s", "f", "y", "c"]),
     _SMALL,
-    st.sampled_from(["x", "1.5", "-", "+4", "07", "\t"]),
+    st.sampled_from(["x", "1.5", "-", "+4", "07", "\t", "1_0", "\uff12",
+                     "\u0661"]),
 )
 # soup lines, plus lines with a real keyword
 _LINE = st.one_of(

@@ -15,7 +15,7 @@ from latticeflow.crossover import (
     PerturbedPoint,
 )
 from latticeflow.errors import InvariantError
-from latticeflow.graph_core import ContractionMap, MultiGraph, reduced_costs
+from latticeflow.graph_core import ContractionMap, MultiGraph
 from latticeflow.instance_pipeline import compute_scaling
 from latticeflow.ipm_driver import IPMResult
 from latticeflow.reference_oracle import ssp_solve
@@ -67,7 +67,7 @@ def test_tree_lift_and_admissible_flow():
     assert s_t == [0, 0, 2 * GAMMA]
     x_star = admissible_max_flow(aux, s_t)
     assert x_star == [2, 2, 0]
-    verify_aux_certificate(aux, x_star, y_t, s_t)
+    verify_aux_certificate(aux, x_star, y_t)
 
 
 def test_admissible_flow_requires_saturation():
@@ -84,29 +84,26 @@ def test_verify_rejects_noncomplementary_pairs():
     y_t, s_t = lift_tree_duals(aux, compute_scaling(1, 1, 1), tree)
     with pytest.raises(InvariantError,
                        match="^rounded pair is not complementary$"):
-        verify_aux_certificate(aux, [1, 1, 1], y_t, s_t)
+        verify_aux_certificate(aux, [1, 1, 1], y_t)
 
 
-@pytest.mark.parametrize("x_star, y3, s_t, message", [
+@pytest.mark.parametrize("x_star, y3, y2, message", [
     ([3, 2, 0], 8, None, "rounded flow violates conservation"),
-    ([2, 2, 0], 8, [0, 0, 2 * GAMMA + 1], "rounded duals are inconsistent"),
+    ([2, 2, 0], 8, 4, "rounded reduced cost negative"),
     ([2, 2, 0], 11, None, "rounded reduced cost negative"),
     # one unit less around the cycle 1 -> 2 -> 3 against arc 2
     ([-1, -1, 3], 8, None, "rounded flow negative"),
 ])
-def test_verify_names_each_broken_certificate_check(x_star, y3, s_t, message):
-    """Each case breaks one more of the five checks (the test above
+def test_verify_names_each_broken_certificate_check(x_star, y3, y2, message):
+    """Each case breaks one more of the four checks (the test above
     breaks complementarity) on the path's optimal pair x* = (2, 2, 0),
-    y = (0, 3g, 8g): the flow, the dual of node 3 (in units of gamma,
-    the slacks following it) or the slacks alone."""
+    y = (0, 3g, 8g): the flow or the duals of nodes 3 and 2 (None keeps
+    3g), in units of gamma, which the reduced costs follow."""
     aux, _ = _path_pert()
-    verify_aux_certificate(aux, [2, 2, 0], {1: 0, 2: 3 * GAMMA, 3: 8 * GAMMA},
-                           [0, 0, 2 * GAMMA])
-    y_t = {1: 0, 2: 3 * GAMMA, 3: y3 * GAMMA}
-    if s_t is None:
-        s_t = reduced_costs(aux.graph, aux.c, y_t)
+    verify_aux_certificate(aux, [2, 2, 0], {1: 0, 2: 3 * GAMMA, 3: 8 * GAMMA})
+    y_t = {1: 0, 2: (3 if y2 is None else y2) * GAMMA, 3: y3 * GAMMA}
     with pytest.raises(InvariantError, match=f"^{re.escape(message)}$"):
-        verify_aux_certificate(aux, x_star, y_t, s_t)
+        verify_aux_certificate(aux, x_star, y_t)
 
 
 def test_full_crossover_matches_oracle():

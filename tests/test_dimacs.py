@@ -187,13 +187,34 @@ def test_parse_solution_rejects_bad_potential_lines(potentials, message):
         parse_solution("s 3\nf 1 2 1\n" + potentials, inst)
 
 
+# int() alone would read 1_0 as 10 and the fullwidth 2 and the
+# Arabic-Indic 1 as numbers, and str.split() splits at a no-break space
+@pytest.mark.parametrize("bad", ["1_0", "\uff12", "\u0661", "1\u00a00"])
+def test_parsers_take_only_ascii_decimals(bad):
+    message = "record holds '_' or a non-ASCII character"
+    with pytest.raises(FormatError, match=f"^line 2: {message}$"):
+        parse_instance(f"p min 2 1\na 1 2 0 {bad} 3\nn 1 1\nn 2 -1\n")
+    inst = parse_instance(TWO_NODES)
+    with pytest.raises(FormatError, match=f"^line 4: {message}$"):
+        parse_solution(f"s 3\nf 1 2 1\ny 1 0\ny 2 {bad}\n", inst)
+
+
+def test_parsers_take_signs_leading_zeros_and_any_comment():
+    inst = parse_instance(
+        "c caf\u00e9 \uff12\np min 2 1\nn 1 +1\nn 2 -1\na 1 2 0 07 +3\n")
+    assert (inst.b, inst.u, inst.c) == ({1: -1, 2: 1}, [7], [3])
+    sol = parse_solution("c \u0661\ns +3\nf 1 2 01\ny 1 0\ny 2 +3\n", inst)
+    assert sol == (3, [1], {1: 0, 2: 3}, None)
+
+
 # a 'p' line may declare up to 10^9 nodes: the parser refuses a count
 # its records cannot name before allocating any node
 _TOKENS = st.one_of(
     st.sampled_from(["p", "min", "n", "a", "s", "f", "y", "c"]),
     st.integers(-3, 20).map(str),
     st.integers(0, 10**9).map(str),
-    st.sampled_from(["x", "min0", "1.5", "-", "+4", "07", "0x1", "\t"]),
+    st.sampled_from(["x", "min0", "1.5", "-", "+4", "07", "0x1", "\t",
+                     "1_0", "\uff12", "\u0661"]),
 )
 _TEXT = st.lists(st.lists(_TOKENS, max_size=7), max_size=10).map(
     lambda lines: "\n".join(" ".join(tokens) for tokens in lines))

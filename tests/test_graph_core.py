@@ -14,6 +14,7 @@ from latticeflow.graph_core import (
     bridges,
     component_roots,
     forest_roots,
+    fundamental_cycles,
     grow_forest,
     max_flow,
     minor_arcs,
@@ -347,6 +348,39 @@ class TestBfsForest:
         assert parent == {2: (1, 0, 1)}
         assert bfs_forest(g, [], [3]) == ([3], {})
 
+
+
+@pytest.mark.parametrize("prim", [False, True])
+@given(graph=_MULTIGRAPHS, data=st.data())
+@settings(max_examples=200)
+def test_fundamental_cycles_are_circulations(prim, graph, data):
+    """Over the breadth-first forest and the Prim forest alike, with
+    the arcs given in any order: the forest is ``grow_forest``'s, each
+    arc outside it has one cycle, by increasing id, that starts with
+    the arc itself at sign +1, runs through forest arcs only and is a
+    circulation; a self-loop's cycle is itself."""
+    n, arcs = graph
+    arcs = data.draw(st.permutations(arcs))
+    key = None
+    if prim:
+        key = dict(enumerate(data.draw(st.lists(
+            st.integers(1, 5), min_size=len(arcs), max_size=len(arcs)))))
+    order, parent, cycles = fundamental_cycles(arcs, key=key)
+    assert (order, parent) == grow_forest(arcs, key=key)
+    tree = {a for _, a, _ in parent.values()}
+    assert [aid for aid, _ in cycles] == sorted(
+        a for a, _, _ in arcs if a not in tree)
+    ends = {a: (t, h) for a, t, h in arcs}
+    g = MultiGraph(range(n), [ends[a] for a in range(len(arcs))])
+    for aid, cycle in cycles:
+        assert cycle[0] == (aid, 1)
+        assert {a for a, _ in cycle[1:]} <= tree
+        if ends[aid][0] == ends[aid][1]:
+            assert cycle == [(aid, 1)]
+        flow = [0] * g.m
+        for a, sign in cycle:
+            flow[a] += sign
+        assert apply_incidence(g, flow) == dict.fromkeys(g.nodes, 0)
 
 class TestBridges:
     def test_path_with_a_cycle(self):

@@ -156,7 +156,8 @@ def test_initial_point_interval_and_centrality():
 
 @pytest.mark.parametrize("before, after, message", [
     ({}, {("x", 0): 11}, "initial point violates flow conservation"),
-    ({}, {("s", 0): 11}, "initial duals are infeasible"),
+    ({("x", 1): 11, ("s", 1): 9}, {},
+     "balancing arc cost below total path cost"),
     ({("x", 0): 0}, {}, "initial point is not interior"),
     ({("s", 1): 0}, {}, "initial point is not interior"),
     ({("x", 0): 11}, {}, "initial product 110 outside [90, 100]"),

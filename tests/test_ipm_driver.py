@@ -12,7 +12,7 @@ from latticeflow import SolveConfig, centering, solve
 from latticeflow.crossover import crossover
 from latticeflow.errors import InvariantError
 from latticeflow.graph_core import (ContractionMap, MultiGraph, apply_incidence,
-                                    bfs_forest, minor_arcs)
+                                    bfs_forest, minor_arcs, reduced_costs)
 from latticeflow.instance_pipeline import RawInstance, compute_scaling
 from latticeflow.ipm_driver import (
     _check_iterate,
@@ -61,14 +61,14 @@ def test_classification_rejects_double_qualifiers():
 
 # a valid iterate: arcs 0 and 1 form the minor, arc 2 is deleted and arc
 # 3 contracted. Minor flows and slacks are K = 56 (gamma + beta) at
-# mu = K^2, so x_a s_a = mu and both magnitude fences hold; y = 0
+# mu = K^2, so x_a s_a = mu and both magnitude fences hold
 ITER_CERT = compute_scaling(1, 1, 1)
 K = 56 * (ITER_CERT.gamma + ITER_CERT.beta)
 
 
 @pytest.mark.parametrize("before, after, message", [
     ({}, {("x", 0): K + 1}, "iterate violates flow conservation"),
-    ({}, {("s", 0): K + 1}, "arc 0: duals and slack disagree"),
+    ({("s", 0): 0}, {}, "arc 0: minor point is not interior"),
     ({("x", 0): 0}, {}, "arc 0: minor point is not interior"),
     ({("s", 1): 0}, {}, "arc 1: minor point is not interior"),
     ({("x", 0): 81 * K * K * ITER_CERT.m // (56 * ITER_CERT.gamma) + 1}, {},
@@ -88,52 +88,51 @@ def test_check_iterate_names_each_broken_invariant(before, after, message):
     cmap.delete(2)
     cmap.contract(3)
     minor = minor_arcs(g, cmap)
-    y = {1: 0, 2: 0, 3: 0}
     base = [K, K, 0, 1], [K, K, 1, 0]
     x, s = base
     _check_iterate(aux_instance(g, apply_incidence(g, x), s), ITER_CERT, x, s,
-                   y, K * K, cmap, minor)
+                   K * K, cmap, minor)
     x, s = changed_point(*base, before)
     aux = aux_instance(g, apply_incidence(g, x), s)
     x, s = changed_point(*base, {**before, **after})
     with pytest.raises(InvariantError, match=f"^{re.escape(message)}$"):
-        _check_iterate(aux, ITER_CERT, x, s, y, K * K, cmap, minor)
+        _check_iterate(aux, ITER_CERT, x, s, K * K, cmap, minor)
 
 
 def test_lift_routes_class_imbalance():
     # arc 0 = (1, 2) is contracted; recentering moves flow between the
     # two class-to-node arcs, and the merge arc absorbs the difference
     g = MultiGraph([1, 2, 3], [(1, 2), (1, 3), (2, 3)])
-    aux = aux_instance(g, {1: -4, 2: 0, 3: 4}, [0, 0, 0])
+    aux = aux_instance(g, {1: -4, 2: 0, 3: 4}, [1, 5, 5])
     cmap = ContractionMap(g)
     cmap.contract(0)
     assert cmap.merges == [0]
     minor = minor_arcs(g, cmap)
     x = [2, 2, 2]
-    s = [1, 5, 5]
     y = {1: 0, 2: 0, 3: 0}
     rep = cmap.find(1)
-    _lift(aux, cmap, minor, {1: 3, 2: 1}, {1: 5, 2: 5}, {rep: 0, 3: 0},
-          x, s, y)
+    _lift(aux, cmap, minor, {1: 3, 2: 1}, {rep: 0, 3: 0}, x, y)
     assert x == [1, 3, 1]
     assert apply_incidence(g, x) == aux.b
 
 
 def test_lift_shifts_duals_by_class_voltage():
+    # the costs give the slacks (1, 5, 5) at y = (10, 20, 30)
     g = MultiGraph([1, 2, 3], [(1, 2), (1, 3), (2, 3)])
-    aux = aux_instance(g, {1: -4, 2: 0, 3: 4}, [0, 0, 0])
+    aux = aux_instance(g, {1: -4, 2: 0, 3: 4}, [11, 25, 15])
     cmap = ContractionMap(g)
     cmap.contract(0)
     minor = minor_arcs(g, cmap)
     x = [2, 2, 2]
-    s = [1, 5, 5]
     y = {1: 10, 2: 20, 3: 30}
+    assert reduced_costs(g, aux.c, y) == [1, 5, 5]
     rep = cmap.find(1)
-    _lift(aux, cmap, minor, {1: 2, 2: 2}, {1: 5, 2: 5}, {rep: 7, 3: -1},
-          x, s, y)
-    # both members of the contracted class move together
+    _lift(aux, cmap, minor, {1: 2, 2: 2}, {rep: 7, 3: -1}, x, y)
+    # both members of the contracted class move together, so the
+    # contracted arc keeps its slack and each minor arc's falls by the
+    # class voltage across it, 5 - (-1 - 7)
     assert y == {1: 17, 2: 27, 3: 29}
-    assert s[0] == 1  # contracted arc slack untouched
+    assert reduced_costs(g, aux.c, y) == [1, 13, 13]
 
 
 def test_lift_detects_positivity_loss():
@@ -145,14 +144,12 @@ def test_lift_detects_positivity_loss():
     # shifting 2 units of class outflow from arc 2 to arc 1 drives the
     # merge arc (currently carrying 1) to -1
     x = [1, 2, 2]
-    s = [1, 5, 5]
     y = {1: 0, 2: 0, 3: 0}
     b = apply_incidence(g, x)
     aux = aux_instance(g, b, [0, 0, 0])
     rep = cmap.find(1)
     with pytest.raises(InvariantError, match="contracted arc 0 lost positivity"):
-        _lift(aux, cmap, minor, {1: 4, 2: 0 + 2 - 2}, {1: 5, 2: 5},
-              {rep: 0, 3: 0}, x, s, y)
+        _lift(aux, cmap, minor, {1: 4, 2: 0 + 2 - 2}, {rep: 0, 3: 0}, x, y)
 
 
 @pytest.mark.parametrize("merge_edges,arc", [([0, 1], 0), ([1, 0], 1)])
@@ -169,8 +166,8 @@ def test_lift_names_the_first_merged_class_losing_positivity(merge_edges, arc):
     assert cmap.merges == merge_edges
     y = {v: 0 for v in g.nodes}
     with pytest.raises(InvariantError, match=f"contracted arc {arc} lost"):
-        _lift(aux, cmap, minor_arcs(g, cmap), {2: 4, 3: 0}, {2: 5, 3: 5},
-              {cmap.find(1): 0, cmap.find(3): 0}, x, [1, 1, 5, 5], y)
+        _lift(aux, cmap, minor_arcs(g, cmap), {2: 4, 3: 0},
+              {cmap.find(1): 0, cmap.find(3): 0}, x, y)
 
 
 @pytest.mark.parametrize("merge_edges,arc", [([0, 1], 0), ([1, 0], 1)])
@@ -187,8 +184,8 @@ def test_lift_names_the_first_contracted_arc_of_a_class_losing_positivity(
         cmap.contract(aid)
     assert cmap.merges == merge_edges
     with pytest.raises(InvariantError, match=f"contracted arc {arc} lost"):
-        _lift(aux, cmap, minor_arcs(g, cmap), {2: 4, 3: 0}, {2: 5, 3: 5},
-              {1: 0, 4: 0}, x, [1, 1, 5, 5], {v: 0 for v in g.nodes})
+        _lift(aux, cmap, minor_arcs(g, cmap), {2: 4, 3: 0}, {1: 0, 4: 0},
+              x, {v: 0 for v in g.nodes})
 
 
 def _draw_state(data):
@@ -233,14 +230,48 @@ def test_lift_leaves_the_demands_met_or_raises(data):
         class_change[h] = class_change.get(h, 0) + (new_x[a] - x[a])
     imbalanced = any(class_change.values())
     try:
-        _lift(aux, cmap, minor, new_x, {a: 1 for a, _, _ in minor}, {},
-              x, [1] * g.m, {v: 0 for v in g.nodes})
+        _lift(aux, cmap, minor, new_x, {}, x, {v: 0 for v in g.nodes})
     except InvariantError as exc:
         assert ("lost positivity" in str(exc)
                 or imbalanced and "imbalance survived" in str(exc))
     else:
         assert apply_incidence(g, x) == aux.b
 
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_lifted_slacks_move_by_the_class_voltage(data):
+    """When no deleted slack needs a shift, the slacks read off the
+    lifted duals are s_a - (pi[class of head] - pi[class of tail]) on
+    every arc, with a class that ``pi`` does not name at 0: contracted
+    arcs keep their slack and minor arcs get the centering's s_cur. So
+    s = c - A^T y holds after every lift with no second copy of s."""
+    g, cmap = _draw_state(data)
+    find = cmap.find
+    x = _ints(data, g.m, 1, 6)
+    y = dict(zip(g.nodes, _ints(data, g.n, -5, 5)))
+    pi = {rep: data.draw(st.integers(-5, 5))
+          for rep in sorted({find(v) for v in g.nodes})
+          if data.draw(st.booleans())}
+    voltage = {v: pi.get(find(v), 0) for v in g.nodes}
+    # deleted arcs cost enough that every lifted slack is at least 1
+    c = []
+    for aid, (tail, head) in enumerate(g.arcs):
+        lo = -5
+        if aid in cmap.deleted:
+            lo = y[head] + voltage[head] - y[tail] - voltage[tail] + 1
+        c.append(data.draw(st.integers(lo, lo + 10)))
+    aux = aux_instance(g, apply_incidence(g, x), c)
+    minor = minor_arcs(g, cmap)
+    s = reduced_costs(g, c, y)
+    s_cur = {aid: s[aid] - (pi.get(h, 0) - pi.get(t, 0))
+             for aid, t, h in minor}
+    _lift(aux, cmap, minor, {aid: x[aid] for aid, _, _ in minor}, pi, x, y)
+    lifted = reduced_costs(g, c, y)
+    assert lifted == [s[aid] - (voltage[head] - voltage[tail])
+                      for aid, (tail, head) in enumerate(g.arcs)]
+    assert all(lifted[aid] == s[aid] for aid in cmap.contracted)
+    assert {aid: lifted[aid] for aid, _, _ in minor} == s_cur
 
 def _reached(g, arc_ids, root):
     return set(bfs_forest(g, arc_ids, [root])[0])
@@ -312,10 +343,9 @@ def test_loop_rule_contracts_only_loops_of_zero_class_reduced_cost(data):
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_dual_shift_moves_no_minor_or_contracted_slack(data):
-    """The shift leaves every minor and contracted slack as it was, and
-    keeps the deleted arcs' slacks in step with the duals. It moves the
-    duals only when a deleted slack is not positive, and then leaves
-    every deleted slack at least 1."""
+    """The shift leaves every minor and contracted slack as it was. It
+    moves the duals only when a deleted slack is not positive, and then
+    leaves every deleted slack at least 1."""
     g, cmap = _draw_state(data)
     c = _ints(data, g.m, -3, 3)
     y = dict(zip(g.nodes, _ints(data, g.n, -3, 3)))
@@ -325,10 +355,7 @@ def test_dual_shift_moves_no_minor_or_contracted_slack(data):
         tail, head = g.arcs[aid]
         return c[aid] - (duals[head] - duals[tail])
 
-    s = [slack(aid, y) for aid in range(g.m)]
-    _shift_components(aux_instance(g, {}, c), cmap, minor_arcs(g, cmap), y, s)
-    assert s == [slack(aid, y) if aid in cmap.deleted else
-                 slack(aid, before) for aid in range(g.m)]
+    _shift_components(aux_instance(g, {}, c), cmap, minor_arcs(g, cmap), y)
     for aid in range(g.m):
         if aid not in cmap.deleted:
             assert slack(aid, y) == slack(aid, before)
@@ -346,16 +373,17 @@ def test_dual_shift_separates_components_when_it_can():
     cmap.delete(2)
     aux = aux_instance(g, {}, [0, 0, 9])
     y = {1: 0, 2: 0, 3: 4}
-    s = [0, -4, 13]
-    _shift_components(aux, cmap, minor_arcs(g, cmap), y, s)
+    assert reduced_costs(g, aux.c, y) == [0, -4, 13]
+    _shift_components(aux, cmap, minor_arcs(g, cmap), y)
     # the least shift: arc 1 reaches slack 1, arc 2 keeps 8
     assert y == {1: 0, 2: 0, 3: -1}
-    assert s == [0, 1, 8]
+    assert reduced_costs(g, aux.c, y) == [0, 1, 8]
     # with arc 2 at slack 2, slacks -4 and 2 cannot both reach 1
+    aux = aux_instance(g, {}, [0, 0, -2])
     y = {1: 0, 2: 0, 3: 4}
-    s = [0, -4, 2]
-    _shift_components(aux, cmap, minor_arcs(g, cmap), y, s)
-    assert y == {1: 0, 2: 0, 3: 4} and s == [0, -4, 2]
+    assert reduced_costs(g, aux.c, y) == [0, -4, 2]
+    _shift_components(aux, cmap, minor_arcs(g, cmap), y)
+    assert y == {1: 0, 2: 0, 3: 4}
 
 
 def test_outer_ceiling_scales():
@@ -607,12 +635,16 @@ def test_frozen_lift_keeps_deleted_arc_slack_positive():
         cmap.delete(aid)
     minor = minor_arcs(aux.graph, cmap)
     assert [aid for aid, _, _ in minor] == sorted(pin["x_cur"])
-    x, s, y = list(pin["x"]), list(pin["s"]), dict(pin["y"])
-    _lift(aux, cmap, minor, pin["x_cur"], pin["s_cur"], pin["pi"], x, s, y)
+    assert reduced_costs(aux.graph, aux.c, pin["y"]) == pin["s"]
+    x, y = list(pin["x"]), dict(pin["y"])
+    _lift(aux, cmap, minor, pin["x_cur"], pin["pi"], x, y)
+    s = reduced_costs(aux.graph, aux.c, y)
+    # the shift moved no minor slack off the centering's
+    assert {aid: s[aid] for aid, _, _ in minor} == pin["s_cur"]
     # the next iteration's classification deletes and contracts nothing
     assert all(_classify(x[aid], s[aid], cert.m, cert) == "keep"
                for aid, _, _ in minor)
-    _check_iterate(aux, cert, x, s, y, pin["mu"], cmap, minor)
+    _check_iterate(aux, cert, x, s, pin["mu"], cmap, minor)
     assert _forced_bridges(aux, cert, cmap, minor, x) == [6]
 
 
