@@ -28,8 +28,10 @@ parallel arcs unambiguous. An infeasible instance's solution is::
 with one ``x`` line per node of a cut whose demand exceeds the capacity
 of the arcs entering it.
 
-Numbers are optionally signed ASCII decimals: a record line with ``_``
-or a non-ASCII character is a format error; a comment may hold any text.
+Numbers are optionally signed ASCII decimals: a record line with ``_``,
+a non-ASCII character or a control character other than tab is a format
+error; a comment may hold any text. Lines end at ``\\n``, ``\\r\\n`` or
+``\\r``.
 """
 
 from __future__ import annotations
@@ -62,14 +64,22 @@ class Solution(NamedTuple):
 
 def _records(text: str) -> Iterator[tuple[int, list[str]]]:
     """(line number, fields) for each line of ``text`` that is neither
-    blank nor a ``c`` comment, which must be ASCII without ``_``: ``int``
-    would read ``1_0`` and non-ASCII digits as numbers."""
-    for lineno, raw_line in enumerate(text.splitlines(), 1):
+    blank nor a ``c`` comment, which must be printable ASCII, tabs
+    aside, without ``_``: ``int`` would read ``1_0`` and non-ASCII
+    digits as numbers. Lines end at ``\\n``, ``\\r\\n`` or ``\\r`` only,
+    the universal newlines the CLI reads files with; ``str.splitlines``
+    would also end one at a form feed or U+2028, which an editor shows
+    inside the line."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw_line in enumerate(lines, 1):
         line = raw_line.strip()
         if line and not line.startswith("c"):
             if not raw_line.isascii() or "_" in line:
                 raise FormatError(f"line {lineno}: record holds '_' or "
                                   "a non-ASCII character")
+            if not raw_line.replace("\t", " ").isprintable():
+                raise FormatError(
+                    f"line {lineno}: record holds a control character")
             yield lineno, line.split()
 
 

@@ -1,23 +1,26 @@
 """Shipping gate: one test and one printed PASS/FAIL line per criterion.
 
-The module fixture solves a 200-instance seeded suite and a long-path
-tier once, with a probe attached to each solve, so the interior
-invariants (initial point, post-centering centrality, lifted
-feasibility, perturbation bounds, crossover monotonicity and
-reproduction, minor legitimacy) are checked on the real run,
-independently of the solver's own assertions. Run with ``pytest -s``
-to see the lines as they print; they also appear in failure output.
+The module fixture solves each instance of a 200-instance seeded suite
+twice, once through ``solve`` and once through
+``helpers.solve_to_the_proxy_exit``, with a probe attached to each run,
+so the interior invariants (initial point, post-centering centrality,
+lifted feasibility, perturbation bounds, crossover monotonicity and
+reproduction, minor legitimacy) are checked on the real runs,
+independently of the solver's own assertions. Every criterion checks
+both runs. Run with ``pytest -s`` to see the lines as they print; they
+also appear in failure output.
 
-Most suite solves round early, often at iteration 0, so the suite alone
-sees few path states. The tier's feasible draws, with costs up to 100,
-run long paths before their rounding certifies; with them the gate
-checks at least as many path states as it did when every path ran to
-the proxy exit, and the floors below hold it there.
+Most ``solve`` paths round early, often at iteration 0, so they see few
+path states. The second run refuses every rounding try before the proxy
+exit, so each path runs as long as every path did before early
+rounding; the floors below hold the gate at that coverage however early
+``solve`` rounds.
 """
 
 import json
 import math
 import time
+from collections import Counter
 from fractions import Fraction
 from random import Random
 
@@ -33,12 +36,13 @@ from latticeflow.reference_oracle import (random_instance, ssp_solve,
                                           verify_certificate, verify_cut)
 from latticeflow.solver import SolveConfig, solve
 
-from helpers import energy_gap, has_unique_support, suite_params
+from helpers import (energy_gap, has_unique_support, solve_to_the_proxy_exit,
+                     suite_params)
 
 SUITE_SIZE = 200
-# long-path tier: seeds after the suite's, one shape
-TIER_SEEDS = range(SUITE_SIZE, SUITE_SIZE + 120)
-TIER_SHAPE = (8, 16, 10, 100, "feasible")
+# each suite instance is solved by both; the criterion 5 and 6 lines
+# report each run's share of the checks
+RUNS = {"solve": solve, "proxy exit": solve_to_the_proxy_exit}
 # the path coverage the gate had before early rounding: post-centering
 # and lifted points, delete/contract decisions and the unique-support
 # instances they were checked on
@@ -72,10 +76,10 @@ def _check_initial_point(seed, cert, aux, point, data):
         data["initial_violations"].append((seed, "centrality"))
 
 
-def _make_probe(seed, oracle, unique, data):
-    """Checks on one solve's events; lifted points wait for their
-    component's auxiliary instance, and a check that raises is recorded
-    while the solve goes on."""
+def _make_probe(seed, run, oracle, unique, data):
+    """Checks on the events of one solve, made by ``RUNS[run]``; lifted
+    points wait for their component's auxiliary instance, and a check
+    that raises is recorded while the solve goes on."""
     lifts = []
     mu0_bits = None
 
@@ -85,7 +89,7 @@ def _make_probe(seed, oracle, unique, data):
             if payload["iter"] == 0:
                 mu0_bits = payload["mu"].bit_length()
         elif event == "centering_exit":
-            data["exit_checks"] += 1
+            data["exit_checks"][run] += 1
             dev = sum(abs(payload["x"][a] * payload["s"][a] - payload["mu"])
                       for a, _, _ in payload["arcs"])
             if not 8 * dev < payload["mu"]:
@@ -94,7 +98,8 @@ def _make_probe(seed, oracle, unique, data):
             lifts.append(payload)
         elif event == "component":
             pending, lifts = lifts, []
-            _check_component(seed, oracle, unique, payload, pending, data)
+            _check_component(seed, run, oracle, unique, payload, pending,
+                             data)
         elif event == "centering_enter":
             states = data["states"]
             it = payload["iteration"]
@@ -144,7 +149,7 @@ def _check_crossover(seed, cert, aux, res, data):
         data["crossover_violations"].append(seed)
 
 
-def _check_minors(seed, oracle, comp, data):
+def _check_minors(seed, run, oracle, comp, data):
     """Deleted arcs carry no flow and contracted arcs have zero slack in
     the oracle optimum, mapped onto the auxiliary instance.
 
@@ -183,22 +188,22 @@ def _check_minors(seed, oracle, comp, data):
             f"seed {seed}: mapped pair not complementary on arc {a}"
 
     for a in sorted(res.cmap.deleted):
-        data["minor_checks"] += 1
+        data["minor_checks"][run] += 1
         if aux_flow[a] != 0:
             data["minor_violations"].append((seed, a, "deleted-flow"))
     for a in sorted(res.cmap.contracted):
-        data["minor_checks"] += 1
+        data["minor_checks"][run] += 1
         t, h = aux.graph.arcs[a]
         if aux.c[a] * cert.gamma0 != (yhat[h] - yhat[t]) * cert.gamma:
             data["minor_violations"].append((seed, a, "contracted-slack"))
 
 
-def _check_component(seed, oracle, unique, comp, lifts, data):
+def _check_component(seed, run, oracle, unique, comp, lifts, data):
     cert, aux, point, res = (comp["cert"], comp["aux"], comp["point"],
                              comp["result"])
     _check_initial_point(seed, cert, aux, point, data)
     for lift in lifts:
-        data["lift_checks"] += 1
+        data["lift_checks"][run] += 1
         y = lift["y"]
         if (apply_incidence(aux.graph, lift["x"]) != aux.b
                 or any(y[h] - y[t] + lift["s"][a] != aux.c[a]
@@ -208,7 +213,7 @@ def _check_component(seed, oracle, unique, comp, lifts, data):
     data["iteration_counts"].append((seed, res.iterations, bound))
     _check_crossover(seed, cert, aux, res, data)
     if unique:
-        _check_minors(seed, oracle, comp, data)
+        _check_minors(seed, run, oracle, comp, data)
 
 
 def _determinism_check(seed, inst, data):
@@ -243,9 +248,10 @@ def suite():
         "cuts_checked": 0, "cut_failures": [],
         "monitor_pairs": [], "monitor_violations": [],
         "initial_checked": 0, "initial_violations": [],
-        "exit_checks": 0, "exit_violations": [],
-        "lift_checks": 0, "lift_violations": [],
-        "unique_instances": 0, "minor_checks": 0, "minor_violations": [],
+        "exit_checks": Counter(), "exit_violations": [],
+        "lift_checks": Counter(), "lift_violations": [],
+        "unique_instances": 0, "minor_checks": Counter(),
+        "minor_violations": [],
         "perturb_checks": 0, "perturb_violations": [],
         "crossover_runs": 0, "crossover_steps": 0, "crossover_violations": [],
         "iteration_counts": [], "deep_errors": [],
@@ -253,58 +259,69 @@ def suite():
         "determinism_checked": 0, "determinism_violations": [],
     }
     t_start = time.perf_counter()
-    draws = [(seed, suite_params(seed)) for seed in range(SUITE_SIZE)]
-    draws += [(seed, TIER_SHAPE) for seed in TIER_SEEDS]
-    for seed, params in draws:
-        inst = random_instance(seed, *params)
+    for seed in range(SUITE_SIZE):
+        inst = random_instance(seed, *suite_params(seed))
         oracle = ssp_solve(inst)
         unique = oracle.status == "optimal" and has_unique_support(inst,
                                                                    oracle)
         if unique:
             data["unique_instances"] += 1
-        probe = _make_probe(seed, oracle, unique, data)
-        t0 = time.perf_counter()
-        try:
-            result = solve(inst, SolveConfig(seed=seed), probe=probe)
-            status, objective = result.status, result.objective
-        except Exception as exc:
-            # the probe's checks observed this very run, so they fail too
-            data["solve_errors"].append((seed, repr(exc)))
-            data["deep_errors"].append((seed, repr(exc)))
-            result, status, objective = None, "error", None
-        data["wall_solve"] += time.perf_counter() - t0
-
         if oracle.status == "optimal":
             data["n_optimal"] += 1
         else:
             data["n_infeasible"] += 1
-        if status != oracle.status or (status == "optimal"
-                                       and objective != oracle.objective):
-            data["mismatches"].append(
-                (seed, oracle.status, oracle.objective, status, objective))
-        if result is not None and status == "optimal":
-            data["cert_checked"] += 1
-            report = verify_certificate(inst, result.flow, result.potentials)
-            if not report.ok:
-                data["cert_failures"].append((seed, report.failures))
-        if result is not None and status == "infeasible":
-            data["cuts_checked"] += 1
-            report = verify_cut(inst, result.cut)
-            if not report.ok:
-                data["cut_failures"].append((seed, report.failures))
-        if result is not None:
-            for comp in result.components:
-                if "max_abs" in comp:
-                    data["monitor_pairs"].append(
-                        (comp["max_abs"], comp["limit"]))
-                    if comp["max_abs"] > comp["limit"]:
-                        data["monitor_violations"].append(seed)
+        for run, runner in RUNS.items():
+            _check_run(seed, run, runner, inst, oracle, unique, data)
         if seed % 17 == 0:
             _determinism_check(seed, inst, data)
     # criterion 1 times the solver, not the checks its probe runs
     data["wall_solve"] -= data["wall_probe"]
     data["wall_total"] = time.perf_counter() - t_start
     return data
+
+
+def _check_run(seed, run, runner, inst, oracle, unique, data):
+    """One solve of ``inst`` by ``runner`` under its probe, and the
+    checks on its answer."""
+    probe = _make_probe(seed, run, oracle, unique, data)
+    t0 = time.perf_counter()
+    try:
+        result = runner(inst, SolveConfig(seed=seed), probe=probe)
+        status, objective = result.status, result.objective
+    except Exception as exc:
+        # the probe's checks observed this very run, so they fail too
+        data["solve_errors"].append((seed, run, repr(exc)))
+        data["deep_errors"].append((seed, repr(exc)))
+        result, status, objective = None, "error", None
+    data["wall_solve"] += time.perf_counter() - t0
+
+    if status != oracle.status or (status == "optimal"
+                                   and objective != oracle.objective):
+        data["mismatches"].append(
+            (seed, run, oracle.status, oracle.objective, status, objective))
+    if result is not None and status == "optimal":
+        data["cert_checked"] += 1
+        report = verify_certificate(inst, result.flow, result.potentials)
+        if not report.ok:
+            data["cert_failures"].append((seed, run, report.failures))
+    if result is not None and status == "infeasible":
+        data["cuts_checked"] += 1
+        report = verify_cut(inst, result.cut)
+        if not report.ok:
+            data["cut_failures"].append((seed, run, report.failures))
+    if result is not None:
+        for comp in result.components:
+            if "max_abs" in comp:
+                data["monitor_pairs"].append(
+                    (comp["max_abs"], comp["limit"]))
+                if comp["max_abs"] > comp["limit"]:
+                    data["monitor_violations"].append((seed, run))
+
+
+def _shares(counts):
+    """A per-run counter's total and its split by run."""
+    split = " + ".join(f"{counts[run]} {run}" for run in RUNS)
+    return f"{counts.total()} ({split})"
 
 
 def _report(num, ok, detail):
@@ -317,9 +334,9 @@ def test_criterion_01_oracle_equivalence(suite):
     ok = (not suite["mismatches"] and not suite["solve_errors"]
           and suite["wall_solve"] <= SUITE_BUDGET_SECONDS)
     _report(1, ok,
-            f"{SUITE_SIZE} seeded and {len(TIER_SEEDS)} long-path instances "
-            f"({suite['n_optimal']} optimal, "
-            f"{suite['n_infeasible']} infeasible) matched the oracle exactly "
+            f"{SUITE_SIZE} seeded instances ({suite['n_optimal']} optimal, "
+            f"{suite['n_infeasible']} infeasible), each solved once through "
+            f"solve and once to the proxy exit, matched the oracle exactly "
             f"in {suite['wall_solve']:.1f}s; "
             f"mismatches={suite['mismatches'][:3]} "
             f"errors={suite['solve_errors'][:3]}")
@@ -358,14 +375,15 @@ def test_criterion_04_initial_point(suite):
 
 
 def test_criterion_05_centrality_and_feasibility(suite):
-    ok = (suite["exit_checks"] >= PATH_POINTS_FLOOR
+    ok = (suite["exit_checks"].total() >= PATH_POINTS_FLOOR
           and not suite["exit_violations"]
-          and suite["lift_checks"] >= PATH_POINTS_FLOOR
+          and suite["lift_checks"].total() >= PATH_POINTS_FLOOR
           and not suite["lift_violations"]
           and not suite["deep_errors"])
     _report(5, ok,
-            f"{suite['exit_checks']} post-centering points satisfied strict "
-            f"8-fold centrality and {suite['lift_checks']} lifted points "
+            f"{_shares(suite['exit_checks'])} post-centering points "
+            f"satisfied strict 8-fold centrality and "
+            f"{_shares(suite['lift_checks'])} lifted points "
             f"stayed exactly feasible (floor {PATH_POINTS_FLOOR} each); "
             f"exit_violations={suite['exit_violations'][:3]} "
             f"lift_violations={suite['lift_violations'][:3]} "
@@ -374,10 +392,10 @@ def test_criterion_05_centrality_and_feasibility(suite):
 
 def test_criterion_06_minor_legitimacy(suite):
     ok = (suite["unique_instances"] >= UNIQUE_FLOOR
-          and suite["minor_checks"] >= DECISIONS_FLOOR
+          and suite["minor_checks"].total() >= DECISIONS_FLOOR
           and not suite["minor_violations"])
     _report(6, ok,
-            f"{suite['minor_checks']} delete/contract decisions on "
+            f"{_shares(suite['minor_checks'])} delete/contract decisions on "
             f"{suite['unique_instances']} unique-support instances all "
             f"consistent with the oracle optimum (floors {DECISIONS_FLOOR} "
             f"on {UNIQUE_FLOOR}); violations={suite['minor_violations'][:3]}")

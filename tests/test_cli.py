@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from latticeflow.cli import main
 
+from helpers import round_at_the_proxy_exit
+
 TRIANGLE = """\
 p min 3 3
 n 1 2
@@ -190,6 +192,10 @@ def test_trace_emits_json(triangle_file, capsys):
 
 def test_trace_streams_rows_before_a_guard(triangle_file, capsys,
                                           monkeypatch):
+    # the path runs to the proxy exit, so no rounding ends it before the
+    # guard trips after iteration 3
+    monkeypatch.setattr("latticeflow.solver.crossover",
+                        round_at_the_proxy_exit)
     monkeypatch.setattr("latticeflow.ipm_driver.outer_ceiling",
                         lambda m, mu0: 3)
     assert main(["trace", triangle_file]) == 3
@@ -237,7 +243,7 @@ _TOKENS = st.one_of(
     st.sampled_from(["p", "min", "n", "a", "s", "f", "y", "c"]),
     _SMALL,
     st.sampled_from(["x", "1.5", "-", "+4", "07", "\t", "1_0", "\uff12",
-                     "\u0661"]),
+                     "\u0661", "\x0c", "\u2028"]),
 )
 # soup lines, plus lines with a real keyword
 _LINE = st.one_of(

@@ -207,6 +207,35 @@ def test_parsers_take_signs_leading_zeros_and_any_comment():
     assert sol == (3, [1], {1: 0, 2: 3}, None)
 
 
+# str.splitlines() also breaks lines at these; the parsers break them
+# only at universal newlines, so each is a format error on its own line,
+# also where it only separates two fields of one record
+@pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                                  "\x85", "\u2028", "\u2029"])
+def test_parsers_break_lines_only_at_newlines(char):
+    with pytest.raises(FormatError, match="^line 2: "):
+        parse_instance(f"p min 2 2\na 1 2 0 1 1{char}a 2 1 0 1 1\n")
+    with pytest.raises(FormatError, match="^line 2: "):
+        parse_instance(f"p min 2 1\na 1 2 0 1{char}1\n")
+    inst = parse_instance(TWO_NODES)
+    with pytest.raises(FormatError, match="^line 2: "):
+        parse_solution(f"s 3\nf 1 2 1{char}y 1 0\ny 2 3\n", inst)
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_parsers_read_universal_newlines(newline):
+    inst = parse_instance(TRIANGLE)
+    # a tab is the one control character a record may hold
+    assert parse_instance("p min 2 1\na\t1 2 0 1\t1\n").c == [1]
+    again = parse_instance(TRIANGLE.replace("\n", newline))
+    assert again.graph.nodes == inst.graph.nodes
+    assert again.graph.arcs == inst.graph.arcs
+    assert again.b == inst.b and again.u == inst.u and again.c == inst.c
+    text = format_solution(inst, 4, [2, 2, 0], {1: 0, 2: 1, 3: 2})
+    assert (parse_solution(text.replace("\n", newline), inst)
+            == parse_solution(text, inst))
+
+
 # a 'p' line may declare up to 10^9 nodes: the parser refuses a count
 # its records cannot name before allocating any node
 _TOKENS = st.one_of(
@@ -214,7 +243,7 @@ _TOKENS = st.one_of(
     st.integers(-3, 20).map(str),
     st.integers(0, 10**9).map(str),
     st.sampled_from(["x", "min0", "1.5", "-", "+4", "07", "0x1", "\t",
-                     "1_0", "\uff12", "\u0661"]),
+                     "1_0", "\uff12", "\u0661", "\x0c", "\u2028"]),
 )
 _TEXT = st.lists(st.lists(_TOKENS, max_size=7), max_size=10).map(
     lambda lines: "\n".join(" ".join(tokens) for tokens in lines))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latticeflow import SolveConfig, centering, solve
+from latticeflow import SolveConfig, centering
 from latticeflow.crossover import crossover
 from latticeflow.errors import InvariantError
 from latticeflow.graph_core import (ContractionMap, MultiGraph, apply_incidence,
@@ -27,7 +27,8 @@ from latticeflow.ipm_driver import (
 from latticeflow.reference_oracle import random_instance
 from latticeflow.solver import _prepare
 
-from helpers import E1, aux_instance, changed_point, follow_path
+from helpers import (E1, aux_instance, changed_point, follow_path,
+                     solve_to_the_proxy_exit)
 
 
 def test_decrement_frozen_value():
@@ -500,8 +501,9 @@ def test_invariants_hold_throughout():
 def test_centerings_reuse_the_forest(monkeypatch):
     # an outer iteration that deletes and contracts nothing keeps the
     # minor, and the forest is rebuilt only when the new resistances
-    # change the minimum tree; this solve builds 28 forests in 109
-    # centerings, and would build one per centering without reuse
+    # change the minimum tree; this path, run to the proxy exit, builds
+    # 39 forests in 134 centerings, and would build one per centering
+    # without reuse
     builds = 0
 
     class CountingForest(centering.TreeForest):
@@ -513,9 +515,10 @@ def test_centerings_reuse_the_forest(monkeypatch):
     monkeypatch.setattr(centering, "TreeForest", CountingForest)
     enters = []
     inst = random_instance(3, 8, 16, 10, 10, "feasible")
-    result = solve(inst, SolveConfig(seed=3),
-                   probe=lambda event, payload: enters.append(payload)
-                   if event == "centering_enter" else None)
+    result = solve_to_the_proxy_exit(
+        inst, SolveConfig(seed=3),
+        probe=lambda event, payload: enters.append(payload)
+        if event == "centering_enter" else None)
     assert result.status == "optimal"
     assert 1 <= builds <= len(enters) // 3
 
