@@ -34,8 +34,8 @@ from .errors import (
     InvariantError,
     IterationCeilingError,
 )
-from .reference_oracle import (OracleSolution, random_instance, ssp_solve,
-                               verify_certificate, verify_cut)
+from .reference_oracle import (random_instance, ssp_solve, verify_certificate,
+                               verify_cut)
 from .solver import SolveConfig, SolveResult, solve
 
 __all__ = ["main"]
@@ -123,7 +123,7 @@ def _cmd_oracle(args) -> int:
     return _report(inst, ssp_solve(inst), write=True)
 
 
-def _report(inst, result: SolveResult | OracleSolution, write: bool) -> int:
+def _report(inst, result: SolveResult, write: bool) -> int:
     """Note an infeasible verdict on stderr, print the cut or solution
     text when ``write``, and return the verdict's exit code."""
     infeasible = result.status == "infeasible"
@@ -138,20 +138,19 @@ def _report(inst, result: SolveResult | OracleSolution, write: bool) -> int:
 
 def _cmd_verify(args) -> int:
     inst = parse_instance(_read(args.instance))
-    objective, flow, potentials, cut = parse_solution(_read(args.solution),
-                                                      inst)
-    if cut is not None:
-        report = verify_cut(inst, cut)
+    claim = parse_solution(_read(args.solution), inst)
+    if claim.status == "infeasible":
+        report = verify_cut(inst, claim.cut)
         if report.ok:
             print("infeasibility certificate ok")
             return EXIT_INFEASIBLE
     else:
-        report = verify_certificate(inst, flow, potentials)
-        if report.ok and report.objective == objective:
+        report = verify_certificate(inst, claim.flow, claim.potentials)
+        if report.ok and report.objective == claim.objective:
             print("certificate ok")
             return EXIT_OK
-        if report.objective != objective:
-            report.failures.append(f"stated objective {objective} != "
+        if report.objective != claim.objective:
+            report.failures.append(f"stated objective {claim.objective} != "
                                    f"actual {report.objective}")
     for failure in report.failures:
         print(f"certificate failure: {failure}", file=sys.stderr)

@@ -36,30 +36,19 @@ error; a comment may hold any text. Lines end at ``\\n``, ``\\r\\n`` or
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .errors import FormatError, UnsupportedFeatureError
 from .graph_core import MultiGraph
-from .instance_pipeline import RawInstance
+from .instance_pipeline import RawInstance, SolveResult
 
 __all__ = [
     "parse_instance",
     "format_instance",
-    "Solution",
     "parse_solution",
     "format_solution",
     "format_infeasible",
 ]
-
-
-class Solution(NamedTuple):
-    """A parsed solution file: an optimum, with ``cut`` None, or an
-    infeasibility cut, with the other three None."""
-
-    objective: int | None
-    flow: list[int] | None
-    potentials: dict[int, int] | None
-    cut: list[int] | None
 
 
 def _records(text: str) -> Iterator[tuple[int, list[str]]]:
@@ -185,9 +174,10 @@ def format_infeasible(cut: list[int]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_solution(text: str, inst: RawInstance) -> Solution:
-    """Read a solution against its instance; flow lines are matched to
-    arcs in order of appearance."""
+def parse_solution(text: str, inst: RawInstance) -> SolveResult:
+    """Read a solution against its instance into a ``SolveResult`` with
+    empty ``components``; flow lines are matched to arcs in order of
+    appearance."""
     objective = None
     infeasible = False
     flow: list[int] = []
@@ -241,7 +231,7 @@ def parse_solution(text: str, inst: RawInstance) -> Solution:
     if infeasible:
         if flow or potentials:
             raise FormatError("an infeasible solution has no 'f' or 'y' lines")
-        return Solution(None, None, None, list(cut))
+        return SolveResult("infeasible", None, None, None, cut=list(cut))
     if objective is None:
         raise FormatError("missing objective line")
     if cut:
@@ -251,4 +241,4 @@ def parse_solution(text: str, inst: RawInstance) -> Solution:
     missing = [v for v in inst.graph.nodes if v not in potentials]
     if missing:
         raise FormatError(f"missing potentials for nodes {missing}")
-    return Solution(objective, flow, potentials, None)
+    return SolveResult("optimal", flow, potentials, objective)

@@ -1,11 +1,18 @@
 """Exact integer arithmetic primitives and the magnitude monitor.
 
 Every number in this package is a plain Python ``int``; there is no
-floating-point fallback anywhere. The helpers here pin down the
-rounding conventions the solver depends on (round-to-nearest with ties
-toward +infinity, ceiling division) and provide a monitor that tracks
-the largest absolute value stored by a solve so the advertised magnitude
-bound can be checked rather than assumed.
+floating-point fallback anywhere. The helpers here state the rounding
+conventions the solver depends on (round-to-nearest with ties toward
++infinity, ceiling division), and a monitor tracks the largest absolute
+value stored by a solve so the advertised magnitude bound can be checked
+rather than assumed.
+
+``round_nearest`` has no caller in the package: ``centering`` writes
+its form ``(2p + q) // (2q)`` inline in ``_aim``, ``_predict`` and
+``sample_update``, and ``CenteringRun.__post_init__`` and
+``TreeForest.reweight`` write ceiling division inline as
+``-(-p // q)``. ``round_nearest`` is the tests' reference for those
+inline forms; ``ceil_div`` serves the auxiliary build.
 """
 
 from __future__ import annotations

@@ -1,5 +1,7 @@
-"""Instance ingestion, scaling, the uncapacitated auxiliary instance, and
-the constructed initial interior point.
+"""Instance ingestion, scaling, the uncapacitated auxiliary instance,
+the constructed initial interior point, and the answer record
+``SolveResult`` that ``solve``, ``ssp_solve`` and ``parse_solution``
+return.
 
 The pipeline takes a capacitated instance through five stages:
 
@@ -35,6 +37,7 @@ from .graph_core import (MultiGraph, apply_incidence, bfs_forest,
 
 __all__ = [
     "RawInstance",
+    "SolveResult",
     "ScalingCertificate",
     "AuxiliaryInstance",
     "InitialPoint",
@@ -51,7 +54,8 @@ class RawInstance:
     """A capacitated min-cost flow instance.
 
     Demands follow the inflow-minus-outflow convention: b_v < 0 means
-    node v must ship out a net of |b_v| units. Capacities must be
+    node v must ship out a net of |b_v| units. Node ids, demands,
+    capacities and costs must be ints (bools refused), capacities must be
     strictly positive and demands must sum to zero.
     """
 
@@ -61,6 +65,12 @@ class RawInstance:
     c: list[int]
 
     def validate(self) -> None:
+        for name, values in (("node ids", self.graph.nodes),
+                             ("b", self.b.values()), ("u", self.u),
+                             ("c", self.c)):
+            for value in values:
+                if not isinstance(value, int) or isinstance(value, bool):
+                    raise ValueError(f"{name} holds {value!r}, not an int")
         if set(self.b) != set(self.graph.nodes):
             raise ValueError("demand vector does not match node set")
         if sum(self.b.values()) != 0:
@@ -69,6 +79,24 @@ class RawInstance:
             raise ValueError("capacity/cost vectors do not match arc count")
         if any(cap <= 0 for cap in self.u):
             raise ValueError("capacities must be positive")
+
+
+@dataclass
+class SolveResult:
+    """An answer to a RawInstance: an optimum with its potentials, or a
+    Gale cut, a node set whose demand exceeds the capacity entering it.
+
+    ``solve``, ``ssp_solve`` and ``parse_solution`` all return one.
+    ``components`` holds ``solve``'s per-component stats; it is empty
+    for the oracle's answer and for a parsed solution file.
+    """
+
+    status: str  # "optimal" | "infeasible"
+    flow: list[int] | None
+    potentials: dict[int, int] | None
+    objective: int | None
+    components: list[dict] = field(default_factory=list)
+    cut: list[int] | None = None  # sorted Gale cut when infeasible
 
 
 def normalize_costs(inst: RawInstance) -> tuple[RawInstance, list[int]]:

@@ -18,10 +18,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .graph_core import MultiGraph
-from .instance_pipeline import RawInstance
+from .instance_pipeline import RawInstance, SolveResult
 
 __all__ = [
-    "OracleSolution",
     "CertificateReport",
     "ssp_solve",
     "verify_certificate",
@@ -31,15 +30,6 @@ __all__ = [
 ]
 
 _INF = float("inf")
-
-
-@dataclass
-class OracleSolution:
-    status: str  # "optimal" | "infeasible"
-    flow: list[int] | None
-    objective: int | None
-    potentials: dict[int, int] | None
-    cut: list[int] | None = None  # sorted Gale cut when infeasible
 
 
 @dataclass
@@ -98,7 +88,7 @@ def _bellman_ford(nodes, res, source):
     return dist, pred
 
 
-def ssp_solve(inst: RawInstance) -> OracleSolution:
+def ssp_solve(inst: RawInstance) -> SolveResult:
     """Successive shortest paths from scratch, all integer arithmetic.
 
     Negative arc costs are handled by pre-saturating those arcs (flow
@@ -128,7 +118,7 @@ def ssp_solve(inst: RawInstance) -> OracleSolution:
         dist, pred = _bellman_ford(nodes, res, "s")
         if dist["t"] is _INF:
             cut = sorted(v for v in inst.graph.nodes if dist[v] is _INF)
-            return OracleSolution("infeasible", None, None, None, cut)
+            return SolveResult("infeasible", None, None, None, cut=cut)
         # walk the path backwards, find the bottleneck, then push
         path = []
         v = "t"
@@ -150,7 +140,7 @@ def ssp_solve(inst: RawInstance) -> OracleSolution:
 
     potentials = _final_potentials(inst, flow)
     objective = sum(f * cost for f, cost in zip(flow, inst.c))
-    return OracleSolution("optimal", flow, objective, potentials)
+    return SolveResult("optimal", flow, potentials, objective)
 
 
 def _final_potentials(inst: RawInstance, flow: list[int]) -> dict[int, int]:

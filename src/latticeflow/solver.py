@@ -26,7 +26,7 @@ limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
 from typing import Callable
 
@@ -36,6 +36,7 @@ from .exact_arith import BoundMonitor
 from .graph_core import MultiGraph, component_roots, max_flow
 from .instance_pipeline import (
     RawInstance,
+    SolveResult,
     build_auxiliary,
     compute_scaling,
     downscale,
@@ -51,16 +52,6 @@ __all__ = ["SolveConfig", "SolveResult", "solve"]
 @dataclass(frozen=True)
 class SolveConfig:
     seed: int = 0
-
-
-@dataclass
-class SolveResult:
-    status: str  # "optimal" | "infeasible"
-    flow: list[int] | None
-    potentials: dict[int, int] | None
-    objective: int | None
-    components: list[dict] = field(default_factory=list)
-    cut: list[int] | None = None  # sorted Gale cut when infeasible
 
 
 def _gale_cut(inst: RawInstance) -> list[int] | None:

@@ -15,7 +15,7 @@ from latticeflow.errors import InvariantError
 from latticeflow.graph_core import MultiGraph, minor_arcs
 from latticeflow.instance_pipeline import AuxiliaryInstance, RawInstance
 from latticeflow.ipm_driver import run_interior_point
-from latticeflow.reference_oracle import OracleSolution, ssp_solve
+from latticeflow.reference_oracle import ssp_solve
 
 
 # a triangle whose optimum sends both units along the path 1 -> 2 -> 3
@@ -48,7 +48,7 @@ def _drop_arc(inst: RawInstance, a: int) -> RawInstance:
     return RawInstance(MultiGraph(inst.graph.nodes, arcs), dict(inst.b), u, c)
 
 
-def has_unique_support(inst: RawInstance, sol: OracleSolution) -> bool:
+def has_unique_support(inst: RawInstance, sol: solver.SolveResult) -> bool:
     """True when every optimal flow has the same support as sol.flow.
 
     For each arc in the support, re-solve with the arc removed; for each

@@ -30,6 +30,7 @@ from latticeflow.centering import CenteringRun
 from latticeflow.crossover import (build_perturbed, crossover,
                                    nested_cut_crossover)
 from latticeflow.dimacs import format_infeasible, format_solution
+from latticeflow.errors import InvariantError
 from latticeflow.exact_arith import BoundMonitor
 from latticeflow.graph_core import apply_incidence
 from latticeflow.reference_oracle import (random_instance, ssp_solve,
@@ -140,12 +141,16 @@ def _check_crossover(seed, cert, aux, res, data):
     if not (9 * db <= 14 * cert.beta and 9 * dc <= 7 * cert.gamma):
         data["perturb_violations"].append(seed)
     log = []
-    nested_cut_crossover(aux, pert, objective_log=log)
     data["crossover_runs"] += 1
+    try:
+        nested_cut_crossover(aux, pert, objective_log=log)
+        # the whole rounding, rerun, must reproduce the answer it certified
+        reproduced = crossover(aux, cert, res) == res.rounded
+    except InvariantError:
+        # a rerun that raises fails this criterion, not the deep checks
+        reproduced = False
     data["crossover_steps"] += len(log) - 1
-    # the whole rounding, rerun, must reproduce the answer it certified
-    if (any(a > b for a, b in zip(log, log[1:]))
-            or crossover(aux, cert, res) != res.rounded):
+    if not reproduced or any(a > b for a, b in zip(log, log[1:])):
         data["crossover_violations"].append(seed)
 
 
@@ -211,9 +216,9 @@ def _check_component(seed, run, oracle, unique, comp, lifts, data):
             data["lift_violations"].append((seed, lift["iteration"]))
     bound = 16 * math.sqrt(cert.m) * math.log(point.mu0) + cert.m
     data["iteration_counts"].append((seed, res.iterations, bound))
-    _check_crossover(seed, cert, aux, res, data)
     if unique:
         _check_minors(seed, run, oracle, comp, data)
+    _check_crossover(seed, cert, aux, res, data)
 
 
 def _determinism_check(seed, inst, data):

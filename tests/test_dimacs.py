@@ -1,5 +1,7 @@
 """DIMACS min-cost-flow text format: parsing, formatting, round trips."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +11,11 @@ from latticeflow.dimacs import (format_infeasible, format_instance,
                                 parse_solution)
 from latticeflow.errors import FormatError, UnsupportedFeatureError
 from latticeflow.graph_core import MultiGraph
-from latticeflow.instance_pipeline import RawInstance
+from latticeflow.instance_pipeline import RawInstance, SolveResult
+from latticeflow.reference_oracle import ssp_solve
+from latticeflow.solver import solve
+
+from helpers import E1
 
 TRIANGLE = """\
 c tiny example
@@ -113,23 +119,41 @@ def test_malformed_inputs(text):
         parse_instance(text)
 
 
+# node 2 demands 5 units and only 4 can enter it
+UNMET = RawInstance(MultiGraph([1, 2, 3], [(1, 2), (3, 2)]),
+                    {1: -4, 2: 5, 3: -1}, [3, 1], [1, 2])
+
+
+def _answer_text(inst: RawInstance, result: SolveResult) -> str:
+    if result.status == "infeasible":
+        return format_infeasible(result.cut)
+    return format_solution(inst, result.objective, result.flow,
+                           result.potentials)
+
+
 def test_solution_roundtrip():
     inst = parse_instance(TRIANGLE)
     text = format_solution(inst, 4, [2, 2, 0], {1: 0, 2: 1, 3: 2})
-    obj, flow, pot, cut = parse_solution(text, inst)
-    assert obj == 4
-    assert flow == [2, 2, 0]
-    assert pot == {1: 0, 2: 1, 3: 2}
-    assert cut is None
+    assert parse_solution(text, inst) == SolveResult(
+        "optimal", [2, 2, 0], {1: 0, 2: 1, 3: 2}, 4)
+    # an answer reads back as the same record, less solve's stats
+    for result in (solve(E1), ssp_solve(E1)):
+        assert parse_solution(_answer_text(E1, result), E1) == (
+            dataclasses.replace(result, components=[]))
 
 
 def test_infeasible_solution_roundtrip():
     inst = parse_instance(TRIANGLE)
     text = format_infeasible([3, 1])
     assert text == "s infeasible\nx 3\nx 1\n"
-    assert parse_solution(text, inst) == (None, None, None, [3, 1])
+    assert parse_solution(text, inst) == SolveResult(
+        "infeasible", None, None, None, cut=[3, 1])
     # a cut may be empty in the file; the certificate check rejects it
     assert parse_solution("s infeasible\n", inst).cut == []
+    for result in (solve(UNMET), ssp_solve(UNMET)):
+        assert result.status == "infeasible"
+        assert parse_solution(_answer_text(UNMET, result), UNMET) == (
+            dataclasses.replace(result, components=[]))
 
 
 @pytest.mark.parametrize("text,message", [
@@ -181,8 +205,8 @@ TWO_NODES = "p min 2 1\nn 1 1\nn 2 -1\na 1 2 0 2 3\n"
 def test_parse_solution_rejects_bad_potential_lines(potentials, message):
     inst = parse_instance(TWO_NODES)
     # without the bad line this is the optimum: 1 unit at cost 3
-    assert parse_solution("s 3\nf 1 2 1\ny 1 0\ny 2 3\n", inst)[2] == {
-        1: 0, 2: 3}
+    assert parse_solution("s 3\nf 1 2 1\ny 1 0\ny 2 3\n",
+                          inst).potentials == {1: 0, 2: 3}
     with pytest.raises(FormatError, match=message):
         parse_solution("s 3\nf 1 2 1\n" + potentials, inst)
 
@@ -204,7 +228,7 @@ def test_parsers_take_signs_leading_zeros_and_any_comment():
         "c caf\u00e9 \uff12\np min 2 1\nn 1 +1\nn 2 -1\na 1 2 0 07 +3\n")
     assert (inst.b, inst.u, inst.c) == ({1: -1, 2: 1}, [7], [3])
     sol = parse_solution("c \u0661\ns +3\nf 1 2 01\ny 1 0\ny 2 +3\n", inst)
-    assert sol == (3, [1], {1: 0, 2: 3}, None)
+    assert sol == SolveResult("optimal", [1], {1: 0, 2: 3}, 3)
 
 
 # str.splitlines() also breaks lines at these; the parsers break them

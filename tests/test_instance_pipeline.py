@@ -234,3 +234,17 @@ def test_validate_rejects_bad_instances():
         RawInstance(g, {1: 0, 2: 0}, [0], [1]).validate()
     with pytest.raises(ValueError):
         RawInstance(g, {1: 0}, [1], [1]).validate()
+    # every node id and value is an int and not a bool, and the error
+    # names the field
+    for inst, name in [
+        (RawInstance(MultiGraph([1, 2.0], [(1, 2.0)]), {1: -1, 2.0: 1},
+                     [1], [1]), "node ids"),
+        (RawInstance(MultiGraph([True, 2], [(True, 2)]), {True: -1, 2: 1},
+                     [1], [1]), "node ids"),
+        (RawInstance(g, {1: -1.0, 2: 1.0}, [1], [1]), "b"),
+        (RawInstance(g, {1: -1, 2: 1}, [True], [1]), "u"),
+        (RawInstance(g, {1: -1, 2: 1}, [1], [1.5]), "c"),
+        (RawInstance(g, {1: -1, 2: 1}, [1], ["1"]), "c"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{name} holds .*, not an int$"):
+            inst.validate()

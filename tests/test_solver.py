@@ -20,7 +20,7 @@ from latticeflow.reference_oracle import (brute_force_optimum,
                                           verify_certificate, verify_cut)
 from latticeflow.solver import SolveConfig, _split_components, solve
 
-from helpers import solve_to_the_proxy_exit, suite_params
+from helpers import E1, solve_to_the_proxy_exit, suite_params
 
 
 def _check_optimal(inst, result):
@@ -284,6 +284,13 @@ def test_validation_errors_surface():
     inst = RawInstance(MultiGraph([1, 2], [(1, 2)]), {1: -1, 2: 2}, [1], [1])
     with pytest.raises(ValueError):
         solve(inst)
+    # a non-integer value fails before any max-flow runs, naming its
+    # field; a bool capacity is not read as 1
+    for u, c, message in [([2, 2, 1], [1, 1.5, 3], "c holds 1.5"),
+                          ([2, 2, 1], [1, "1", 3], "c holds '1'"),
+                          ([2, True, 1], [1, 1, 3], "u holds True")]:
+        with pytest.raises(ValueError, match=f"^{message}, not an int$"):
+            solve(RawInstance(E1.graph, E1.b, u, c))
 
 
 @pytest.mark.parametrize("seed", range(12))
