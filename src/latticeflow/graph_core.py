@@ -24,8 +24,10 @@ tree potentials, split an instance into its weakly-connected components
 and find :func:`bridges`: the arcs of a minor whose removal splits its
 component, with the weight of the side each one cuts off.
 
-:func:`max_flow` is Dinic's exact transshipment over any hashable nodes:
-it meets a demand vector from a super source and into a super sink. It
+:func:`max_flow` is the exact transshipment over any hashable nodes: it
+meets a demand vector from a super source and into a super sink, in
+Dinic's phases, each steered by one search for distances to the sink;
+the last search gives the smallest sink side of a minimum cut. It
 routes the crossover's admissible flow and decides, before any interior
 point work, whether an instance is feasible at all.
 
@@ -364,17 +366,28 @@ def forest_roots(order: Sequence[Hashable],
 def max_flow(nodes: Iterable[Hashable],
              arcs: Sequence[tuple[Hashable, Hashable, int]],
              demand: Mapping[Hashable, int]) -> tuple[int, list[int], set]:
-    """Exact transshipment by Dinic's level graphs and blocking flows.
+    """Exact transshipment by Dinic's phases, each steered by distances
+    to the sink.
 
     ``arcs`` are (tail, head, capacity) with nonnegative integer
     capacities of any size; ``demand`` maps a node to the net inflow it
     needs, as :func:`apply_incidence` reads it. A super source feeds
     each node of negative demand and each node of positive demand
     drains into a super sink; these arcs are wired ahead of ``arcs``, in
-    ``demand`` order, which fixes the flow that comes back. Returns the
-    positive demand that a maximum flow leaves unmet, the flow on
-    each input arc, and the nodes that can still reach the super sink in
-    the final residual graph: the smallest sink side of a minimum cut.
+    ``demand`` order, and each node reads its edges in wiring order.
+
+    Each phase measures every node's distance to the super sink with
+    one breadth-first search over the residual edges, walked backward,
+    and pushes a blocking flow depth first along edges one step nearer
+    the sink. So every augmentation follows the lexicographically first
+    remaining shortest path, edges compared by their place in their
+    tail's list, and pushes its bottleneck: the flow that comes back is
+    the one Edmonds and Karp's method gives, searching breadth first
+    with a FIFO queue and reading each node's edges in wiring order.
+    Returns the positive demand that a maximum flow leaves unmet, the
+    flow on each input arc, and the nodes that the last search reached,
+    less the sink: those that can still reach the super sink in the
+    final residual graph, the smallest sink side of a minimum cut.
     The number of phases and augmentations depends only on the node and
     arc counts, not on the capacities.
     """
@@ -395,64 +408,47 @@ def max_flow(nodes: Iterable[Hashable],
 
     total = 0
     while True:
-        level = {source: 0}
-        queue = [source]
-        qi = 0
-        while qi < len(queue):
-            v = queue[qi]
-            qi += 1
-            for ei in graph[v]:
-                to, cap = flat[ei]
-                if cap > 0 and to not in level:
-                    level[to] = level[v] + 1
-                    queue.append(to)
-        if sink not in level:
+        # edge j leads from v to u, so its reverse j ^ 1 leads from u to v
+        dist = {sink: 0}
+        queue = [sink]
+        for v in queue:
+            for j in graph[v]:
+                u = flat[j][0]
+                if flat[j ^ 1][1] > 0 and u not in dist:
+                    dist[u] = dist[v] + 1
+                    queue.append(u)
+        if source not in dist:
             break
-        it = dict.fromkeys(graph, 0)
-
-        def augment():
-            """Push flow along the next source-sink path of the level
-            graph, found depth-first with an explicit stack; ``it[v]``
-            skips each edge that led to a dead end. Returns the amount
-            pushed, 0 when no path is left."""
-            path: list[int] = []  # edge indices from the source
-            v = source
-            while v != sink:
-                edges = graph[v]
-                while it[v] < len(edges):
-                    ei = edges[it[v]]
-                    to, cap = flat[ei]
-                    if cap > 0 and level.get(to, -1) == level[v] + 1:
-                        path.append(ei)
-                        v = to
-                        break
-                    it[v] += 1
-                else:
-                    if not path:
-                        return 0
-                    v = flat[path.pop() ^ 1][0]  # back to the edge's tail
-                    it[v] += 1
-            pushed = min(flat[ei][1] for ei in path)
-            for ei in reversed(path):
-                flat[ei][1] -= pushed
-                flat[ei ^ 1][1] += pushed
-            return pushed
-
+        # each augmenting path is found depth first from the source;
+        # it[v] skips each edge of v that is saturated or led to a dead end
+        it = dict.fromkeys(dist, 0)
+        path: list[int] = []  # edge indices from the source
+        v = source
         while True:
-            pushed = augment()
-            if not pushed:
-                break
-            total += pushed
+            edges = graph[v]
+            while it[v] < len(edges):
+                ei = edges[it[v]]
+                to, cap = flat[ei]
+                if cap > 0 and dist.get(to) == dist[v] - 1:
+                    break
+                it[v] += 1
+            else:
+                if not path:
+                    break  # the source is a dead end: the flow is blocking
+                v = flat[path.pop() ^ 1][0]  # back to the edge's tail
+                it[v] += 1
+                continue
+            path.append(ei)
+            v = to
+            if v is sink:
+                pushed = min(flat[ei][1] for ei in path)
+                for ei in path:
+                    flat[ei][1] -= pushed
+                    flat[ei ^ 1][1] += pushed
+                total += pushed
+                path.clear()
+                v = source
     # an input arc's flow is the residual of its reverse edge
     flows = [edge[1] for edge in flat[2 * len(wired) + 1::2]]
-    # edge j leads from v to u, so its reverse j ^ 1 leads from u to v
-    sink_side = {sink}
-    stack = [sink]
-    while stack:
-        for j in graph[stack.pop()]:
-            u = flat[j][0]
-            if flat[j ^ 1][1] > 0 and u not in sink_side:
-                sink_side.add(u)
-                stack.append(u)
-    sink_side.discard(sink)
-    return needed - total, flows, sink_side
+    del dist[sink]
+    return needed - total, flows, set(dist)

@@ -1,12 +1,15 @@
 """Checks that only the tests use, kept out of the shipped package:
-the small instance E1, bare auxiliary instances for unit tests, the
-acceptance suite's instance sizes, whether
-an oracle optimum's support is unique, the exact energy gap of a
-centering run, point edits for the guard tests, and a rounding, a
-component path and solves that run to the proxy exit."""
+the small instance E1 and its DIMACS text, the tokens of the DIMACS
+fuzz tests, bare auxiliary instances for unit tests, the acceptance
+suite's instance sizes, whether an oracle optimum's support is unique,
+the exact energy gap of a centering run, point edits for the guard
+tests, and a rounding, a component path and solves that run to the
+proxy exit."""
 
 from fractions import Fraction
 from random import Random
+
+from hypothesis import strategies as st
 
 from latticeflow import solver
 from latticeflow.centering import CenteringRun
@@ -21,6 +24,28 @@ from latticeflow.reference_oracle import ssp_solve
 # a triangle whose optimum sends both units along the path 1 -> 2 -> 3
 E1 = RawInstance(MultiGraph([1, 2, 3], [(1, 2), (2, 3), (1, 3)]),
                  {1: -2, 2: 0, 3: 2}, [2, 2, 1], [1, 1, 3])
+
+# E1 as DIMACS text
+TRIANGLE = """\
+c tiny example
+p min 3 3
+n 1 2
+n 3 -2
+a 1 2 0 2 1
+a 2 3 0 2 1
+a 1 3 0 1 3
+"""
+
+# one token of the DIMACS fuzz tests: record keywords, integers and
+# near-numbers. A 'p' line may declare up to 10^9 nodes: the parser
+# refuses a count its records cannot name before allocating any node
+DIMACS_TOKENS = st.one_of(
+    st.sampled_from(["p", "min", "n", "a", "s", "f", "y", "c"]),
+    st.integers(-3, 20).map(str),
+    st.integers(0, 10**9).map(str),
+    st.sampled_from(["x", "min0", "1.5", "-", "+4", "07", "0x1", "\t",
+                     "1_0", "\uff12", "\u0661", "\x0c", "\u2028"]),
+)
 
 
 def aux_instance(graph: MultiGraph, b: dict[int, int],

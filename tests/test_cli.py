@@ -8,16 +8,7 @@ from hypothesis import strategies as st
 
 from latticeflow.cli import main
 
-from helpers import round_at_the_proxy_exit
-
-TRIANGLE = """\
-p min 3 3
-n 1 2
-n 3 -2
-a 1 2 0 2 1
-a 2 3 0 2 1
-a 1 3 0 1 3
-"""
+from helpers import DIMACS_TOKENS, TRIANGLE, round_at_the_proxy_exit
 
 INFEASIBLE = """\
 p min 2 1
@@ -239,15 +230,9 @@ _SMALL = st.integers(-3, 9).map(str)
 # a 'p' line's node count may be huge: the parser refuses a count its
 # records cannot use before allocating any node
 _COUNT = st.one_of(_SMALL, st.integers(0, 10**9).map(str))
-_TOKENS = st.one_of(
-    st.sampled_from(["p", "min", "n", "a", "s", "f", "y", "c"]),
-    _SMALL,
-    st.sampled_from(["x", "1.5", "-", "+4", "07", "\t", "1_0", "\uff12",
-                     "\u0661", "\x0c", "\u2028"]),
-)
 # soup lines, plus lines with a real keyword
 _LINE = st.one_of(
-    st.lists(_TOKENS, max_size=7).map(" ".join),
+    st.lists(DIMACS_TOKENS, max_size=7).map(" ".join),
     st.tuples(st.sampled_from(["n", "a", "s", "f", "y"]),
               st.lists(_SMALL, min_size=1, max_size=5)).map(
         lambda line: " ".join([line[0], *line[1]])),

@@ -15,17 +15,7 @@ from latticeflow.instance_pipeline import RawInstance, SolveResult
 from latticeflow.reference_oracle import ssp_solve
 from latticeflow.solver import solve
 
-from helpers import E1
-
-TRIANGLE = """\
-c tiny example
-p min 3 3
-n 1 2
-n 3 -2
-a 1 2 0 2 1
-a 2 3 0 2 1
-a 1 3 0 1 3
-"""
+from helpers import DIMACS_TOKENS, E1, TRIANGLE
 
 
 def test_parse_triangle():
@@ -260,16 +250,7 @@ def test_parsers_read_universal_newlines(newline):
             == parse_solution(text, inst))
 
 
-# a 'p' line may declare up to 10^9 nodes: the parser refuses a count
-# its records cannot name before allocating any node
-_TOKENS = st.one_of(
-    st.sampled_from(["p", "min", "n", "a", "s", "f", "y", "c"]),
-    st.integers(-3, 20).map(str),
-    st.integers(0, 10**9).map(str),
-    st.sampled_from(["x", "min0", "1.5", "-", "+4", "07", "0x1", "\t",
-                     "1_0", "\uff12", "\u0661", "\x0c", "\u2028"]),
-)
-_TEXT = st.lists(st.lists(_TOKENS, max_size=7), max_size=10).map(
+_TEXT = st.lists(st.lists(DIMACS_TOKENS, max_size=7), max_size=10).map(
     lambda lines: "\n".join(" ".join(tokens) for tokens in lines))
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from collections import deque
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -580,3 +582,85 @@ def test_max_flow_cut_ignores_the_arc_order(case, data):
     shuffled = data.draw(st.permutations(arcs))
     again, _, side = max_flow(range(n), shuffled, dict(enumerate(b)))
     assert (again, side) == (unmet, sink_side)
+
+
+def _edmonds_karp(n, arcs, demand):
+    """Edmonds and Karp's max flow (J. ACM 19(2), 1972) on ``max_flow``'s
+    wiring: super arcs in ``demand`` order, then ``arcs``. Each round
+    searches breadth first from the super source with a FIFO queue,
+    reading each node's edges in wiring order, and pushes the found
+    path's bottleneck. Returns ``max_flow``'s (unmet, flows, sink_side)."""
+    source, sink = "source", "sink"
+    graph = {v: [] for v in (*range(n), source, sink)}
+    flat = []  # edge i is [to, residual cap]; its reverse is edge i ^ 1
+    wired = [(source, v, -d) if d < 0 else (v, sink, d)
+             for v, d in demand.items() if d]
+    for tail, head, cap in (*wired, *arcs):
+        graph[tail].append(len(flat))
+        flat.append([head, cap])
+        graph[head].append(len(flat))
+        flat.append([tail, 0])
+    total = 0
+    while True:
+        via = {source: None}  # the edge each reached node was reached by
+        queue = deque([source])
+        while queue:
+            v = queue.popleft()
+            for ei in graph[v]:
+                to, cap = flat[ei]
+                if cap > 0 and to not in via:
+                    via[to] = ei
+                    queue.append(to)
+        if sink not in via:
+            break
+        path, v = [], sink
+        while via[v] is not None:
+            path.append(via[v])
+            v = flat[via[v] ^ 1][0]
+        pushed = min(flat[ei][1] for ei in path)
+        for ei in path:
+            flat[ei][1] -= pushed
+            flat[ei ^ 1][1] += pushed
+        total += pushed
+    side = {sink}
+    grew = True
+    while grew:  # every tail of a residual edge into the side joins it
+        grew = False
+        for ei, (to, cap) in enumerate(flat):
+            tail = flat[ei ^ 1][0]
+            if cap > 0 and to in side and tail not in side:
+                side.add(tail)
+                grew = True
+    needed = sum(d for d in demand.values() if d > 0)
+    flows = [edge[1] for edge in flat[2 * len(wired) + 1::2]]
+    return needed - total, flows, side - {sink}
+
+
+_HUGE = st.integers(0, 2**600)
+
+
+@st.composite
+def _wide_transshipments(draw):
+    """A ``transshipments`` draw with parallel copies of some arcs, in a
+    drawn order, and some capacities and demands up to 2^600."""
+    n, arcs, b = draw(transshipments)
+    if arcs:
+        arcs = draw(st.permutations(
+            arcs + draw(st.lists(st.sampled_from(arcs), max_size=6))))
+    arcs = [(t, h, draw(st.one_of(st.just(cap), _HUGE)))
+            for t, h, cap in arcs]
+    b = [draw(st.one_of(st.just(d), _HUGE, _HUGE.map(lambda x: -x)))
+         for d in b]
+    return n, arcs, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(_wide_transshipments())
+def test_max_flow_returns_the_edmonds_karp_flow(case):
+    """Which maximum flow comes back is pinned: the one Edmonds and
+    Karp's method gives on the same wiring, reading each node's edges in
+    wiring order, with the same unmet demand and smallest sink side."""
+    n, arcs, b = case
+    demand = dict(enumerate(b))
+    assert max_flow(range(n), arcs, demand) == _edmonds_karp(n, arcs,
+                                                              demand)

@@ -1,0 +1,57 @@
+"""Static checks on the shipped package's imports."""
+
+import ast
+import sys
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "latticeflow"
+
+
+def _modules():
+    for path in sorted(PACKAGE.glob("*.py")):
+        yield path, ast.parse(path.read_text(), str(path))
+
+
+def test_package_imports_only_the_standard_library():
+    """The top-level name of every absolute import is a standard-library
+    module, as sys.stdlib_module_names lists them (Python 3.10 on)."""
+    bad = []
+    for path, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                if top != "__future__" and top not in sys.stdlib_module_names:
+                    bad.append(f"{path.name}:{node.lineno}: imports {name}")
+    assert not bad
+
+
+def test_package_has_no_unused_imports():
+    """Every name a module imports is referenced in it or listed in its
+    ``__all__``; ``__init__.py`` re-exports by design and is not checked."""
+    bad = []
+    for path, tree in _modules():
+        if path.name == "__init__.py":
+            continue
+        imported, used = {}, set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                    isinstance(node, ast.ImportFrom)
+                    and node.module != "__future__"):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets):
+                used.update(ast.literal_eval(node.value))
+        bad += [f"{path.name}:{line}: imports {name}, never used"
+                for name, line in imported.items() if name not in used]
+    assert not bad
