@@ -9,8 +9,12 @@ flow deviation phi is shifted by the rounded electrically-optimal amount
 around that cycle. Node voltages are folded into the duals at periodic
 refreshes, and the loop exits as soon as the refreshed point satisfies
 the exact centrality test 8 * sum |x_a s_a - mu| < mu. A run may first
-try a smaller target for a short budget of updates, and falls back to
-mu when that test does not pass there.
+try a smaller target for a short budget of updates. One linearization
+leaves a second-order error that more updates cannot remove, so a trial
+that stalls at an interior point is corrected: the minor is read again
+as a network at that point and centered once more at the trial target,
+for the same budget (a predictor-corrector step). When neither passes,
+the run falls back to mu.
 
 Every quantity is an integer.
 """
@@ -62,9 +66,18 @@ class CenteringRun:
     The trial gets 4 m_h cycle updates, with a refresh after each batch
     of m_h. It is accepted at the first refresh that passes the exit
     test at ``trial_mu`` with every ``x_cur`` and ``s_cur`` positive.
-    Otherwise the run resets ``base`` and ``phi`` to ``mu`` and centers
-    there as if no trial had been made; the forest is kept, since the
-    resistances do not depend on the target.
+    When it is not, and its last point is interior and the forest has
+    off-tree arcs, the corrector takes that point as a new
+    linearization: resistances ceil(s_cur / x_cur) on the forest
+    reweighted, or on a fresh one when it refuses, base = round(trial_mu
+    / s_cur) and phi = x_cur - base, then the same 4 m_h updates and
+    refreshes at ``trial_mu``. Its voltages add to ``pi_start``, the
+    trial's last ``pi``, so ``pi`` stays the sum of both linearizations'
+    voltages and s_cur = s - A^T pi still holds against the entry
+    slacks. A corrector that passes ends the run at ``trial_mu`` and
+    sets ``corrected``. Otherwise the run restores the forest for the
+    entry resistances, resets ``base`` and ``phi`` to ``mu`` from
+    ``x`` and centers there as if no trial had been made.
     ``secant``, optional and read only with a trial, is (d, num, den):
     d maps each arc to a circulation of the minor, the change of the
     path's flow over the previous step, and num / den scales it to the
@@ -79,18 +92,19 @@ class CenteringRun:
     over the same arcs: it is reweighted to the new resistances and
     kept when it is still their Prim forest, and otherwise a fresh
     forest is built, so the run is the same either way.
-    Every stored value, the trial's included, is recorded in
-    ``monitor``; of the cycle table's running sums, the total bounds the
-    rest and is the one recorded. ``mu0_bits``, at least 1, feeds the
-    stall ceiling, which scales with the bit length of the initial path
-    parameter.
+    Every stored value, the trial's and the corrector's included, the
+    summed ``pi`` among them, is recorded in ``monitor``; of the cycle
+    table's running sums, the total bounds the rest and is the one
+    recorded. ``mu0_bits``, at least 1, feeds the stall ceiling, which
+    scales with the bit length of the initial path parameter.
 
     The stall ceiling is max(1, 64 m_h ceil(tau) mu0_bits), where tau is
     the forest's total stretch. Since ceil(tau) >= 1 it is never below
     the floor max(1, 64 m_h mu0_bits), so the loop checks the floor and
     computes the exact ceiling only when updates reach it, or when
     ``stall_limit`` is read. Both count only the updates made at
-    ``mu``, after a failed trial; the trial's budget is below the floor.
+    ``mu``, after a failed trial; the trial's and the corrector's
+    budgets, 8 m_h together, are below the floor.
     """
 
     arcs: list[tuple[int, object, object]]
@@ -108,17 +122,31 @@ class CenteringRun:
     base: dict[int, int] = field(init=False)
     phi: dict[int, int] = field(init=False)
     pi: dict = field(init=False, default_factory=dict)
+    pi_start: dict | None = field(init=False, default=None)
     s_cur: dict[int, int] = field(init=False, default_factory=dict)
     x_cur: dict[int, int] = field(init=False, default_factory=dict)
     updates: int = field(init=False, default=0)
     refreshes: int = field(init=False, default=0)
+    corrected: bool = field(init=False, default=False)
 
     def __post_init__(self) -> None:
         if self.mu <= 0 or (self.trial_mu is not None and self.trial_mu <= 0):
             raise ValueError("target mu must be positive")
         if self.mu0_bits < 1:
             raise ValueError("mu0_bits must be positive")
-        x, s = self.x, self.s
+        if self.trial_mu is None:
+            self._linearize(self.x, self.s, self.mu)
+        else:
+            self._linearize(self.x, self.s, self.trial_mu)
+            if self.secant is not None:
+                self._predict(*self.secant)
+
+    def _linearize(self, x, s, target: int) -> None:
+        """Read the minor as a network at the point (x, s): resistances
+        r_a = ceil(s_a / x_a), kept by reweighting the forest when it is
+        still their Prim forest and else by a fresh one, then ``_aim``
+        at ``target`` from (x, s). Records r, base, phi, the cycle
+        table's total weight and every r(C_a)."""
         r = {}
         for aid, _, _ in self.arcs:
             xa, sa = x[aid], s[aid]
@@ -128,22 +156,16 @@ class CenteringRun:
         if self.forest is None or not self.forest.reweight(r):
             self.forest = TreeForest(self.arcs, r)
         self.monitor.record_many(r.values())
-        if self.trial_mu is None:
-            self._aim(self.mu)
-        else:
-            self._aim(self.trial_mu)
-            if self.secant is not None:
-                self._predict(*self.secant)
+        self._aim(target, x, s)
         self.monitor.record_many(self.forest.prefix[-1:])
         self.monitor.record_many(
             [cycle_r for _, _, cycle_r in self.forest.cycles])
 
-    def _aim(self, target: int) -> None:
+    def _aim(self, target: int, x, s) -> None:
         """Set the target and the tree flow deviation phi = x - base,
         where base_a = round(target / s_a) is the centered flow, rounded
         to nearest with ties up as ``round_nearest`` does."""
         self.target = target
-        x, s = self.x, self.s
         base = {}
         phi = {}
         twice = 2 * target
@@ -181,12 +203,17 @@ class CenteringRun:
     def refresh(self) -> bool:
         """Fold tree voltages into the duals and test the exit criterion.
 
-        Recomputes pi from the current phi, rebuilds s' = s - A^T pi and
+        Recomputes pi as the current phi's tree voltages, plus
+        ``pi_start`` in the corrector, rebuilds s' = s - A^T pi and
         x' = base + phi, records pi, s' and x' in the monitor in that
         order, and returns True when 8 sum |x' s' - target| < target.
         """
         self.refreshes += 1
         pi = self.pi = self.forest.voltages(self.phi)
+        if self.pi_start is not None:
+            pi_start = self.pi_start
+            for v in pi:
+                pi[v] += pi_start[v]
         s, base, phi = self.s, self.base, self.phi
         s_cur, x_cur = self.s_cur, self.x_cur
         target = self.target
@@ -246,11 +273,11 @@ class CenteringRun:
     # -- the loop ------------------------------------------------------
 
     def run(self) -> None:
-        """Try ``trial_mu``, if given, for 4 m_h updates; then alternate
-        refreshes and batches of one random cycle update per minor arc
-        until the exit test passes at ``mu``. Either way the recentered
-        point is left in ``x_cur``, ``s_cur`` and ``pi`` and its target
-        in ``mu``; raise after the stall ceiling.
+        """Try ``trial_mu``, if given, and correct a stalled trial; then
+        alternate refreshes and batches of one random cycle update per
+        minor arc until the exit test passes at ``mu``. Either way the
+        recentered point is left in ``x_cur``, ``s_cur`` and ``pi`` and
+        its target in ``mu``; raise after the stall ceiling.
 
         The stall count is tested once per batch, before it. No refresh
         comes inside a batch, so a batch that would reach the floor
@@ -261,17 +288,25 @@ class CenteringRun:
         size = len(batch)
         sample = self.sample_update
         if self.trial_mu is not None:
-            budget = 4 * size
-            while True:
-                if (self.refresh() and all(v > 0 for v in self.x_cur.values())
-                        and all(v > 0 for v in self.s_cur.values())):
+            if self._center_at_trial(batch):
+                self.mu = self.trial_mu
+                return
+            forest = self.forest
+            if forest.off_tree and self._interior():
+                r = forest.r
+                self.pi_start = self.pi
+                self._linearize(self.x_cur, self.s_cur, self.trial_mu)
+                if self._center_at_trial(batch):
                     self.mu = self.trial_mu
+                    self.corrected = True
                     return
-                if self.updates >= budget or not self.forest.off_tree:
-                    break
-                for _ in batch:
-                    sample()
-            self._aim(self.mu)
+                self.pi_start = None
+                # a forest the corrector reweighted keeps its tree, which
+                # is still the Prim forest for r, so this reweight holds
+                if forest.r is not r:
+                    forest.reweight(r)
+                self.forest = forest
+            self._aim(self.mu, self.x, self.s)
         start = self.updates
         ceiling = max(1, 64 * len(self.arcs) * self.mu0_bits)  # the floor
         while True:
@@ -290,5 +325,24 @@ class CenteringRun:
                     raise CenteringStallError(
                         f"no centered point after {ceiling} cycle "
                         f"updates (ceiling {ceiling})")
+            for _ in batch:
+                sample()
+
+    def _interior(self) -> bool:
+        """Whether every ``x_cur`` and ``s_cur`` is positive."""
+        return (all(v > 0 for v in self.x_cur.values())
+                and all(v > 0 for v in self.s_cur.values()))
+
+    def _center_at_trial(self, batch: range) -> bool:
+        """Refresh, and again after each batch of updates, until a
+        refresh passes the exit test at ``trial_mu`` at an interior
+        point (True) or 4 m_h updates are spent (False)."""
+        budget = self.updates + 4 * len(batch)
+        sample = self.sample_update
+        while True:
+            if self.refresh() and self._interior():
+                return True
+            if self.updates >= budget or not self.forest.off_tree:
+                return False
             for _ in batch:
                 sample()

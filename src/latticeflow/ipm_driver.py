@@ -33,10 +33,13 @@ Starting from the constructed interior point at mu0, each iteration:
 3. otherwise lowers mu and recenters the minor with random integer
    cycle updates. The proven short step cuts mu by mu / (8 sqrt m).
    One centering run first tries k times that cut, k in {2, 4, 8}, with
-   a budget of 4 m_h updates, and falls back to the short step when the
-   exact exit test at the trial target does not pass (the adaptive step
-   of Mizuno, Todd and Ye, Math. Oper. Res. 18(4), 1993). k doubles
-   after an accepted trial, up to 8, and halves after a rejected one.
+   a budget of 4 m_h updates. A trial that stalls at an interior point
+   is corrected: the run linearizes again at that point and centers at
+   the trial target for another 4 m_h updates. It falls back to the
+   short step when the exact exit test at the trial target passes in
+   neither (the adaptive step of Mizuno, Todd and Ye, Math. Oper. Res.
+   18(4), 1993). k doubles after an accepted trial, a corrected one
+   included, up to 8, and halves after a rejected one.
    At k = 1, as in the first iteration, and whenever the trial target
    would fall below 1, the run takes the short step alone, and k is 2
    again after it.
@@ -47,8 +50,9 @@ Starting from the constructed interior point at mu0, each iteration:
    path's secant. The change of the minor arcs' flow over the previous
    centering is a circulation of the minor; scaled by the ratio of the
    trial's decrement to the previous one, it predicts the trial's
-   point (the predictor half of Mizuno, Todd and Ye). The short-step
-   fallback starts from the driver's point as before;
+   point (the predictor of Mizuno, Todd and Ye; the corrector above is
+   its other half). The short-step fallback starts from the driver's
+   point as before;
 4. lifts the recentered point back to the full auxiliary instance:
    minor arcs take their new flows, every node's dual moves by its
    class voltage, and flow imbalances inside each contracted class are
@@ -95,6 +99,7 @@ class IPMResult:
     updates: int
     refreshes: int
     rounding_tries: int = 0
+    corrected: int = 0  # trials accepted through the corrector
     # the certified (x_star, y_t, s_t) of the try that ended the path;
     # None only while the rounding is looking at this result
     rounded: tuple[list[int], dict[int, int], list[int]] | None = None
@@ -158,7 +163,7 @@ def run_interior_point(
     previous = None  # mu and the minor's x at the last centering's start
     ceiling = outer_ceiling(m, point.mu0)
     mu0_bits = point.mu0.bit_length()
-    iterations = updates = refreshes = tries = 0
+    iterations = updates = refreshes = tries = corrected = 0
     k = 1  # the trial step in short steps; 1 is the short step alone
     exit_line = 4 * cert.beta * cert.gamma
     tried_gap = 0  # the proxy's bit gap at the last rounding try
@@ -209,7 +214,7 @@ def run_interior_point(
             tried_gap = gap
             tries += 1
             res = IPMResult(x, s, y, mu, cmap, iterations, updates,
-                            refreshes, tries)
+                            refreshes, tries, corrected)
             try:
                 res.rounded = rounding(aux, cert, res)
             except InvariantError:
@@ -252,6 +257,7 @@ def run_interior_point(
         forest = run.forest
         updates += run.updates
         refreshes += run.refreshes
+        corrected += run.corrected
         if probe is not None:
             probe("centering_exit", {
                 "iteration": iterations,

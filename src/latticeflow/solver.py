@@ -121,6 +121,7 @@ def _solve_component(inst: RawInstance, arc_ids: list[int], rng: Random,
         "iterations": res.iterations,
         "updates": res.updates,
         "refreshes": res.refreshes,
+        "corrected": res.corrected,
         "rounding_tries": res.rounding_tries,
         "deleted": len(res.cmap.deleted),
         "contracted": len(res.cmap.contracted),

@@ -11,10 +11,12 @@ import importlib.util
 import json
 from pathlib import Path
 
+from latticeflow import ipm_driver
+from latticeflow.centering import CenteringRun
 from latticeflow.reference_oracle import random_instance
 from latticeflow.solver import SolveConfig, solve
 
-from helpers import suite_params
+from helpers import solve_to_the_proxy_exit, suite_params
 
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("bench_tracing",
@@ -22,46 +24,56 @@ _spec = importlib.util.spec_from_file_location("bench_tracing",
 tracing = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(tracing)
 
-# (seed, random_instance parameters): the first reuses its spanning
-# forest across centerings, so the traced forest subclass runs the
-# inherited reweight path; the second has U = C = 10^12; acceptance-mix
-# draw 4 has trials that fall back to the short step (7 of its 15, as a
-# probe on centering_enter's trial_mu and centering_exit's mu shows)
-DRAWS = [(1, (16, 48, 10, 10)),
-         (3, (8, 16, 10**12, 10**12)),
-         (4, suite_params(4))]
+# (seed, random_instance parameters, runner): the first reuses its
+# spanning forest across centerings, so the traced forest subclass runs
+# the inherited reweight path; the second has U = C = 10^12, and its
+# corrector accepts 12 stalled trials; acceptance-mix draw 26, followed
+# to the proxy exit, has a corrector that fails and falls back to the
+# short step, the only one on the 240 gate draws' proxy-exit paths
+# (solve paths correct every stalled trial seen so far)
+DRAWS = [(1, (16, 48, 10, 10), solve),
+         (3, (8, 16, 10**12, 10**12), solve),
+         (26, suite_params(26), solve_to_the_proxy_exit)]
 # run.py computes these two itself, outside the tracer
 OUTSIDE_TRACER = {"dimacs.parse_s", "trace.overhead"}
 
 
-def _fallbacks(trials):
-    """A probe that appends, per centering run with a trial target,
-    whether the run fell back to the short step."""
-    trial = {}
+def _corrector_outcomes(log):
+    """A CenteringRun that appends to ``log``, per run whose corrector
+    ran, whether the corrector's trial was accepted."""
+    class LoggedRun(CenteringRun):
+        corrector_ran = False
 
-    def probe(event, data):
-        if event == "centering_enter":
-            trial["mu"] = data["trial_mu"]
-        elif event == "centering_exit" and trial["mu"] is not None:
-            trials.append(data["mu"] != trial["mu"])
-    return probe
+        def refresh(self):
+            self.corrector_ran |= self.pi_start is not None
+            return super().refresh()
+
+        def run(self):
+            super().run()
+            if self.corrector_ran:
+                log.append(self.corrected)
+
+    return LoggedRun
 
 
-def test_traced_solves_match_untraced_ones():
-    plain, trials = [], []
-    for seed, params in DRAWS:
-        trials.append([])
-        plain.append(solve(random_instance(seed, *params),
-                           SolveConfig(seed=seed),
-                           probe=_fallbacks(trials[-1])))
-    assert any(trials[2])  # the acceptance-mix draw falls back
+def test_traced_solves_match_untraced_ones(monkeypatch):
+    plain, corrections = [], []
+    for seed, params, runner in DRAWS:
+        corrections.append([])
+        monkeypatch.setattr(ipm_driver, "CenteringRun",
+                            _corrector_outcomes(corrections[-1]))
+        plain.append(runner(random_instance(seed, *params),
+                            SolveConfig(seed=seed)))
+    monkeypatch.undo()
+    assert True in corrections[1]  # a corrector accepts
+    assert False in corrections[2]  # a corrector fails
 
     tracer = tracing.Tracer()
     with tracing.installed(tracer):
-        traced = [tracing.traced_solve(tracer, k, solve,
+        traced = [tracing.traced_solve(tracer, k, runner,
                                        random_instance(seed, *params),
                                        SolveConfig(seed=seed))
-                  for k, (seed, params) in enumerate(DRAWS)]
+                  for k, (seed, params, runner) in enumerate(DRAWS)]
     assert traced == plain
 
     counts = tracing.interior_point_counts(tracer)

@@ -233,7 +233,8 @@ def test_rejected_trial_centers_at_mu_as_a_fresh_run():
     run.run()
     assert run.mu == run.target == 34560
     assert _centered_at(run, 34560)
-    # after the trial's budget of draws the run is a plain run at mu
+    # the trial ends with x_cur[0] = -9, so no corrector runs, and after
+    # the trial's budget of draws the run is a plain run at mu
     rng = Random(0)
     spent = _frozen_run(3600, rng)
     for _ in range(budget):
@@ -249,7 +250,8 @@ def test_rejected_trial_centers_at_mu_as_a_fresh_run():
 class _NegatedTrialRun(CenteringRun):
     """At every refresh made at the trial target, flips the signs of
     both x_cur[3] and s_cur[3]: their product, and so the exit test's
-    verdict, is unchanged, and only the positivity test can reject."""
+    verdict, is unchanged, and only the positivity test can reject. The
+    trial's point is then not interior, so no corrector runs."""
 
     def refresh(self) -> bool:
         passed = super().refresh()
@@ -270,6 +272,52 @@ def test_trial_with_a_nonpositive_value_is_rejected():
     assert _centered_at(run, 34560)
     assert all(v > 0 for v in run.x_cur.values())
     assert all(v > 0 for v in run.s_cur.values())
+
+
+# The minor of acceptance-mix draw 52 of the seed-1 benchmark suite,
+# random_instance(1052, 2, 5, 5, 5, "feasible") solved with seed 1052,
+# at the centering of outer iteration 25, with its trial started from x.
+# Under Random(0) the trial's 8 dev / trial_mu reads 5.05, 1.89, 1.41,
+# 1.43 and 1.43 at its five refreshes, a floor above 1 with every value
+# positive; the corrector's refreshes read 1.05, then 0.15.
+STALL_ARCS = [(0, 2, 3), (1, 1, 3), (2, 2, 4), (3, 1, 4), (4, 1, 5),
+              (5, 2, 5), (6, 2, 6), (7, 1, 6), (8, 1, 7), (9, 2, 7)]
+STALL_X = {0: 1326321, 1: 2867983, 2: 836213, 3: 1260939, 4: 1823416,
+           5: 2370888, 6: 960717, 7: 2185011, 8: 3344697, 9: 1898183}
+STALL_S = {0: 348234107809810745, 1: 158010750344071579,
+           2: 549615833906738700, 3: 359392476440999534,
+           4: 261836147157821353, 5: 191140241391560519,
+           6: 484596782931295198, 7: 207400337721556032,
+           8: 135489710698642837, 9: 238739980420382003}
+STALL_MU = 438546021404361521269632
+STALL_TRIAL_MU = 336163557747709915805889
+
+
+def test_stalled_trial_is_corrected_at_the_trial_target():
+    """The corrector re-linearizes at the stalled trial's point and
+    centers there at the trial target. The run's pi sums both
+    linearizations' voltages, so s_cur is read off the entry slacks as
+    s - A^T pi, which is what the driver's lift moves the duals by."""
+    run = CenteringRun(arcs=STALL_ARCS, x=dict(STALL_X), s=dict(STALL_S),
+                       mu=STALL_MU, rng=Random(0), mu0_bits=89,
+                       monitor=BoundMonitor(1 << 128),
+                       trial_mu=STALL_TRIAL_MU)
+    run.run()
+    assert run.mu == run.target == STALL_TRIAL_MU
+    assert run.corrected
+    assert run.updates > 4 * len(STALL_ARCS)  # past the trial's budget
+    assert _centered_at(run, STALL_TRIAL_MU)
+    assert all(v > 0 for v in run.x_cur.values())
+    assert all(v > 0 for v in run.s_cur.values())
+    pi = run.pi
+    boundary = {}
+    for aid, tail, head in STALL_ARCS:
+        assert run.s_cur[aid] == STALL_S[aid] - (pi[head] - pi[tail])
+        change = run.x_cur[aid] - STALL_X[aid]
+        boundary[tail] = boundary.get(tail, 0) - change
+        boundary[head] = boundary.get(head, 0) + change
+    assert not any(boundary.values())  # x_cur meets x's demands
+    assert run.monitor.max_seen >= max(abs(v) for v in pi.values())
 
 
 def test_stall_count_starts_after_a_rejected_trial():
@@ -311,9 +359,9 @@ def test_determinism_under_seed():
         b.x_cur, b.s_cur, b.updates, b.refreshes)
 
 
-# a state found by search whose largest stored magnitude, 1928, is the
-# lam of an update made at mu after the rejected trial's 16 updates,
-# not a value that a refresh stores
+# a state found by search whose largest stored magnitude, 1824, is the
+# lam of an update made at mu after the rejected trial's 16 updates and
+# the failed corrector's 16, not a value that a refresh stores
 STRICT_ARCS = [(0, "A", "B"), (1, "A", "B"), (2, "B", "A"), (3, "A", "B")]
 
 
@@ -326,21 +374,20 @@ def _strict_run(limit):
 
 def test_monitor_raises_at_the_update_that_stores_the_maximum():
     """With its limit one below the largest magnitude a run stores, the
-    monitor raises inside the update that stores it, the 22nd, after
+    monitor raises inside the update that stores it, the 35th, after
     that update has pushed its flow, and keeps the violator in
-    ``max_seen``. The figures were taken from the earlier kernel, which
-    recorded each update's values as one list."""
+    ``max_seen``."""
     full = _strict_run(LIMIT)
     full.run()
-    assert (full.updates, full.refreshes, full.mu) == (36, 11, 2078)
-    assert full.monitor.max_seen == 1928
-    run = _strict_run(1927)
+    assert (full.updates, full.refreshes, full.mu) == (48, 15, 2078)
+    assert full.monitor.max_seen == 1824
+    run = _strict_run(1823)
     with pytest.raises(BoundViolationError,
-                       match="magnitude 1928 exceeds monitor limit 1927"):
+                       match="magnitude 1824 exceeds monitor limit 1823"):
         run.run()
-    assert (run.updates, run.refreshes) == (22, 7)
-    assert run.monitor.max_seen == 1928
-    assert run.phi == {0: 0, 1: -16, 2: 1, 3: 17}
+    assert (run.updates, run.refreshes) == (35, 11)
+    assert run.monitor.max_seen == 1824
+    assert run.phi == {0: -1, 1: -67, 2: 21, 3: 89}
 
 
 def test_monitor_checks_the_flow_an_update_pushes():

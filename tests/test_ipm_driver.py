@@ -28,7 +28,7 @@ from latticeflow.reference_oracle import random_instance
 from latticeflow.solver import _prepare
 
 from helpers import (E1, aux_instance, changed_point, follow_path,
-                     solve_to_the_proxy_exit)
+                     solve_to_the_proxy_exit, suite_params)
 
 
 def test_decrement_frozen_value():
@@ -460,9 +460,15 @@ def test_trial_steps_follow_the_adaptive_rule():
     """Each centering first tries k short steps at once and ends at the
     trial target or at the short one; k starts at 1 (no trial), doubles
     after an accepted trial up to 8, halves after a rejected one, and
-    is 2 after a step without a trial."""
+    is 2 after a step without a trial. A trial accepted through the
+    corrector ends at the trial target and counts as accepted."""
+    # acceptance-mix draw 26, followed to the proxy exit with seed 26:
+    # 47 of its 48 trials are accepted, 4 of them through the corrector,
+    # and one falls back to the short step
     seen = []
-    _, cert, _ = follow_path(E1, probe=lambda ev, p: seen.append((ev, p)))
+    _, cert, res = follow_path(random_instance(26, *suite_params(26)),
+                               seed=26,
+                               probe=lambda ev, p: seen.append((ev, p)))
     rows = [p for ev, p in seen if ev == "iterate"]
     enters = [p for ev, p in seen if ev == "centering_enter"]
     exits = [p for ev, p in seen if ev == "centering_exit"]
@@ -486,6 +492,7 @@ def test_trial_steps_follow_the_adaptive_rule():
         assert after["mu"] == exit_["mu"]
     assert len(rows) == len(enters) + 1
     assert True in outcomes and False in outcomes
+    assert res.corrected > 0
 
 
 def test_invariants_hold_throughout():
