@@ -23,6 +23,7 @@ from .errors import (
     InvariantError,
     IterationCeilingError,
     LatticeFlowError,
+    RoundingRefusedError,
     UnsupportedFeatureError,
 )
 from .graph_core import MultiGraph
@@ -47,6 +48,7 @@ __all__ = [
     "LatticeFlowError",
     "MultiGraph",
     "RawInstance",
+    "RoundingRefusedError",
     "SolveConfig",
     "SolveResult",
     "UnsupportedFeatureError",

@@ -40,12 +40,6 @@ class UpdateRecord:
     cycle_r: int
     alpha: int
 
-    @property
-    def energy_decrease(self) -> int:
-        """The exact drop in the energy sum r_a phi_a^2 that the update
-        made, 2 alpha lam - alpha^2 r(C_a); computed only when read."""
-        return 2 * self.alpha * self.lam - self.alpha * self.alpha * self.cycle_r
-
 
 @dataclass
 class CenteringRun:
@@ -75,9 +69,10 @@ class CenteringRun:
     trial's last ``pi``, so ``pi`` stays the sum of both linearizations'
     voltages and s_cur = s - A^T pi still holds against the entry
     slacks. A corrector that passes ends the run at ``trial_mu`` and
-    sets ``corrected``. Otherwise the run restores the forest for the
-    entry resistances, resets ``base`` and ``phi`` to ``mu`` from
-    ``x`` and centers there as if no trial had been made.
+    sets ``corrected``. Otherwise the run linearizes again at the entry
+    point (x, s) for ``mu``, which reweights the forest back to the
+    entry resistances or builds their forest afresh, and centers there
+    as if no trial had been made.
     ``secant``, optional and read only with a trial, is (d, num, den):
     d maps each arc to a circulation of the minor, the change of the
     path's flow over the previous step, and num / den scales it to the
@@ -134,50 +129,38 @@ class CenteringRun:
             raise ValueError("target mu must be positive")
         if self.mu0_bits < 1:
             raise ValueError("mu0_bits must be positive")
-        if self.trial_mu is None:
-            self._linearize(self.x, self.s, self.mu)
-        else:
-            self._linearize(self.x, self.s, self.trial_mu)
-            if self.secant is not None:
-                self._predict(*self.secant)
+        self._linearize(self.x, self.s, self.trial_mu or self.mu)
+        if self.trial_mu is not None and self.secant is not None:
+            self._predict(*self.secant)
 
     def _linearize(self, x, s, target: int) -> None:
-        """Read the minor as a network at the point (x, s): resistances
-        r_a = ceil(s_a / x_a), kept by reweighting the forest when it is
-        still their Prim forest and else by a fresh one, then ``_aim``
-        at ``target`` from (x, s). Records r, base, phi, the cycle
-        table's total weight and every r(C_a)."""
+        """Read the minor as a network at the point (x, s) and aim it at
+        ``target``: resistances r_a = ceil(s_a / x_a), kept by
+        reweighting the forest when it is still their Prim forest and
+        else by a fresh one, and the tree flow deviation phi = x - base,
+        where base_a = round(target / s_a) is the centered flow, rounded
+        to nearest with ties up as ``round_nearest`` does. Records r,
+        base, phi, the cycle table's total weight and every r(C_a)."""
         r = {}
+        base = {}
+        phi = {}
+        twice = 2 * target
         for aid, _, _ in self.arcs:
             xa, sa = x[aid], s[aid]
             if xa <= 0 or sa <= 0:
                 raise InvariantError(f"arc {aid}: recentering needs an interior point")
             r[aid] = -(-sa // xa)  # ceil(s_a / x_a)
+            b = base[aid] = (twice + sa) // (2 * sa)
+            phi[aid] = xa - b
         if self.forest is None or not self.forest.reweight(r):
             self.forest = TreeForest(self.arcs, r)
-        self.monitor.record_many(r.values())
-        self._aim(target, x, s)
-        self.monitor.record_many(self.forest.prefix[-1:])
-        self.monitor.record_many(
-            [cycle_r for _, _, cycle_r in self.forest.cycles])
-
-    def _aim(self, target: int, x, s) -> None:
-        """Set the target and the tree flow deviation phi = x - base,
-        where base_a = round(target / s_a) is the centered flow, rounded
-        to nearest with ties up as ``round_nearest`` does."""
-        self.target = target
-        base = {}
-        phi = {}
-        twice = 2 * target
-        for aid, _, _ in self.arcs:
-            sa = s[aid]
-            b = (twice + sa) // (2 * sa)
-            base[aid] = b
-            phi[aid] = x[aid] - b
-        self.base = base
-        self.phi = phi
-        self.monitor.record_many(base.values())
-        self.monitor.record_many(phi.values())
+        self.target, self.base, self.phi = target, base, phi
+        record_many = self.monitor.record_many
+        record_many(r.values())
+        record_many(base.values())
+        record_many(phi.values())
+        record_many(self.forest.prefix[-1:])
+        record_many([cycle_r for _, _, cycle_r in self.forest.cycles])
 
     def _predict(self, d: dict[int, int], num: int, den: int) -> None:
         """Move the trial's start along the secant: push
@@ -250,10 +233,10 @@ class CenteringRun:
             raise InvariantError("no off-tree arcs to sample")
         total = prefix[-1]
         getrandbits = self.rng.getrandbits
-        k = total.bit_length()
-        draw = getrandbits(k)
+        bits = total.bit_length()
+        draw = getrandbits(bits)
         while draw >= total:
-            draw = getrandbits(k)
+            draw = getrandbits(bits)
         aid, coefs, cycle_r = forest.cycles[bisect_right(prefix, draw)]
         phi = self.phi
         lam = 0
@@ -291,9 +274,7 @@ class CenteringRun:
             if self._center_at_trial(batch):
                 self.mu = self.trial_mu
                 return
-            forest = self.forest
-            if forest.off_tree and self._interior():
-                r = forest.r
+            if self.forest.off_tree and self._interior():
                 self.pi_start = self.pi
                 self._linearize(self.x_cur, self.s_cur, self.trial_mu)
                 if self._center_at_trial(batch):
@@ -301,12 +282,7 @@ class CenteringRun:
                     self.corrected = True
                     return
                 self.pi_start = None
-                # a forest the corrector reweighted keeps its tree, which
-                # is still the Prim forest for r, so this reweight holds
-                if forest.r is not r:
-                    forest.reweight(r)
-                self.forest = forest
-            self._aim(self.mu, self.x, self.s)
+            self._linearize(self.x, self.s, self.mu)
         start = self.updates
         ceiling = max(1, 64 * len(self.arcs) * self.mu0_bits)  # the floor
         while True:

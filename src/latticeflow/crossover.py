@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvariantError
+from .errors import InvariantError, RoundingRefusedError
 from .graph_core import (adjacency, apply_incidence, bfs_forest, max_flow,
                          reduced_costs, tree_potentials)
 from .instance_pipeline import AuxiliaryInstance, ScalingCertificate
@@ -187,8 +187,9 @@ def admissible_max_flow(aux: AuxiliaryInstance, s_t: list[int]) -> list[int]:
     unmet, flows, _ = max_flow(
         g.nodes, [(*g.arcs[a], supply) for a in admissible], aux.b)
     if unmet:
-        raise InvariantError(f"admissible arcs carry only {supply - unmet} "
-                             f"of {supply} demand units")
+        raise RoundingRefusedError(
+            f"admissible arcs carry only {supply - unmet} of {supply} "
+            "demand units")
     x_star = [0] * g.m
     for a, f in zip(admissible, flows):
         x_star[a] = f

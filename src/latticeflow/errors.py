@@ -36,3 +36,11 @@ class IterationCeilingError(LatticeFlowError):
 
 class InvariantError(LatticeFlowError):
     """An exact internal invariant failed; indicates a bug, not bad input."""
+
+
+class RoundingRefusedError(InvariantError):
+    """The crossover's admissible arcs cannot route the demands, so the
+    point it rounded is not yet close enough to the optimal face. Above
+    the proxy exit this is expected and the path goes on; at the exit,
+    where the crossover is proven to certify, it is a defect like any
+    other InvariantError."""

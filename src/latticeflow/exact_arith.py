@@ -8,8 +8,8 @@ value stored by a solve so the advertised magnitude bound can be checked
 rather than assumed.
 
 ``round_nearest`` has no caller in the package: ``centering`` writes
-its form ``(2p + q) // (2q)`` inline in ``_aim``, ``_predict`` and
-``sample_update``, and ``CenteringRun.__post_init__`` and
+its form ``(2p + q) // (2q)`` inline in ``_linearize``, ``_predict``
+and ``sample_update``, and ``CenteringRun._linearize`` and
 ``TreeForest.reweight`` write ceiling division inline as
 ``-(-p // q)``. ``round_nearest`` is the tests' reference for those
 inline forms; ``ceil_div`` serves the auxiliary build.

@@ -26,23 +26,24 @@ Starting from the constructed interior point at mu0, each iteration:
    is tiny (81 * sum x_a s_a < 4 beta gamma). The optimal face is
    often identified well before that line (Ye, Math. Programming 57,
    1992; Mehrotra and Ye, Math. Programming 62, 1993). A try that
-   certifies ends the path with its answer. One that raises
-   InvariantError before the exit changes nothing, since the crossover
-   copies what it changes, and the path goes on; at the exit, where
-   the crossover is proven to certify, the error propagates;
+   certifies ends the path with its answer. A try refused before the
+   exit, by RoundingRefusedError when the admissible arcs cannot route
+   the demands, changes nothing, since the crossover copies what it
+   changes, and the path goes on. At the exit, where the crossover is
+   proven to certify, a refusal propagates, and any other
+   InvariantError propagates from every try;
 3. otherwise lowers mu and recenters the minor with random integer
    cycle updates. The proven short step cuts mu by mu / (8 sqrt m).
-   One centering run first tries k times that cut, k in {2, 4, 8}, with
-   a budget of 4 m_h updates. A trial that stalls at an interior point
-   is corrected: the run linearizes again at that point and centers at
-   the trial target for another 4 m_h updates. It falls back to the
-   short step when the exact exit test at the trial target passes in
-   neither (the adaptive step of Mizuno, Todd and Ye, Math. Oper. Res.
-   18(4), 1993). k doubles after an accepted trial, a corrected one
-   included, up to 8, and halves after a rejected one.
-   At k = 1, as in the first iteration, and whenever the trial target
-   would fall below 1, the run takes the short step alone, and k is 2
-   again after it.
+   One centering run first tries k times that cut, with a budget of
+   4 m_h updates; k is 2, 4 and 8 at iterations 1, 2 and 3, and 8
+   after that. A trial that stalls at an interior point is corrected:
+   the run linearizes again at that point and centers at the trial
+   target for another 4 m_h updates. It falls back to the short step
+   when the exact exit test at the trial target passes in neither (the
+   adaptive step of Mizuno, Todd and Ye, Math. Oper. Res. 18(4), 1993,
+   on a fixed schedule for k, since with the corrector a trial is
+   almost never rejected). At iteration 0, and whenever the trial
+   target would fall below 1, the run takes the short step alone.
    Every iteration lowers mu by at least the short step, so the
    iteration ceiling still holds. When step 1 deleted and contracted
    nothing, the minor is the previous one: the previous centering's
@@ -52,7 +53,7 @@ Starting from the constructed interior point at mu0, each iteration:
    trial's decrement to the previous one, it predicts the trial's
    point (the predictor of Mizuno, Todd and Ye; the corrector above is
    its other half). The short-step fallback starts from the driver's
-   point as before;
+   point;
 4. lifts the recentered point back to the full auxiliary instance:
    minor arcs take their new flows, every node's dual moves by its
    class voltage, and flow imbalances inside each contracted class are
@@ -78,7 +79,8 @@ from random import Random
 from typing import Callable
 
 from .centering import CenteringRun
-from .errors import InvariantError, IterationCeilingError
+from .errors import (InvariantError, IterationCeilingError,
+                     RoundingRefusedError)
 from .exact_arith import BoundMonitor
 from .graph_core import (ContractionMap, apply_incidence, bridges,
                          component_roots, minor_arcs, reduced_costs,
@@ -149,8 +151,10 @@ def run_interior_point(
     """Follow the central path down, handing the point (plus the
     accumulated minor) to ``rounding`` on the schedule of step 2, and
     return at the first try that certifies, with the answer in
-    ``rounded``. The proxy exit's try is the last: its InvariantError
-    propagates."""
+    ``rounded``. A try refuses by raising RoundingRefusedError, and the
+    path goes on; the proxy exit's try is the last, and its refusal
+    propagates. Any other InvariantError from a try propagates at
+    once."""
     g = aux.graph
     m = cert.m
     x = list(point.x)
@@ -164,7 +168,6 @@ def run_interior_point(
     ceiling = outer_ceiling(m, point.mu0)
     mu0_bits = point.mu0.bit_length()
     iterations = updates = refreshes = tries = corrected = 0
-    k = 1  # the trial step in short steps; 1 is the short step alone
     exit_line = 4 * cert.beta * cert.gamma
     tried_gap = 0  # the proxy's bit gap at the last rounding try
 
@@ -217,16 +220,17 @@ def run_interior_point(
                             refreshes, tries, corrected)
             try:
                 res.rounded = rounding(aux, cert, res)
-            except InvariantError:
+            except RoundingRefusedError:
                 if at_exit:
                     raise
             else:
                 return res
 
-        # 3. decrement and recenter the minor, trying k short steps first
+        # 3. decrement and recenter the minor, trying 2, 4, then 8
+        # short steps first
         short_mu = decrement_mu(mu, m)
-        trial_mu = mu - k * (mu - short_mu)
-        if k < 2 or trial_mu < 1:
+        trial_mu = mu - (1 << min(3, iterations)) * (mu - short_mu)
+        if iterations == 0 or trial_mu < 1:
             trial_mu = None
         secant = None
         if trial_mu is not None and previous is not None:
@@ -247,12 +251,6 @@ def run_interior_point(
                            mu0_bits=mu0_bits, monitor=monitor, forest=forest,
                            trial_mu=trial_mu, secant=secant)
         run.run()
-        if trial_mu is None:
-            k = 2
-        elif run.mu == trial_mu:
-            k = min(8, 2 * k)
-        else:
-            k //= 2
         mu = run.mu
         forest = run.forest
         updates += run.updates

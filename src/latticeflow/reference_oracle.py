@@ -109,8 +109,8 @@ def ssp_solve(inst: RawInstance) -> SolveResult:
     # order of inst.b, which fixes the order of the super arcs
     net = _net_inflow(inst, flow)
     owed = {v: net[v] - d for v, d in inst.b.items()}
-    source_cap = {v: k for v, k in owed.items() if k > 0}
-    sink_need = {v: -k for v, k in owed.items() if k < 0}
+    source_cap = {v: owe for v, owe in owed.items() if owe > 0}
+    sink_need = {v: -owe for v, owe in owed.items() if owe < 0}
 
     nodes = list(inst.graph.nodes) + ["s", "t"]
     while sum(source_cap.values()) > 0:

@@ -2,9 +2,9 @@
 the small instance E1 and its DIMACS text, the tokens of the DIMACS
 fuzz tests, bare auxiliary instances for unit tests, the acceptance
 suite's instance sizes, whether an oracle optimum's support is unique,
-the exact energy gap of a centering run, point edits for the guard
-tests, and a rounding, a component path and solves that run to the
-proxy exit."""
+the exact energy gap of a centering run and the energy drop of one
+update, point edits for the guard tests, and a rounding, a component
+path and solves that run to the proxy exit."""
 
 from fractions import Fraction
 from random import Random
@@ -12,9 +12,9 @@ from random import Random
 from hypothesis import strategies as st
 
 from latticeflow import solver
-from latticeflow.centering import CenteringRun
+from latticeflow.centering import CenteringRun, UpdateRecord
 from latticeflow.crossover import crossover
-from latticeflow.errors import InvariantError
+from latticeflow.errors import RoundingRefusedError
 from latticeflow.graph_core import MultiGraph, minor_arcs
 from latticeflow.instance_pipeline import AuxiliaryInstance, RawInstance
 from latticeflow.ipm_driver import run_interior_point
@@ -118,6 +118,12 @@ def energy_gap(run: CenteringRun) -> Fraction:
     return total
 
 
+def energy_decrease(rec: UpdateRecord) -> int:
+    """The exact drop in the energy sum r_a phi_a^2 that the update
+    ``rec`` made, 2 alpha lam - alpha^2 r(C_a)."""
+    return 2 * rec.alpha * rec.lam - rec.alpha * rec.alpha * rec.cycle_r
+
+
 def changed_point(x: list[int], s: list[int],
                   changes: dict[tuple[str, int], int]
                   ) -> tuple[list[int], list[int]]:
@@ -136,7 +142,7 @@ def round_at_the_proxy_exit(aux, cert, res):
     gap_sum = sum(res.x[aid] * res.s[aid]
                   for aid, _, _ in minor_arcs(aux.graph, res.cmap))
     if 81 * gap_sum >= 4 * cert.beta * cert.gamma:
-        raise InvariantError("above the proxy exit line")
+        raise RoundingRefusedError("above the proxy exit line")
     return crossover(aux, cert, res)
 
 

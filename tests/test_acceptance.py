@@ -37,8 +37,8 @@ from latticeflow.reference_oracle import (random_instance, ssp_solve,
                                           verify_certificate, verify_cut)
 from latticeflow.solver import SolveConfig, solve
 
-from helpers import (energy_gap, has_unique_support, solve_to_the_proxy_exit,
-                     suite_params)
+from helpers import (energy_decrease, energy_gap, has_unique_support,
+                     solve_to_the_proxy_exit, suite_params)
 
 # 240 draws, so that the proxy-exit paths, which the trial corrector
 # shortened, still meet the floors below; 235 is the least that does
@@ -461,7 +461,7 @@ def test_criterion_10_energy_decrease(suite):
                                rng=Random(trial * 2654435761 + 17),
                                mu0_bits=state["mu0_bits"],
                                monitor=BoundMonitor(REPLAY_LIMIT))
-            decreases.append(run.sample_update().energy_decrease)
+            decreases.append(energy_decrease(run.sample_update()))
         lcbs.append(_bootstrap_lcb(decreases, rng))
     ok = (len(states) == STATES_WANTED
           and all(s["iteration"] >= LATE_ITERATION for s in states)

@@ -18,7 +18,7 @@ from latticeflow.graph_core import (MultiGraph, apply_incidence, bfs_forest,
 from latticeflow.reference_oracle import random_instance
 from latticeflow.solver import SolveConfig
 
-from helpers import energy_gap, solve_to_the_proxy_exit
+from helpers import energy_decrease, energy_gap, solve_to_the_proxy_exit
 
 TWO_CYCLE = [(0, "A", "B"), (1, "B", "A")]
 # magnitude limit for the hand-sized states here, far above any value
@@ -50,7 +50,7 @@ def test_hand_simulated_two_cycle():
     # the only off-tree arc is 1; its cycle shifts both arcs by alpha=1
     rec = run.sample_update()
     assert (rec.arc, rec.lam, rec.cycle_r, rec.alpha) == (1, 2, 2, 1)
-    assert rec.energy_decrease == 2 * 1 * 2 - 1 * 2
+    assert energy_decrease(rec) == 2 * 1 * 2 - 1 * 2
     assert run.phi == {0: 0, 1: 0}
 
     # second refresh lands exactly on the target products
@@ -227,6 +227,20 @@ def test_accepted_trial_ends_at_the_trial_target():
     assert all(v > 0 for v in run.s_cur.values())
 
 
+# a state found by search whose trial at 24000 stalls at an interior
+# point under Random(0); the corrector there builds a forest of another
+# tree, and fails too
+FAILED_ARCS = [(0, "B", "A"), (1, "C", "A"), (2, "B", "D"), (3, "A", "D")]
+FAILED_X = {0: 13, 1: 20, 2: 62, 3: 13}
+FAILED_S = {0: 2808, 1: 1758, 2: 583, 3: 2851}
+
+
+def _failed_run(x, s, mu, rng, trial_mu=None):
+    return CenteringRun(arcs=FAILED_ARCS, x=dict(x), s=dict(s), mu=mu,
+                        rng=rng, mu0_bits=16, monitor=BoundMonitor(LIMIT),
+                        trial_mu=trial_mu)
+
+
 def test_rejected_trial_centers_at_mu_as_a_fresh_run():
     budget = 4 * len(FROZEN_ARCS)
     run = _frozen_run(34560, Random(0), trial_mu=3600)
@@ -245,6 +259,32 @@ def test_rejected_trial_centers_at_mu_as_a_fresh_run():
                                                plain.pi)
     assert run.updates == budget + plain.updates
     assert run.refreshes == 5 + plain.refreshes
+
+    # a failed corrector: the run linearizes again at x for mu, so after
+    # the trial's and the corrector's 8 m_h draws it is a plain run at
+    # mu, on the entry resistances' forest
+    budget = 4 * len(FAILED_ARCS)
+    run = _failed_run(FAILED_X, FAILED_S, 34500, Random(0), trial_mu=24000)
+    run.run()
+    assert run.mu == run.target == 34500
+    assert not run.corrected
+    rng = Random(0)
+    trial = _failed_run(FAILED_X, FAILED_S, 24000, rng)
+    for _ in range(budget):
+        trial.sample_update()
+    trial.refresh()
+    corrector = _failed_run(trial.x_cur, trial.s_cur, 24000, rng)
+    assert corrector.forest.off_tree != trial.forest.off_tree
+    for _ in range(budget):
+        corrector.sample_update()
+    plain = _failed_run(FAILED_X, FAILED_S, 34500, rng)
+    plain.run()
+    assert (run.x_cur, run.s_cur, run.pi) == (plain.x_cur, plain.s_cur,
+                                               plain.pi)
+    assert run.forest.cycles == plain.forest.cycles
+    assert run.updates == 2 * budget + plain.updates
+    assert run.refreshes == 10 + plain.refreshes
+
 
 
 class _NegatedTrialRun(CenteringRun):
@@ -462,7 +502,7 @@ def test_updates_preserve_conservation_and_duals(seed, n_nodes, n_arcs, mu,
     run.refresh()
     for _ in range(n_updates):
         rec = run.sample_update()
-        assert rec.energy_decrease >= 0
+        assert energy_decrease(rec) >= 0
         assert rec.cycle_r >= run.forest.r[rec.arc]
     run.refresh()
     assert boundary(run.x_cur) == entry
@@ -520,7 +560,7 @@ def test_energy_accounting_is_exact(seed):
     for _ in range(20):
         rec = run.sample_update()
         e2 = energy()
-        assert e - e2 == rec.energy_decrease
+        assert e - e2 == energy_decrease(rec)
         e = e2
     if energy_gap(run) == 0:
         for _, coefs, _ in run.forest.cycles:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from latticeflow import SolveConfig, centering
 from latticeflow.crossover import crossover
-from latticeflow.errors import InvariantError
+from latticeflow.errors import InvariantError, RoundingRefusedError
 from latticeflow.graph_core import (ContractionMap, MultiGraph, apply_incidence,
                                     bfs_forest, minor_arcs, reduced_costs)
 from latticeflow.instance_pipeline import RawInstance, compute_scaling
@@ -456,15 +456,15 @@ def test_probe_sees_centering_entries_and_exits():
             assert y[h] - y[t] + payload["s"][a] == aux.c[a]
 
 
-def test_trial_steps_follow_the_adaptive_rule():
-    """Each centering first tries k short steps at once and ends at the
-    trial target or at the short one; k starts at 1 (no trial), doubles
-    after an accepted trial up to 8, halves after a rejected one, and
-    is 2 after a step without a trial. A trial accepted through the
-    corrector ends at the trial target and counts as accepted."""
+def test_trial_steps_follow_the_iteration_schedule():
+    """Each centering first tries 2, 4, then 8 short steps at once, by
+    the iteration count, and ends at the trial target or at the short
+    one; iteration 0 takes the short step alone. A rejected trial does
+    not shrink the next one, and a trial accepted through the corrector
+    ends at the trial target."""
     # acceptance-mix draw 26, followed to the proxy exit with seed 26:
-    # 47 of its 48 trials are accepted, 4 of them through the corrector,
-    # and one falls back to the short step
+    # 46 of its 47 trials are accepted, 5 of them through the corrector,
+    # and the one at iteration 3 falls back to the short step
     seen = []
     _, cert, res = follow_path(random_instance(26, *suite_params(26)),
                                seed=26,
@@ -472,23 +472,21 @@ def test_trial_steps_follow_the_adaptive_rule():
     rows = [p for ev, p in seen if ev == "iterate"]
     enters = [p for ev, p in seen if ev == "centering_enter"]
     exits = [p for ev, p in seen if ev == "centering_exit"]
-    k = 1
     outcomes = []
     for row, enter, exit_, after in zip(rows, enters, exits, rows[1:]):
-        mu = row["mu"]
+        it, mu = row["iter"], row["mu"]
         short = decrement_mu(mu, cert.m)
-        trial = mu - k * (mu - short)
+        trial = mu - (1 << min(3, it)) * (mu - short)
+        assert enter["iteration"] == it
         assert enter["mu"] == short
-        if k < 2 or trial < 1:
+        if it == 0 or trial < 1:
             assert enter["trial_mu"] is None
             assert exit_["mu"] == short
-            k = 2
         else:
             assert enter["trial_mu"] == trial
             accepted = exit_["mu"] == trial
             assert accepted or exit_["mu"] == short
             outcomes.append(accepted)
-            k = min(8, 2 * k) if accepted else k // 2
         assert after["mu"] == exit_["mu"]
     assert len(rows) == len(enters) + 1
     assert True in outcomes and False in outcomes
@@ -587,9 +585,9 @@ def test_a_refusal_at_the_proxy_exit_propagates():
     def refuse(aux, cert, res):
         tried.append(res.iterations)
         certs.append(cert)
-        raise InvariantError("refused")
+        raise RoundingRefusedError("refused")
 
-    with pytest.raises(InvariantError, match="^refused$"):
+    with pytest.raises(RoundingRefusedError, match="^refused$"):
         follow_path(E1, rounding=refuse, probe=lambda ev, p: rows.append(p)
                    if ev == "iterate" else None)
     cert = certs[0]
@@ -597,6 +595,24 @@ def test_a_refusal_at_the_proxy_exit_propagates():
     at_exit = [81 * row["gap_sum"] < exit_line for row in rows]
     assert at_exit == [False] * (len(rows) - 1) + [True]
     assert tried == _scheduled_tries(rows[:-1], cert) + [rows[-1]["iter"]]
+
+
+def test_only_a_refused_rounding_lets_the_path_go_on():
+    """Before the proxy exit the driver catches only a refusal, the
+    crossover's failed demand check. Any other InvariantError from a
+    try is a defect and propagates, even when a later try would
+    certify."""
+    tried = []
+
+    def broken_then_crossover(aux, cert, res):
+        tried.append(res.iterations)
+        if res.iterations == 0:
+            raise InvariantError("tree arc 0 is not tight after the lift")
+        return crossover(aux, cert, res)
+
+    with pytest.raises(InvariantError, match="^tree arc 0 is not tight"):
+        follow_path(E1, rounding=broken_then_crossover)
+    assert tried == [0]
 
 
 # The driver state of random_instance(9055, 4, 4, 2, 2, "feasible"),
