@@ -24,6 +24,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from random import Random
 
 from .errors import CenteringStallError, InvariantError
@@ -140,7 +141,8 @@ class CenteringRun:
         else by a fresh one, and the tree flow deviation phi = x - base,
         where base_a = round(target / s_a) is the centered flow, rounded
         to nearest with ties up as ``round_nearest`` does. Records r,
-        base, phi, the cycle table's total weight and every r(C_a)."""
+        base, phi, the cycle table's total weight and every r(C_a) as
+        one monitor batch."""
         r = {}
         base = {}
         phi = {}
@@ -155,12 +157,9 @@ class CenteringRun:
         if self.forest is None or not self.forest.reweight(r):
             self.forest = TreeForest(self.arcs, r)
         self.target, self.base, self.phi = target, base, phi
-        record_many = self.monitor.record_many
-        record_many(r.values())
-        record_many(base.values())
-        record_many(phi.values())
-        record_many(self.forest.prefix[-1:])
-        record_many([cycle_r for _, _, cycle_r in self.forest.cycles])
+        self.monitor.record_many(chain(
+            r.values(), base.values(), phi.values(), self.forest.prefix[-1:],
+            (cycle_r for _, _, cycle_r in self.forest.cycles)))
 
     def _predict(self, d: dict[int, int], num: int, den: int) -> None:
         """Move the trial's start along the secant: push
@@ -188,8 +187,8 @@ class CenteringRun:
 
         Recomputes pi as the current phi's tree voltages, plus
         ``pi_start`` in the corrector, rebuilds s' = s - A^T pi and
-        x' = base + phi, records pi, s' and x' in the monitor in that
-        order, and returns True when 8 sum |x' s' - target| < target.
+        x' = base + phi, records pi, s' and x' as one monitor batch,
+        and returns True when 8 sum |x' s' - target| < target.
         """
         self.refreshes += 1
         pi = self.pi = self.forest.voltages(self.phi)
@@ -205,10 +204,8 @@ class CenteringRun:
             sv = s_cur[aid] = s[aid] - (pi[head] - pi[tail])
             xv = x_cur[aid] = base[aid] + phi[aid]
             dev += abs(xv * sv - target)
-        record_many = self.monitor.record_many
-        record_many(pi.values())
-        record_many(s_cur.values())
-        record_many(x_cur.values())
+        self.monitor.record_many(chain(pi.values(), s_cur.values(),
+                                       x_cur.values()))
         return 8 * dev < target
 
     def sample_update(self) -> UpdateRecord:

@@ -1,18 +1,15 @@
-"""Exact integer arithmetic primitives and the magnitude monitor.
+"""The rounding convention and the magnitude monitor.
 
 Every number in this package is a plain Python ``int``; there is no
-floating-point fallback anywhere. The helpers here state the rounding
-conventions the solver depends on (round-to-nearest with ties toward
-+infinity, ceiling division), and a monitor tracks the largest absolute
-value stored by a solve so the advertised magnitude bound can be checked
-rather than assumed.
+floating-point code anywhere in the solver. A monitor tracks the
+largest absolute value stored by a solve so the advertised magnitude
+bound can be checked rather than assumed.
 
 ``round_nearest`` has no caller in the package: ``centering`` writes
 its form ``(2p + q) // (2q)`` inline in ``_linearize``, ``_predict``
-and ``sample_update``, and ``CenteringRun._linearize`` and
-``TreeForest.reweight`` write ceiling division inline as
-``-(-p // q)``. ``round_nearest`` is the tests' reference for those
-inline forms; ``ceil_div`` serves the auxiliary build.
+and ``sample_update``. ``round_nearest`` is the tests' reference for
+those inline forms. Ceiling division is written inline as
+``-(-p // q)`` wherever it is used.
 """
 
 from __future__ import annotations
@@ -23,8 +20,6 @@ from .errors import BoundViolationError
 
 __all__ = [
     "round_nearest",
-    "ceil_div",
-    "next_pow2",
     "BoundMonitor",
 ]
 
@@ -39,20 +34,6 @@ def round_nearest(p: int, q: int) -> int:
     if q <= 0:
         raise ValueError(f"round_nearest requires q > 0, got {q}")
     return (2 * p + q) // (2 * q)
-
-
-def ceil_div(p: int, q: int) -> int:
-    """Ceiling of p/q for q > 0."""
-    if q <= 0:
-        raise ValueError(f"ceil_div requires q > 0, got {q}")
-    return -(-p // q)
-
-
-def next_pow2(n: int) -> int:
-    """Smallest power of two >= n (n >= 1)."""
-    if n < 1:
-        raise ValueError(f"next_pow2 requires n >= 1, got {n}")
-    return 1 << (n - 1).bit_length()
 
 
 class BoundMonitor:
@@ -81,9 +62,10 @@ class BoundMonitor:
 
     def record_many(self, values: Iterable[int]) -> None:
         """Check a stored batch at once: fold it to its largest
-        magnitude and compare that once. A batch holding a violator
-        raises with the batch's largest magnitude, which is also left
-        in ``max_seen``; an empty batch is a no-op. A cycle update
-        folds its stored values as it computes them and passes the
-        largest magnitude to ``record`` instead."""
+        magnitude and compare that once. Each step that stores values
+        passes all of them as one batch, chained together. A batch
+        holding a violator raises with the batch's largest magnitude,
+        which is also left in ``max_seen``; an empty batch is a no-op. A
+        cycle update folds its stored values as it computes them and
+        passes the largest magnitude to ``record`` instead."""
         self.record(max(map(abs, values), default=0))

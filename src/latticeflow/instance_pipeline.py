@@ -29,9 +29,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .errors import InvariantError
-from .exact_arith import BoundMonitor, ceil_div, next_pow2
+from .exact_arith import BoundMonitor
 from .graph_core import (MultiGraph, apply_incidence, bfs_forest,
                          reduced_costs, route_to_roots)
 
@@ -188,7 +189,7 @@ def compute_scaling(m0: int, U: int, C: int, beta0: int = 1,
         raise ValueError("compute_scaling requires at least one arc")
     m = 3 * m0
     c_eff = max(C, 1)
-    beta = next_pow2((1 << 8) * m**3)
+    beta = 1 << ((1 << 8) * m**3 - 1).bit_length()
     gamma = (1 << 15) * m**4 * beta * U * c_eff
     mu0 = 24 * m * beta * gamma * U * c_eff
     t = mu0 - 2 * beta * gamma * U * c_eff
@@ -309,7 +310,7 @@ def build_auxiliary(
         x.extend((half, half))
         b_aux[vw] = scaled.u[i]
         b_aux[head] -= scaled.u[i]
-        y[vw] = -2 * ceil_div(t, scaled.u[i])
+        y[vw] = -2 * -(-t // scaled.u[i])  # -2 ceil(t / u_a)
 
     for i, (tail, head) in enumerate(g.arcs):
         half = scaled.u[i] // 2
@@ -322,7 +323,8 @@ def build_auxiliary(
         else:
             arcs.append((head, tail))
         x.append(abs(imbalance))
-        costs.append(gamma * ceil_div(t, gamma * abs(imbalance)))
+        # the least multiple of gamma whose product with the flow reaches t
+        costs.append(gamma * -(-t // (gamma * abs(imbalance))))
 
     aux_graph = MultiGraph(nodes, arcs)
     aux = AuxiliaryInstance(
@@ -337,10 +339,7 @@ def build_auxiliary(
     point = InitialPoint(x=x, s=s, y=y, mu0=mu0)
 
     _check_initial_point(aux, point, cert)
-    monitor.record_many(x)
-    monitor.record_many(s)
-    monitor.record_many(y.values())
-    monitor.record_many(z)
+    monitor.record_many(chain(x, s, y.values(), z))
     return aux, point
 
 

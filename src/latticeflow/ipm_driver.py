@@ -42,8 +42,8 @@ Starting from the constructed interior point at mu0, each iteration:
    when the exact exit test at the trial target passes in neither (the
    adaptive step of Mizuno, Todd and Ye, Math. Oper. Res. 18(4), 1993,
    on a fixed schedule for k, since with the corrector a trial is
-   almost never rejected). At iteration 0, and whenever the trial
-   target would fall below 1, the run takes the short step alone.
+   almost never rejected). At iteration 0 the run takes the short step
+   alone.
    Every iteration lowers mu by at least the short step, so the
    iteration ceiling still holds. When step 1 deleted and contracted
    nothing, the minor is the previous one: the previous centering's
@@ -75,6 +75,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from random import Random
 from typing import Callable
 
@@ -117,10 +118,12 @@ def outer_ceiling(m: int, mu0: int) -> int:
     """Iteration budget: the decrement shrinks mu by a (1 - 1/(8 sqrt m))
     factor, so ceil(16 sqrt(m) ln mu0) + m steps suffice to drive the
     proxy below its exit line; exceeding this is a bug, not bad luck.
-    ln mu0 is bounded above through the bit length, in floating point:
-    the rounding can only move the ceiling, never a solve value."""
-    ln_mu0 = mu0.bit_length() * math.log(2)
-    return math.ceil(16 * math.sqrt(m) * ln_mu0) + m
+    ln mu0 is bounded above by bits * 0.6931472, with 0.6931472 > ln 2,
+    and the ceiling of 16 sqrt(m) times that is exact in integers: with
+    k = 16 * bits * 6931472, it is the least c with (c * 10^7)^2 >=
+    m k^2, which is isqrt(m k^2 - 1) // 10^7 + 1."""
+    k = 16 * mu0.bit_length() * 6931472
+    return math.isqrt(m * k * k - 1) // 10**7 + 1 + m
 
 
 def _classify(x: int, s: int, m: int, cert: ScalingCertificate) -> str:
@@ -227,11 +230,12 @@ def run_interior_point(
                 return res
 
         # 3. decrement and recenter the minor, trying 2, 4, then 8
-        # short steps first
+        # short steps first; a centering starts only above the proxy
+        # exit, where mu > 2^40, and eight short steps leave more than
+        # 0.4 mu, so the trial target is positive
         short_mu = decrement_mu(mu, m)
-        trial_mu = mu - (1 << min(3, iterations)) * (mu - short_mu)
-        if iterations == 0 or trial_mu < 1:
-            trial_mu = None
+        trial_mu = (mu - (1 << min(3, iterations)) * (mu - short_mu)
+                    if iterations else None)
         secant = None
         if trial_mu is not None and previous is not None:
             prev_mu, prev_x = previous
@@ -275,9 +279,7 @@ def run_interior_point(
                 "s": list(s),
                 "y": dict(y),
             })
-        monitor.record_many(x)
-        monitor.record_many(s)
-        monitor.record_many(y.values())
+        monitor.record_many(chain(x, s, y.values()))
         iterations += 1
 
 

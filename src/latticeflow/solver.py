@@ -27,6 +27,7 @@ limit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from random import Random
 from typing import Callable
 
@@ -108,9 +109,7 @@ def _solve_component(inst: RawInstance, arc_ids: list[int], rng: Random,
             "reversed_ids": reversed_ids, "cert": cert, "aux": aux,
             "point": point, "result": res})
     x_star, y_t, s_t = res.rounded
-    monitor.record_many(x_star)
-    monitor.record_many(s_t)
-    monitor.record_many(y_t.values())
+    monitor.record_many(chain(x_star, s_t, y_t.values()))
 
     stats = {
         "nodes": inst.graph.n,

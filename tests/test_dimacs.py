@@ -88,24 +88,35 @@ def test_nonzero_lower_bound_rejected():
         parse_instance("p min 2 1\na 1 2 1 4 0\n")
 
 
-@pytest.mark.parametrize("text", [
-    "p min 2 1\na 1 2 0 0 5\n",          # zero capacity
-    "p min 2 1\na 1 2 0 -3 5\n",         # negative capacity
-    "p min 2 2\na 1 2 0 1 0\n",          # arc count mismatch
-    "p min 2 1\nn 1 1\na 1 2 0 1 0\n",   # supplies do not balance
-    "p min 2 1\nn 1 1\nn 1 -1\na 1 2 0 1 0\n",  # duplicate node line
-    "p min 2 1\nn 7 0\na 1 2 0 1 0\n",   # node id out of range
-    "p min 2 1\na 1 5 0 1 0\n",          # arc endpoint out of range
-    "p min 2 1\np min 2 1\na 1 2 0 1 0\n",  # second problem line
-    "a 1 2 0 1 0\n",                     # arc before problem line
-    "p max 2 1\na 1 2 0 1 0\n",          # wrong problem type
-    "p min 2 1\na 1 2 0 1\n",            # short arc line
-    "p min 2 1\nq nonsense\na 1 2 0 1 0\n",  # unknown line kind
-    "",                                  # no problem line at all
-    "p min 1000000 0\n",                 # more nodes than records name
-])
-def test_malformed_inputs(text):
-    with pytest.raises(FormatError):
+MALFORMED = [
+    ("p min 2 1\na 1 2 0 0 5\n", "^line 2: capacity must be at least 1$"),
+    ("p min 2 1\na 1 2 0 -3 5\n", "^line 2: capacity must be at least 1$"),
+    ("p min 2 2\na 1 2 0 1 0\n", "^problem line promises 2 arcs, found 1$"),
+    ("p min 2 1\nn 1 1\na 1 2 0 1 0\n", "^supplies do not sum to zero$"),
+    ("p min 2 1\nn 1 1\nn 1 -1\na 1 2 0 1 0\n",
+     "^line 3: duplicate supply for node 1$"),
+    ("p min 2 1\nn 7 0\na 1 2 0 1 0\n", "^line 2: node 7 out of range$"),
+    ("p min 2 1\na 1 5 0 1 0\n", "^line 2: arc endpoint out of range$"),
+    ("p min 2 1\np min 2 1\na 1 2 0 1 0\n", "^line 2: second problem line$"),
+    ("a 1 2 0 1 0\n", "^line 1: arc line before problem line$"),
+    ("p max 2 1\na 1 2 0 1 0\n", "^line 1: expected 'p min <n> <m>'$"),
+    ("p min 2 1\na 1 2 0 1\n",
+     "^line 2: expected 'a <tail> <head> <low> <cap> <cost>'$"),
+    ("p min 2 1\nq nonsense\na 1 2 0 1 0\n",
+     "^line 2: unknown record type 'q'$"),
+    ("", "^missing problem line$"),
+    # more nodes than records name
+    ("p min 1000000 0\n", "^line 1: problem line declares 1000000 nodes"),
+    ("p min 2 1\nn 1\na 1 2 0 1 0\n", "^line 2: expected 'n <node> <supply>'$"),
+    # int() writes the message of a field that is not a number
+    ("p min 2 1\na 1 2 0 x 3\n", "^line 2: "),
+]
+
+
+@pytest.mark.parametrize("text,message", MALFORMED,
+                         ids=[text for text, _ in MALFORMED])
+def test_malformed_inputs(text, message):
+    with pytest.raises(FormatError, match=message):
         parse_instance(text)
 
 
@@ -180,7 +191,11 @@ def test_parse_solution_requires_arc_order():
 def test_parse_solution_missing_potential():
     inst = parse_instance(TRIANGLE)
     text = "s 4\nf 1 2 2\nf 2 3 2\nf 1 3 0\ny 1 0\ny 2 1\n"
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match=r"^missing potentials for nodes \[3\]$"):
+        parse_solution(text, inst)
+    # a missing flow line is refused the same way
+    text = "s 4\nf 1 2 2\nf 2 3 2\ny 1 0\ny 2 1\ny 3 2\n"
+    with pytest.raises(FormatError, match="^expected 3 flow lines, found 2$"):
         parse_solution(text, inst)
 
 

@@ -5,12 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latticeflow.errors import BoundViolationError
-from latticeflow.exact_arith import (
-    BoundMonitor,
-    ceil_div,
-    next_pow2,
-    round_nearest,
-)
+from latticeflow.exact_arith import BoundMonitor, round_nearest
 
 
 class TestRoundNearest:
@@ -54,30 +49,6 @@ class TestRoundNearest:
         if (2 * p) % (2 * q) == q:
             # result overshoots p/q by exactly half of q
             assert 2 * (round_nearest(p, q) * q - p) == q
-
-
-class TestCeilDiv:
-    def test_values(self):
-        assert ceil_div(7, 2) == 4
-        assert ceil_div(6, 2) == 3
-        assert ceil_div(-7, 2) == -3
-
-    @given(
-        p=st.integers(min_value=-(2**128), max_value=2**128),
-        q=st.integers(min_value=1, max_value=2**128),
-    )
-    @settings(max_examples=200)
-    def test_bracketing(self, p, q):
-        c = ceil_div(p, q)
-        assert (c - 1) * q < p <= c * q
-
-
-class TestNextPow2:
-    def test_values(self):
-        assert next_pow2(1) == 1
-        assert next_pow2(2) == 2
-        assert next_pow2(3) == 4
-        assert next_pow2(6912) == 8192
 
 
 class TestBoundMonitor:

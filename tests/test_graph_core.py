@@ -131,6 +131,9 @@ class TestContractionMap:
             cmap.delete(0)
         with pytest.raises(InvariantError):
             cmap.contract(0)
+        cmap.contract(1)
+        with pytest.raises(InvariantError, match="^arc 1 already contracted$"):
+            cmap.contract(1)
 
     def test_arc_ids_stable(self):
         g = E1.graph

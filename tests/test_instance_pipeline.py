@@ -127,8 +127,23 @@ def test_auxiliary_hat_arc_orientation_and_cost():
     h = aux.hat_arc[0]
     assert aux.graph.arcs[h] == (1, 2)
     assert point.x[h] == cert.beta // 2
-    assert aux.c[h] % cert.gamma == 0
-    assert aux.c[h] >= cert.t // point.x[h]
+    for inst in [inst] + [random_instance(seed, 6, 10, 10, 10, "random")
+                          for seed in range(20)]:
+        _, _, cert, _, aux, point = _prepare(inst)
+        gamma, t = cert.gamma, cert.t
+        # each hat cost is the least multiple of gamma whose product
+        # with the hat flow reaches t
+        for h in aux.hat_arc.values():
+            c_h, x_h = aux.c[h], point.x[h]
+            assert c_h % gamma == 0
+            assert c_h * x_h >= t > (c_h - gamma) * x_h
+        # each split node's dual is -2 ceil(t / u) for its scaled
+        # capacity u, which is the split node's demand
+        for a in aux.up_arc.values():
+            vw = aux.graph.arcs[a][1]
+            u, q = aux.b[vw], -point.y[vw] // 2
+            assert point.y[vw] == -2 * q
+            assert q * u >= t > (q - 1) * u
 
 
 def test_auxiliary_no_hat_when_balanced():
@@ -234,6 +249,10 @@ def test_validate_rejects_bad_instances():
         RawInstance(g, {1: 0, 2: 0}, [0], [1]).validate()
     with pytest.raises(ValueError):
         RawInstance(g, {1: 0}, [1], [1]).validate()
+    for u, c in (([1, 1], [1]), ([1], [])):
+        with pytest.raises(ValueError, match="^capacity/cost vectors do not "
+                                             "match arc count$"):
+            RawInstance(g, {1: -1, 2: 1}, u, c).validate()
     # every node id and value is an int and not a bool, and the error
     # names the field
     for inst, name in [

@@ -479,7 +479,7 @@ def test_trial_steps_follow_the_iteration_schedule():
         trial = mu - (1 << min(3, it)) * (mu - short)
         assert enter["iteration"] == it
         assert enter["mu"] == short
-        if it == 0 or trial < 1:
+        if it == 0:
             assert enter["trial_mu"] is None
             assert exit_["mu"] == short
         else:

@@ -55,3 +55,39 @@ def test_package_has_no_unused_imports():
         bad += [f"{path.name}:{line}: imports {name}, never used"
                 for name, line in imported.items() if name not in used]
     assert not bad
+
+
+def test_solver_computes_no_float():
+    """No module but the reference oracle has a float literal, a true
+    division, a ``float(...)`` call or a ``math`` function other than
+    ``gcd`` and ``isqrt``. The oracle keeps its ``float("inf")``
+    distances and the ``rng.random() < 0.5`` draw that fixes every
+    generated instance."""
+    bad = []
+    for path, tree in _modules():
+        if path.name == "reference_oracle.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(
+                    node.value, (float, complex)):
+                what = f"float literal {node.value!r}"
+            elif isinstance(node, (ast.BinOp, ast.AugAssign)) and (
+                    isinstance(node.op, ast.Div)):
+                what = "true division"
+            elif (isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name)
+                  and node.func.id == "float"):
+                what = "float() call"
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id == "math"
+                  and node.attr not in ("gcd", "isqrt")):
+                what = f"math.{node.attr}"
+            elif (isinstance(node, ast.ImportFrom) and node.module == "math"
+                  and any(alias.name not in ("gcd", "isqrt")
+                          for alias in node.names)):
+                what = "import from math"
+            else:
+                continue
+            bad.append(f"{path.name}:{node.lineno}: {what}")
+    assert not bad

@@ -35,6 +35,9 @@ def test_triangle_wrong_flow_fails_verification():
     sol = ssp_solve(E1)
     report = verify_certificate(E1, [1, 1, 1], sol.potentials)
     assert not report.ok
+    # a flow vector one entry short is refused before any other check
+    report = verify_certificate(E1, sol.flow[:-1], sol.potentials)
+    assert report.failures == ["flow vector has wrong length"]
 
 
 def test_infeasible_capacity_cut():
@@ -112,6 +115,8 @@ def test_random_instance_minimal():
     assert inst.graph.n == 2 and inst.graph.m == 1
     with pytest.raises(ValueError):
         random_instance(0, 2, 0, 3, 3)
+    with pytest.raises(ValueError, match="^unknown mode 'bogus'$"):
+        random_instance(0, 2, 1, 3, 3, "bogus")
 
 
 @pytest.mark.parametrize("U_max,C_max,name", [(0, 3, "U_max"),

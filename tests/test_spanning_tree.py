@@ -205,3 +205,5 @@ def test_reweight_rejects_nonpositive_resistance(arc_list, data):
     with pytest.raises(ValueError, match="resistance must be positive"):
         f.reweight(bad)
     assert f.r is r
+    with pytest.raises(ValueError, match="^duplicate arc ids$"):
+        TreeForest(arc_list + arc_list[:1], r)
