@@ -7,14 +7,19 @@ with resistances ceil(s_a / x_a), a random fundamental cycle is chosen
 with probability proportional to its relative resistance, and the tree
 flow deviation phi is shifted by the rounded electrically-optimal amount
 around that cycle. Node voltages are folded into the duals at periodic
-refreshes, and the loop exits as soon as the refreshed point satisfies
-the exact centrality test 8 * sum |x_a s_a - mu| < mu. A run may first
-try a smaller target for a short budget of updates. One linearization
-leaves a second-order error that more updates cannot remove, so a trial
-that stalls at an interior point is corrected: the minor is read again
-as a network at that point and centered once more at the trial target,
-for the same budget (a predictor-corrector step). When neither passes,
-the run falls back to mu.
+refreshes. One leg loop does all the centering, with one exit rule: it
+stops at the first refresh whose point is interior and satisfies the
+exact centrality test 8 * sum |x_a s_a - target| < target. A run may
+first try a smaller target for a short budget of updates. One
+linearization leaves a second-order error that more updates cannot
+remove, so a trial that stalls at an interior point is corrected: the
+minor is read again as a network at that point and centered once more
+at the trial target, for the same budget (a predictor-corrector step).
+When neither passes, the run falls back to mu, the proven short step,
+and the loop runs there until it exits or reaches the stall ceiling.
+The trial, the corrector and the short step are thus one centering
+procedure run at different targets, as in Mizuno, Todd and Ye's
+adaptive step.
 
 Every quantity is an integer.
 """
@@ -58,10 +63,12 @@ class CenteringRun:
     minor's arcs, ``x_cur`` and ``s_cur``; ``run()`` leaves the
     recentered point there, with its counts in ``updates`` and
     ``refreshes``, and sets ``mu`` to the target it reached.
-    The trial gets 4 m_h cycle updates, with a refresh after each batch
-    of m_h. It is accepted at the first refresh that passes the exit
-    test at ``trial_mu`` with every ``x_cur`` and ``s_cur`` positive.
-    When it is not, and its last point is interior and the forest has
+    Each of the run's legs, the trial, the corrector and the short step
+    at ``mu``, runs one leg loop: a refresh, then a batch of m_h cycle
+    updates and a refresh after each. A leg exits at the first refresh
+    that passes the exit test at its target with every ``x_cur`` and
+    ``s_cur`` positive. The trial gets 4 m_h cycle updates. When it
+    does not exit, and its last point is interior and the forest has
     off-tree arcs, the corrector takes that point as a new
     linearization: resistances ceil(s_cur / x_cur) on the forest
     reweighted, or on a fresh one when it refuses, base = round(trial_mu
@@ -100,7 +107,10 @@ class CenteringRun:
     computes the exact ceiling only when updates reach it, or when
     ``stall_limit`` is read. Both count only the updates made at
     ``mu``, after a failed trial; the trial's and the corrector's
-    budgets, 8 m_h together, are below the floor.
+    budgets, 8 m_h together, are below the floor. The leg at ``mu``
+    has no other way out: a point that passes the centrality test but
+    is not interior keeps it updating, and a forest with no off-tree
+    arcs, which cannot move x, is an ``InvariantError``.
     """
 
     arcs: list[tuple[int, object, object]]
@@ -134,15 +144,16 @@ class CenteringRun:
         if self.trial_mu is not None and self.secant is not None:
             self._predict(*self.secant)
 
-    def _linearize(self, x, s, target: int) -> None:
+    def _linearize(self, x, s, target: int, pi_start=None) -> None:
         """Read the minor as a network at the point (x, s) and aim it at
         ``target``: resistances r_a = ceil(s_a / x_a), kept by
         reweighting the forest when it is still their Prim forest and
         else by a fresh one, and the tree flow deviation phi = x - base,
         where base_a = round(target / s_a) is the centered flow, rounded
-        to nearest with ties up as ``round_nearest`` does. Records r,
-        base, phi, the cycle table's total weight and every r(C_a) as
-        one monitor batch."""
+        to nearest with ties up. ``pi_start`` is the voltages that
+        (x, s) already carries against the entry slacks, None at the
+        entry point itself. Records r, base, phi, the cycle table's
+        total weight and every r(C_a) as one monitor batch."""
         r = {}
         base = {}
         phi = {}
@@ -157,6 +168,7 @@ class CenteringRun:
         if self.forest is None or not self.forest.reweight(r):
             self.forest = TreeForest(self.arcs, r)
         self.target, self.base, self.phi = target, base, phi
+        self.pi_start = pi_start
         self.monitor.record_many(chain(
             r.values(), base.values(), phi.values(), self.forest.prefix[-1:],
             (cycle_r for _, _, cycle_r in self.forest.cycles)))
@@ -239,7 +251,7 @@ class CenteringRun:
         lam = 0
         for b, _, c in coefs:
             lam += c * phi[b]
-        alpha = (2 * lam + cycle_r) // (2 * cycle_r)  # round_nearest
+        alpha = (2 * lam + cycle_r) // (2 * cycle_r)  # nearest, ties up
         hi = abs(lam)
         if alpha:
             for b, sign, _ in coefs:
@@ -253,51 +265,60 @@ class CenteringRun:
     # -- the loop ------------------------------------------------------
 
     def run(self) -> None:
-        """Try ``trial_mu``, if given, and correct a stalled trial; then
-        alternate refreshes and batches of one random cycle update per
-        minor arc until the exit test passes at ``mu``. Either way the
-        recentered point is left in ``x_cur``, ``s_cur`` and ``pi`` and
-        its target in ``mu``; raise after the stall ceiling.
-
-        The stall count is tested once per batch, before it. No refresh
-        comes inside a batch, so a batch that would reach the floor
-        reaches it: the exact ceiling is computed then, and a batch that
-        would pass the ceiling raises, as a test before every update
-        would."""
-        batch = range(max(1, len(self.arcs)))
-        size = len(batch)
-        sample = self.sample_update
+        """Center at ``trial_mu``, if given, then correct a stalled
+        trial at it, then fall back to ``mu``: three legs of one leg
+        loop. The first leg that exits leaves the recentered point in
+        ``x_cur``, ``s_cur`` and ``pi`` and its target in ``mu``."""
         if self.trial_mu is not None:
-            if self._center_at_trial(batch):
+            budget = 4 * max(1, len(self.arcs))
+            if self._center(budget):
                 self.mu = self.trial_mu
                 return
             if self.forest.off_tree and self._interior():
-                self.pi_start = self.pi
-                self._linearize(self.x_cur, self.s_cur, self.trial_mu)
-                if self._center_at_trial(batch):
+                self._linearize(self.x_cur, self.s_cur, self.trial_mu,
+                                pi_start=self.pi)
+                if self._center(budget):
                     self.mu = self.trial_mu
                     self.corrected = True
                     return
-                self.pi_start = None
             self._linearize(self.x, self.s, self.mu)
+        self._center(None)
+
+    def _center(self, budget: int | None) -> bool:
+        """Refresh, and again after each batch of one random cycle
+        update per minor arc, until a refresh passes the exit test at an
+        interior point (True).
+
+        The leg's update count is tested once per batch, before it. A
+        trial or corrector leg returns False once it has made ``budget``
+        updates or when the forest has no off-tree arcs. The short-step
+        leg (``budget`` None) raises instead: with no off-tree arcs at
+        once, and after the stall ceiling. Its limit starts at the floor
+        max(1, 64 m_h mu0_bits) and, once reached, rises to the exact
+        ceiling ``stall_limit``. The floor, the ceiling and the count
+        are multiples of the batch size, as ``mu0_bits`` >= 1, so the
+        count meets each limit exactly, as a test before every update
+        would."""
+        batch = range(max(1, len(self.arcs)))
+        sample = self.sample_update
         start = self.updates
-        ceiling = max(1, 64 * len(self.arcs) * self.mu0_bits)  # the floor
+        limit = budget or max(1, 64 * len(self.arcs) * self.mu0_bits)
         while True:
-            if self.refresh():
-                return
-            if not self.forest.off_tree:
+            if self.refresh() and self._interior():
+                return True
+            made = self.updates - start
+            if budget is not None:
+                if made >= limit or not self.forest.off_tree:
+                    return False
+            elif not self.forest.off_tree:
                 raise InvariantError(
                     "forest minor failed the centrality exit at first refresh")
-            made = self.updates - start
-            if made + size > ceiling:
-                ceiling = self.stall_limit
-                if made + size > ceiling:
-                    # made counts whole batches, and with mu0_bits >= 1
-                    # the floor and the ceiling are multiples of the
-                    # batch size too, so made is the ceiling here
+            elif made >= limit:
+                limit = self.stall_limit
+                if made >= limit:
                     raise CenteringStallError(
-                        f"no centered point after {ceiling} cycle "
-                        f"updates (ceiling {ceiling})")
+                        f"no centered point after {made} cycle "
+                        f"updates (ceiling {limit})")
             for _ in batch:
                 sample()
 
@@ -305,17 +326,3 @@ class CenteringRun:
         """Whether every ``x_cur`` and ``s_cur`` is positive."""
         return (all(v > 0 for v in self.x_cur.values())
                 and all(v > 0 for v in self.s_cur.values()))
-
-    def _center_at_trial(self, batch: range) -> bool:
-        """Refresh, and again after each batch of updates, until a
-        refresh passes the exit test at ``trial_mu`` at an interior
-        point (True) or 4 m_h updates are spent (False)."""
-        budget = self.updates + 4 * len(batch)
-        sample = self.sample_update
-        while True:
-            if self.refresh() and self._interior():
-                return True
-            if self.updates >= budget or not self.forest.off_tree:
-                return False
-            for _ in batch:
-                sample()

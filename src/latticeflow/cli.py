@@ -27,13 +27,7 @@ from .dimacs import (
     parse_instance,
     parse_solution,
 )
-from .errors import (
-    BoundViolationError,
-    CenteringStallError,
-    FormatError,
-    InvariantError,
-    IterationCeilingError,
-)
+from .errors import FormatError, LatticeFlowError
 from .reference_oracle import (random_instance, ssp_solve, verify_certificate,
                                verify_cut)
 from .solver import SolveConfig, SolveResult, solve
@@ -176,8 +170,7 @@ def main(argv: list[str] | None = None) -> int:
     except (FormatError, ValueError) as exc:
         print(f"latticeflow: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (BoundViolationError, CenteringStallError, InvariantError,
-            IterationCeilingError) as exc:
+    except LatticeFlowError as exc:  # every other one is a guard
         print(f"latticeflow: internal guard tripped: {exc}", file=sys.stderr)
         return EXIT_GUARD
 

@@ -1,15 +1,14 @@
-"""The rounding convention and the magnitude monitor.
+"""The magnitude monitor.
 
 Every number in this package is a plain Python ``int``; there is no
 floating-point code anywhere in the solver. A monitor tracks the
 largest absolute value stored by a solve so the advertised magnitude
 bound can be checked rather than assumed.
 
-``round_nearest`` has no caller in the package: ``centering`` writes
-its form ``(2p + q) // (2q)`` inline in ``_linearize``, ``_predict``
-and ``sample_update``. ``round_nearest`` is the tests' reference for
-those inline forms. Ceiling division is written inline as
-``-(-p // q)`` wherever it is used.
+Rounding to nearest, ties up, is written inline as
+``(2p + q) // (2q)`` in ``centering``'s ``_linearize``, ``_predict``
+and ``sample_update``, and ceiling division as ``-(-p // q)`` wherever
+it is used.
 """
 
 from __future__ import annotations
@@ -18,22 +17,7 @@ from typing import Iterable
 
 from .errors import BoundViolationError
 
-__all__ = [
-    "round_nearest",
-    "BoundMonitor",
-]
-
-
-def round_nearest(p: int, q: int) -> int:
-    """Return the integer nearest to p/q for q > 0.
-
-    Ties (fractional part exactly 1/2) round toward +infinity, so
-    ``round_nearest(7, 2) == 4`` and ``round_nearest(-3, 2) == -1``.
-    Computed as floor((2p + q) / (2q)), which is exact for any signed p.
-    """
-    if q <= 0:
-        raise ValueError(f"round_nearest requires q > 0, got {q}")
-    return (2 * p + q) // (2 * q)
+__all__ = ["BoundMonitor"]
 
 
 class BoundMonitor:

@@ -3,8 +3,9 @@ the small instance E1 and its DIMACS text, the tokens of the DIMACS
 fuzz tests, bare auxiliary instances for unit tests, the acceptance
 suite's instance sizes, whether an oracle optimum's support is unique,
 the exact energy gap of a centering run and the energy drop of one
-update, point edits for the guard tests, and a rounding, a component
-path and solves that run to the proxy exit."""
+update, point edits for the guard tests, a rounding, a component path
+and solves that run to the proxy exit, and ``round_nearest``, the
+reference for the package's inline round-to-nearest forms."""
 
 from fractions import Fraction
 from random import Random
@@ -169,3 +170,16 @@ def solve_to_the_proxy_exit(inst: RawInstance, config: solver.SolveConfig,
         return solver.solve(inst, config, probe=probe)
     finally:
         solver.crossover = real
+
+
+def round_nearest(p: int, q: int) -> int:
+    """Return the integer nearest to p/q for q > 0.
+
+    Ties (fractional part exactly 1/2) round toward +infinity, so
+    ``round_nearest(7, 2) == 4`` and ``round_nearest(-3, 2) == -1``.
+    Computed as floor((2p + q) / (2q)), which is exact for any signed p;
+    ``centering`` writes this form inline.
+    """
+    if q <= 0:
+        raise ValueError(f"round_nearest requires q > 0, got {q}")
+    return (2 * p + q) // (2 * q)

@@ -12,13 +12,14 @@ from latticeflow import centering
 from latticeflow.centering import CenteringRun
 from latticeflow.errors import (BoundViolationError, CenteringStallError,
                                 InvariantError)
-from latticeflow.exact_arith import BoundMonitor, round_nearest
+from latticeflow.exact_arith import BoundMonitor
 from latticeflow.graph_core import (MultiGraph, apply_incidence, bfs_forest,
                                     route_to_roots)
 from latticeflow.reference_oracle import random_instance
 from latticeflow.solver import SolveConfig
 
-from helpers import energy_decrease, energy_gap, solve_to_the_proxy_exit
+from helpers import (energy_decrease, energy_gap, round_nearest,
+                     solve_to_the_proxy_exit)
 
 TWO_CYCLE = [(0, "A", "B"), (1, "B", "A")]
 # magnitude limit for the hand-sized states here, far above any value
@@ -312,6 +313,33 @@ def test_trial_with_a_nonpositive_value_is_rejected():
     assert _centered_at(run, 34560)
     assert all(v > 0 for v in run.x_cur.values())
     assert all(v > 0 for v in run.s_cur.values())
+
+
+class _NegatedShortStepRun(CenteringRun):
+    """At every refresh made at ``mu``, flips the signs of both x_cur[0]
+    and s_cur[0], as ``_NegatedTrialRun`` does at the trial target."""
+
+    def refresh(self) -> bool:
+        passed = super().refresh()
+        if self.target == self.mu:
+            self.x_cur[0] = -self.x_cur[0]
+            self.s_cur[0] = -self.s_cur[0]
+        return passed
+
+
+def test_short_step_exits_only_at_an_interior_point():
+    """The short step at ``mu`` has the trial's exit rule: a refresh
+    that passes the centrality test at a point with a nonpositive value
+    does not end it. The entry point here is centered, products (4, 4)
+    at mu = 4, so every refresh passes the test, and only the sign flip
+    keeps the run going, through the floor of 128 to the ceiling."""
+    run = _NegatedShortStepRun(arcs=TWO_CYCLE, x={0: 2, 1: 2},
+                               s={0: 2, 1: 2}, mu=4, rng=Random(0),
+                               mu0_bits=1, monitor=BoundMonitor(LIMIT))
+    with pytest.raises(CenteringStallError, match=r"after 256 .*ceiling 256"):
+        run.run()
+    assert run.updates == run.stall_limit == 256
+    assert run.refreshes == 1 + 256 // len(TWO_CYCLE)
 
 
 # The minor of acceptance-mix draw 52 of the seed-1 benchmark suite,

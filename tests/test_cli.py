@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latticeflow import errors
 from latticeflow.cli import main
 
 from helpers import DIMACS_TOKENS, TRIANGLE, round_at_the_proxy_exit
@@ -194,6 +195,25 @@ def test_trace_streams_rows_before_a_guard(triangle_file, capsys,
     rows = [json.loads(line) for line in captured.out.splitlines()]
     assert [row["iter"] for row in rows] == [0, 1, 2, 3]
     assert "internal guard tripped" in captured.err
+
+
+@pytest.mark.parametrize("error, code", [
+    (errors.BoundViolationError, 3), (errors.CenteringStallError, 3),
+    (errors.IterationCeilingError, 3), (errors.InvariantError, 3),
+    (errors.RoundingRefusedError, 3), (errors.FormatError, 1),
+    (errors.UnsupportedFeatureError, 1)])
+def test_error_classes_map_to_exit_codes(triangle_file, capsys, monkeypatch,
+                                         error, code):
+    """Every guard class exits 3 as a tripped guard; the input-format
+    classes exit 1."""
+    def raising(*args, **kwargs):
+        raise error("planted")
+
+    monkeypatch.setattr("latticeflow.cli.solve", raising)
+    assert main(["solve", triangle_file]) == code
+    err = capsys.readouterr().err
+    assert "planted" in err
+    assert ("internal guard tripped" in err) == (code == 3)
 
 
 def test_gen_roundtrip(tmp_path, capsys):

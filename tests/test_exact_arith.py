@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latticeflow.errors import BoundViolationError
-from latticeflow.exact_arith import BoundMonitor, round_nearest
+from latticeflow.exact_arith import BoundMonitor
+
+from helpers import round_nearest
 
 
 class TestRoundNearest:

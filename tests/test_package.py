@@ -1,4 +1,5 @@
-"""Static checks on the shipped package's imports."""
+"""Static checks on the shipped package's imports, exports and
+arithmetic."""
 
 import ast
 import sys
@@ -54,6 +55,31 @@ def test_package_has_no_unused_imports():
                 used.update(ast.literal_eval(node.value))
         bad += [f"{path.name}:{line}: imports {name}, never used"
                 for name, line in imported.items() if name not in used]
+    assert not bad
+
+
+def test_every_exported_name_is_bound():
+    """Every name in a module's ``__all__`` is bound at the module's top
+    level: defined there, assigned there or imported there."""
+    bad = []
+    for path, tree in _modules():
+        bound, exported = set(), []
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                bound.add(node.name)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound.update(alias.asname or alias.name.split(".")[0]
+                             for alias in node.names)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                names = {t.id for t in targets if isinstance(t, ast.Name)}
+                bound |= names
+                if "__all__" in names:
+                    exported = ast.literal_eval(node.value)
+        bad += [f"{path.name}: __all__ lists {name}, never bound"
+                for name in exported if name not in bound]
     assert not bad
 
 

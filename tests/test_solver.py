@@ -420,7 +420,8 @@ def test_iterate_payloads_are_the_trace_rows(tmp_path, capsys):
 # instances, solved with the instance seed. Three acceptance-mix shapes,
 # one U = C = 10^12 case and one sparse 32-node case. Any change to the
 # random-number stream, the rounding or the path moves them; a change
-# that means to do so must record new values and say why.
+# that means to do so must record new values and say why, and re-pin
+# the benchmark suites' answer digests in .github/workflows/tests.yml.
 GOLDEN = [
     ((7, 8, 16, 10, 10, "feasible"),
      "4f25d533f4b81dd8ad3d1be841c4bd07baac6d245726e6746364d95b4a00de30",
