@@ -29,7 +29,6 @@ from .errors import (
 from .graph_core import MultiGraph
 from .instance_pipeline import RawInstance
 from .reference_oracle import (
-    brute_force_optimum,
     random_instance,
     ssp_solve,
     verify_certificate,
@@ -53,7 +52,6 @@ __all__ = [
     "SolveResult",
     "UnsupportedFeatureError",
     "__version__",
-    "brute_force_optimum",
     "format_infeasible",
     "format_instance",
     "format_solution",

@@ -54,63 +54,37 @@ class CenteringRun:
     ``run()`` is the whole loop; ``refresh()`` and ``sample_update()``
     are public so tests can replay single updates from a frozen state.
 
-    arcs: (arc_id, tail_class, head_class) for the surviving minor arcs;
-    x, s: the current point, indexed by arc id and read only, so the
-    driver passes its full vectors; mu: the proven short-step target;
-    trial_mu: an optional smaller target tried first. ``target`` is the
-    one ``refresh()`` tests against: ``trial_mu`` until the trial ends,
-    else ``mu``. Each ``refresh()`` rewrites ``pi`` and, over the
-    minor's arcs, ``x_cur`` and ``s_cur``; ``run()`` leaves the
-    recentered point there, with its counts in ``updates`` and
-    ``refreshes``, and sets ``mu`` to the target it reached.
-    Each of the run's legs, the trial, the corrector and the short step
-    at ``mu``, runs one leg loop: a refresh, then a batch of m_h cycle
-    updates and a refresh after each. A leg exits at the first refresh
-    that passes the exit test at its target with every ``x_cur`` and
-    ``s_cur`` positive. The trial gets 4 m_h cycle updates. When it
-    does not exit, and its last point is interior and the forest has
-    off-tree arcs, the corrector takes that point as a new
-    linearization: resistances ceil(s_cur / x_cur) on the forest
-    reweighted, or on a fresh one when it refuses, base = round(trial_mu
-    / s_cur) and phi = x_cur - base, then the same 4 m_h updates and
-    refreshes at ``trial_mu``. Its voltages add to ``pi_start``, the
-    trial's last ``pi``, so ``pi`` stays the sum of both linearizations'
-    voltages and s_cur = s - A^T pi still holds against the entry
-    slacks. A corrector that passes ends the run at ``trial_mu`` and
-    sets ``corrected``. Otherwise the run linearizes again at the entry
-    point (x, s) for ``mu``, which reweights the forest back to the
-    entry resistances or builds their forest afresh, and centers there
-    as if no trial had been made.
-    ``secant``, optional and read only with a trial, is (d, num, den):
-    d maps each arc to a circulation of the minor, the change of the
-    path's flow over the previous step, and num / den scales it to the
-    trial's step. The trial then starts from the predicted point: each
-    off-tree arc's value round(d_a num / den), its coordinate in the
-    cycle basis, is pushed around its fundamental cycle, so the start
-    still meets the demands. The fallback to ``mu`` starts from ``x``.
-    ``forest`` is the minimum spanning forest of these arcs under the
-    resistances r_a = ceil(s_a / x_a), which it holds as ``forest.r``,
-    and owns the cycle table and its prefix sums that ``sample_update``
-    reads. A caller may pass the forest of an earlier run
-    over the same arcs: it is reweighted to the new resistances and
-    kept when it is still their Prim forest, and otherwise a fresh
-    forest is built, so the run is the same either way.
-    Every stored value, the trial's and the corrector's included, the
-    summed ``pi`` among them, is recorded in ``monitor``; of the cycle
-    table's running sums, the total bounds the rest and is the one
-    recorded. ``mu0_bits``, at least 1, feeds the stall ceiling, which
-    scales with the bit length of the initial path parameter.
+    arcs: (arc_id, tail_class, head_class) for the surviving minor arcs.
+    x, s: the entry point, indexed by arc id and read only, so the
+    driver passes its full vectors.
+    mu: the proven short-step target; ``run()`` sets it to the target
+    the run reached.
+    mu0_bits: at least 1, the bit length of the initial path parameter,
+    which scales the stall ceiling.
+    forest: optionally an earlier run's forest over the same arcs, kept
+    only while it is still the Prim forest of this run's resistances, so
+    the run is the same either way.
+    trial_mu: an optional smaller target, tried first.
+    secant: optional, read only with a trial: (d, num, den), where d is
+    the path's flow change over the previous step, a circulation of the
+    minor, and num / den scales it to the trial's step.
 
-    The stall ceiling is max(1, 64 m_h ceil(tau) mu0_bits), where tau is
-    the forest's total stretch. Since ceil(tau) >= 1 it is never below
-    the floor max(1, 64 m_h mu0_bits), so the loop checks the floor and
-    computes the exact ceiling only when updates reach it, or when
-    ``stall_limit`` is read. Both count only the updates made at
-    ``mu``, after a failed trial; the trial's and the corrector's
-    budgets, 8 m_h together, are below the floor. The leg at ``mu``
-    has no other way out: a point that passes the centrality test but
-    is not interior keeps it updating, and a forest with no off-tree
-    arcs, which cannot move x, is an ``InvariantError``.
+    ``target`` is the one ``refresh()`` tests against; ``base`` and
+    ``phi`` hold the current linearization, and ``pi_start`` the
+    voltages its point already carries (None at the entry point).
+    ``pi``, ``x_cur`` and ``s_cur`` hold the last refresh's point, and
+    ``updates``, ``refreshes`` and ``corrected`` the run's counts.
+
+    Invariants: ``forest`` is the minimum spanning forest of the arcs
+    under the linearization's resistances r_a = ceil(s_a / x_a), which
+    it holds as ``forest.r``. x_cur = base + phi meets the demands, as
+    updates move phi only around cycles. s_cur = s - A^T pi against the
+    entry slacks. Every stored value is recorded in ``monitor``; of the
+    cycle table's running sums, the total bounds the rest and is the
+    one recorded. The stall ceiling, max(1, 64 m_h ceil(tau) mu0_bits),
+    counts only the updates made at ``mu``; it is never below the floor
+    max(1, 64 m_h mu0_bits), which exceeds the 8 m_h updates the trial
+    and the corrector may make together.
     """
 
     arcs: list[tuple[int, object, object]]

@@ -3,16 +3,15 @@
 This module exists so the main solver can be checked against code that
 shares none of its machinery: a textbook successive-shortest-path solver
 whose one Bellman-Ford search on the residual network finds both its
-augmenting paths and its final potentials, a brute-force lattice
-enumerator for tiny instances, exhaustive checks of optimality and
-infeasibility certificates, and a seeded random instance generator.
+augmenting paths and its final potentials, exhaustive checks of
+optimality and infeasibility certificates, and a seeded random instance
+generator.
 
 Nothing here is performance-sensitive; clarity wins every trade-off.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from typing import Sequence
@@ -25,7 +24,6 @@ __all__ = [
     "ssp_solve",
     "verify_certificate",
     "verify_cut",
-    "brute_force_optimum",
     "random_instance",
 ]
 
@@ -221,28 +219,6 @@ def verify_cut(inst: RawInstance, cut: list[int]) -> CertificateReport:
         f"cut's net demand {demand} exceeds neither its entering "
         f"capacity {entering} nor, negated, its leaving capacity "
         f"{leaving}"], None)
-
-
-def brute_force_optimum(inst: RawInstance) -> tuple[int | None, list[list[int]]]:
-    """Enumerate every integer flow in the capacity box; return the
-    optimal objective (None if infeasible) and all optimal flows.
-
-    Exponential in sum(u); intended for instances with a handful of arcs
-    and single-digit capacities.
-    """
-    inst.validate()
-    best: int | None = None
-    argbest: list[list[int]] = []
-    for candidate in itertools.product(*(range(cap + 1) for cap in inst.u)):
-        net = _net_inflow(inst, candidate)
-        if any(net[v] != inst.b[v] for v in inst.graph.nodes):
-            continue
-        obj = sum(f * cost for f, cost in zip(candidate, inst.c))
-        if best is None or obj < best:
-            best, argbest = obj, [list(candidate)]
-        elif obj == best:
-            argbest.append(list(candidate))
-    return best, argbest
 
 
 def random_instance(seed: int, n: int, m: int, U_max: int, C_max: int,

@@ -1,12 +1,14 @@
 """Checks that only the tests use, kept out of the shipped package:
 the small instance E1 and its DIMACS text, the tokens of the DIMACS
 fuzz tests, bare auxiliary instances for unit tests, the acceptance
-suite's instance sizes, whether an oracle optimum's support is unique,
+suite's instance sizes, the brute-force optimum of a tiny instance,
+whether an oracle optimum's support is unique,
 the exact energy gap of a centering run and the energy drop of one
 update, point edits for the guard tests, a rounding, a component path
 and solves that run to the proxy exit, and ``round_nearest``, the
 reference for the package's inline round-to-nearest forms."""
 
+import itertools
 from fractions import Fraction
 from random import Random
 
@@ -65,6 +67,33 @@ def suite_params(seed: int) -> tuple[int, int, int, int, str]:
     c_max = rng.choice([0, 1, 2, 3, 5, 10])
     mode = "feasible" if seed % 3 else "random"
     return n, m, u_max, c_max, mode
+
+
+def brute_force_optimum(inst: RawInstance) -> tuple[int | None,
+                                                   list[list[int]]]:
+    """Enumerate every integer flow in the capacity box; return the
+    optimal objective (None if infeasible) and all optimal flows.
+
+    Exponential in sum(u); meant for instances with a handful of arcs
+    and single-digit capacities. It sums each node's net inflow itself,
+    so it stays independent of ``graph_core``.
+    """
+    inst.validate()
+    best: int | None = None
+    argbest: list[list[int]] = []
+    for candidate in itertools.product(*(range(cap + 1) for cap in inst.u)):
+        net = {v: 0 for v in inst.graph.nodes}
+        for f, (v, w) in zip(candidate, inst.graph.arcs):
+            net[v] -= f
+            net[w] += f
+        if any(net[v] != inst.b[v] for v in inst.graph.nodes):
+            continue
+        obj = sum(f * cost for f, cost in zip(candidate, inst.c))
+        if best is None or obj < best:
+            best, argbest = obj, [list(candidate)]
+        elif obj == best:
+            argbest.append(list(candidate))
+    return best, argbest
 
 
 def _drop_arc(inst: RawInstance, a: int) -> RawInstance:

@@ -1,6 +1,6 @@
 """Shipping gate: one test and one printed PASS/FAIL line per criterion.
 
-The module fixture solves each instance of a 240-instance seeded suite
+The module fixture solves each instance of a 280-instance seeded suite
 twice, once through ``solve`` and once through
 ``helpers.solve_to_the_proxy_exit``, with a probe attached to each run,
 so the interior invariants (initial point, post-centering centrality,
@@ -13,10 +13,12 @@ also appear in failure output.
 Most ``solve`` paths round early, often at iteration 0, so they see few
 path states. The second run refuses every rounding try before the proxy
 exit, so each path runs as long as every path did before early
-rounding; the floors below hold the gate at that coverage however early
-``solve`` rounds.
+rounding; the floors below count the proxy-exit runs alone, so they
+hold the gate at that coverage however early ``solve`` rounds.
+Criterion 11 also pins one hash over every run's bytes.
 """
 
+import hashlib
 import json
 import math
 import time
@@ -40,15 +42,16 @@ from latticeflow.solver import SolveConfig, solve
 from helpers import (energy_decrease, energy_gap, has_unique_support,
                      solve_to_the_proxy_exit, suite_params)
 
-# 240 draws, so that the proxy-exit paths, which the trial corrector
-# shortened, still meet the floors below; 235 is the least that does
-SUITE_SIZE = 240
+# 280 draws, so that the proxy-exit runs alone, whose paths the trial
+# corrector shortened, meet the floors below; 276 is the least that does
+SUITE_SIZE = 280
 # each suite instance is solved by both; the criterion 5 and 6 lines
 # report each run's share of the checks
 RUNS = {"solve": solve, "proxy exit": solve_to_the_proxy_exit}
-# the path coverage the gate had before early rounding: post-centering
-# and lifted points, delete/contract decisions and the unique-support
-# instances they were checked on
+# the path coverage the gate had before early rounding, counted on the
+# proxy-exit runs: post-centering and lifted points, delete/contract
+# decisions, and the unique-support instances they were checked on
+FLOOR_RUN = "proxy exit"
 PATH_POINTS_FLOOR = 9524
 DECISIONS_FLOOR = 1807
 UNIQUE_FLOOR = 117
@@ -62,6 +65,13 @@ BOOTSTRAP_RESAMPLES = 1000
 # the solves they come from already held every value under their own
 # component's limit, far below this one
 REPLAY_LIMIT = 1 << 512
+# criterion 11 pins one sha256 over every run's bytes, in suite order:
+# the payloads of these events as JSON, as each run's probe sees them,
+# then its answer text and its components' stats as JSON. A change to
+# the random stream, the path or the rounding moves it; re-pin it with
+# GOLDEN and SUITE_DIGESTS in test_solver.py
+HASHED_EVENTS = ("iterate", "centering_enter", "centering_exit", "lifted")
+GATE_BYTES = "dfa540a2deb24ed1167bc6ad25de7c7fde5845372a66662ff3b95e34e03647f9"
 
 
 def _check_initial_point(seed, cert, aux, point, data):
@@ -88,6 +98,8 @@ def _make_probe(seed, run, oracle, unique, data):
 
     def on_event(event, payload):
         nonlocal lifts, mu0_bits
+        if event in HASHED_EVENTS:
+            data["bytes"].update(f"{event} {json.dumps(payload)}\n".encode())
         if event == "iterate":
             if payload["iter"] == 0:
                 mu0_bits = payload["mu"].bit_length()
@@ -223,6 +235,13 @@ def _check_component(seed, run, oracle, unique, comp, lifts, data):
     _check_crossover(seed, cert, aux, res, data)
 
 
+def _answer_text(inst, result):
+    if result.status == "optimal":
+        return format_solution(inst, result.objective, result.flow,
+                               result.potentials)
+    return format_infeasible(result.cut)
+
+
 def _determinism_check(seed, inst, data):
     outs = []
     for _ in range(2):
@@ -232,11 +251,7 @@ def _determinism_check(seed, inst, data):
                            probe=lambda *event: events.append(event))
         except Exception:
             return  # criterion 1 already records the failure
-        if result.status == "optimal":
-            text = format_solution(inst, result.objective, result.flow,
-                                   result.potentials)
-        else:
-            text = format_infeasible(result.cut)
+        text = _answer_text(inst, result)
         text += "".join(json.dumps(row) + "\n"
                         for event, row in events if event == "iterate")
         outs.append(text.encode())
@@ -264,6 +279,7 @@ def suite():
         "iteration_counts": [], "deep_errors": [],
         "states": [], "state_seeds": {},
         "determinism_checked": 0, "determinism_violations": [],
+        "bytes": hashlib.sha256(),
     }
     t_start = time.perf_counter()
     for seed in range(SUITE_SIZE):
@@ -317,6 +333,8 @@ def _check_run(seed, run, runner, inst, oracle, unique, data):
         if not report.ok:
             data["cut_failures"].append((seed, run, report.failures))
     if result is not None:
+        data["bytes"].update(_answer_text(inst, result).encode())
+        data["bytes"].update(json.dumps(result.components).encode())
         for comp in result.components:
             if "max_abs" in comp:
                 data["monitor_pairs"].append(
@@ -382,16 +400,17 @@ def test_criterion_04_initial_point(suite):
 
 
 def test_criterion_05_centrality_and_feasibility(suite):
-    ok = (suite["exit_checks"].total() >= PATH_POINTS_FLOOR
+    ok = (suite["exit_checks"][FLOOR_RUN] >= PATH_POINTS_FLOOR
           and not suite["exit_violations"]
-          and suite["lift_checks"].total() >= PATH_POINTS_FLOOR
+          and suite["lift_checks"][FLOOR_RUN] >= PATH_POINTS_FLOOR
           and not suite["lift_violations"]
           and not suite["deep_errors"])
     _report(5, ok,
             f"{_shares(suite['exit_checks'])} post-centering points "
             f"satisfied strict 8-fold centrality and "
             f"{_shares(suite['lift_checks'])} lifted points "
-            f"stayed exactly feasible (floor {PATH_POINTS_FLOOR} each); "
+            f"stayed exactly feasible (floor {PATH_POINTS_FLOOR} each on "
+            f"the {FLOOR_RUN} runs); "
             f"exit_violations={suite['exit_violations'][:3]} "
             f"lift_violations={suite['lift_violations'][:3]} "
             f"errors={suite['deep_errors'][:3]}")
@@ -399,13 +418,14 @@ def test_criterion_05_centrality_and_feasibility(suite):
 
 def test_criterion_06_minor_legitimacy(suite):
     ok = (suite["unique_instances"] >= UNIQUE_FLOOR
-          and suite["minor_checks"].total() >= DECISIONS_FLOOR
+          and suite["minor_checks"][FLOOR_RUN] >= DECISIONS_FLOOR
           and not suite["minor_violations"])
     _report(6, ok,
             f"{_shares(suite['minor_checks'])} delete/contract decisions on "
             f"{suite['unique_instances']} unique-support instances all "
             f"consistent with the oracle optimum (floors {DECISIONS_FLOOR} "
-            f"on {UNIQUE_FLOOR}); violations={suite['minor_violations'][:3]}")
+            f"on the {FLOOR_RUN} runs, on {UNIQUE_FLOOR}); "
+            f"violations={suite['minor_violations'][:3]}")
 
 
 def test_criterion_07_perturbation_bounds(suite):
@@ -475,9 +495,11 @@ def test_criterion_10_energy_decrease(suite):
 
 
 def test_criterion_11_determinism(suite):
+    digest = suite["bytes"].hexdigest()
     ok = (suite["determinism_checked"] >= 10
-          and not suite["determinism_violations"])
+          and not suite["determinism_violations"] and digest == GATE_BYTES)
     _report(11, ok,
             f"{suite['determinism_checked']} instances re-solved with the "
-            f"same seed produced byte-identical solution and trace output; "
+            f"same seed produced byte-identical solution and trace output, "
+            f"and every run's bytes hash to {digest} (pinned {GATE_BYTES}); "
             f"violations={suite['determinism_violations'][:3]}")

@@ -109,14 +109,90 @@ def test_malformed_file(tmp_path):
     assert main(["solve", str(path)]) == 1
 
 
-def test_usage_error(triangle_file):
+def test_usage_error(triangle_file, capsys):
+    # argparse's usage errors exit 1, not argparse's 2
     assert main(["solve"]) == 1
+    assert ("error: the following arguments are required: instance"
+            in capsys.readouterr().err)
     assert main(["frobnicate"]) == 1
     assert main([]) == 1
     # the solver subcommands take only INSTANCE [--seed N]
     assert main(["solve", triangle_file, "--strict-gamma"]) == 1
     assert main(["solve", triangle_file, "--monitor", "log"]) == 1
     assert main(["trace", triangle_file, "--no-invariant-checks"]) == 1
+
+
+def test_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: latticeflow")
+
+
+def test_huge_node_count_fails_at_once_naming_its_line(tmp_path, capsys):
+    # no record names any of the 10^9 nodes, so the parser refuses the
+    # count before allocating a node
+    path = tmp_path / "huge.dimacs"
+    path.write_text("p min 1000000000 0\n")
+    assert main(["solve", str(path)]) == 1
+    assert ("line 1: problem line declares 1000000000 nodes"
+            in capsys.readouterr().err)
+
+
+def test_capacity_of_10_to_the_200_solves_and_verifies(tmp_path, capsys):
+    # each max-flow augmentation pushes its whole bottleneck at once
+    big = 10**200
+    inst = tmp_path / "big.dimacs"
+    inst.write_text(f"p min 2 1\nn 1 {big}\nn 2 -{big}\na 1 2 0 {big} 1\n")
+    assert main(["solve", str(inst)]) == 0
+    sol = tmp_path / "big.sol"
+    sol.write_text(capsys.readouterr().out)
+    assert f"s {big}" in sol.read_text().splitlines()
+    assert main(["verify", str(inst), str(sol)]) == 0
+    assert capsys.readouterr().out == "certificate ok\n"
+
+
+# generated instances: gen's default shape; a sparse one, 40 nodes and
+# 48 arcs, so long fundamental cycles and deep forests; one at
+# U = C = 10^12, where the rounding certifies mid-path, well before the
+# proxy exit; and an infeasible one
+GENERATED = {
+    "default": ["--seed", "1"],
+    "sparse-40": ["--seed", "2", "--nodes", "40", "--arcs", "48",
+                  "--max-cap", "10", "--max-cost", "10"],
+    "bigint-1e12": ["--seed", "1", "--nodes", "8", "--arcs", "16",
+                    "--max-cap", str(10**12), "--max-cost", str(10**12)],
+    "infeasible": ["--seed", "3", "--mode", "random"],
+}
+
+
+@pytest.mark.parametrize("flags", GENERATED.values(), ids=GENERATED)
+def test_generated_instance_round_trip(tmp_path, capsys, flags):
+    """solve and oracle answers both verify and state the same 's'
+    line, and two traces with one seed are the same bytes. The
+    infeasible instance exits 2 at every step: each solver prints a cut
+    that verify accepts, and its trace prints no row."""
+    infeasible = "random" in flags
+    code = 2 if infeasible else 0
+    verdict = ("infeasibility certificate ok\n" if infeasible
+               else "certificate ok\n")
+    assert main(["gen", *flags]) == 0
+    inst = tmp_path / "inst.dimacs"
+    inst.write_text(capsys.readouterr().out)
+    stated = []
+    for command in ("solve", "oracle"):
+        assert main([command, str(inst)]) == code
+        sol = tmp_path / f"{command}.sol"
+        sol.write_text(capsys.readouterr().out)
+        assert main(["verify", str(inst), str(sol)]) == code
+        assert capsys.readouterr().out == verdict
+        stated.append([line for line in sol.read_text().splitlines()
+                       if line.startswith("s ")])
+    assert len(stated[0]) == 1 and stated[0] == stated[1]
+    traces = []
+    for _ in range(2):
+        assert main(["trace", str(inst), "--seed", "1"]) == code
+        traces.append(capsys.readouterr().out)
+    assert traces[0] == traces[1]
+    assert (traces[0] == "") == infeasible
 
 
 def test_solve_then_verify(triangle_file, tmp_path, capsys):

@@ -10,14 +10,13 @@ from hypothesis import strategies as st
 from latticeflow.graph_core import MultiGraph
 from latticeflow.instance_pipeline import RawInstance
 from latticeflow.reference_oracle import (
-    brute_force_optimum,
     random_instance,
     ssp_solve,
     verify_certificate,
     verify_cut,
 )
 
-from helpers import E1, has_unique_support
+from helpers import E1, brute_force_optimum, has_unique_support
 
 
 def test_triangle_optimum():

@@ -15,12 +15,12 @@ from latticeflow.dimacs import format_instance, format_solution, parse_instance
 from latticeflow.errors import InvariantError
 from latticeflow.graph_core import MultiGraph, apply_incidence
 from latticeflow.instance_pipeline import RawInstance
-from latticeflow.reference_oracle import (brute_force_optimum,
-                                          random_instance, ssp_solve,
+from latticeflow.reference_oracle import (random_instance, ssp_solve,
                                           verify_certificate, verify_cut)
 from latticeflow.solver import SolveConfig, _split_components, solve
 
-from helpers import E1, solve_to_the_proxy_exit, suite_params
+from helpers import (E1, brute_force_optimum, solve_to_the_proxy_exit,
+                     suite_params)
 
 
 def _check_optimal(inst, result):
@@ -421,7 +421,8 @@ def test_iterate_payloads_are_the_trace_rows(tmp_path, capsys):
 # one U = C = 10^12 case and one sparse 32-node case. Any change to the
 # random-number stream, the rounding or the path moves them; a change
 # that means to do so must record new values and say why, and re-pin
-# the benchmark suites' answer digests in .github/workflows/tests.yml.
+# SUITE_DIGESTS below and the gate's GATE_BYTES in test_acceptance.py
+# with them.
 GOLDEN = [
     ((7, 8, 16, 10, 10, "feasible"),
      "4f25d533f4b81dd8ad3d1be841c4bd07baac6d245726e6746364d95b4a00de30",
@@ -455,6 +456,48 @@ def test_golden_solution_and_trace_bytes(case, solution_sha, trace_sha):
     trace = "".join(json.dumps(row) + "\n" for row in rows)
     assert hashlib.sha256(solution.encode()).hexdigest() == solution_sha
     assert hashlib.sha256(trace.encode()).hexdigest() == trace_sha
+
+
+# The benchmark's seed-1 suites, as bench/run.py draws them: instance i
+# has instance and solve seed 1000 + i, and the solver reads the parsed
+# DIMACS text. Each digest is one sha256 over the suite's answers, each
+# the solution text (or "<status>\n") followed by its components'
+# [iterations, updates, refreshes] as JSON, the digest that
+# `bench/run.py --seed 1` prints. It is computed here, not by loading
+# bench/run.py, so the pin rests on the solver's answers alone.
+SUITE_DIGESTS = {
+    "mix-small": (
+        200, suite_params,
+        "1c963f3a9780aa801ee079b7e05032a0d85a219bd2a2827e4e2001f50acdd4dc"),
+    "dense-m48": (
+        4, lambda i: (16, 48, 10, 10, "feasible"),
+        "6558213a6b5d9d1ee00ce17495211142c5dc7cda14382cf5715715aff2f20601"),
+    "bigint-1e12": (
+        6, lambda i: (8, 16, 10**12, 10**12, "feasible"),
+        "a848fb158a941e7d2e2a806ffa07d553a368ad96de024fcc40fa84cff1ab6fdb"),
+}
+
+
+@pytest.mark.parametrize("workload", SUITE_DIGESTS)
+def test_benchmark_suite_answer_digests(workload):
+    size, params, pinned = SUITE_DIGESTS[workload]
+    h = hashlib.sha256()
+    for i in range(size):
+        seed = 1000 + i
+        inst = parse_instance(format_instance(random_instance(seed,
+                                                              *params(i))))
+        result = solve(inst, SolveConfig(seed=seed))
+        if result.status == "optimal":
+            text = format_solution(inst, result.objective, result.flow,
+                                   result.potentials)
+        else:
+            text = f"{result.status}\n"
+        counts = [(c["iterations"], c["updates"], c["refreshes"])
+                  for c in result.components if "iterations" in c]
+        h.update(text.encode())
+        h.update(json.dumps(counts).encode())
+    assert h.hexdigest() == pinned, \
+        f"{workload} answers moved: digest {h.hexdigest()}"
 
 
 @pytest.mark.parametrize("case", [
