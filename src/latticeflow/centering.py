@@ -57,8 +57,7 @@ class CenteringRun:
     arcs: (arc_id, tail_class, head_class) for the surviving minor arcs.
     x, s: the entry point, indexed by arc id and read only, so the
     driver passes its full vectors.
-    mu: the proven short-step target; ``run()`` sets it to the target
-    the run reached.
+    mu: the proven short-step target.
     mu0_bits: at least 1, the bit length of the initial path parameter,
     which scales the stall ceiling.
     forest: optionally an earlier run's forest over the same arcs, kept
@@ -69,7 +68,8 @@ class CenteringRun:
     the path's flow change over the previous step, a circulation of the
     minor, and num / den scales it to the trial's step.
 
-    ``target`` is the one ``refresh()`` tests against; ``base`` and
+    ``target`` is the one ``refresh()`` tests against, and after
+    ``run()`` the one the run reached; ``base`` and
     ``phi`` hold the current linearization, and ``pi_start`` the
     voltages its point already carries (None at the entry point).
     ``pi``, ``x_cur`` and ``s_cur`` hold the last refresh's point, and
@@ -242,17 +242,15 @@ class CenteringRun:
         """Center at ``trial_mu``, if given, then correct a stalled
         trial at it, then fall back to ``mu``: three legs of one leg
         loop. The first leg that exits leaves the recentered point in
-        ``x_cur``, ``s_cur`` and ``pi`` and its target in ``mu``."""
+        ``x_cur``, ``s_cur`` and ``pi`` and its target in ``target``."""
         if self.trial_mu is not None:
             budget = 4 * max(1, len(self.arcs))
             if self._center(budget):
-                self.mu = self.trial_mu
                 return
             if self.forest.off_tree and self._interior():
                 self._linearize(self.x_cur, self.s_cur, self.trial_mu,
                                 pi_start=self.pi)
                 if self._center(budget):
-                    self.mu = self.trial_mu
                     self.corrected = True
                     return
             self._linearize(self.x, self.s, self.mu)

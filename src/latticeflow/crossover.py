@@ -7,12 +7,14 @@ into the costs. This module finishes the job in three exact moves:
 
 1. nested cuts: starting from the lowest node, grow a set S one node at
    a time, shifting the duals uniformly on S until some crossing arc's
-   perturbed reduced cost hits zero; that arc joins a spanning tree T.
-   The perturbed dual objective never decreases, so T is tight at an
-   optimal perturbed dual. Only T is kept, not the duals.
-2. tree lift: re-derive duals from T against the *original* costs,
-   which are multiples of gamma; the perturbation is smaller than gamma,
-   so the lifted reduced costs are still nonnegative, now exactly
+   perturbed reduced cost hits zero; that arc joins a spanning tree T
+   as the parent arc of the node it brings into S, so T leaves the cuts
+   rooted at the lowest node. The perturbed dual objective never
+   decreases, so T is tight at an optimal perturbed dual. Only T is
+   kept, not the duals.
+2. tree lift: price the rooted T against the *original* costs, which
+   are multiples of gamma; the perturbation is smaller than gamma, so
+   the lifted reduced costs are still nonnegative, now exactly
    complementary to T.
 3. admissible flow: one max-flow over the zero-reduced-cost arcs routes
    the original demands; saturation yields an exactly optimal integral
@@ -24,8 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvariantError, RoundingRefusedError
-from .graph_core import (adjacency, apply_incidence, bfs_forest, max_flow,
-                         reduced_costs, tree_potentials)
+from .graph_core import (adjacency, apply_incidence, max_flow, reduced_costs,
+                         tree_potentials)
 from .instance_pipeline import AuxiliaryInstance, ScalingCertificate
 from .ipm_driver import IPMResult
 
@@ -81,9 +83,12 @@ def build_perturbed(aux: AuxiliaryInstance, cert: ScalingCertificate,
 
 def nested_cut_crossover(aux: AuxiliaryInstance, pert: PerturbedPoint,
                          objective_log: list[int] | None = None,
-                         ) -> list[int]:
+                         ) -> tuple[list[int], dict[int, tuple[int, int, int]]]:
     """Grow S from the lowest node to an optimal perturbed dual, and
-    return the tree of the arcs that tightened.
+    return the spanning tree of the arcs that tightened, as ``(order,
+    parent)`` in ``graph_core``'s rooted-forest form: the lowest node is
+    the root, and the nodes follow in the order they joined S, each with
+    the arc that brought it in as its parent arc.
 
     Each step shifts the duals uniformly on S: up when S wants net
     inflow (b_hat(S) >= 0, tightening an entering arc), down when it
@@ -101,10 +106,10 @@ def nested_cut_crossover(aux: AuxiliaryInstance, pert: PerturbedPoint,
     s_hat = list(pert.s_hat)
     at = adjacency((a, *arc) for a, arc in enumerate(arcs))
     start = min(g.nodes)
-    in_s = {start}
+    in_s = {start: None}  # insertion-ordered set
     # the arcs with exactly one end in S; self-loops never are
     crossing = {a for a, _ in at.get(start, ())}
-    tree: list[int] = []
+    parent: dict[int, tuple[int, int, int]] = {}
     objective = 0
     if objective_log is not None:
         objective_log.append(objective)
@@ -138,30 +143,31 @@ def nested_cut_crossover(aux: AuxiliaryInstance, pert: PerturbedPoint,
         objective = new_objective
         if objective_log is not None:
             objective_log.append(objective)
-        tree.append(chosen)
         t, h = arcs[chosen]
         joined = t if h in in_s else h
-        in_s.add(joined)
+        parent[joined] = (h, chosen, -1) if joined == t else (t, chosen, 1)
+        in_s[joined] = None
         crossing ^= {a for a, _ in at.get(joined, ())}
         b_s += pert.b_hat[joined]
-    for a in tree:
+    for _, a, _ in parent.values():
         if s_hat[a] != 0:
             raise InvariantError(f"tree arc {a} drifted off its tight cut")
-    return tree
+    return list(in_s), parent
 
 
 def lift_tree_duals(aux: AuxiliaryInstance, cert: ScalingCertificate,
-                    tree: list[int]) -> tuple[dict[int, int], list[int]]:
-    """Duals read off the crossover tree against the original costs.
+                    tree: tuple[list[int], dict[int, tuple[int, int, int]]]
+                    ) -> tuple[dict[int, int], list[int]]:
+    """Duals priced on the rooted spanning tree of
+    :func:`nested_cut_crossover` against the original costs, 0 at its
+    root.
 
     Original costs are multiples of gamma while the cost perturbation is
     smaller than gamma, so rounding the perturbed-optimal duals to the
     tree keeps every reduced cost nonnegative; this is checked exactly,
     along with gamma-integrality and tightness on the tree."""
     g = aux.graph
-    order, parent = bfs_forest(g, tree, [min(g.nodes)])
-    if len(order) != g.n:
-        raise InvariantError("crossover tree does not span the instance")
+    order, parent = tree
     y_t = tree_potentials(order, parent, aux.c)
     s_t = reduced_costs(g, aux.c, y_t)
     for a in range(g.m):
@@ -171,7 +177,7 @@ def lift_tree_duals(aux: AuxiliaryInstance, cert: ScalingCertificate,
         if s_t[a] % cert.gamma:
             raise InvariantError(
                 f"arc {a}: lifted reduced cost is not a gamma multiple")
-    for a in tree:
+    for _, a, _ in parent.values():
         if s_t[a] != 0:
             raise InvariantError(f"tree arc {a} is not tight after the lift")
     return y_t, s_t

@@ -32,6 +32,13 @@ Numbers are optionally signed ASCII decimals: a record line with ``_``,
 a non-ASCII character or a control character other than tab is a format
 error; a comment may hold any text. Lines end at ``\\n``, ``\\r\\n`` or
 ``\\r``.
+
+One table, ``_FORMS``, holds the record forms above, split once at
+import. One reader checks each record's kind, field count and literal
+words against it and converts its integer fields, so a record that
+fits no form is refused naming it, as in ``line 2: expected 'n <node>
+<supply>'``, before any check of where the record stands. The two
+parsers keep only the checks of what the fields mean.
 """
 
 from __future__ import annotations
@@ -51,25 +58,71 @@ __all__ = [
 ]
 
 
-def _records(text: str) -> Iterator[tuple[int, list[str]]]:
-    """(line number, fields) for each line of ``text`` that is neither
-    blank nor a ``c`` comment, which must be printable ASCII, tabs
-    aside, without ``_``: ``int`` would read ``1_0`` and non-ASCII
-    digits as numbers. Lines end at ``\\n``, ``\\r\\n`` or ``\\r`` only,
-    the universal newlines the CLI reads files with; ``str.splitlines``
-    would also end one at a form feed or U+2028, which an editor shows
-    inside the line."""
+# One form per record kind, ``s`` aside, which has two: the words a
+# record must read, then its integer fields, each named in <>. The
+# first three are an instance's, the rest a solution's.
+_FORMS = ("p min <n> <m>", "n <node> <supply>",
+          "a <tail> <head> <low> <cap> <cost>",
+          "s <objective>", "s infeasible", "f <tail> <head> <flow>",
+          "y <node> <potential>", "x <node>")
+
+# per kind, (word count, k, the k words before the integer fields) for
+# each of its forms
+_Shapes = dict[str, list[tuple[int, int, list[str]]]]
+
+
+def _shapes(forms: tuple[str, ...]) -> _Shapes:
+    """The shapes of ``forms``, split once, per kind in descending
+    order, so of two forms with as many words the one with more to read
+    is tried first: ``s infeasible`` before ``s <objective>``."""
+    table: _Shapes = {}
+    for form in forms:
+        words = form.split()
+        head = [w for w in words if not w.startswith("<")]
+        table.setdefault(words[0], []).append((len(words), len(head), head))
+    return {kind: sorted(shapes, reverse=True) for kind, shapes in table.items()}
+
+
+_INSTANCE_KINDS = _shapes(_FORMS[:3])
+_SOLUTION_KINDS = _shapes(_FORMS[3:])
+
+
+def _records(text: str, kinds: _Shapes) -> Iterator[tuple[int, str, list[int]]]:
+    """(line number, kind, integer fields) for each line of ``text``
+    that is neither blank nor a ``c`` comment. The line must be
+    printable ASCII, tabs aside, without ``_`` (``int`` would read
+    ``1_0`` and non-ASCII digits as numbers), and fit a form of one of
+    ``kinds``, the :func:`_shapes` of the forms a file may hold. Lines
+    end at ``\\n``, ``\\r\\n`` or ``\\r`` only, the universal
+    newlines the CLI reads files with; ``str.splitlines`` would also
+    end one at a form feed or U+2028, which an editor shows inside the
+    line."""
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     for lineno, raw_line in enumerate(lines, 1):
         line = raw_line.strip()
-        if line and not line.startswith("c"):
-            if not raw_line.isascii() or "_" in line:
-                raise FormatError(f"line {lineno}: record holds '_' or "
-                                  "a non-ASCII character")
-            if not raw_line.replace("\t", " ").isprintable():
-                raise FormatError(
-                    f"line {lineno}: record holds a control character")
-            yield lineno, line.split()
+        if not line or line.startswith("c"):
+            continue
+        if not raw_line.isascii() or "_" in line:
+            raise FormatError(f"line {lineno}: record holds '_' or "
+                              "a non-ASCII character")
+        if not raw_line.replace("\t", " ").isprintable():
+            raise FormatError(
+                f"line {lineno}: record holds a control character")
+        fields = line.split()
+        kind = fields[0]
+        if kind not in kinds:
+            raise FormatError(f"line {lineno}: unknown record type {kind!r}")
+        for size, k, head in kinds[kind]:
+            if len(fields) == size and fields[:k] == head:
+                break
+        else:
+            named = "' or '".join(f for f in _FORMS if f.split()[0] == kind)
+            raise FormatError(f"line {lineno}: expected '{named}'")
+        try:
+            values = list(map(int, fields[k:]))
+        except ValueError as exc:
+            raise FormatError(f"line {lineno}: {exc}") from None
+        yield lineno, kind, values
 
 
 def parse_instance(text: str) -> RawInstance:
@@ -78,51 +131,37 @@ def parse_instance(text: str) -> RawInstance:
     arcs: list[tuple[int, int]] = []
     caps: list[int] = []
     costs: list[int] = []
-    for lineno, fields in _records(text):
-        kind = fields[0]
-        try:
-            if kind == "p":
-                if n_nodes is not None:
-                    raise FormatError(f"line {lineno}: second problem line")
-                if len(fields) != 4 or fields[1] != "min":
-                    raise FormatError(f"line {lineno}: expected 'p min <n> <m>'")
-                n_nodes, n_arcs = int(fields[2]), int(fields[3])
-                p_line = lineno
-                if n_nodes < 1 or n_arcs < 0:
-                    raise FormatError(f"line {lineno}: bad problem dimensions")
-            elif kind == "n":
-                if n_nodes is None:
-                    raise FormatError(f"line {lineno}: node line before problem line")
-                if len(fields) != 3:
-                    raise FormatError(f"line {lineno}: expected 'n <node> <supply>'")
-                v, supply = int(fields[1]), int(fields[2])
-                if not 1 <= v <= n_nodes:
-                    raise FormatError(f"line {lineno}: node {v} out of range")
-                if v in supplies:
-                    raise FormatError(f"line {lineno}: duplicate supply for node {v}")
-                supplies[v] = supply
-            elif kind == "a":
-                if n_nodes is None:
-                    raise FormatError(f"line {lineno}: arc line before problem line")
-                if len(fields) != 6:
-                    raise FormatError(
-                        f"line {lineno}: expected 'a <tail> <head> <low> <cap> <cost>'")
-                tail, head, low, cap, cost = map(int, fields[1:])
-                if not (1 <= tail <= n_nodes and 1 <= head <= n_nodes):
-                    raise FormatError(f"line {lineno}: arc endpoint out of range")
-                if low != 0:
-                    raise UnsupportedFeatureError(
-                        f"line {lineno}: nonzero lower bounds are not supported")
-                if cap < 1:
-                    raise FormatError(
-                        f"line {lineno}: capacity must be at least 1")
-                arcs.append((tail, head))
-                caps.append(cap)
-                costs.append(cost)
-            else:
-                raise FormatError(f"line {lineno}: unknown record type {kind!r}")
-        except ValueError as exc:
-            raise FormatError(f"line {lineno}: {exc}") from None
+    for lineno, kind, values in _records(text, _INSTANCE_KINDS):
+        if kind == "p":
+            if n_nodes is not None:
+                raise FormatError(f"line {lineno}: second problem line")
+            n_nodes, n_arcs = values
+            p_line = lineno
+            if n_nodes < 1 or n_arcs < 0:
+                raise FormatError(f"line {lineno}: bad problem dimensions")
+        elif n_nodes is None:
+            record = "node" if kind == "n" else "arc"
+            raise FormatError(f"line {lineno}: {record} line before problem line")
+        elif kind == "n":
+            v, supply = values
+            if not 1 <= v <= n_nodes:
+                raise FormatError(f"line {lineno}: node {v} out of range")
+            if v in supplies:
+                raise FormatError(f"line {lineno}: duplicate supply for node {v}")
+            supplies[v] = supply
+        else:
+            tail, head, low, cap, cost = values
+            if not (1 <= tail <= n_nodes and 1 <= head <= n_nodes):
+                raise FormatError(f"line {lineno}: arc endpoint out of range")
+            if low != 0:
+                raise UnsupportedFeatureError(
+                    f"line {lineno}: nonzero lower bounds are not supported")
+            if cap < 1:
+                raise FormatError(
+                    f"line {lineno}: capacity must be at least 1")
+            arcs.append((tail, head))
+            caps.append(cap)
+            costs.append(cost)
     if n_nodes is None:
         raise FormatError("missing problem line")
     if len(arcs) != n_arcs:
@@ -183,51 +222,34 @@ def parse_solution(text: str, inst: RawInstance) -> SolveResult:
     flow: list[int] = []
     potentials: dict[int, int] = {}
     cut: dict[int, None] = {}  # insertion-ordered set
-    for lineno, fields in _records(text):
-        try:
-            if fields[0] == "s":
-                if objective is not None or infeasible:
-                    raise FormatError(f"line {lineno}: second objective line")
-                if len(fields) != 2:
-                    raise FormatError(
-                        f"line {lineno}: expected 's <objective>' or "
-                        "'s infeasible'")
-                if fields[1] == "infeasible":
-                    infeasible = True
-                else:
-                    objective = int(fields[1])
-            elif fields[0] == "f":
-                if len(fields) != 4:
-                    raise FormatError(f"line {lineno}: expected 'f <tail> <head> <flow>'")
-                tail, head, value = int(fields[1]), int(fields[2]), int(fields[3])
-                a = len(flow)
-                if a >= inst.graph.m or inst.graph.arcs[a] != (tail, head):
-                    raise FormatError(
-                        f"line {lineno}: flow lines must follow the instance's "
-                        "arc order")
-                flow.append(value)
-            elif fields[0] == "y":
-                if len(fields) != 3:
-                    raise FormatError(f"line {lineno}: expected 'y <node> <potential>'")
-                v, potential = int(fields[1]), int(fields[2])
-                if v not in inst.b:  # b holds one entry per node
-                    raise FormatError(f"line {lineno}: node {v} out of range")
-                if v in potentials:
-                    raise FormatError(f"line {lineno}: duplicate potential for node {v}")
-                potentials[v] = potential
-            elif fields[0] == "x":
-                if len(fields) != 2:
-                    raise FormatError(f"line {lineno}: expected 'x <node>'")
-                v = int(fields[1])
-                if v not in inst.b:
-                    raise FormatError(f"line {lineno}: node {v} out of range")
-                if v in cut:
-                    raise FormatError(f"line {lineno}: duplicate cut node {v}")
-                cut[v] = None
-            else:
-                raise FormatError(f"line {lineno}: unknown record type {fields[0]!r}")
-        except ValueError as exc:
-            raise FormatError(f"line {lineno}: {exc}") from None
+    for lineno, kind, values in _records(text, _SOLUTION_KINDS):
+        if kind == "s":
+            if objective is not None or infeasible:
+                raise FormatError(f"line {lineno}: second objective line")
+            infeasible = not values  # s infeasible has no integer field
+            objective = values[0] if values else None
+        elif kind == "f":
+            tail, head, value = values
+            a = len(flow)
+            if a >= inst.graph.m or inst.graph.arcs[a] != (tail, head):
+                raise FormatError(
+                    f"line {lineno}: flow lines must follow the instance's "
+                    "arc order")
+            flow.append(value)
+        elif kind == "y":
+            v, potential = values
+            if v not in inst.b:  # b holds one entry per node
+                raise FormatError(f"line {lineno}: node {v} out of range")
+            if v in potentials:
+                raise FormatError(f"line {lineno}: duplicate potential for node {v}")
+            potentials[v] = potential
+        else:
+            v, = values
+            if v not in inst.b:
+                raise FormatError(f"line {lineno}: node {v} out of range")
+            if v in cut:
+                raise FormatError(f"line {lineno}: duplicate cut node {v}")
+            cut[v] = None
     if infeasible:
         if flow or potentials:
             raise FormatError("an infeasible solution has no 'f' or 'y' lines")

@@ -255,7 +255,7 @@ def run_interior_point(
                            mu0_bits=mu0_bits, monitor=monitor, forest=forest,
                            trial_mu=trial_mu, secant=secant)
         run.run()
-        mu = run.mu
+        mu = run.target
         forest = run.forest
         updates += run.updates
         refreshes += run.refreshes

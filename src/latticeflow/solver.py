@@ -163,7 +163,9 @@ def solve(inst: RawInstance, config: SolveConfig | None = None, *,
 
     ``probe(event, payload)`` observes each solved component: the
     interior point loop's events, then ``component`` (see the README).
-    Payloads are live solver state and must not be mutated.
+    The loop's payloads are copies, which a probe may keep or change;
+    the ``component`` payload is live solver state and must not be
+    mutated.
     """
     config = config or SolveConfig()
     inst.validate()

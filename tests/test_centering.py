@@ -207,7 +207,7 @@ def test_without_a_trial_the_loop_is_unchanged():
     # the values the loop gave before trial targets existed
     run = _frozen_run(28800, Random(2))
     run.run()
-    assert run.mu == run.target == 28800
+    assert run.target == 28800
     assert run.x_cur == {0: 21, 1: 36, 2: 42, 3: 16, 4: 55, 5: 20}
     assert run.s_cur == {0: 1322, 1: 808, 2: 690, 3: 1830, 4: 530, 5: 1388}
     assert run.pi == {"A": 0, "C": -30, "B": -122, "D": -52}
@@ -221,7 +221,7 @@ def test_accepted_trial_ends_at_the_trial_target():
     assert run.base == {a: round_nearest(28800, FROZEN_S[a]) for a in FROZEN_S}
     assert run.phi == {a: FROZEN_X[a] - run.base[a] for a in FROZEN_X}
     run.run()
-    assert run.mu == run.target == 28800
+    assert run.target == 28800
     assert 0 < run.updates <= 4 * len(FROZEN_ARCS)
     assert _centered_at(run, 28800)
     assert all(v > 0 for v in run.x_cur.values())
@@ -246,7 +246,7 @@ def test_rejected_trial_centers_at_mu_as_a_fresh_run():
     budget = 4 * len(FROZEN_ARCS)
     run = _frozen_run(34560, Random(0), trial_mu=3600)
     run.run()
-    assert run.mu == run.target == 34560
+    assert run.target == 34560
     assert _centered_at(run, 34560)
     # the trial ends with x_cur[0] = -9, so no corrector runs, and after
     # the trial's budget of draws the run is a plain run at mu
@@ -267,7 +267,7 @@ def test_rejected_trial_centers_at_mu_as_a_fresh_run():
     budget = 4 * len(FAILED_ARCS)
     run = _failed_run(FAILED_X, FAILED_S, 34500, Random(0), trial_mu=24000)
     run.run()
-    assert run.mu == run.target == 34500
+    assert run.target == 34500
     assert not run.corrected
     rng = Random(0)
     trial = _failed_run(FAILED_X, FAILED_S, 24000, rng)
@@ -308,7 +308,7 @@ def test_trial_with_a_nonpositive_value_is_rejected():
     run = _frozen_run(34560, Random(0), trial_mu=28800,
                       run_class=_NegatedTrialRun)
     run.run()
-    assert run.mu == run.target == 34560
+    assert run.target == 34560
     assert run.updates > 4 * len(FROZEN_ARCS)  # the whole trial budget
     assert _centered_at(run, 34560)
     assert all(v > 0 for v in run.x_cur.values())
@@ -371,7 +371,7 @@ def test_stalled_trial_is_corrected_at_the_trial_target():
                        monitor=BoundMonitor(1 << 128),
                        trial_mu=STALL_TRIAL_MU)
     run.run()
-    assert run.mu == run.target == STALL_TRIAL_MU
+    assert run.target == STALL_TRIAL_MU
     assert run.corrected
     assert run.updates > 4 * len(STALL_ARCS)  # past the trial's budget
     assert _centered_at(run, STALL_TRIAL_MU)
@@ -397,7 +397,7 @@ def test_stall_count_starts_after_a_rejected_trial():
                        monitor=BoundMonitor(LIMIT), trial_mu=2)
     with pytest.raises(CenteringStallError, match=r"after 768 .*ceiling 768"):
         run.run()
-    assert run.mu == run.target == 4
+    assert run.target == 4
     assert run.updates == 8 + run.stall_limit
 
 
@@ -447,7 +447,7 @@ def test_monitor_raises_at_the_update_that_stores_the_maximum():
     ``max_seen``."""
     full = _strict_run(LIMIT)
     full.run()
-    assert (full.updates, full.refreshes, full.mu) == (48, 15, 2078)
+    assert (full.updates, full.refreshes, full.target) == (48, 15, 2078)
     assert full.monitor.max_seen == 1824
     run = _strict_run(1823)
     with pytest.raises(BoundViolationError,

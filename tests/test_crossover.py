@@ -36,8 +36,9 @@ def test_nested_cuts_hand_simulation():
     # S = {1} wants outflow, so y drops on S until arc 0 is tight; then
     # S = {1, 2} drops again until arc 1 is tight
     aux, pert = _path_pert()
-    tree = nested_cut_crossover(aux, pert)
-    assert tree == [0, 1]
+    order, parent = nested_cut_crossover(aux, pert)
+    assert order == [1, 2, 3]
+    assert parent == {2: (1, 0, 1), 3: (2, 1, 1)}
 
 
 def test_nested_cuts_objective_log_is_monotone():
@@ -55,8 +56,8 @@ def test_nested_cuts_tie_breaks_to_lowest_arc_id():
     aux = aux_instance(MultiGraph([1, 2], [(1, 2), (1, 2)]), {1: -1, 2: 1},
                        [GAMMA, GAMMA])
     pert = PerturbedPoint(dict(aux.b), list(aux.c))
-    tree = nested_cut_crossover(aux, pert)
-    assert tree == [0]
+    _, parent = nested_cut_crossover(aux, pert)
+    assert parent == {2: (1, 0, 1)}
 
 
 def test_tree_lift_and_admissible_flow():

@@ -1,6 +1,7 @@
 """DIMACS min-cost-flow text format: parsing, formatting, round trips."""
 
 import dataclasses
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -165,10 +166,42 @@ def test_infeasible_solution_roundtrip():
     ("s infeasible\nx 1\ny 1 0\n", "no 'f' or 'y' lines"),
     ("s 4\nf 1 2 2\nf 2 3 2\nf 1 3 0\ny 1 0\ny 2 1\ny 3 2\nx 1\n",
      "'x' lines belong only to an infeasible solution"),
+    # a solution file holds no other kind, an instance's neither
+    ("s 4\nq 1\n", "^line 2: unknown record type 'q'$"),
+    ("s 4\np min 3 3\n", "^line 2: unknown record type 'p'$"),
 ])
 def test_parse_solution_rejects_bad_cut_lines(text, message):
     with pytest.raises(FormatError, match=message):
         parse_solution(text, parse_instance(TRIANGLE))
+
+
+# per record kind: its form as the error names it, the lines a text
+# needs before it, and one valid record of that kind
+RECORD_FORMS = [
+    ("p", "p min <n> <m>", "", "p min 3 3"),
+    ("n", "n <node> <supply>", "p min 3 3\n", "n 1 2"),
+    ("a", "a <tail> <head> <low> <cap> <cost>", "p min 3 3\n", "a 1 2 0 2 1"),
+    ("s", "s <objective>' or 's infeasible", "", "s 4"),
+    ("f", "f <tail> <head> <flow>", "s 4\n", "f 1 2 2"),
+    ("y", "y <node> <potential>", "s 4\n", "y 1 0"),
+    ("x", "x <node>", "s infeasible\n", "x 1"),
+]
+
+
+@pytest.mark.parametrize("words", [-1, 1], ids=["too-few", "too-many"])
+@pytest.mark.parametrize("kind,form,before,record", RECORD_FORMS,
+                         ids=[kind for kind, *_ in RECORD_FORMS])
+def test_record_with_the_wrong_field_count_names_its_form(kind, form, before,
+                                                          record, words):
+    fields = record.split()
+    fields = fields[:-1] if words < 0 else fields + ["1"]
+    text = before + " ".join(fields) + "\n"
+    line = before.count("\n") + 1
+    parse = (parse_instance if kind in "pna"
+             else lambda t: parse_solution(t, parse_instance(TRIANGLE)))
+    with pytest.raises(FormatError,
+                       match=f"^line {line}: expected '{re.escape(form)}'$"):
+        parse(text)
 
 
 def test_solution_lines_present():

@@ -398,6 +398,32 @@ def test_probe_observes_without_changing_the_solve(unbalanced):
     assert iters.count(0) == 2
 
 
+@pytest.mark.parametrize("draw", [(1, 16, 48, 10, 10), (3, 8, 16, 10, 10),
+                                  (26, 8, 16, 10**12, 10**12)],
+                         ids=["n16-m48", "n8-m16", "n8-m16-1e12"])
+def test_probe_may_clear_every_payload_but_component(draw):
+    """Only the ``component`` payload is live solver state: a probe that
+    clears every list and dict of the other payloads leaves the answer
+    and its stats as a plain solve gives them."""
+    cleared = set()
+
+    def clear(event, payload):
+        if event != "component":
+            for value in payload.values():
+                if isinstance(value, (list, dict)):
+                    value.clear()
+            cleared.add(event)
+
+    inst = random_instance(*draw)
+    observed = solve(inst, SolveConfig(seed=draw[0]), probe=clear)
+    plain = solve(inst, SolveConfig(seed=draw[0]))
+    assert cleared == {"iterate", "centering_enter", "centering_exit",
+                       "lifted"}
+    assert observed.flow == plain.flow
+    assert observed.potentials == plain.potentials
+    assert observed.components == plain.components
+
+
 def test_iterate_payloads_are_the_trace_rows(tmp_path, capsys):
     inst = _components_instance(False)
     path = tmp_path / "components.dimacs"
